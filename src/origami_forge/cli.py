@@ -15,7 +15,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import homology, hss, linalg, moebius
@@ -148,10 +147,8 @@ def cmd_hss(args) -> dict:
     }
 
 
-def hss_report(o: Origami) -> dict:
+def hss_report(o: Origami, curves: list, model: homology.H1Model) -> dict:
     g = genus(o)
-    curves = hss.find_hss(o)
-    model = homology.h1_model(o)
     classes = [
         model.coords(homology.edge_cycle(o, c.start, c.word)) for c in curves
     ]
@@ -169,7 +166,7 @@ def hss_report(o: Origami) -> dict:
 
 def cmd_verify_hss(args) -> dict:
     o = load_origami(args.origami)
-    report = hss_report(o)
+    report = hss_report(o, hss.find_hss(o), homology.h1_model(o))
     ok = (
         report["curve_count"] == report["genus"]
         and report["closed"]
@@ -230,7 +227,7 @@ def cmd_homology(args) -> dict:
         "intersection_matrix": model.gram,
     }
     if args.twist:
-        out["certificate"] = homology.twist_membership_certificate(o)
+        out["certificate"] = homology.twist_membership_certificate(o, model)
     return out
 
 
@@ -313,7 +310,9 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
     rng = random.Random(f"{seed}:{index}")
     d = rng.randint(2, max_d)
     o = random_origami(rng, d)
-    report = hss_report(o)
+    curves = hss.find_hss(o)
+    model = homology.h1_model(o)
+    report = hss_report(o, curves, model)
     hss_ok = (
         report["curve_count"] == report["genus"]
         and report["closed"]
@@ -340,7 +339,6 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
     veech_ok = aut_stabilizes(cs, horizontal_twist_lift(m)) is not None
 
     # homology certificates
-    model = homology.h1_model(o)
     gram_ok = (
         model.rank == 2 * report["genus"]
         and all(
@@ -350,7 +348,7 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
         )
         and abs(linalg.det_int(model.gram)) == 1
     )
-    cert = homology.twist_membership_certificate(o)
+    cert = homology.twist_membership_certificate(o, model, curves)
     return {
         "index": index,
         "d": d,
@@ -369,11 +367,7 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    indices = range(args.count)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(
-            pool.map(lambda i: sweep_one(args.seed, args.max_d, i), indices)
-        )
+    results = [sweep_one(args.seed, args.max_d, i) for i in range(args.count)]
     return {
         "schema": SCHEMA,
         "seed": args.seed,
@@ -440,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=int, default=12, dest="max_d")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=4)
     p.set_defaults(func=cmd_sweep)
 
     return parser

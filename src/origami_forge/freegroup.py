@@ -391,11 +391,6 @@ def _twist_T(m: int) -> F2Endo:
     return F2Endo(gen(2, 1), Word(2, [(1, m), (2, 1)]), True)
 
 
-def _twist_U(m: int) -> F2Endo:
-    # beta_hat = ((1, 0), (m, 1))
-    return F2Endo(Word(2, [(1, 1), (2, m)]), gen(2, 2), True)
-
-
 _SWAP = F2Endo(gen(2, 2), gen(2, 1), True)            # ((0,1),(1,0))
 _NEG_X = F2Endo(gen(2, 1, -1), gen(2, 2), True)       # ((-1,0),(0,1))
 _NEG_Y = F2Endo(gen(2, 1), gen(2, 2, -1), True)       # ((1,0),(0,-1))

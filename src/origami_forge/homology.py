@@ -10,10 +10,7 @@ arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import sympy
 
 from . import linalg
 from .freegroup import (
@@ -27,10 +24,18 @@ from .freegroup import (
     simultaneous_conjugacy,
 )
 from .hss import find_hss
-from .origami import Origami, act_word, genus, vertex_orbits, vertex_permutation
+from .origami import (
+    Origami,
+    OrigamiCurve,
+    act_word,
+    genus,
+    vertex_orbits,
+    vertex_permutation,
+)
 from .subgroup import CosetAction, aut_stabilizes, contains, schreier_system
 
 __all__ = [
+    "CertificateError",
     "ConventionViolation",
     "NotInSubgroup",
     "NotLagrangian",
@@ -50,6 +55,7 @@ __all__ = [
     "symplectic_completion",
     "induced_matrix",
     "block_form_check",
+    "CharPoly",
     "charpoly",
     "charpoly_divides",
     "symplectic_names",
@@ -85,6 +91,10 @@ class DoesNotStabilize(ValueError):
 
 class UnknownGenerator(ValueError):
     pass
+
+
+class CertificateError(ValueError):
+    """A check that decides the twist certificate failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +196,7 @@ class H1Model:
     complex: CellComplex
     g: int
     kernel: List[List[int]]          # columns spanning ker d1, as 2d-vectors
+    kernel_snf: linalg.SmithForm     # Smith form of the 2d x k column matrix
     proj: linalg.Matrix              # (k - rho) x k: kernel coords -> H1 coords
     basis: List[List[int]]           # 2g edge vectors representing the basis
     gram: linalg.Matrix              # intersection form on the basis
@@ -195,8 +206,7 @@ class H1Model:
         return len(self.basis)
 
     def kernel_coords(self, z: Sequence[int]) -> List[int]:
-        K = [[col[i] for col in self.kernel] for i in range(len(z))]
-        c = linalg.solve_int(K, list(z))
+        c = self.kernel_snf.solve(z)
         assert c is not None, "chain is not a cycle"
         return c
 
@@ -206,11 +216,7 @@ class H1Model:
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         """Intersection number of two classes given in H1 coordinates."""
-        return sum(
-            u[i] * self.gram[i][j] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return sum(x * y for x, y in zip(u, linalg.mat_vec(self.gram, v)))
 
 
 def h1_model(o: Origami) -> H1Model:
@@ -219,11 +225,11 @@ def h1_model(o: Origami) -> H1Model:
     kernel = linalg.kernel_basis(cx.d1)
     k = len(kernel)
     K = [[col[i] for col in kernel] for i in range(2 * o.d)]
+    kernel_snf = linalg.smith_normal_form(K)
     # boundary image in kernel coordinates
     B = linalg.zeros(k, o.d)
     for j in range(o.d):
-        col = [cx.d2[i][j] for i in range(2 * o.d)]
-        c = linalg.solve_int(K, col)
+        c = kernel_snf.solve([cx.d2[i][j] for i in range(2 * o.d)])
         assert c is not None
         for i in range(k):
             B[i][j] = c[i]
@@ -236,7 +242,7 @@ def h1_model(o: Origami) -> H1Model:
     for j in range(rho, k):
         c = [snf.Uinv[i][j] for i in range(k)]
         basis.append(linalg.mat_vec(K, c))
-    model = H1Model(o, cx, g, kernel, proj, basis, [])
+    model = H1Model(o, cx, g, kernel, kernel_snf, proj, basis, [])
     model.gram = intersection_form(o, model)
     assert all(
         model.gram[i][j] == -model.gram[j][i]
@@ -401,11 +407,13 @@ def symplectic_completion(
     if snf.rank != g or any(f not in (1, -1) for f in snf.invariant_factors()):
         raise NotPrimitive("classes do not span a direct summand")
     # B_j solves <A_i, B_j> = delta_ij; row i is A_i^T * Gram
-    C = [linalg.mat_vec(linalg.transpose(model.gram), a) for a in A]
+    C = linalg.smith_normal_form(
+        [linalg.mat_vec(linalg.transpose(model.gram), a) for a in A]
+    )
     B = []
     for j in range(g):
         rhs = [1 if i == j else 0 for i in range(g)]
-        b = linalg.solve_int(C, rhs)
+        b = C.solve(rhs)
         assert b is not None, "no integral dual class (form not unimodular?)"
         B.append(b)
     # clear <B_i, B_j> using the A's
@@ -433,8 +441,9 @@ def induced_matrix(
     model: Optional[H1Model] = None,
     basis: Optional[linalg.Matrix] = None,
 ) -> linalg.Matrix:
-    """The 2g x 2g matrix of the automorphism on H1, in the given basis
-    (columns, H1 coordinates; identity basis when omitted)."""
+    """The 2g x 2g matrix of the automorphism on H1, in the given
+    symplectic basis (columns S in H1 coordinates with S^T G S = J, as
+    `symplectic_completion` returns; identity basis when omitted)."""
     cs = CosetAction(o)
     if aut_stabilizes(cs, phi) != cs.base:
         raise DoesNotStabilize("phi(H) is not the stabilizer of the base")
@@ -442,64 +451,31 @@ def induced_matrix(
         model = h1_model(o)
     n = 2 * model.g
     ss = schreier_system(cs)
-    zs = [class_of(o, model, h) for h in ss.generators]
-    ws = [class_of(o, model, phi(h)) for h in ss.generators]
-    # pick n independent columns over Q
-    sel: List[int] = []
-    rowspace: List[List[Fraction]] = []
-    for idx, z in enumerate(zs):
-        vec = [Fraction(x) for x in z]
-        red = vec[:]
-        for piv, r in rowspace:
-            if red[piv]:
-                f = red[piv] / r[piv]
-                red = [x - f * y for x, y in zip(red, r)]
-        p = next((i for i, x in enumerate(red) if x), None)
-        if p is not None:
-            rowspace.append((p, red))
-            sel.append(idx)
-        if len(sel) == n:
-            break
-    assert len(sel) == n, "generator classes do not span H1 over Q"
-    Zsel = [[Fraction(zs[j][i]) for j in sel] for i in range(n)]
-    M0: linalg.Matrix = []
-    ZT = [list(r) for r in zip(*Zsel)]
-    for r in range(n):
-        rhs = [Fraction(ws[j][r]) for j in sel]
-        row = linalg.solve_rational(ZT, rhs)
-        assert row is not None
-        M0.append(row)
-    for z, w in zip(zs, ws):
-        got = [sum(M0[i][j] * z[j] for j in range(n)) for i in range(n)]
-        assert got == [Fraction(x) for x in w], "action is not linear on H1"
-    if basis is not None:
-        Sf = [[Fraction(x) for x in row] for row in basis]
-        n_ = len(Sf)
-        Sinv_cols = []
-        for j in range(n_):
-            e = [Fraction(1) if i == j else Fraction(0) for i in range(n_)]
-            col = linalg.solve_rational(Sf, e)
-            assert col is not None
-            Sinv_cols.append(col)
-        Sinv = [[Sinv_cols[j][i] for j in range(n_)] for i in range(n_)]
-        M0 = _frac_mat_mul(_frac_mat_mul(Sinv, M0), Sf)
+    # M0 z_h = w_h for every Schreier generator h, i.e. Z M0^T = W with the
+    # classes as the rows of Z and W.  Z has rank n, so each row of M0 is
+    # the unique solution of an overdetermined system; that every one
+    # exists proves the action linear and integral.
+    Z = linalg.smith_normal_form([class_of(o, model, h) for h in ss.generators])
+    if Z.rank != n:
+        raise CertificateError("generator classes do not span H1 over Q")
+    W = [class_of(o, model, phi(h)) for h in ss.generators]
     M = []
-    for row in M0:
-        out = []
-        for x in row:
-            assert Fraction(x).denominator == 1, "induced matrix not integral"
-            out.append(int(x))
-        M.append(out)
+    for r in range(n):
+        row = Z.solve([w[r] for w in W])
+        if row is None:
+            raise CertificateError("action is not linear and integral on H1")
+        M.append(row)
+    if basis is not None:
+        # S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T
+        Jinv = linalg.transpose(standard_j(model.g))
+        Sinv = linalg.mat_mul(
+            linalg.mat_mul(Jinv, linalg.transpose(basis)), model.gram
+        )
+        if linalg.mat_mul(Sinv, basis) != linalg.eye(n):
+            raise ValueError("basis is not symplectic")
+        M = linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
     assert abs(linalg.det_int(M)) == 1
     return M
-
-
-def _frac_mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def block_form_check(M: linalg.Matrix) -> Optional[linalg.Matrix]:
@@ -519,18 +495,48 @@ def block_form_check(M: linalg.Matrix) -> Optional[linalg.Matrix]:
     return [[M[i][g + j] for j in range(g)] for i in range(g)]
 
 
-def charpoly(M: linalg.Matrix) -> sympy.Poly:
-    x = sympy.Symbol("x")
-    return sympy.Matrix(M).charpoly(x)
+class CharPoly(tuple):
+    """Integer polynomial coefficients, highest degree first."""
+
+    def all_coeffs(self) -> List[int]:
+        return list(self)
+
+
+def charpoly(M: linalg.Matrix) -> CharPoly:
+    """det(x I - M) by Berkowitz's division-free algorithm.
+
+    Going up from the bottom-right corner, the characteristic polynomial
+    of the trailing block [[a, R], [C, A]] is T times that of A, where T
+    is the lower-triangular Toeplitz matrix with first column
+    1, -a, -R C, -R A C, ..., -R A^(m-2) C."""
+    n = len(M)
+    coeffs = [1]
+    for k in range(n - 1, -1, -1):
+        m = n - k
+        R = M[k][k + 1:]
+        A = [row[k + 1:] for row in M[k + 1:]]
+        v = [row[k] for row in M[k + 1:]]
+        items = [1, -M[k][k]]
+        for _ in range(m - 1):
+            items.append(-sum(r * x for r, x in zip(R, v)))
+            v = linalg.mat_vec(A, v)
+        coeffs = [
+            sum(items[i - j] * coeffs[j] for j in range(min(i, m - 1) + 1))
+            for i in range(m + 1)
+        ]
+    return CharPoly(coeffs)
 
 
 def charpoly_divides(A2, M: linalg.Matrix) -> bool:
-    """Exact test: does char(A2) divide char(M)?"""
+    """Exact test: does char(A2) divide char(M)?  Synthetic division by
+    the monic x^2 - tr x + det."""
     a, b, c, d = A2
-    pa = charpoly([[a, b], [c, d]])
-    pm = charpoly(M)
-    _, rem = sympy.div(pm.as_expr(), pa.as_expr(), sympy.Symbol("x"))
-    return sympy.simplify(rem) == 0
+    tr, det = a + d, a * d - b * c
+    r = list(charpoly(M))
+    for i in range(len(r) - 2):
+        r[i + 1] += tr * r[i]
+        r[i + 2] -= det * r[i]
+    return not any(r[-2:])
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +624,15 @@ def action_matrix_from_images(g: int, images: Sequence[Word]) -> linalg.Matrix:
 # ---------------------------------------------------------------------------
 
 
-def twist_membership_certificate(o: Origami) -> dict:
+def twist_membership_certificate(
+    o: Origami,
+    model: Optional[H1Model] = None,
+    curves: Optional[Sequence[OrigamiCurve]] = None,
+) -> dict:
     """Machine-checkable evidence that the horizontal multitwist along the
     cylinder directions is affine with derivative (1, m; 0, 1) and acts on
-    homology by a unipotent block matrix fixing the cut-system classes."""
+    homology by a unipotent block matrix fixing the cut-system classes.
+    `model` and `curves` default to `h1_model(o)` and `find_hss(o)`."""
     from .freegroup import horizontal_twist_lift
     from .origami import horizontal_multiplier
 
@@ -629,19 +640,25 @@ def twist_membership_certificate(o: Origami) -> dict:
     phi = horizontal_twist_lift(m)
     cs = CosetAction(o)
     witness = aut_stabilizes(cs, phi)
-    assert witness is not None, "twist lift does not stabilize the subgroup"
-    model = h1_model(o)
-    curves = find_hss(o)
+    if witness is None:
+        raise CertificateError("twist lift does not stabilize the subgroup")
+    if model is None:
+        model = h1_model(o)
+    if curves is None:
+        curves = find_hss(o)
     classes = [model.coords(edge_cycle(o, c.start, c.word)) for c in curves]
-    assert f2_independent(classes), "cut system classes dependent mod 2"
+    if not f2_independent(classes):
+        raise CertificateError("cut system classes dependent mod 2")
     S = symplectic_completion(model, classes)
     M = induced_matrix(o, phi, model, S)
     A = block_form_check(M)
-    assert A is not None, "twist action is not in block form"
+    if A is None:
+        raise CertificateError("twist action is not in block form")
     # der(f) = (1, m; 0, 1) fixes the projection (sx, sy) of each curve
     # word iff the y-exponent sum vanishes
     proj_fixed = all(exponent_sums(c.word)[1] == 0 for c in curves)
-    assert proj_fixed, "cut-system word has a vertical drift"
+    if not proj_fixed:
+        raise CertificateError("cut-system word has a vertical drift")
     return {
         "multiplier": m,
         "matrix": list(mat),

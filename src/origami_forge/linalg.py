@@ -1,15 +1,13 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Matrices are lists of rows of ints (or Fractions where stated).  The
-Smith normal form is computed with explicit unimodular transforms, which
-is what the homology computations need; sympy is reserved for polynomial
-work elsewhere.
+Matrices are lists of rows of ints.  The Smith normal form is computed
+with explicit unimodular transforms, which is what the homology
+computations need: one factorisation answers any number of solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional
 
 Matrix = List[List[int]]
@@ -42,7 +40,8 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_vec(A: Matrix, v: list) -> list:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    nz = [(j, x) for j, x in enumerate(v) if x]  # chains are mostly zero
+    return [sum(row[j] * x for j, x in nz) for row in A]
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -76,6 +75,23 @@ class SmithForm:
 
     def invariant_factors(self) -> list:
         return [self.D[i][i] for i in range(self.rank)]
+
+    def solve(self, b: list) -> Optional[list]:
+        """One integer solution x of A x = b, or None."""
+        D = self.D
+        m, n = len(D), len(self.V)
+        c = mat_vec(self.U, b)
+        y = [0] * n
+        for i in range(m):
+            d = D[i][i] if i < n else 0
+            if d == 0:
+                if c[i] != 0:
+                    return None
+            elif c[i] % d != 0:
+                return None
+            else:
+                y[i] = c[i] // d
+        return mat_vec(self.V, y)
 
 
 def smith_normal_form(A: Matrix) -> SmithForm:
@@ -192,78 +208,30 @@ def kernel_basis(A: Matrix) -> Matrix:
 
 def solve_int(A: Matrix, b: list) -> Optional[list]:
     """One integer solution x of A x = b, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    snf = smith_normal_form(A)
-    c = mat_vec(snf.U, b)
-    y = [0] * n
-    for i in range(m):
-        d = snf.D[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return mat_vec(snf.V, y)
-
-
-def solve_rational(A: List[List[Fraction]], b: List[Fraction]) -> Optional[List[Fraction]]:
-    """Unique-or-none solve of a square (or overdetermined consistent)
-    system by fraction-free Gaussian elimination with back-substitution."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        p = next((r for r in range(row, m) if M[r][col] != 0), None)
-        if p is None:
-            return None  # not full column rank: no unique solution
-        M[row], M[p] = M[p], M[row]
-        inv = 1 / M[row][col]
-        M[row] = [x * inv for x in M[row]]
-        for r in range(m):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    if len(pivots) < n:
-        return None
-    for r in range(row, m):
-        if M[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = M[r][n]
-    return x
+    return smith_normal_form(A).solve(b)
 
 
 def det_int(A: Matrix) -> int:
-    """Determinant via fraction-free elimination."""
+    """Determinant by Bareiss's fraction-free elimination: every division
+    is exact, so all intermediate entries stay integers."""
     n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        p = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if p is None:
-            return 0
-        if p != col:
-            M[col], M[p] = M[p], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    assert det.denominator == 1
-    return int(det)
+    M = [list(row) for row in A]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            p = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if p is None:
+                return 0
+            M[k], M[p] = M[p], M[k]
+            sign = -sign
+        pivot, Mk = M[k][k], M[k]
+        for i in range(k + 1, n):
+            Mi = M[i]
+            f = Mi[k]
+            for j in range(k + 1, n):
+                Mi[j] = (Mi[j] * pivot - f * Mk[j]) // prev
+        prev = pivot
+    return sign * M[n - 1][n - 1] if n else 1
 
 
 def gf2_rank(vectors: List[list]) -> int:

@@ -133,6 +133,18 @@ class TestShearAndHomology:
         assert cert["multiplier"] == 2
         assert cert["charpoly_divides"] is True
 
+    def test_failed_certificate_check_is_domain_error(self, capsys, monkeypatch):
+        from origami_forge import homology
+
+        monkeypatch.setattr(homology, "block_form_check", lambda M: None)
+        code, out, err = run_cli(capsys, "homology", "l22", "--twist")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == {
+            "type": "CertificateError",
+            "message": "twist action is not in block form",
+        }
+
 
 class TestMoebius:
     def test_loxodromic_with_degenerate_form(self, capsys):
@@ -196,3 +208,20 @@ class TestSweepAndDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["genus"] == 3
+
+
+def test_cli_import_leaves_out_sympy():
+    src = os.path.join(os.path.dirname(os.path.dirname(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, origami_forge.cli; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

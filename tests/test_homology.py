@@ -18,6 +18,7 @@ from origami_forge.freegroup import (
 )
 from origami_forge.homology import (
     AlphaSpec,
+    CertificateError,
     DoesNotStabilize,
     action_matrix_from_images,
     alpha_eval,
@@ -230,6 +231,38 @@ class TestCharPoly:
     def test_charpoly_of_shift(self):
         p = charpoly([[0, 1], [0, 0]])
         assert p.all_coeffs() == [1, 0, 0]
+
+    def test_matches_determinant_at_integer_points(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(0, 8)
+            M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            coeffs = charpoly(M).all_coeffs()
+            assert len(coeffs) == n + 1 and coeffs[0] == 1
+            for t in range(-(n // 2), n - n // 2 + 1):
+                value = 0
+                for c in coeffs:
+                    value = value * t + c
+                tI_minus_M = [
+                    [(t if i == j else 0) - M[i][j] for j in range(n)]
+                    for i in range(n)
+                ]
+                assert value == linalg.det_int(tI_minus_M)
+
+
+class TestCertificateChecks:
+    def test_block_form_failure_raises_named_error(self, monkeypatch):
+        from origami_forge import homology
+
+        monkeypatch.setattr(homology, "block_form_check", lambda M: None)
+        with pytest.raises(CertificateError, match="not in block form"):
+            twist_membership_certificate(l_origami(2, 2))
+        assert issubclass(CertificateError, ValueError)
+
+    def test_non_symplectic_basis_rejected(self):
+        o = l_origami(2, 2)
+        with pytest.raises(ValueError, match="not symplectic"):
+            induced_matrix(o, identity_endo(), basis=linalg.eye(4))
 
 
 class TestAlphaMembership:

@@ -1,8 +1,8 @@
-"""Exact integer/rational linear algebra: Smith form with transforms,
-kernels, linear solves, determinants, and mod-2 rank."""
+"""Exact integer linear algebra: Smith form with transforms, kernels,
+linear solves, determinants, and mod-2 rank."""
 
+import itertools
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,15 +61,15 @@ def test_solve_int_unsolvable():
     assert linalg.solve_int([[1, 0], [1, 0]], [0, 1]) is None
 
 
-def test_solve_rational():
-    A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = linalg.solve_rational(A, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
-    # singular
-    assert linalg.solve_rational(
-        [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
-        [Fraction(1), Fraction(2)],
-    ) is None
+@given(small_matrices, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_one_smith_form_solves_every_right_hand_side(A, rng):
+    snf = linalg.smith_normal_form(A)
+    for _ in range(3):
+        b = linalg.mat_vec(A, [rng.randint(-4, 4) for _ in A[0]])
+        sol = snf.solve(b)
+        assert sol is not None
+        assert linalg.mat_vec(A, sol) == b
 
 
 def test_det_matches_cofactor_expansion():
@@ -77,6 +77,31 @@ def test_det_matches_cofactor_expansion():
     for _ in range(50):
         a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
         assert linalg.det_int([[a, b], [c, d]]) == a * d - b * c
+
+
+def leibniz_det(A):
+    n = len(A)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= A[i][perm[i]]
+        total += term
+    return total
+
+
+def test_det_matches_leibniz_formula():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        # small entries and many zeros, so singular matrices and zero
+        # pivots (row swaps) come up often
+        A = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(n)]
+             for _ in range(n)]
+        assert linalg.det_int(A) == leibniz_det(A)
 
 
 def test_det_unimodular_product():
