@@ -18,14 +18,13 @@ import sys
 from typing import Optional
 
 from . import homology, hss, linalg, moebius
-from .freegroup import exponent_sums, is_conjugate_horizontal, lift_matrix
+from .freegroup import exponent_sums, is_conjugate_horizontal
 from .origami import (
     Origami,
     BadFormat,
     cylinders,
     format_origami,
     genus,
-    horizontal_multiplier,
     is_closed,
     l_origami,
     o14,
@@ -36,7 +35,7 @@ from .origami import (
     wollmilchsau,
     x_origami,
 )
-from .subgroup import CosetAction, aut_stabilizes
+from .subgroup import CosetAction, veech_witness
 
 SCHEMA = 1
 
@@ -191,12 +190,7 @@ def parse_matrix(text: str) -> tuple:
 def cmd_veech_check(args) -> dict:
     o = load_origami(args.origami)
     A = parse_matrix(args.matrix)
-    cs = CosetAction(o)
-    if A[0] * A[3] - A[1] * A[2] != 1:
-        from .freegroup import NotUnimodular
-
-        raise NotUnimodular(f"matrix {A} has determinant != 1")
-    witness = aut_stabilizes(cs, lift_matrix(A))
+    witness = veech_witness(CosetAction(o), A)
     return {
         "schema": SCHEMA,
         "matrix": list(A),
@@ -331,13 +325,6 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
             orders_ok = False
             break
 
-    # the multitwist along the cylinder directions
-    m, mat = horizontal_multiplier(o)
-    cs = CosetAction(o)
-    from .freegroup import horizontal_twist_lift
-
-    veech_ok = aut_stabilizes(cs, horizontal_twist_lift(m)) is not None
-
     # homology certificates
     gram_ok = (
         model.rank == 2 * report["genus"]
@@ -348,7 +335,9 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
         )
         and abs(linalg.det_int(model.gram)) == 1
     )
+    # raises CertificateError unless the multitwist lift stabilizes H
     cert = homology.twist_membership_certificate(o, model, curves)
+    veech_ok = cert["witness_square"] is not None
     return {
         "index": index,
         "d": d,
@@ -356,7 +345,7 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
         "curves": [c["word"] for c in report["curves"]],
         "hss_ok": hss_ok,
         "cut_count_invariant": orders_ok,
-        "multiplier": m,
+        "multiplier": cert["multiplier"],
         "veech_member": veech_ok,
         "homology_ok": gram_ok,
         "block_form": cert["block"] is not None,

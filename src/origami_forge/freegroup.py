@@ -51,10 +51,16 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inv()
-        out = Word(self.rank)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return Word(self.rank, base.letters * abs(n))
+
+    def substitute(self, images: Sequence["Word"], rank: int) -> "Word":
+        """The image under generator i -> images[i - 1] (words of the given
+        rank), concatenated and reduced once: free reduction is confluent."""
+        letters: List[Tuple[int, int]] = []
+        for g, e in self.letters:
+            img = images[g - 1]
+            letters += (img if e == 1 else img.inv()).letters
+        return Word(rank, letters)
 
     def conj(self, g: "Word") -> "Word":
         """g * self * g^-1."""
@@ -104,10 +110,6 @@ def _push(out: List[Tuple[int, int]], g: int, e: int) -> None:
         out.pop()
     else:
         out.append((g, e))
-
-
-def reduce_word(rank: int, letters: Iterable[Tuple[int, int]]) -> Word:
-    return Word(rank, letters)
 
 
 def word(rank: int, *letters: Tuple[int, int]) -> Word:
@@ -195,11 +197,6 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
         pre.append(letters[0])
         letters = letters[1:-1]
     return Word(w.rank, letters), Word(w.rank, pre)
-
-
-def is_cyclically_reduced(w: Word) -> bool:
-    core, _ = cyclic_reduce(w)
-    return core == w
 
 
 def _rotations(core: Word):
@@ -332,11 +329,7 @@ class F2Endo:
 def apply_endo(phi: F2Endo, w: Word) -> Word:
     if w.rank != 2:
         raise RankMismatch("apply expects a rank-2 word")
-    out = Word(2)
-    for g, e in w.letters:
-        img = phi.image_x if g == 1 else phi.image_y
-        out = out * (img if e == 1 else img.inv())
-    return out
+    return w.substitute((phi.image_x, phi.image_y), 2)
 
 
 def compose(phi: F2Endo, psi: F2Endo) -> F2Endo:
@@ -371,9 +364,6 @@ def mat_det(A: IntMatrix2) -> int:
     return a * d - b * c
 
 
-MAT_ID: IntMatrix2 = (1, 0, 0, 1)
-
-
 def beta_hat(phi: F2Endo) -> IntMatrix2:
     sx = exponent_sums(phi.image_x)
     sy = exponent_sums(phi.image_y)
@@ -382,50 +372,52 @@ def beta_hat(phi: F2Endo) -> IntMatrix2:
 
 def horizontal_twist_lift(m: int) -> F2Endo:
     """x -> x, y -> x^m y; beta_hat is ((1, m), (0, 1))."""
-    assert m >= 1
     return F2Endo(gen(2, 1), Word(2, [(1, m), (2, 1)]), True)
 
 
-def _twist_T(m: int) -> F2Endo:
-    # beta_hat = ((1, m), (0, 1))
-    return F2Endo(gen(2, 1), Word(2, [(1, m), (2, 1)]), True)
+SWAP: IntMatrix2 = (0, 1, 1, 0)
+NEG_X: IntMatrix2 = (-1, 0, 0, 1)
+NEG_Y: IntMatrix2 = (1, 0, 0, -1)
+
+_LIFTS = {SWAP: F2Endo(gen(2, 2), gen(2, 1), True),
+          NEG_X: F2Endo(gen(2, 1, -1), gen(2, 2), True),
+          NEG_Y: F2Endo(gen(2, 1), gen(2, 2, -1), True)}
 
 
-_SWAP = F2Endo(gen(2, 2), gen(2, 1), True)            # ((0,1),(1,0))
-_NEG_X = F2Endo(gen(2, 1, -1), gen(2, 2), True)       # ((-1,0),(0,1))
-_NEG_Y = F2Endo(gen(2, 1), gen(2, 2, -1), True)       # ((1,0),(0,-1))
-
-
-def lift_matrix(A: IntMatrix2) -> F2Endo:
-    """A preimage of A under beta_hat, built from elementary Nielsen
-    automorphisms by a Euclidean column reduction.  Deterministic."""
+def nielsen_factors(A: IntMatrix2) -> List[IntMatrix2]:
+    """Factors SWAP, NEG_X, NEG_Y and T^q = (1, q; 0, 1) with product A, by a
+    Euclidean column reduction: O(log max|entry|) of them.  Deterministic."""
     if mat_det(A) not in (1, -1):
         raise NotUnimodular(f"det {mat_det(A)} is not +-1")
-    factors: List[F2Endo] = []
+    factors: List[IntMatrix2] = []
     a, b, c, d = A
     while c != 0:
         if a == 0 or abs(a) < abs(c):
             # A = SWAP * (SWAP*A)
-            factors.append(_SWAP)
+            factors.append(SWAP)
             a, b, c, d = c, d, a, b
             continue
         # (a, b; c, d) = T^q * (a - q*c, b - q*d; c, d)
         q = a // c
-        factors.append(_twist_T(q))
+        factors.append((1, q, 0, 1))
         a, b = a - q * c, b - q * d
     # c == 0, so a, d in {1, -1}
     assert a in (1, -1) and d in (1, -1)
     if a == -1:
-        factors.append(_NEG_X)
-        a, b = -a, -b
+        factors.append(NEG_X)
+        b = -b
     if d == -1:
-        factors.append(_NEG_Y)
-        d = 1
+        factors.append(NEG_Y)
     if b != 0:
-        factors.append(_twist_T(b))
-        b = 0
+        factors.append((1, b, 0, 1))
+    return factors
+
+
+def lift_matrix(A: IntMatrix2) -> F2Endo:
+    """A preimage of A under beta_hat: the composite of the Nielsen
+    automorphisms lifting `nielsen_factors(A)`, as long as A's entries."""
     phi = identity_endo()
-    for f in factors:
-        phi = compose(phi, f)
+    for F in nielsen_factors(A):
+        phi = compose(phi, _LIFTS.get(F) or horizontal_twist_lift(F[1]))
     assert beta_hat(phi) == A
     return phi

@@ -584,11 +584,7 @@ def alpha_eval(alpha: AlphaSpec, w: Word) -> Word:
         raise UnknownGenerator(
             f"word rank {w.rank} does not match the 2g = {2 * alpha.g} alphabet"
         )
-    out = word_identity(alpha.g)
-    for i, e in w.letters:
-        img = alpha.images[i - 1]
-        out = out * (img if e == 1 else img.inv())
-    return out
+    return w.substitute(alpha.images, alpha.g)
 
 
 def modg_alpha_conjugator(

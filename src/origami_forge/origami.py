@@ -90,10 +90,6 @@ class Permutation:
         self._pre = tuple(pre)
 
     @staticmethod
-    def identity(d: int) -> "Permutation":
-        return Permutation(range(1, d + 1))
-
-    @staticmethod
     def from_cycles(d: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
         img = list(range(1, d + 1))
         seen = set()
@@ -126,8 +122,17 @@ class Permutation:
                 s = self._pre[s]
         return s
 
-    def inverse(self) -> "Permutation":
-        return Permutation(self._pre[1:])
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        """self, then other: squares act on the left, as words do."""
+        return Permutation([other._img[t - 1] for t in self._img])
+
+    def __pow__(self, k: int) -> "Permutation":
+        """The k-th power, each orbit shifted by k: O(d) for any k."""
+        img = [0] * self.size
+        for orbit in self.orbits():
+            for i, s in enumerate(orbit):
+                img[s - 1] = orbit[(i + k) % len(orbit)]
+        return Permutation(img)
 
     def orbits(self) -> list[list[int]]:
         """Orbits, each starting at its smallest element, ordered by that
@@ -427,10 +432,10 @@ def shear(o: Origami, p: int, q: int) -> tuple[Origami, AffineChange]:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def _parse_cycles(text: str, d: int, label: str) -> Permutation:
+def _parse_cycles(text: str, label: str) -> list[list[int]]:
     body = text.strip()
     if body in ("()", "id", ""):
-        return Permutation.identity(d)
+        return []
     rest = _CYCLE_RE.sub("", body).strip()
     if rest:
         raise BadFormat(f"{label}: stray text {rest!r} outside cycles")
@@ -443,10 +448,7 @@ def _parse_cycles(text: str, d: int, label: str) -> Permutation:
             cycles.append([int(e) for e in entries])
         except ValueError as exc:
             raise BadFormat(f"{label}: non-integer cycle entry") from exc
-    try:
-        return Permutation.from_cycles(d, cycles)
-    except NotBijective as exc:
-        raise BadFormat(f"{label}: {exc}") from exc
+    return cycles
 
 
 def parse_origami(text: str) -> Origami:
@@ -480,9 +482,19 @@ def parse_origami(text: str) -> Origami:
         raise BadFormat("squares: expected an integer") from exc
     if d < 1:
         raise BadFormat("squares: must be >= 1")
-    p1 = _parse_cycles(fields["p1"], d, "p1")
-    p2 = _parse_cycles(fields["p2"], d, "p2")
-    return Origami(d, p1, p2)
+    cycles = {key: _parse_cycles(fields[key], key) for key in ("p1", "p2")}
+    # for d >= 2 a transitive pair moves every square, so every square is
+    # a cycle entry; checked before anything of size d is built
+    entries = sum(len(c) for key in cycles for c in cycles[key])
+    if d > max(1, entries):
+        raise BadFormat(f"squares: {d} exceeds the {entries} cycle entries")
+    perms = []
+    for key in ("p1", "p2"):
+        try:
+            perms.append(Permutation.from_cycles(d, cycles[key]))
+        except NotBijective as exc:
+            raise BadFormat(f"{key}: {exc}") from exc
+    return Origami(d, *perms)
 
 
 def _format_cycles(p: Permutation) -> str:

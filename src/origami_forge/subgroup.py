@@ -3,8 +3,8 @@
 F_2 = <x, y> acts on the squares through the monodromy (x by p1, y by p2,
 words applied left to right); H is the stabilizer of the base square.
 This module provides membership, a Schreier generating system with
-Reidemeister-Schreier rewriting, puncture relations, and the
-automorphism-stabilization test behind Veech-group membership.
+Reidemeister-Schreier rewriting, puncture relations, and Veech-group
+membership by the covering test on the monodromy pair of an automorphism.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .freegroup import (
     NotUnimodular,
     Word,
     gen,
-    lift_matrix,
     mat_det,
+    nielsen_factors,
 )
 from .origami import Origami, Permutation, act_word, vertex_orbits
 
@@ -35,6 +35,7 @@ __all__ = [
     "substitute",
     "puncture_relations",
     "aut_stabilizes",
+    "veech_witness",
     "veech_contains",
     "COMMUTATOR",
 ]
@@ -156,19 +157,13 @@ def rewrite(ss: SchreierSystem, w: Word) -> Word:
             if idx is not None:
                 out.append((idx, -1))
     assert s == cs.base
-    result = Word(ss.rank, out)
-    assert substitute(ss, result) == w, "rewrite roundtrip failed"
-    return result
+    return Word(ss.rank, out)
 
 
 def substitute(ss: SchreierSystem, w: Word) -> Word:
     """Replace each generator letter of a rank-(d+1) word by its F_2 word."""
     assert w.rank == ss.rank, "word rank must equal the generator count"
-    out = Word(2)
-    for g, e in w.letters:
-        h = ss.generators[g - 1]
-        out = out * (h if e == 1 else h.inv())
-    return out
+    return w.substitute(ss.generators, 2)
 
 
 @dataclass(frozen=True)
@@ -197,35 +192,50 @@ def puncture_relations(cs: CosetAction) -> PunctureData:
     return PunctureData(tuple(conjugators), tuple(exponents), tuple(relations))
 
 
-def aut_stabilizes(cs: CosetAction, phi: F2Endo) -> Optional[int]:
-    """A square s with phi(H) = Stab(s), or None.
-
-    phi(H) is generated by the phi-images of the Schreier generators, so it
-    stabilizes s iff every image's monodromy fixes s.  The images are
-    evaluated through the permutations induced by phi(x) and phi(y), which
-    keeps each check linear in the generator length.
-    """
-    if not phi.is_automorphism:
-        raise NotAutomorphism("endomorphism is not marked as an automorphism")
+def _cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:
+    """The first square s that H = Stab(base) fixes under (P, Q), or None:
+    the first s such that base -> s extends to a map f of F_2-sets,
+    f(p1(t)) = P(f(t)) and f(p2(t)) = Q(f(t)).  f is built along a
+    spanning tree, then checked on all 2d edges: O(d) per s."""
     o = cs.origami
-    px = Permutation([act_word(o, s, phi.image_x) for s in range(1, o.d + 1)])
-    py = Permutation([act_word(o, s, phi.image_y) for s in range(1, o.d + 1)])
-
-    def act(s: int, w: Word) -> int:
-        for g, e in w.letters:
-            p = px if g == 1 else py
-            s = p(s) if e == 1 else p.inverse_of(s)
-        return s
-
-    ss = schreier_system(cs)
     for s in range(1, o.d + 1):
-        if all(act(s, h) == s for h in ss.generators):
+        f, order = {cs.base: s}, [cs.base]
+        for t in order:
+            for p, q in ((o.p1, P), (o.p2, Q)):
+                if p(t) not in f:
+                    f[p(t)] = q(f[t])
+                    order.append(p(t))
+        if all(f[o.p1(t)] == P(f[t]) and f[o.p2(t)] == Q(f[t]) for t in f):
             return s
     return None
 
 
-def veech_contains(cs: CosetAction, A: IntMatrix2) -> bool:
-    """True iff A lies in the origami's Veech group (inside SL_2(Z))."""
+def aut_stabilizes(cs: CosetAction, phi: F2Endo) -> Optional[int]:
+    """A square s with phi(H) = Stab(s), or None.
+
+    s . phi(w) is s . w under the monodromy pair (P, Q) of phi(x), phi(y),
+    so phi(H) <= Stab(s) iff H fixes s under (P, Q); for an automorphism
+    both have index d."""
+    if not phi.is_automorphism:
+        raise NotAutomorphism("endomorphism is not marked as an automorphism")
+    o = cs.origami
+    P = Permutation([act_word(o, s, phi.image_x) for s in range(1, o.d + 1)])
+    Q = Permutation([act_word(o, s, phi.image_y) for s in range(1, o.d + 1)])
+    return _cover(cs, P, Q)
+
+
+def veech_witness(cs: CosetAction, A: IntMatrix2) -> Optional[int]:
+    """`aut_stabilizes(cs, lift_matrix(A))`, not None iff A is in the Veech
+    group.  Each Nielsen factor (a, b; c, d) of A lifts to x -> x^a y^c,
+    y -> x^b y^d, so it acts on the pair directly: O(d log|A| + d^2)."""
     if mat_det(A) != 1:
         raise NotUnimodular(f"det {mat_det(A)} != 1")
-    return aut_stabilizes(cs, lift_matrix(A)) is not None
+    P, Q = cs.origami.p1, cs.origami.p2
+    for a, b, c, d in nielsen_factors(A):
+        P, Q = P ** a * Q ** c, P ** b * Q ** d
+    return _cover(cs, P, Q)
+
+
+def veech_contains(cs: CosetAction, A: IntMatrix2) -> bool:
+    """True iff A lies in the origami's Veech group (inside SL_2(Z))."""
+    return veech_witness(cs, A) is not None

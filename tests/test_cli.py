@@ -210,12 +210,18 @@ class TestSweepAndDeterminism:
         assert json.loads(proc.stdout)["genus"] == 3
 
 
-def test_cli_import_leaves_out_sympy():
+def src_env():
+    """The environment with this checkout's package first on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_cli_import_leaves_out_sympy():
+    env = src_env()
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, origami_forge.cli; print('sympy' in sys.modules)"],
@@ -225,3 +231,29 @@ def test_cli_import_leaves_out_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["veech-check", "l22", "--matrix", "1,2,0,1"],
+        ["veech-check", "o14", "--matrix", "1,1,0,1"],
+        ["veech-check", "l22", "--matrix", "2,0,0,2"],
+        ["homology", "l23", "--twist"],
+    ],
+)
+def test_same_answers_without_asserts(argv):
+    """python -O strips assert statements; no answer may depend on one."""
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "origami_forge.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode in (0, 1), plain.stderr
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
+    assert optimized.stderr == plain.stderr

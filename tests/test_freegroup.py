@@ -1,5 +1,7 @@
 """Free group words, conjugacy, horizontality, and the exponent-sum map."""
 
+import functools
+import math
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from origami_forge.freegroup import (
     lift_matrix,
     mat_det,
     mat_mul,
+    nielsen_factors,
     parse_word,
     primitive_root,
     simultaneous_conjugacy,
@@ -36,10 +39,21 @@ letters = st.lists(
     st.tuples(st.integers(1, 2), st.sampled_from([-1, 1])), max_size=12
 )
 words = letters.map(lambda ls: Word(2, ls))
+words3 = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from([-1, 1])), max_size=6
+).map(lambda ls: Word(3, ls))
 
 
 x = gen(2, 1)
 y = gen(2, 2)
+
+
+def _bezout(a, c):
+    """(g, s, t) with s*a + t*c = g = gcd(a, c)."""
+    if c == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, s, t = _bezout(c, a % c)
+    return g, t, s - (a // c) * t
 
 
 class TestWordAlgebra:
@@ -56,6 +70,21 @@ class TestWordAlgebra:
     @given(words, words)
     def test_inverse_of_product(self, u, v):
         assert (u * v).inv() == v.inv() * u.inv()
+
+    @given(words, st.lists(words3, min_size=2, max_size=2))
+    def test_substitute_is_product_of_images(self, w, images):
+        folded = Word(3)
+        for g, e in w.letters:
+            img = images[g - 1]
+            folded = folded * (img if e == 1 else img.inv())
+        assert w.substitute(images, 3) == folded
+
+    @given(words, st.integers(-6, 6))
+    def test_power_is_repeated_product(self, w, n):
+        folded = Word(2)
+        for _ in range(abs(n)):
+            folded = folded * (w if n >= 0 else w.inv())
+        assert w ** n == folded
 
     @given(words)
     def test_format_parse_roundtrip(self, w):
@@ -159,6 +188,20 @@ class TestExponentMap:
         a = lift_matrix((1, 1, 0, 1))
         b = lift_matrix((1, 0, 1, 1))
         assert beta_hat(compose(a, b)) == mat_mul((1, 1, 0, 1), (1, 0, 1, 1))
+
+    def test_nielsen_factors_multiply_to_the_matrix(self):
+        rng = random.Random(7)
+        for digits in (1, 3, 30):
+            for _ in range(50):
+                a, c = (rng.randrange(-10 ** digits, 10 ** digits)
+                        for _ in range(2))
+                if math.gcd(a, c) != 1:
+                    continue
+                _, d, b = _bezout(a, c)
+                A = rng.choice(((a, -b, c, d), (a, b, c, -d)))
+                factors = nielsen_factors(A)
+                assert functools.reduce(mat_mul, factors, (1, 0, 0, 1)) == A
+                assert len(factors) <= 12 * digits + 4
 
     def test_lift_matrix_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):

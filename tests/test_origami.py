@@ -1,6 +1,8 @@
 """Origami combinatorics: permutations, cylinders, singularities, genus,
 monodromy traces, shears, and the text format."""
 
+import glob
+import os
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import origami_forge
 from origami_forge.freegroup import parse_word
 from origami_forge.origami import (
     AFFINE_ID,
@@ -39,6 +42,8 @@ from origami_forge.origami import (
     x_origami,
 )
 
+FIXTURE_DIR = os.path.join(os.path.dirname(origami_forge.__file__), "fixtures")
+
 
 class TestPermutation:
     def test_rejects_non_bijection(self):
@@ -50,6 +55,13 @@ class TestPermutation:
         assert [p(s) for s in (1, 2, 3, 4)] == [2, 3, 1, 4]
         assert p.inverse_of(1) == 3
         assert p.power(1, -2) == 2
+
+    def test_power_shifts_along_orbits(self):
+        p = Permutation.from_cycles(7, [[1, 2, 3], [4, 5], [7, 6]])
+        for k in range(-7, 8):
+            expected = tuple(p.power(s, k) for s in range(1, 8))
+            assert (p ** k).images() == expected
+        assert p ** (6 * 10 ** 30 + 1) == p
 
     def test_orbits_sorted_by_minimum(self):
         p = Permutation.from_cycles(5, [[4, 5], [1, 3]])
@@ -187,6 +199,21 @@ class TestTextFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(BadFormat):
             parse_origami(text)
+
+
+    def test_squares_bounded_by_cycle_entries(self):
+        with pytest.raises(BadFormat, match="cycle entries"):
+            parse_origami("squares: 1000000000\np1: id\np2: id\n")
+        with pytest.raises(BadFormat, match="cycle entries"):
+            parse_origami("squares: 5\np1: (1 2)\np2: (2 3)\n")
+        assert parse_origami("squares: 1\np1: id\np2: id\n").d == 1
+
+    def test_shipped_fixtures_parse(self):
+        ori = sorted(glob.glob(os.path.join(FIXTURE_DIR, "*.ori")))
+        assert len(ori) == 7
+        for path in ori:
+            with open(path, encoding="utf-8") as fh:
+                assert parse_origami(fh.read()).d >= 3
 
 
 class TestRandomGeneration:

@@ -1,6 +1,7 @@
 """The index-d subgroup attached to an origami: Schreier generators,
 rewriting, puncture relations, and automorphism stabilization."""
 
+import math
 import random
 
 import pytest
@@ -13,14 +14,18 @@ from origami_forge.freegroup import (
     identity_endo,
     inner,
     lift_matrix,
+    mat_mul,
     parse_word,
 )
 from origami_forge.origami import (
+    act_word,
+    cylinders,
     l_origami,
     o14,
     random_origami,
     vertex_orbits,
     wollmilchsau,
+    x_origami,
 )
 from origami_forge.subgroup import (
     COMMUTATOR,
@@ -33,7 +38,64 @@ from origami_forge.subgroup import (
     schreier_system,
     substitute,
     veech_contains,
+    veech_witness,
 )
+
+
+def fixture_origamis():
+    return [wollmilchsau(), o14(), l_origami(2, 2), l_origami(2, 3),
+            l_origami(3, 2), x_origami(3), x_origami(4)]
+
+
+def sample_origamis():
+    """The fixtures plus seeded random origamis with d <= 14."""
+    rng = random.Random(2004)
+    return fixture_origamis() + [random_origami(rng, rng.randint(2, 14))
+                                 for _ in range(60)]
+
+
+T, T_INV = (1, 1, 0, 1), (1, -1, 0, 1)
+S, MINUS_I = (0, -1, 1, 0), (-1, 0, 0, -1)
+
+
+def random_sl2(rng, max_factors=10):
+    """A seeded random product of T^+-1, S = (0, -1; 1, 0) and -I."""
+    A = (1, 0, 0, 1)
+    for _ in range(rng.randint(0, max_factors)):
+        A = mat_mul(A, rng.choice((T, T_INV, S, MINUS_I)))
+    return A
+
+
+def schreier_scan(cs, phi):
+    """Reference: the first s such that the phi-image of every Schreier
+    generator of H fixes s, evaluated on the image words."""
+    o = cs.origami
+    generators = schreier_system(cs).generators
+    for s in range(1, o.d + 1):
+        if all(act_word(o, s, phi(h)) == s for h in generators):
+            return s
+    return None
+
+
+def theta_member(A):
+    """The Veech group of the 3-square L is the theta group: the matrices
+    congruent to I or (0 1; 1 0) mod 2."""
+    return tuple(x % 2 for x in A) in ((1, 0, 0, 1), (0, 1, 1, 0))
+
+
+def big_sl2(rng, digits):
+    """A random SL_2(Z) matrix with entries of up to `digits` digits."""
+    lo, hi = 10 ** (digits - 1), 10 ** digits
+    while True:
+        a, c = rng.randrange(lo, hi), rng.randrange(lo, hi)
+        if math.gcd(a, c) == 1:
+            break
+    d = pow(a, -1, c)
+    A = (a, (a * d - 1) // c, c, d)
+    # spread the signs and the shape over SL_2(Z)
+    for _ in range(rng.randrange(4)):
+        A = mat_mul(A, S)
+    return A
 
 
 class TestCosetAction:
@@ -138,3 +200,52 @@ class TestVeechContains:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):
             veech_contains(CosetAction(wollmilchsau()), (2, 0, 0, 2))
+
+
+class TestDifferential:
+    """The covering test against the word-level lift and the Schreier
+    generator scan it replaced."""
+
+    def test_veech_witness_matches_word_lift(self):
+        rng = random.Random(13)
+        members = non_members = 0
+        for o in sample_origamis():
+            cs = CosetAction(o)
+            for _ in range(20):
+                A = random_sl2(rng)
+                w = veech_witness(cs, A)
+                assert w == aut_stabilizes(cs, lift_matrix(A)), (o, A)
+                members += w is not None
+                non_members += w is None
+        assert members > 50 and non_members > 50
+
+    def test_aut_stabilizes_matches_schreier_scan(self):
+        rng = random.Random(17)
+        for o in sample_origamis():
+            cs = CosetAction(o)
+            m = math.lcm(*(z.length for z in cylinders(o)))
+            phis = [identity_endo(), horizontal_twist_lift(m)]
+            phis += [horizontal_twist_lift(k) for k in (-2, -1, 1, 2, 3)]
+            for _ in range(4):
+                letters = [(rng.randint(1, 2), rng.choice((-1, 1)))
+                           for _ in range(rng.randint(1, 6))]
+                phis.append(inner(Word(2, letters)))
+            phis += [lift_matrix(random_sl2(rng, 6)) for _ in range(4)]
+            for phi in phis:
+                assert aut_stabilizes(cs, phi) == schreier_scan(cs, phi), (
+                    o, phi)
+
+    def test_thirty_digit_entries(self):
+        rng = random.Random(30)
+        matrices = [big_sl2(rng, 30) for _ in range(30)]
+        matrices += [(100000, 99999, 1, 1), (1, 10 ** 30, 0, 1),
+                     (1, 10 ** 30 + 1, 0, 1)]
+        w8 = CosetAction(wollmilchsau())
+        l22 = CosetAction(l_origami(2, 2))
+        verdicts = set()
+        for A in matrices:
+            assert veech_contains(w8, A)
+            member = veech_contains(l22, A)
+            assert member == theta_member(A), A
+            verdicts.add(member)
+        assert verdicts == {True, False}
