@@ -32,7 +32,7 @@ from .origami import (
     vertex_orbits,
     vertex_permutation,
 )
-from .subgroup import CosetAction, aut_stabilizes, contains, schreier_system
+from .subgroup import CosetAction, aut_stabilizes, schreier_system
 
 __all__ = [
     "CertificateError",
@@ -195,9 +195,7 @@ class H1Model:
     o: Origami
     complex: CellComplex
     g: int
-    kernel: List[List[int]]          # columns spanning ker d1, as 2d-vectors
-    kernel_snf: linalg.SmithForm     # Smith form of the 2d x k column matrix
-    proj: linalg.Matrix              # (k - rho) x k: kernel coords -> H1 coords
+    coord_rows: linalg.Matrix        # 2g x 2d: cycle -> H1 coordinates
     basis: List[List[int]]           # 2g edge vectors representing the basis
     gram: linalg.Matrix              # intersection form on the basis
 
@@ -205,44 +203,37 @@ class H1Model:
     def rank(self) -> int:
         return len(self.basis)
 
-    def kernel_coords(self, z: Sequence[int]) -> List[int]:
-        c = self.kernel_snf.solve(z)
-        assert c is not None, "chain is not a cycle"
-        return c
-
     def coords(self, z: Sequence[int]) -> List[int]:
         """H1 coordinates of a cycle given as an edge vector."""
-        return linalg.mat_vec(self.proj, self.kernel_coords(z))
+        if any(linalg.mat_vec(self.complex.d1, z)):
+            raise ValueError("chain is not a cycle")
+        return linalg.mat_vec(self.coord_rows, z)
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         """Intersection number of two classes given in H1 coordinates."""
-        return sum(x * y for x, y in zip(u, linalg.mat_vec(self.gram, v)))
+        return _dot(u, linalg.mat_vec(self.gram, v))
 
 
 def h1_model(o: Origami) -> H1Model:
     cx = cell_complex(o)
     g = genus(o)
-    kernel = linalg.kernel_basis(cx.d1)
-    k = len(kernel)
-    K = [[col[i] for col in kernel] for i in range(2 * o.d)]
-    kernel_snf = linalg.smith_normal_form(K)
-    # boundary image in kernel coordinates
-    B = linalg.zeros(k, o.d)
-    for j in range(o.d):
-        c = kernel_snf.solve([cx.d2[i][j] for i in range(2 * o.d)])
-        assert c is not None
-        for i in range(k):
-            B[i][j] = c[i]
-    snf = linalg.smith_normal_form(B)
+    # U d1 V = D: the last k columns of V are a basis K of the cycles, and
+    # the last k rows of V^-1 give any cycle's coordinates in that basis
+    s1 = linalg.smith_normal_form(cx.d1)
+    K = [row[s1.rank:] for row in s1.V]
+    Kinv = s1.Vinv[s1.rank:]
+    k = len(Kinv)
+    # H1 = Z^k / (boundaries in kernel coordinates)
+    snf = linalg.smith_normal_form(linalg.mat_mul(Kinv, cx.d2))
     rho = snf.rank
     assert all(f in (1, -1) for f in snf.invariant_factors()), "torsion in H1"
     assert k - rho == 2 * g, "rank of H1 differs from 2g"
-    proj = [snf.U[i] for i in range(rho, k)]
-    basis = []
-    for j in range(rho, k):
-        c = [snf.Uinv[i][j] for i in range(k)]
-        basis.append(linalg.mat_vec(K, c))
-    model = H1Model(o, cx, g, kernel, kernel_snf, proj, basis, [])
+    basis = [
+        linalg.mat_vec(K, [snf.Uinv[i][j] for i in range(k)])
+        for j in range(rho, k)
+    ]
+    coord_rows = linalg.mat_mul(snf.U[rho:], Kinv)
+    model = H1Model(o, cx, g, coord_rows, basis, [])
     model.gram = intersection_form(o, model)
     assert all(
         model.gram[i][j] == -model.gram[j][i]
@@ -389,6 +380,10 @@ def standard_j(g: int) -> linalg.Matrix:
     return J
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
 def symplectic_completion(
     model: H1Model, lagrangian: Sequence[Sequence[int]]
 ) -> linalg.Matrix:
@@ -398,30 +393,32 @@ def symplectic_completion(
     g = model.g
     A = [list(c) for c in lagrangian]
     assert len(A) == g, "need exactly g classes"
+    # <A_i, v> = GtA[i] . v with GtA[i] = A_i^T * Gram
+    GtA = [linalg.mat_vec(linalg.transpose(model.gram), a) for a in A]
     for i in range(g):
         for j in range(g):
-            if model.pair(A[i], A[j]) != 0:
+            if _dot(GtA[i], A[j]) != 0:
                 raise NotLagrangian(f"classes {i} and {j} intersect")
     Amat = [[A[j][i] for j in range(g)] for i in range(2 * g)]
     snf = linalg.smith_normal_form(Amat)
     if snf.rank != g or any(f not in (1, -1) for f in snf.invariant_factors()):
         raise NotPrimitive("classes do not span a direct summand")
-    # B_j solves <A_i, B_j> = delta_ij; row i is A_i^T * Gram
-    C = linalg.smith_normal_form(
-        [linalg.mat_vec(linalg.transpose(model.gram), a) for a in A]
-    )
+    # B_j solves <A_i, B_j> = delta_ij
+    C = linalg.smith_normal_form(GtA)
     B = []
     for j in range(g):
         rhs = [1 if i == j else 0 for i in range(g)]
         b = C.solve(rhs)
         assert b is not None, "no integral dual class (form not unimodular?)"
         B.append(b)
-    # clear <B_i, B_j> using the A's
+    # clear <B_i, B_j> using the A's; GB[j] = Gram * B_j once B_j is final
+    GB: List[List[int]] = []
     for i in range(g):
         for j in range(i):
-            c = model.pair(B[i], B[j])
+            c = _dot(B[i], GB[j])
             if c:
                 B[i] = [x - c * y for x, y in zip(B[i], A[j])]
+        GB.append(linalg.mat_vec(model.gram, B[i]))
     S = [[(A + B)[j][i] for j in range(2 * g)] for i in range(2 * g)]
     gram_s = linalg.mat_mul(
         linalg.mat_mul(linalg.transpose(S), model.gram), S
@@ -634,10 +631,6 @@ def twist_membership_certificate(
 
     m, mat = horizontal_multiplier(o)
     phi = horizontal_twist_lift(m)
-    cs = CosetAction(o)
-    witness = aut_stabilizes(cs, phi)
-    if witness is None:
-        raise CertificateError("twist lift does not stabilize the subgroup")
     if model is None:
         model = h1_model(o)
     if curves is None:
@@ -646,7 +639,12 @@ def twist_membership_certificate(
     if not f2_independent(classes):
         raise CertificateError("cut system classes dependent mod 2")
     S = symplectic_completion(model, classes)
-    M = induced_matrix(o, phi, model, S)
+    try:
+        M = induced_matrix(o, phi, model, S)
+    except DoesNotStabilize:
+        raise CertificateError(
+            "twist lift does not stabilize the subgroup"
+        ) from None
     A = block_form_check(M)
     if A is None:
         raise CertificateError("twist action is not in block form")
@@ -658,7 +656,8 @@ def twist_membership_certificate(
     return {
         "multiplier": m,
         "matrix": list(mat),
-        "witness_square": witness,
+        # induced_matrix raises unless phi(H) is the stabilizer of the base
+        "witness_square": CosetAction(o).base,
         "curves": [
             {"start": c.start, "word": str(c.word)} for c in curves
         ],

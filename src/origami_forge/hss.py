@@ -124,9 +124,6 @@ class HalfCylinderGraph:
     edges: set[tuple[int, int]]      # (index of upper node's cylinder, lower's)
     bridges: list[int]               # cylinder indices that received a bridge
 
-    def node_count(self) -> int:
-        return 2 * len(self.cyls)
-
     def is_connected(self) -> bool:
         n = len(self.cyls)
         adj = {v: set() for v in range(2 * n)}

@@ -48,10 +48,6 @@ def transpose(A: Matrix) -> Matrix:
     return [list(col) for col in zip(*A)] if A else []
 
 
-def mat_eq(A: Matrix, B: Matrix) -> bool:
-    return A == B
-
-
 @dataclass
 class SmithForm:
     """D = U * A * V with U, V unimodular; D diagonal with d_i | d_{i+1}.
@@ -136,13 +132,6 @@ def smith_normal_form(A: Matrix) -> SmithForm:
         for t in range(n):
             Vinv[j][t] -= c * Vinv[i][t]
 
-    def col_neg(i):
-        for r in D:
-            r[i] = -r[i]
-        for r in V:
-            r[i] = -r[i]
-        Vinv[i] = [-x for x in Vinv[i]]
-
     k = 0
     while k < min(m, n):
         # find a pivot
@@ -190,20 +179,6 @@ def smith_normal_form(A: Matrix) -> SmithForm:
         if fixed:
             k += 1
     return SmithForm(D, U, V, Uinv, Vinv)
-
-
-def kernel_basis(A: Matrix) -> Matrix:
-    """Columns spanning ker(A) over Z, returned as a list of columns."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    snf = smith_normal_form(A)
-    r = snf.rank
-    cols = []
-    for j in range(r, n):
-        cols.append([snf.V[i][j] for i in range(n)])
-    return cols
 
 
 def solve_int(A: Matrix, b: list) -> Optional[list]:

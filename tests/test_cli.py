@@ -240,6 +240,8 @@ def test_cli_import_leaves_out_sympy():
         ["veech-check", "o14", "--matrix", "1,1,0,1"],
         ["veech-check", "l22", "--matrix", "2,0,0,2"],
         ["homology", "l23", "--twist"],
+        ["sweep", "--count", "5", "--max-d", "12", "--seed", "1"],
+        ["verify-hss", "o14"],
     ],
 )
 def test_same_answers_without_asserts(argv):

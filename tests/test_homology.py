@@ -49,6 +49,7 @@ from origami_forge.origami import (
     wollmilchsau,
     x_origami,
 )
+from origami_forge.subgroup import CosetAction, schreier_system
 
 FIXTURES = [
     wollmilchsau(),
@@ -62,6 +63,47 @@ FIXTURES = [
 
 def torus():
     return x_origami(1)
+
+
+def kernel_snf_coords(o):
+    """Reference: the coordinate map H1 models were first built with.
+    The kernel of d1 is a 2d x k matrix K with its own Smith form; the
+    boundaries are solved into kernel coordinates column by column, and a
+    cycle's H1 coordinates are proj * (its solution against K).  Returns
+    the basis and the map."""
+    cx = cell_complex(o)
+    n = 2 * o.d
+    s1 = linalg.smith_normal_form(cx.d1)
+    K = [row[s1.rank:] for row in s1.V]
+    k = len(K[0])
+    kernel_snf = linalg.smith_normal_form(K)
+    cols = [kernel_snf.solve([cx.d2[i][j] for i in range(n)])
+            for j in range(o.d)]
+    B = [[c[i] for c in cols] for i in range(k)]
+    snf = linalg.smith_normal_form(B)
+    rho = snf.rank
+    proj = snf.U[rho:]
+    basis = [
+        linalg.mat_vec(K, [snf.Uinv[i][j] for i in range(k)])
+        for j in range(rho, k)
+    ]
+
+    def coords(z):
+        c = kernel_snf.solve(z)
+        assert c is not None, "chain is not a cycle"
+        return linalg.mat_vec(proj, c)
+
+    return basis, coords
+
+
+def coordinate_sample():
+    """The named fixtures, random_origami(Random(d), d) for d = 2..24,
+    and 60 seeded origamis with d <= 16."""
+    named = FIXTURES + [l_origami(3, 2)]
+    series = [random_origami(random.Random(d), d) for d in range(2, 25)]
+    rng = random.Random(5)
+    seeded = [random_origami(rng, rng.randint(2, 16)) for _ in range(60)]
+    return named + series + seeded
 
 
 class TestCellComplex:
@@ -112,6 +154,40 @@ class TestH1Model:
         cu, cv = class_of(o, model, u), class_of(o, model, v)
         cuv = class_of(o, model, u * v)
         assert cuv == [a + b for a, b in zip(cu, cv)]
+
+
+class TestCoordinatesAgainstKernelSmithForm:
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_same_basis_and_coordinates(self, o):
+        from origami_forge.hss import find_hss
+
+        model = h1_model(o)
+        basis, oracle = kernel_snf_coords(o)
+        assert model.basis == basis
+        cycles = list(model.basis)
+        cycles += [edge_cycle(o, c.start, c.word) for c in find_hss(o)]
+        cs = CosetAction(o)
+        cycles += [
+            edge_cycle(o, cs.base, h) for h in schreier_system(cs).generators
+        ]
+        for z in cycles:
+            assert model.coords(z) == oracle(z), (o, z)
+        n = model.rank
+        assert [model.coords(z) for z in model.basis] == linalg.eye(n)
+
+    def test_non_cycle_rejected(self):
+        o = wollmilchsau()
+        model = h1_model(o)
+        cx = model.complex
+        # an edge joining two distinct singularities has a nonzero boundary
+        e = next(e for e in range(cx.edge_count)
+                 if len(set(cx.edge_ends(e))) == 2)
+        z = [0] * cx.edge_count
+        z[e] = 1
+        with pytest.raises(ValueError, match="not a cycle"):
+            model.coords(z)
 
 
 class TestWordSystemGram:
@@ -258,6 +334,17 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError, match="not in block form"):
             twist_membership_certificate(l_origami(2, 2))
         assert issubclass(CertificateError, ValueError)
+
+    def test_non_stabilizing_lift_is_certificate_error(self, monkeypatch):
+        from origami_forge import freegroup
+
+        # l22 needs the square of the twist; its first power is no member
+        monkeypatch.setattr(
+            freegroup, "horizontal_twist_lift",
+            lambda m: horizontal_twist_lift(1),
+        )
+        with pytest.raises(CertificateError, match="does not stabilize"):
+            twist_membership_certificate(l_origami(2, 2))
 
     def test_non_symplectic_basis_rejected(self):
         o = l_origami(2, 2)

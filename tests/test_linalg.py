@@ -42,8 +42,13 @@ def test_smith_form_transforms(A):
 @given(small_matrices)
 @settings(max_examples=100, deadline=None)
 def test_kernel_basis_annihilated(A):
-    for col in linalg.kernel_basis(A):
-        assert linalg.mat_vec(A, col) == [0] * len(A)
+    """The last n - r columns of V span ker A, and the last n - r rows of
+    V^-1 are their left inverse: the facts H1 coordinates are read from."""
+    snf = linalg.smith_normal_form(A)
+    r, n = snf.rank, len(A[0])
+    K = [row[r:] for row in snf.V]
+    assert linalg.mat_mul(A, K) == linalg.zeros(len(A), n - r)
+    assert linalg.mat_mul(snf.Vinv[r:], K) == linalg.eye(n - r)
 
 
 @given(small_matrices, st.randoms(use_true_random=False))
