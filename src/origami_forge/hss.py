@@ -15,11 +15,28 @@ stages:
 
 All policies (bridging order, splice partner and label selection,
 cancellation, tie-breaks) are fixed and deterministic.
+
+Stages 2 and 3 look things up by index instead of rescanning.  Every
+label is interned to a small int when its side is created (``Pool.lab``),
+so all label equality tests compare ints.  ``merge_all`` builds, per
+round, an inverted index from label id to the remaining pool lists that
+hold it, keeps a count of the label ids in the accumulator and a min-heap
+of candidate pool positions; the next splice partner is the smallest
+position that still shares a label, which is the list a front-to-back
+rescan would pick.  Cancellation resumes one position left of the last
+hit, because everything before it was already checked clean; as the
+accumulator is itself clean, a splice checks only the pairs from the
+first junction to the start of the accumulator's tail.  The wrap-around
+pair is checked last.  The events, their order and the list numbering
+are those of a full rescan after every removal.  Stage 3 keeps a
+side -> pool list map instead of searching the pool for each pair.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -124,25 +141,6 @@ class HalfCylinderGraph:
     edges: set[tuple[int, int]]      # (index of upper node's cylinder, lower's)
     bridges: list[int]               # cylinder indices that received a bridge
 
-    def is_connected(self) -> bool:
-        n = len(self.cyls)
-        adj = {v: set() for v in range(2 * n)}
-        for i, j in self.edges:
-            adj[2 * i].add(2 * j + 1)   # z_i^o -- z_j^u
-            adj[2 * j + 1].add(2 * i)
-        for i in self.bridges:
-            adj[2 * i].add(2 * i + 1)
-            adj[2 * i + 1].add(2 * i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == 2 * n
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -185,8 +183,8 @@ def step1(
             edges.add((i, cyl_index[o.p2(s)]))
     if order is None:
         order = range(ncyl - 1, -1, -1)
-    else:
-        assert sorted(order) == list(range(ncyl)), "order must permute cylinders"
+    elif sorted(order) != list(range(ncyl)):
+        raise ValueError("order must permute cylinders")
     uf = _UnionFind(2 * ncyl)
     for i, j in edges:
         uf.union(2 * i, 2 * j + 1)
@@ -194,10 +192,10 @@ def step1(
     for i in order:
         if uf.union(2 * i, 2 * i + 1):
             bridges.append(i)
-    graph = HalfCylinderGraph(cyls, edges, bridges)
-    assert graph.is_connected(), "surface not connected after bridging"
+    if len({uf.find(v) for v in range(2 * ncyl)}) != 1:
+        raise Disconnected("surface not connected after bridging")
     cuts = [z for i, z in enumerate(cyls) if i not in bridges]
-    return cuts, graph
+    return cuts, HalfCylinderGraph(cyls, edges, bridges)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +259,24 @@ PairChain = list  # of ChainPair
 
 class Pool:
     """Mutable state of one cut-system computation: the side registry,
-    every list ever formed, and the current pool sections."""
+    every list ever formed, and the current pool sections.
+
+    Labels are interned: ``lab[sid]`` is the label id of side sid,
+    ``label_ids`` and ``label_at`` map a label to its id and back, and
+    ``square`` / ``unprimed`` say per id whether it is a square label and
+    whether it carries no marks.  ``home`` maps every side of a current pool list to that list's lid.
+    """
 
     def __init__(self, o: Origami):
         self.o = o
         self.sides: dict[int, _Side] = {}
         self.lists: dict[int, LabeledList] = {}
+        self.lab: list[int] = []
+        self.label_ids: dict[Label, int] = {}
+        self.square: list[bool] = []
+        self.unprimed: list[bool] = []
+        self.label_at: list[Label] = []
+        self.home: dict[int, int] = {}
         self._next_side = 0
         self._next_list = 0
         # sections hold (cylinder base, lid), kept sorted by cylinder
@@ -274,9 +284,11 @@ class Pool:
         self.o_section: list[tuple[int, int]] = []
         self.lz_section: list[tuple[int, int]] = []
         self.cyl_of: dict[int, Cylinder] = {}
+        self.cyl_pos: dict[int, int] = {}    # square -> index in its cylinder
         for z in cylinders(o):
-            for s in z.squares:
+            for k, s in enumerate(z.squares):
                 self.cyl_of[s] = z
+                self.cyl_pos[s] = k
 
     # -- registry helpers --------------------------------------------------
 
@@ -284,6 +296,13 @@ class Pool:
         sid = self._next_side
         self._next_side += 1
         self.sides[sid] = _Side(label, half, cyl)
+        lab = self.label_ids.get(label)
+        if lab is None:
+            lab = self.label_ids[label] = len(self.label_at)
+            self.label_at.append(label)
+            self.square.append(_is_square(label))
+            self.unprimed.append(_is_square(label) and not label.marks)
+        self.lab.append(lab)
         return sid
 
     def new_list(self, sides, cyclic: bool, kind: str, cyl: int) -> int:
@@ -294,6 +313,11 @@ class Pool:
 
     def label_of(self, sid: int) -> Label:
         return self.sides[sid].label
+
+    def settle(self, lid: int) -> None:
+        """Record lid as the pool list holding each of its sides."""
+        for s in self.lists[lid].sides:
+            self.home[s] = lid
 
     def labels(self, lid: int) -> list[Label]:
         return [self.label_of(s) for s in self.lists[lid].sides]
@@ -321,11 +345,14 @@ class Pool:
                 ol = self.new_list(o_sides, True, "o", base)
                 self.u_section.append((base, ul))
                 self.o_section.append((base, ol))
+                self.settle(ul)
+                self.settle(ol)
             else:
                 a1 = self.new_side(Sentinel(base), None, base)
                 a2 = self.new_side(Sentinel(base), None, base)
                 lz = self.new_list([a1] + u_sides + [a2] + o_sides, True, "lz", base)
                 self.lz_section.append((base, lz))
+                self.settle(lz)
         for section in (self.u_section, self.o_section, self.lz_section):
             section.sort(key=lambda pair: pair[0])
 
@@ -347,41 +374,73 @@ def concatenate(pool: Pool, lid: int, mid: int, at: Label,
     [a.., at, b..] + [c.., at, d..] -> [a.., d.., c.., b..], followed by
     repeated cancellation of adjacent equal labels (with wrap-around).
     Returns the lid of the result."""
-    assert lid != mid, "cannot splice a list with itself"
-    L, M = pool.lists[lid], pool.lists[mid]
+    at_id = pool.label_ids.get(at)
+    if at_id is None:
+        raise NoCommonLabel(f"label {format_label(at)} missing")
+    return _splice(pool, lid, mid, at_id, history)[0]
+
+
+def _splice(pool: Pool, lid: int, mid: int, at: int,
+            history: Optional[MergeHistory],
+            clean_labs: Optional[list[int]] = None) -> tuple[int, list[int]]:
+    """concatenate on a label id; returns the result's lid and label ids.
+
+    `clean_labs`, when given, are the label ids of list lid, which is
+    clean (a cancellation result): no two adjacent labels in it are
+    equal, so the pairs inside a and inside b need no check.  The list
+    is consumed."""
+    if lid == mid:
+        raise ValueError("cannot splice a list with itself")
+    L, M = pool.lists[lid].sides, pool.lists[mid].sides
+    lab_l = clean_labs if clean_labs is not None else [pool.lab[s] for s in L]
+    lab_m = [pool.lab[s] for s in M]
     try:
-        i = next(k for k, s in enumerate(L.sides) if pool.label_of(s) == at)
-        j = next(k for k, s in enumerate(M.sides) if pool.label_of(s) == at)
-    except StopIteration:
-        raise NoCommonLabel(f"label {format_label(at)} missing") from None
-    a, b = L.sides[:i], L.sides[i + 1:]
-    c, d = M.sides[:j], M.sides[j + 1:]
-    rid = pool.new_list(a + d + c + b, True, "m", 0)
+        i, j = lab_l.index(at), lab_m.index(at)
+    except ValueError:
+        raise NoCommonLabel(
+            f"label {format_label(pool.label_at[at])} missing") from None
+    sides = list(L)
+    sides[i:i + 1] = M[j + 1:] + M[:j]
+    labs = lab_l
+    labs[i:i + 1] = lab_m[j + 1:] + lab_m[:j]
+    rid = pool.new_list(sides, True, "m", 0)
     if history is not None:
-        history.events.append(("merge", rid, lid, mid, L.sides[i], M.sides[j]))
-    return _cancel_all(pool, rid, history)
+        history.events.append(("merge", rid, lid, mid, L[i], M[j]))
+    if clean_labs is None:
+        return _cancel_all(pool, rid, sides, labs, history, 0, len(labs))
+    b = len(L) - i - 1
+    return _cancel_all(pool, rid, sides, labs, history,
+                       max(i - 1, 0), len(labs) - b)
 
 
-def _cancel_all(pool: Pool, lid: int, history: Optional[MergeHistory]) -> int:
+def _cancel_all(pool: Pool, lid: int, sides: list[int], labs: list[int],
+                history: Optional[MergeHistory], k: int,
+                clean_from: int) -> tuple[int, list[int]]:
+    """Remove the first adjacent pair of equal labels, else the wrap-around
+    pair, until neither exists; every intermediate list is materialised.
+
+    Only the pairs (j, j+1) with k <= j < clean_from can be equal: the
+    ones before k were checked, the ones from clean_from on lie in a clean
+    suffix.  After removing (k, k+1) the scan resumes at k-1."""
     while True:
-        sides = pool.lists[lid].sides
-        n = len(sides)
-        hit = None
-        for k in range(n - 1):
-            if pool.label_of(sides[k]) == pool.label_of(sides[k + 1]):
-                hit = (k, k + 1)
-                break
-        if hit is None and n >= 2 and pool.label_of(sides[-1]) == pool.label_of(sides[0]):
-            hit = (n - 1, 0)
-        if hit is None:
-            return lid
-        k1, k2 = hit
-        removed = {sides[k1], sides[k2]}
-        rid = pool.new_list(
-            [s for s in sides if s not in removed], True, "m", 0
-        )
+        n = len(labs)
+        stop = min(clean_from, n - 1)
+        while k < stop and labs[k] != labs[k + 1]:
+            k += 1
+        if k < stop:
+            s1, s2 = sides[k], sides[k + 1]
+            del sides[k:k + 2], labs[k:k + 2]
+            clean_from = max(clean_from - 2, k)
+            k = max(k - 1, 0)
+        elif n >= 2 and labs[-1] == labs[0]:
+            s1, s2 = sides[-1], sides[0]
+            sides, labs = sides[1:-1], labs[1:-1]
+            k = max(n - 3, 0)
+        else:
+            return lid, labs
+        rid = pool.new_list(sides, True, "m", 0)
         if history is not None:
-            history.events.append(("cancel", rid, lid, sides[k1], sides[k2]))
+            history.events.append(("cancel", rid, lid, s1, s2))
         lid = rid
 
 
@@ -391,26 +450,56 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     Policy: the accumulator starts as the first pool list; each round it
     is spliced with the first remaining list sharing a label, at the first
     common label in that list's stored order, unprimed labels preferred.
+
+    The first sharing list is found through an index: `holders` maps a
+    label id to the pool positions holding it, `count` counts the label
+    ids in the accumulator, and `heap` holds every remaining position
+    that shares a label (pushed when the accumulator gains one of its
+    labels; entries that no longer share are dropped when popped).
     """
     remaining = pool.pool_lids()
-    assert remaining, "empty pool"
+    if not remaining:
+        raise ValueError("empty pool")
     history = MergeHistory(initial=list(remaining))
-    acc = remaining.pop(0)
-    while remaining:
-        acc_labels = {l for l in pool.labels(acc) if _is_square(l)}
-        chosen = None
-        for idx, mid in enumerate(remaining):
-            m_order = [l for l in pool.labels(mid) if _is_square(l)]
-            common = [l for l in m_order if l in acc_labels]
-            if common:
-                unprimed = [l for l in common if not l.marks]
-                chosen = (idx, mid, unprimed[0] if unprimed else common[0])
-                break
-        if chosen is None:
+    lab, square, unprimed = pool.lab, pool.square, pool.unprimed
+    own = [[lab[s] for s in pool.lists[lid].sides if square[lab[s]]]
+           for lid in remaining]
+    holders: dict[int, list[int]] = {}
+    for pos in range(1, len(remaining)):
+        for l in own[pos]:
+            holders.setdefault(l, []).append(pos)
+    alive = [pos > 0 for pos in range(len(remaining))]
+    count = [0] * len(square)
+    heap: list[int] = []
+
+    def absorb(pos: int) -> None:
+        alive[pos] = False
+        for l in own[pos]:
+            if not count[l]:
+                for p in holders.get(l, ()):
+                    if alive[p]:
+                        heapq.heappush(heap, p)
+            count[l] += 1
+
+    absorb(0)
+    acc, acc_labs = remaining[0], None
+    for _ in range(len(remaining) - 1):
+        common = None
+        while heap and not common:
+            pos = heapq.heappop(heap)
+            if alive[pos]:
+                common = [l for l in own[pos] if count[l]]
+        if not common:
             raise Disconnected("pool does not splice to a single list")
-        idx, mid, at = chosen
-        remaining.pop(idx)
-        acc = concatenate(pool, acc, mid, at, history)
+        at = next((l for l in common if unprimed[l]), common[0])
+        absorb(pos)
+        logged = len(history.events)
+        acc, acc_labs = _splice(pool, acc, remaining[pos], at, history,
+                                acc_labs)
+        for ev in history.events[logged:]:
+            l = lab[ev[-1]]  # the glued or cancelled pair shares one label
+            if square[l]:
+                count[l] -= 2
     history.final = acc
     return acc, history
 
@@ -441,23 +530,23 @@ def find_separating_pair(labels: Sequence) -> tuple:
     """In a cyclic label sequence where every square label occurs twice,
     find (alpha, beta): the two alpha occurrences split the sequence into
     two arcs each holding exactly one beta.  Deterministic: smallest alpha
-    first, then smallest beta; sentinels are never selected."""
-    squares = [l for l in labels if _is_square(l)]
+    first, then smallest beta; sentinels are never selected.
+
+    One pass per alpha: beta separates iff it occurs once strictly
+    between the two alphas and twice in all."""
     occ: dict = {}
     for k, l in enumerate(labels):
         if _is_square(l):
             occ.setdefault(l, []).append(k)
-    for alpha in sorted(set(squares), key=_label_key):
+    for alpha in sorted(occ, key=_label_key):
         if len(occ[alpha]) != 2:
             continue
         i, j = occ[alpha]
-        inside = [l for l in labels[i + 1:j] if _is_square(l)]
-        outside = [l for l in (list(labels[j + 1:]) + list(labels[:i])) if _is_square(l)]
-        for beta in sorted(set(squares), key=_label_key):
-            if beta == alpha:
-                continue
-            if inside.count(beta) == 1 and outside.count(beta) == 1:
-                return alpha, beta
+        inside = Counter(l for l in labels[i + 1:j] if _is_square(l))
+        betas = [b for b, c in inside.items()
+                 if c == 1 and len(occ[b]) == 2 and b != alpha]
+        if betas:
+            return alpha, min(betas, key=_label_key)
     raise NoPairFound("no separating pair of labels")
 
 
@@ -470,33 +559,43 @@ def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
     """Trace the pair (alpha, alpha) of the final list back through the
     merge history to a chain of pairs, each inside one original pool list."""
     final = pool.lists[history.final]
-    occ = [s for s in final.sides if pool.label_of(s) == alpha]
-    assert len(occ) == 2, "alpha must occur exactly twice"
+    aid = pool.label_ids.get(alpha)
+    occ = [s for s in final.sides if pool.lab[s] == aid]
+    if len(occ) != 2:
+        raise InconsistentChain("alpha must occur exactly twice")
     a1, a2 = occ  # a1 is the earlier occurrence in stored order
-    pairs: list[tuple[int, int, int]] = [(a1, a2, history.final)]
+    # pairs [side, side, lid of the list holding both] in chain order;
+    # `tagged` indexes them by that lid, so an event that touches none of
+    # them costs one dict lookup
+    pairs: list[list[int]] = [[a1, a2, history.final]]
+    tagged: dict[int, list[list[int]]] = {history.final: list(pairs)}
     for ev in reversed(history.events):
+        group = tagged.pop(ev[1], None)
+        if group is None:
+            continue
         if ev[0] == "cancel":
-            _, rid, pid, _, _ = ev
-            pairs = [(sa, sb, pid if tag == rid else tag) for sa, sb, tag in pairs]
+            for pair in group:
+                pair[2] = ev[2]
+            tagged.setdefault(ev[2], []).extend(group)
             continue
         _, rid, lid, mid, gl, gm = ev
-        lset = set(pool.lists[lid].sides)
-        out = []
-        for sa, sb, tag in pairs:
-            if tag != rid:
-                out.append((sa, sb, tag))
-                continue
-            pa = lid if sa in lset else mid
-            pb = lid if sb in lset else mid
+        left = pool.lists[lid].sides
+        for pair in group:
+            sa, sb, _ = pair
+            pa = lid if sa in left else mid
+            pb = lid if sb in left else mid
             if pa == pb:
-                out.append((sa, sb, pa))
-            elif pa == lid:
-                out.append((sa, gl, lid))
-                out.append((gm, sb, mid))
+                pair[2] = pa
+                tagged.setdefault(pa, []).append(pair)
+                continue
+            if pa == lid:
+                pair[:], rest = [sa, gl, lid], [gm, sb, mid]
             else:
-                out.append((sa, gm, mid))
-                out.append((gl, sb, lid))
-        pairs = out
+                pair[:], rest = [sa, gm, mid], [gl, sb, lid]
+            k = next(k for k, p in enumerate(pairs) if p is pair)
+            pairs.insert(k + 1, rest)
+            tagged.setdefault(pair[2], []).append(pair)
+            tagged.setdefault(rest[2], []).append(rest)
     initial = set(history.initial)
     chain: PairChain = []
     for sa, sb, tag in pairs:
@@ -527,7 +626,8 @@ def _half_entries(pool: Pool, lid: int, half: str) -> tuple[list[int], bool]:
     lst = pool.lists[lid]
     if lst.kind == "lz":
         return [s for s in lst.sides if pool.sides[s].half == half], True
-    assert lst.kind == half
+    if lst.kind != half:
+        raise InconsistentChain(f"{half!r} pair in a {lst.kind!r} list")
     return list(lst.sides), lst.cyclic
 
 
@@ -541,12 +641,10 @@ def _underlying(pool: Pool, sid: int) -> int:
 
 def _p1_steps(pool: Pool, cyl: Cylinder, a: int, b: int) -> int:
     """Forward steps 0 <= t < length with p1^t(a) = b."""
-    t = 0
-    s = a
-    while s != b:
-        s = pool.o.p1(s)
-        t += 1
-        assert t <= cyl.length, "squares not in the same cylinder"
+    z = pool.cyl_of[a]
+    t = (pool.cyl_pos[b] - pool.cyl_pos[a]) % z.length
+    if pool.cyl_of[b] is not z or t > cyl.length:
+        raise InconsistentChain("squares not in the same cylinder")
     return t
 
 
@@ -562,7 +660,8 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
     cyl = pool.cyl_of[pair.cyl]
     a = _underlying(pool, pair.side_a)
     b = _underlying(pool, pair.side_b)
-    assert a != b
+    if a == b:
+        raise InconsistentChain("pair joins a square to itself")
     t0 = _p1_steps(pool, cyl, a, b)
     n = cyl.length
     if cyclic:
@@ -600,13 +699,6 @@ def _section_of(pool: Pool, half: str) -> list[tuple[int, int]]:
     return pool.u_section if half == "u" else pool.o_section
 
 
-def _locate(pool: Pool, sid: int) -> int:
-    for lid in pool.pool_lids():
-        if sid in pool.lists[lid].sides:
-            return lid
-    raise InconsistentChain(f"side {sid} not in any pool list")
-
-
 def step3_update(pool: Pool, chain: PairChain) -> None:
     """Split, for every chain pair in order, the pool list holding it.
 
@@ -618,9 +710,12 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
     combined list keeps L0 embedded; every L1 joins the matching section.
     """
     for pair in chain:
-        lid = _locate(pool, pair.side_a)
+        lid = pool.home.get(pair.side_a)
+        if lid is None:
+            raise InconsistentChain(f"side {pair.side_a} not in any pool list")
+        if pool.home.get(pair.side_b) != lid:
+            raise InconsistentChain("chain pair torn across lists")
         lst = pool.lists[lid]
-        assert pair.side_b in lst.sides, "chain pair torn across lists"
         entries, cyclic = _half_entries(pool, lid, pair.half)
         e = _pair_exponent(pool, pair)
         forward = (e > 0) if pair.half == "u" else (e < 0)
@@ -633,7 +728,9 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
             else:
                 between = entries[ia + 1:] + entries[:ib]
         else:
-            assert ia < ib, "sweep must run forward in a non-cyclic list"
+            if ia >= ib:
+                raise InconsistentChain(
+                    "sweep must run forward in a non-cyclic list")
             between = entries[ia + 1:ib]
 
         def primed(sid: int, mark: int) -> int:
@@ -649,17 +746,21 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
         drop = set(between)
         l1_sides = [primed(role_a, a_l1)] + between + [primed(role_b, b_l1)]
         l1 = pool.new_list(l1_sides, False, pair.half, pair.cyl)
+        pool.settle(l1)
+        del pool.home[role_a], pool.home[role_b]  # replaced by primed copies
 
         if lst.kind == "lz":
             new_sides = [
                 sub.get(s, s) for s in lst.sides if s not in drop
             ]
             new_lz = pool.new_list(new_sides, True, "lz", lst.cyl)
+            pool.settle(new_lz)
             k = pool.lz_section.index((lst.cyl, lid))
             pool.lz_section[k] = (lst.cyl, new_lz)
         else:
             l0_sides = [sub.get(s, s) for s in entries if s not in drop]
             l0 = pool.new_list(l0_sides, lst.cyclic, lst.kind, lst.cyl)
+            pool.settle(l0)
             section = _section_of(pool, pair.half)
             k = section.index((lst.cyl, lid))
             section[k] = (lst.cyl, l0)
@@ -690,7 +791,8 @@ def find_hss_detailed(o: Origami) -> HssResult:
     curves = [
         OrigamiCurve(z.base, Word(2, [(1, z.length)])) for z in cuts
     ]
-    assert len(curves) <= g, "more cylinder cuts than the genus allows"
+    if len(curves) > g:
+        raise InconsistentChain("more cylinder cuts than the genus allows")
     if len(curves) == g:
         return HssResult(curves, cuts, graph)
     pool = init_lists(o, cuts)

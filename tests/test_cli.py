@@ -242,6 +242,7 @@ def test_cli_import_leaves_out_sympy():
         ["homology", "l23", "--twist"],
         ["sweep", "--count", "5", "--max-d", "12", "--seed", "1"],
         ["verify-hss", "o14"],
+        ["hss", "o14", "--trace"],
     ],
 )
 def test_same_answers_without_asserts(argv):

@@ -5,10 +5,15 @@ import random
 
 import pytest
 
-from origami_forge.freegroup import is_conjugate_horizontal, parse_word
+from origami_forge.freegroup import Word, is_conjugate_horizontal
 from origami_forge.homology import edge_cycle, f2_independent, h1_model
 from origami_forge.hss import (
+    ChainPair,
+    Disconnected,
+    InconsistentChain,
+    MergeHistory,
     NoCommonLabel,
+    NoPairFound,
     Sentinel,
     SLabel,
     backtrack,
@@ -25,6 +30,7 @@ from origami_forge.hss import (
     step3_update,
 )
 from origami_forge.origami import (
+    OrigamiCurve,
     cylinders,
     genus,
     is_closed,
@@ -40,11 +46,153 @@ def shown(pool, lid):
     return [format_label(l) for l in pool.labels(lid)]
 
 
+# ---------------------------------------------------------------------------
+# reference engine: the stage-2 rescan implementation the indexed engine
+# replaced, kept as the oracle of the differential tests
+# ---------------------------------------------------------------------------
+
+
+def _rescan_key(label):
+    if isinstance(label, SLabel):
+        return (label.square, label.marks)
+    return (label, ())
+
+
+def _rescan_is_square(label):
+    return not isinstance(label, Sentinel)
+
+
+def rescan_concatenate(pool, lid, mid, at, history=None):
+    """Splice at the first occurrence of `at` in each list, found by label
+    equality, then cancel by rescanning from the front."""
+    L, M = pool.lists[lid], pool.lists[mid]
+    try:
+        i = next(k for k, s in enumerate(L.sides) if pool.label_of(s) == at)
+        j = next(k for k, s in enumerate(M.sides) if pool.label_of(s) == at)
+    except StopIteration:
+        raise NoCommonLabel(f"label {format_label(at)} missing") from None
+    a, b = L.sides[:i], L.sides[i + 1:]
+    c, d = M.sides[:j], M.sides[j + 1:]
+    rid = pool.new_list(a + d + c + b, True, "m", 0)
+    if history is not None:
+        history.events.append(("merge", rid, lid, mid, L.sides[i], M.sides[j]))
+    return rescan_cancel_all(pool, rid, history)
+
+
+def rescan_cancel_all(pool, lid, history):
+    while True:
+        sides = pool.lists[lid].sides
+        n = len(sides)
+        hit = None
+        for k in range(n - 1):
+            if pool.label_of(sides[k]) == pool.label_of(sides[k + 1]):
+                hit = (k, k + 1)
+                break
+        if hit is None and n >= 2 and pool.label_of(sides[-1]) == pool.label_of(sides[0]):
+            hit = (n - 1, 0)
+        if hit is None:
+            return lid
+        k1, k2 = hit
+        removed = {sides[k1], sides[k2]}
+        rid = pool.new_list([s for s in sides if s not in removed], True, "m", 0)
+        if history is not None:
+            history.events.append(("cancel", rid, lid, sides[k1], sides[k2]))
+        lid = rid
+
+
+def rescan_merge_all(pool):
+    """Each round rebuilds the label list of every remaining pool list and
+    takes the first one sharing a label with the accumulator."""
+    remaining = pool.pool_lids()
+    history = MergeHistory(initial=list(remaining))
+    acc = remaining.pop(0)
+    while remaining:
+        acc_labels = {l for l in pool.labels(acc) if _rescan_is_square(l)}
+        chosen = None
+        for idx, mid in enumerate(remaining):
+            m_order = [l for l in pool.labels(mid) if _rescan_is_square(l)]
+            common = [l for l in m_order if l in acc_labels]
+            if common:
+                unprimed = [l for l in common if not l.marks]
+                chosen = (idx, mid, unprimed[0] if unprimed else common[0])
+                break
+        if chosen is None:
+            raise Disconnected("pool does not splice to a single list")
+        idx, mid, at = chosen
+        remaining.pop(idx)
+        acc = rescan_concatenate(pool, acc, mid, at, history)
+    history.final = acc
+    return acc, history
+
+
+def rescan_find_separating_pair(labels):
+    squares = [l for l in labels if _rescan_is_square(l)]
+    occ = {}
+    for k, l in enumerate(labels):
+        if _rescan_is_square(l):
+            occ.setdefault(l, []).append(k)
+    for alpha in sorted(set(squares), key=_rescan_key):
+        if len(occ[alpha]) != 2:
+            continue
+        i, j = occ[alpha]
+        inside = [l for l in labels[i + 1:j] if _rescan_is_square(l)]
+        outside = [l for l in (list(labels[j + 1:]) + list(labels[:i]))
+                   if _rescan_is_square(l)]
+        for beta in sorted(set(squares), key=_rescan_key):
+            if beta == alpha:
+                continue
+            if inside.count(beta) == 1 and outside.count(beta) == 1:
+                return alpha, beta
+    raise NoPairFound("no separating pair of labels")
+
+
+def rescan_find_hss(o):
+    """(curves, histories) of the driver loop run on the reference stage-2
+    functions; stage 1, backtracking, emission and splitting are shared."""
+    g = genus(o)
+    cuts, _ = step1(o)
+    curves = [OrigamiCurve(z.base, Word(2, [(1, z.length)])) for z in cuts]
+    histories = []
+    if len(curves) == g:
+        return curves, histories
+    pool = init_lists(o, cuts)
+    chain = None
+    while len(curves) < g:
+        if chain is not None:
+            step3_update(pool, chain)
+        final, history = rescan_merge_all(pool)
+        histories.append(history)
+        alpha, _ = rescan_find_separating_pair(pool.labels(final))
+        chain = backtrack(pool, history, alpha)
+        curves.append(emit_curve(pool, chain))
+    return curves, histories
+
+
+def assert_same_as_rescan(o):
+    result = find_hss_detailed(o)
+    curves, histories = rescan_find_hss(o)
+    assert [(c.start, str(c.word)) for c in result.curves] == [
+        (c.start, str(c.word)) for c in curves], o
+    assert len(result.histories) == len(histories), o
+    for new, old in zip(result.histories, histories):
+        assert new.initial == old.initial, o
+        assert new.events == old.events, o
+        assert new.final == old.final, o
+
+
 class TestStep1:
     def test_four_cylinder_cut(self):
         cuts, graph = step1(wollmilchsau())
         assert [z.base for z in cuts] == [1]
-        assert graph.is_connected()
+        # the other cylinder (index 1, base 5) received the bridge
+        assert [z.base for z in graph.cyls] == [1, 5]
+        assert graph.bridges == [1]
+
+    @pytest.mark.parametrize("order", [[0], [0, 0], [1, 2], [0, 1, 2]])
+    def test_order_must_permute_cylinders(self, order):
+        o = wollmilchsau()
+        with pytest.raises(ValueError, match="permute"):
+            step1(o, order)
 
     def test_fourteen_square_cuts(self):
         cuts, _ = step1(o14())
@@ -114,6 +262,14 @@ class TestMerging:
         a, b = pool.pool_lids()[:2]  # [1,2,3,4] and [8,5,6,7]
         with pytest.raises(NoCommonLabel):
             concatenate(pool, a, b, SLabel(9, ()), None)
+
+    def test_label_in_one_list_only(self):
+        o = wollmilchsau()
+        cuts, _ = step1(o)
+        pool = init_lists(o, cuts)
+        a, b = pool.pool_lids()[:2]  # [1,2,3,4] and [8,5,6,7]
+        with pytest.raises(NoCommonLabel, match="label 1 missing"):
+            concatenate(pool, a, b, SLabel(1, ()), None)
 
     def test_four_cylinder_merge_result(self):
         o = wollmilchsau()
@@ -237,6 +393,18 @@ class TestListSplitting:
         ]]
 
 
+    def test_pair_torn_across_lists_is_rejected(self):
+        o = wollmilchsau()
+        cuts, _ = step1(o)
+        pool = init_lists(o, cuts)
+        lower, upper = pool.pool_lids()[:2]  # [1,2,3,4] and [8,5,6,7]
+        side_a = pool.lists[lower].sides[0]
+        side_b = pool.lists[upper].sides[1]
+        pair = ChainPair(side_a, side_b, lower, "u", 1)
+        with pytest.raises(InconsistentChain, match="torn"):
+            step3_update(pool, [pair])
+
+
 class TestDriver:
     def test_four_cylinder_system(self):
         curves = find_hss(wollmilchsau())
@@ -282,3 +450,41 @@ class TestDriver:
                 assert is_conjugate_horizontal(c.word)
                 classes.append(model.coords(edge_cycle(o, c.start, c.word)))
             assert f2_independent(classes)
+
+
+class TestAgainstRescanEngine:
+    """Identical curves and merge histories as the reference engine."""
+
+    def test_fixtures(self, fixture_origamis):
+        for _, o in fixture_origamis:
+            assert_same_as_rescan(o)
+
+    def test_random_sample(self, random_sample):
+        for _, o in random_sample:
+            assert_same_as_rescan(o)
+
+    @pytest.mark.parametrize("d", range(2, 49))
+    def test_seeded_degree(self, d):
+        assert_same_as_rescan(random_origami(random.Random(d), d))
+
+    def test_separating_pair_on_random_sequences(self):
+        rng = random.Random(4711)
+        for _ in range(3000):
+            labels = []
+            for _ in range(rng.randint(0, 14)):
+                r = rng.random()
+                if r < 0.15:
+                    labels.append(Sentinel(rng.randint(1, 3)))
+                else:
+                    marks = rng.choice(((), (), (1,), (2,), (1, 2)))
+                    labels.append(SLabel(rng.randint(1, 6), marks))
+            # mostly pairs, with singletons and triples mixed in
+            labels += [l for l in labels if rng.random() < 0.8]
+            rng.shuffle(labels)
+            try:
+                expected = rescan_find_separating_pair(labels)
+            except NoPairFound:
+                with pytest.raises(NoPairFound):
+                    find_separating_pair(labels)
+                continue
+            assert find_separating_pair(labels) == expected, labels
