@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -372,7 +373,10 @@ def cmd_sweep(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand is
+    stored by name; `run` looks up its `cmd_*` function when it is called."""
     parser = argparse.ArgumentParser(
         prog="origami-forge",
         description="Exact invariants of square-tiled surfaces.",
@@ -381,58 +385,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="cylinders, singularities, genus")
     p.add_argument("origami", help=".ori file or fixture name")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("hss", help="horizontal Schottky cut system")
     p.add_argument("origami")
     p.add_argument("--trace", action="store_true",
                    help="dump merge history as JSON lines on stderr")
-    p.set_defaults(func=cmd_hss)
 
     p = sub.add_parser("verify-hss", help="check the cut system invariants")
     p.add_argument("origami")
-    p.set_defaults(func=cmd_verify_hss)
 
     p = sub.add_parser("veech-check", help="Veech group membership")
     p.add_argument("origami")
     p.add_argument("--matrix", required=True, metavar="a,b,c,d",
                    help="integer matrix entries, row-major")
-    p.set_defaults(func=cmd_veech_check)
 
     p = sub.add_parser("shear", help="re-square along a rational direction")
     p.add_argument("origami")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_shear)
 
     p = sub.add_parser("homology", help="H_1 rank and intersection form")
     p.add_argument("origami")
     p.add_argument("--twist", action="store_true",
                    help="include the multitwist certificate")
-    p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("moebius", help="classify a Moebius transformation")
     p.add_argument("entries", nargs=4, metavar="re,im",
                    help="matrix entries a b c d as re,im pairs")
-    p.set_defaults(func=cmd_moebius)
 
-    p = sub.add_parser("fixtures", help="list the fixture registry")
-    p.set_defaults(func=cmd_fixtures)
+    sub.add_parser("fixtures", help="list the fixture registry")
 
     p = sub.add_parser("sweep", help="randomized property suites")
     p.add_argument("--max-d", type=int, default=12, dest="max_d")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def run(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        emit(args.func(args))
+        emit(command(args))
         return 0
     except (ValueError, ArithmeticError, AssertionError, OSError) as exc:
         emit(

@@ -28,6 +28,7 @@ from .origami import (
     Origami,
     OrigamiCurve,
     act_word,
+    cylinders,
     genus,
     vertex_orbits,
     vertex_permutation,
@@ -54,6 +55,7 @@ __all__ = [
     "intersection_form",
     "symplectic_completion",
     "induced_matrix",
+    "twist_action",
     "block_form_check",
     "CharPoly",
     "charpoly",
@@ -325,46 +327,32 @@ def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
         circ[rt] = merged
     (final,) = circ.values()
     pos = {dart: i for i, dart in enumerate(final)}
-    n = len(final)
     tree_set = set(tree)
-    chords = {
+    ends = {
         e: (pos[(e, 0)], pos[(e, 1)])
         for e in range(cx.edge_count)
         if e not in tree_set
     }
+    # the classes in chord coordinates: tree edges are contracted away
+    support = [[(e, z[e]) for e in ends if z[e]] for z in model.basis]
+    used = sorted({e for sup in support for e, _ in sup})
 
-    def chi(e: int, f: int) -> int:
-        et, eh = chords[e]
-        ft, fh = chords[f]
+    def crossings(lo: int, hi: int) -> Dict[int, int]:
+        """X[e][f] for the chord e = lo -> hi and each used chord f: +-1
+        when exactly one end of f lies strictly inside the cyclic arc
+        lo -> hi, else 0.  The sign is calibrated so that the printed
+        genus-2 symplectic word system pairs as i(a_i, b_j) = delta_ij."""
 
-        def in_arc(x, lo, hi):  # x strictly inside the cyclic arc lo -> hi
-            if lo < hi:
-                return lo < x < hi
-            return x > lo or x < hi
+        def inside(x: int) -> bool:
+            return lo < x < hi if lo < hi else x > lo or x < hi
 
-        a = in_arc(ft, et, eh)
-        b = in_arc(fh, et, eh)
-        if a == b:
-            return 0
-        # sign calibrated so that the printed genus-2 symplectic word
-        # system pairs as i(a_i, b_j) = delta_ij
-        return -1 if a else 1
+        return {f: inside(ends[f][1]) - inside(ends[f][0]) for f in used}
 
-    def pairing(z: Sequence[int], w: Sequence[int]) -> int:
-        total = 0
-        for e in chords:
-            if not z[e]:
-                continue
-            for f in chords:
-                if e != f and w[f]:
-                    total += z[e] * w[f] * chi(e, f)
-        return total
-
-    r = len(model.basis)
-    return [
-        [pairing(model.basis[i], model.basis[j]) for j in range(r)]
-        for i in range(r)
-    ]
+    # Gram = basis^T X basis, with each crossing of the chord crossing
+    # matrix X computed once, not once per pair of classes
+    X = {e: crossings(*ends[e]) for e in used}
+    XZ = [{e: sum(X[e][f] * c for f, c in sup) for e in used} for sup in support]
+    return [[sum(c * xz[e] for e, c in sup) for xz in XZ] for sup in support]
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +420,20 @@ def symplectic_completion(
 # ---------------------------------------------------------------------------
 
 
+def _in_symplectic_basis(
+    model: H1Model, M: linalg.Matrix, basis: linalg.Matrix
+) -> linalg.Matrix:
+    """S^-1 M S for the columns S of a symplectic basis in H1 coordinates.
+    S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T."""
+    Jinv = linalg.transpose(standard_j(model.g))
+    Sinv = linalg.mat_mul(
+        linalg.mat_mul(Jinv, linalg.transpose(basis)), model.gram
+    )
+    if linalg.mat_mul(Sinv, basis) != linalg.eye(2 * model.g):
+        raise ValueError("basis is not symplectic")
+    return linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
+
+
 def induced_matrix(
     o: Origami,
     phi: F2Endo,
@@ -463,15 +465,52 @@ def induced_matrix(
             raise CertificateError("action is not linear and integral on H1")
         M.append(row)
     if basis is not None:
-        # S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T
-        Jinv = linalg.transpose(standard_j(model.g))
-        Sinv = linalg.mat_mul(
-            linalg.mat_mul(Jinv, linalg.transpose(basis)), model.gram
-        )
-        if linalg.mat_mul(Sinv, basis) != linalg.eye(n):
-            raise ValueError("basis is not symplectic")
-        M = linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
-    assert abs(linalg.det_int(M)) == 1
+        M = _in_symplectic_basis(model, M, basis)
+    if abs(linalg.det_int(M)) != 1:
+        raise CertificateError("action is not invertible on H1")
+    return M
+
+
+def twist_action(
+    o: Origami,
+    m: int,
+    model: Optional[H1Model] = None,
+    basis: Optional[linalg.Matrix] = None,
+) -> linalg.Matrix:
+    """The 2g x 2g matrix on H1 of the horizontal multitwist (1, m; 0, 1),
+    lifted as x -> x, y -> x^m y, in the given symplectic basis (as for
+    `induced_matrix`).
+
+    When p1^m = id the lift's monodromy pair is (p1, p2) itself, so
+    walking phi(w) from any square traces T(chain of w) for the chain map
+    T(h_s) = h_s, T(v_s) = v_s + (m / l) * (sum of h_t over the cylinder
+    Z(s) of s), l the length of Z(s).  Column j is the class of T applied
+    to the basis cycle j; no lifted word is built."""
+    if model is None:
+        model = h1_model(o)
+    d = o.d
+    cores = [z.squares for z in cylinders(o)]
+    if any(m % len(z) for z in cores):
+        raise CertificateError("twist lift does not stabilize the subgroup")
+
+    def T(chain: Sequence[int]) -> List[int]:
+        out = list(chain)
+        for z in cores:
+            k = m // len(z) * sum(chain[d + s - 1] for s in z)
+            if k:
+                for t in z:
+                    out[t - 1] += k
+        return out
+
+    if any(T(face) != face for face in linalg.transpose(model.complex.d2)):
+        raise CertificateError("twist moves a face boundary")
+    try:
+        cols = [model.coords(T(z)) for z in model.basis]
+    except ValueError:
+        raise CertificateError("twist maps a cycle to a non-cycle") from None
+    M = linalg.transpose(cols)
+    if basis is not None:
+        M = _in_symplectic_basis(model, M, basis)
     return M
 
 
@@ -626,11 +665,9 @@ def twist_membership_certificate(
     cylinder directions is affine with derivative (1, m; 0, 1) and acts on
     homology by a unipotent block matrix fixing the cut-system classes.
     `model` and `curves` default to `h1_model(o)` and `find_hss(o)`."""
-    from .freegroup import horizontal_twist_lift
     from .origami import horizontal_multiplier
 
     m, mat = horizontal_multiplier(o)
-    phi = horizontal_twist_lift(m)
     if model is None:
         model = h1_model(o)
     if curves is None:
@@ -639,12 +676,9 @@ def twist_membership_certificate(
     if not f2_independent(classes):
         raise CertificateError("cut system classes dependent mod 2")
     S = symplectic_completion(model, classes)
-    try:
-        M = induced_matrix(o, phi, model, S)
-    except DoesNotStabilize:
-        raise CertificateError(
-            "twist lift does not stabilize the subgroup"
-        ) from None
+    M = twist_action(o, m, model, S)
+    if abs(linalg.det_int(M)) != 1:
+        raise CertificateError("twist action is not invertible on H1")
     A = block_form_check(M)
     if A is None:
         raise CertificateError("twist action is not in block form")
@@ -656,7 +690,8 @@ def twist_membership_certificate(
     return {
         "multiplier": m,
         "matrix": list(mat),
-        # induced_matrix raises unless phi(H) is the stabilizer of the base
+        # twist_action raises unless p1^m = id, so the lift's monodromy pair
+        # is (p1, p2) and phi(H) is the stabilizer of the base
         "witness_square": CosetAction(o).base,
         "curves": [
             {"start": c.start, "word": str(c.word)} for c in curves

@@ -26,6 +26,7 @@ from .origami import Origami, Permutation, act_word, vertex_orbits
 __all__ = [
     "NotInSubgroup",
     "NotAutomorphism",
+    "SchreierSystemError",
     "CosetAction",
     "SchreierSystem",
     "PunctureData",
@@ -47,6 +48,10 @@ class NotInSubgroup(ValueError):
 
 class NotAutomorphism(ValueError):
     pass
+
+
+class SchreierSystemError(ValueError):
+    """A check that decides the Schreier system failed."""
 
 
 # x^-1 y^-1 x y, the loop around a vertex
@@ -119,7 +124,8 @@ def schreier_system(cs: CosetAction) -> SchreierSystem:
                 tree_edges.add((s, g))
                 queue.append(t)
                 order.append(t)
-    assert len(reps) == o.d, "action not transitive"
+    if len(reps) != o.d:
+        raise SchreierSystemError("action not transitive")
     generators: list[Word] = []
     edge_gen: dict[tuple[int, int], Optional[int]] = {}
     for s in order:
@@ -129,10 +135,12 @@ def schreier_system(cs: CosetAction) -> SchreierSystem:
                 edge_gen[(s, g)] = None
             else:
                 h = reps[s] * gen(2, g) * reps[t].inv()
-                assert contains(cs, h), "Schreier generator escaped H"
+                if not contains(cs, h):
+                    raise SchreierSystemError("Schreier generator escaped H")
                 generators.append(h)
                 edge_gen[(s, g)] = len(generators)
-    assert len(generators) == o.d + 1, "Nielsen-Schreier count violated"
+    if len(generators) != o.d + 1:
+        raise SchreierSystemError("Nielsen-Schreier count violated")
     return SchreierSystem(cs, reps, tuple(generators), edge_gen)
 
 

@@ -210,6 +210,36 @@ class TestSweepAndDeterminism:
         assert json.loads(proc.stdout)["genus"] == 3
 
 
+class TestParser:
+    """The argument parser is built once per process and reused."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", "l23", "--twist"],
+            ["veech-check", "l22", "--matrix", "1,2,0,1"],
+            ["hss", "x3", "--trace"],
+        ],
+    )
+    def test_repeat_call_byte_identical(self, capsys, argv):
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, *argv) == first
+
+    def test_argument_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["veech-check", "l22"])
+        assert exc.value.code == 2
+        assert "--matrix" in capsys.readouterr().err
+        data = run_json(capsys, "veech-check", "l22", "--matrix", "1,2,0,1")
+        assert data["member"] is True
+
+    def test_command_looked_up_when_called(self, capsys, monkeypatch):
+        run_json(capsys, "fixtures")
+        monkeypatch.setattr(cli, "cmd_fixtures", lambda args: {"patched": 1})
+        assert run_json(capsys, "fixtures") == {"patched": 1}
+
+
 def src_env():
     """The environment with this checkout's package first on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(cli.__file__)))
@@ -243,6 +273,7 @@ def test_cli_import_leaves_out_sympy():
         ["sweep", "--count", "5", "--max-d", "12", "--seed", "1"],
         ["verify-hss", "o14"],
         ["hss", "o14", "--trace"],
+        ["homology", "o14", "--twist"],
     ],
 )
 def test_same_answers_without_asserts(argv):

@@ -39,10 +39,12 @@ from origami_forge.homology import (
     standard_j,
     symplectic_completion,
     symplectic_names,
+    twist_action,
     twist_membership_certificate,
 )
 from origami_forge.origami import (
     genus,
+    horizontal_multiplier,
     l_origami,
     o14,
     random_origami,
@@ -278,6 +280,43 @@ class TestInducedMatrix:
             induced_matrix(l_origami(2, 2), horizontal_twist_lift(1))
 
 
+class TestTwistAction:
+    """The chain map against the word lift it replaced."""
+
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_matches_induced_matrix(self, o):
+        from origami_forge.hss import find_hss
+
+        model = h1_model(o)
+        m, _ = horizontal_multiplier(o)
+        S = symplectic_completion(model, [
+            model.coords(edge_cycle(o, c.start, c.word)) for c in find_hss(o)
+        ])
+        expected = induced_matrix(o, horizontal_twist_lift(m), model, S)
+        assert twist_action(o, m, model, S) == expected
+
+    def test_without_basis_matches_induced_matrix(self):
+        o = o14()
+        m, _ = horizontal_multiplier(o)
+        expected = induced_matrix(o, horizontal_twist_lift(m))
+        assert twist_action(o, m) == expected
+
+    def test_multiplier_must_be_a_period_of_p1(self):
+        # l22 has cylinders of lengths 2 and 1
+        for m in (1, 3):
+            with pytest.raises(CertificateError, match="does not stabilize"):
+                twist_action(l_origami(2, 2), m)
+
+    @pytest.mark.parametrize("o", FIXTURES, ids=lambda o: f"d{o.d}")
+    def test_multiples_compose(self, o):
+        # the twist by 3m is the cube of the twist by m
+        m, _ = horizontal_multiplier(o)
+        M = twist_action(o, m)
+        assert twist_action(o, 3 * m) == linalg.mat_mul(M, linalg.mat_mul(M, M))
+
+
 class TestBlockForm:
     def test_accepts_unipotent_upper_blocks(self):
         M = [
@@ -336,12 +375,11 @@ class TestCertificateChecks:
         assert issubclass(CertificateError, ValueError)
 
     def test_non_stabilizing_lift_is_certificate_error(self, monkeypatch):
-        from origami_forge import freegroup
+        from origami_forge import origami
 
         # l22 needs the square of the twist; its first power is no member
         monkeypatch.setattr(
-            freegroup, "horizontal_twist_lift",
-            lambda m: horizontal_twist_lift(1),
+            origami, "horizontal_multiplier", lambda o: (1, (1, 1, 0, 1))
         )
         with pytest.raises(CertificateError, match="does not stabilize"):
             twist_membership_certificate(l_origami(2, 2))

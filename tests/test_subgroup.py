@@ -3,6 +3,7 @@ rewriting, puncture relations, and automorphism stabilization."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from origami_forge.freegroup import (
     parse_word,
 )
 from origami_forge.origami import (
+    Permutation,
     act_word,
     cylinders,
     l_origami,
@@ -31,6 +33,7 @@ from origami_forge.subgroup import (
     COMMUTATOR,
     CosetAction,
     NotInSubgroup,
+    SchreierSystemError,
     aut_stabilizes,
     contains,
     puncture_relations,
@@ -153,6 +156,13 @@ class TestSchreierSystem:
         assert ss.gen_index(ss.generators[0]) == 1
         with pytest.raises(NotInSubgroup):
             ss.gen_index(parse_word("y^9"))
+
+    def test_intransitive_action_is_named_error(self):
+        # two separate tori: Origami refuses them, a bare action does not
+        one = Permutation([1, 2])
+        cs = CosetAction(SimpleNamespace(d=2, p1=one, p2=one))
+        with pytest.raises(SchreierSystemError, match="not transitive"):
+            schreier_system(cs)
 
 
 class TestPunctureRelations:
