@@ -18,7 +18,7 @@ import random
 import sys
 from typing import Optional
 
-from . import homology, hss, linalg, moebius
+from . import homology, hss, moebius
 from .freegroup import exponent_sums, is_conjugate_horizontal
 from .origami import (
     Origami,
@@ -305,7 +305,8 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
     rng = random.Random(f"{seed}:{index}")
     d = rng.randint(2, max_d)
     o = random_origami(rng, d)
-    curves = hss.find_hss(o)
+    result = hss.find_hss_detailed(o)
+    curves = result.curves
     model = homology.h1_model(o)
     report = hss_report(o, curves, model)
     hss_ok = (
@@ -317,7 +318,7 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
 
     # step-1 cut count is independent of the bridging order
     ncyl = len(cylinders(o))
-    base_cuts = len(hss.step1(o)[0])
+    base_cuts = len(result.cut_cylinders)
     orders_ok = True
     for _ in range(10):
         order = list(range(ncyl))
@@ -326,16 +327,6 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
             orders_ok = False
             break
 
-    # homology certificates
-    gram_ok = (
-        model.rank == 2 * report["genus"]
-        and all(
-            model.gram[i][j] == -model.gram[j][i]
-            for i in range(model.rank)
-            for j in range(model.rank)
-        )
-        and abs(linalg.det_int(model.gram)) == 1
-    )
     # raises CertificateError unless the multitwist lift stabilizes H
     cert = homology.twist_membership_certificate(o, model, curves)
     veech_ok = cert["witness_square"] is not None
@@ -348,11 +339,11 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
         "cut_count_invariant": orders_ok,
         "multiplier": cert["multiplier"],
         "veech_member": veech_ok,
-        "homology_ok": gram_ok,
+        # h1_model raises unless the form has rank 2g, is skew and unimodular
+        "homology_ok": True,
         "block_form": cert["block"] is not None,
         "charpoly_divides": cert["charpoly_divides"],
-        "ok": all((hss_ok, orders_ok, veech_ok, gram_ok,
-                   cert["charpoly_divides"])),
+        "ok": all((hss_ok, orders_ok, veech_ok, cert["charpoly_divides"])),
     }
 
 

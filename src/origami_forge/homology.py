@@ -25,6 +25,7 @@ from .freegroup import (
 )
 from .hss import find_hss
 from .origami import (
+    BadFormat,
     Origami,
     OrigamiCurve,
     act_word,
@@ -228,8 +229,10 @@ def h1_model(o: Origami) -> H1Model:
     # H1 = Z^k / (boundaries in kernel coordinates)
     snf = linalg.smith_normal_form(linalg.mat_mul(Kinv, cx.d2))
     rho = snf.rank
-    assert all(f in (1, -1) for f in snf.invariant_factors()), "torsion in H1"
-    assert k - rho == 2 * g, "rank of H1 differs from 2g"
+    if any(f not in (1, -1) for f in snf.invariant_factors()):
+        raise ConventionViolation("torsion in H1")
+    if k - rho != 2 * g:
+        raise ConventionViolation("rank of H1 differs from 2g")
     basis = [
         linalg.mat_vec(K, [snf.Uinv[i][j] for i in range(k)])
         for j in range(rho, k)
@@ -237,12 +240,14 @@ def h1_model(o: Origami) -> H1Model:
     coord_rows = linalg.mat_mul(snf.U[rho:], Kinv)
     model = H1Model(o, cx, g, coord_rows, basis, [])
     model.gram = intersection_form(o, model)
-    assert all(
-        model.gram[i][j] == -model.gram[j][i]
+    if any(
+        model.gram[i][j] != -model.gram[j][i]
         for i in range(2 * g)
         for j in range(2 * g)
-    ), "intersection form not skew"
-    assert abs(linalg.det_int(model.gram)) == 1, "intersection form not unimodular"
+    ):
+        raise ConventionViolation("intersection form not skew")
+    if abs(linalg.det_int(model.gram)) != 1:
+        raise ConventionViolation("intersection form not unimodular")
     return model
 
 
@@ -377,27 +382,25 @@ def symplectic_completion(
 ) -> linalg.Matrix:
     """Extend g pairwise-non-intersecting primitive classes (H1 coords) to
     a basis (A_1..A_g, B_1..B_g) in which the form is the standard J.
-    Returns the 2g x 2g column matrix of the new basis."""
+    Returns its 2g x 2g column matrix S; `_in_symplectic_basis` checks it."""
     g = model.g
     A = [list(c) for c in lagrangian]
-    assert len(A) == g, "need exactly g classes"
+    if len(A) != g:
+        raise NotLagrangian("need exactly g classes")
     # <A_i, v> = GtA[i] . v with GtA[i] = A_i^T * Gram
     GtA = [linalg.mat_vec(linalg.transpose(model.gram), a) for a in A]
     for i in range(g):
         for j in range(g):
             if _dot(GtA[i], A[j]) != 0:
                 raise NotLagrangian(f"classes {i} and {j} intersect")
-    Amat = [[A[j][i] for j in range(g)] for i in range(2 * g)]
-    snf = linalg.smith_normal_form(Amat)
-    if snf.rank != g or any(f not in (1, -1) for f in snf.invariant_factors()):
-        raise NotPrimitive("classes do not span a direct summand")
-    # B_j solves <A_i, B_j> = delta_ij
+    # B_j solves <A_i, B_j> = delta_ij.  The Gram matrix is unimodular, so
+    # integral B_j exist iff the A_i span a rank-g direct summand
     C = linalg.smith_normal_form(GtA)
     B = []
     for j in range(g):
-        rhs = [1 if i == j else 0 for i in range(g)]
-        b = C.solve(rhs)
-        assert b is not None, "no integral dual class (form not unimodular?)"
+        b = C.solve([1 if i == j else 0 for i in range(g)])
+        if b is None:
+            raise NotPrimitive("classes do not span a direct summand")
         B.append(b)
     # clear <B_i, B_j> using the A's; GB[j] = Gram * B_j once B_j is final
     GB: List[List[int]] = []
@@ -407,12 +410,7 @@ def symplectic_completion(
             if c:
                 B[i] = [x - c * y for x, y in zip(B[i], A[j])]
         GB.append(linalg.mat_vec(model.gram, B[i]))
-    S = [[(A + B)[j][i] for j in range(2 * g)] for i in range(2 * g)]
-    gram_s = linalg.mat_mul(
-        linalg.mat_mul(linalg.transpose(S), model.gram), S
-    )
-    assert gram_s == standard_j(g), "completion failed to reach standard form"
-    return S
+    return [[(A + B)[j][i] for j in range(2 * g)] for i in range(2 * g)]
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +596,9 @@ class AlphaSpec:
     images: tuple  # 2g Words of rank g
 
     def __post_init__(self):
-        assert len(self.images) == 2 * self.g
-        for w in self.images:
-            assert w.rank == self.g
+        _check_image_count(self.g, self.images)
+        if any(w.rank != self.g for w in self.images):
+            raise UnknownGenerator(f"an image is not a word over F_{self.g}")
 
     @staticmethod
     def standard(g: int) -> "AlphaSpec":
@@ -612,6 +610,13 @@ class AlphaSpec:
         """pattern[i] = 0 for the trivial image, k for the generator γ_k."""
         ims = [word_identity(g) if k == 0 else gen(g, k) for k in pattern]
         return AlphaSpec(g, tuple(ims))
+
+
+def _check_image_count(g: int, images: Sequence[Word]) -> None:
+    if len(images) != 2 * g:
+        raise UnknownGenerator(
+            f"{len(images)} images for the 2g = {2 * g} generators"
+        )
 
 
 def alpha_eval(alpha: AlphaSpec, w: Word) -> Word:
@@ -628,7 +633,7 @@ def modg_alpha_conjugator(
 ) -> Optional[Word]:
     """A single c in F_g with alpha(image(x)) = c alpha(x) c^-1 for all 2g
     symplectic generators, or None."""
-    assert len(images) == 2 * alpha.g
+    _check_image_count(alpha.g, images)
     pairs = []
     for i, img in enumerate(images):
         pairs.append((alpha.images[i], alpha_eval(alpha, img)))
@@ -642,7 +647,7 @@ def modg_alpha_check(alpha: AlphaSpec, images: Sequence[Word]) -> bool:
 def action_matrix_from_images(g: int, images: Sequence[Word]) -> linalg.Matrix:
     """Exponent-sum matrix of a surface-group endomorphism given over the
     symplectic alphabet: column j holds the sums of image(gen j)."""
-    assert len(images) == 2 * g
+    _check_image_count(g, images)
     M = linalg.zeros(2 * g, 2 * g)
     for j, w in enumerate(images):
         sums = exponent_sums(w)
@@ -677,8 +682,7 @@ def twist_membership_certificate(
         raise CertificateError("cut system classes dependent mod 2")
     S = symplectic_completion(model, classes)
     M = twist_action(o, m, model, S)
-    if abs(linalg.det_int(M)) != 1:
-        raise CertificateError("twist action is not invertible on H1")
+    # the block form [[I, A], [0, I]] forces det M = 1
     A = block_form_check(M)
     if A is None:
         raise CertificateError("twist action is not in block form")
@@ -719,7 +723,8 @@ class WordFixture:
 
     @property
     def g(self) -> int:
-        assert len(self.names) % 2 == 0
+        if len(self.names) % 2:
+            raise BadFormat("the alphabet has an odd number of names")
         return len(self.names) // 2
 
     def image_list(self, endo: str) -> List[Word]:
@@ -737,25 +742,29 @@ def parse_word_fixture(text: str) -> WordFixture:
         if not line:
             continue
         if line.startswith("alphabet"):
-            assert not names, f"line {lineno}: alphabet declared twice"
+            if names:
+                raise BadFormat(f"line {lineno}: alphabet declared twice")
             names = line.split()[1:]
             continue
-        parts = line.split("=", 1)
-        assert len(parts) == 2, f"line {lineno}: expected '='"
-        head, body = parts[0].split(), parts[1].strip()
-        if head[0] == "gen" and len(head) == 2:
+        if "=" not in line:
+            raise BadFormat(f"line {lineno}: expected '='")
+        head, body = line.split("=", 1)
+        head, body = head.split(), body.strip()
+        if len(head) == 2 and head[0] == "gen":
             name = head[1]
-            assert name not in gens, f"line {lineno}: duplicate gen {name}"
+            if name in gens:
+                raise BadFormat(f"line {lineno}: duplicate gen {name}")
             if name not in names:
                 names.append(name)
             gens[name] = parse_word(body, rank=2, names=default_names(2))
-        elif head[0] == "image" and len(head) == 3:
+        elif len(head) == 3 and head[0] == "image":
             raw_images.append((head[1], head[2], body))
         else:
-            raise AssertionError(f"line {lineno}: unknown directive")
+            raise BadFormat(f"line {lineno}: unknown directive")
     images: Dict[str, Dict[str, Word]] = {}
     for endo, name, body in raw_images:
-        assert name in names, f"image of unknown generator {name}"
+        if name not in names:
+            raise BadFormat(f"image of unknown generator {name}")
         images.setdefault(endo, {})[name] = parse_word(
             body, rank=len(names), names=names
         )

@@ -291,3 +291,32 @@ def test_same_answers_without_asserts(argv):
     assert optimized.returncode == plain.returncode
     assert optimized.stdout == plain.stdout
     assert optimized.stderr == plain.stderr
+
+
+def test_library_errors_without_asserts():
+    """Under python -O the word-fixture parser and the membership check
+    still raise their named errors."""
+    script = (
+        "from origami_forge.homology import AlphaSpec, modg_alpha_check,"
+        " parse_symplectic, parse_word_fixture\n"
+        "for call in (\n"
+        "    lambda: parse_word_fixture('gen a1 x'),\n"
+        "    lambda: modg_alpha_check(AlphaSpec.standard(2),"
+        " [parse_symplectic(t, 2) for t in ('a1', 'a2', 'b1')]),\n"
+        "):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "BadFormat line 1: expected '='",
+        "UnknownGenerator 3 images for the 2g = 4 generators",
+    ]

@@ -19,7 +19,11 @@ from origami_forge.freegroup import (
 from origami_forge.homology import (
     AlphaSpec,
     CertificateError,
+    ConventionViolation,
     DoesNotStabilize,
+    NotLagrangian,
+    NotPrimitive,
+    UnknownGenerator,
     action_matrix_from_images,
     alpha_eval,
     block_form_check,
@@ -43,6 +47,7 @@ from origami_forge.homology import (
     twist_membership_certificate,
 )
 from origami_forge.origami import (
+    BadFormat,
     genus,
     horizontal_multiplier,
     l_origami,
@@ -157,6 +162,15 @@ class TestH1Model:
         cuv = class_of(o, model, u * v)
         assert cuv == [a + b for a, b in zip(cu, cv)]
 
+    def test_non_skew_form_is_convention_violation(self, monkeypatch):
+        from origami_forge import homology
+
+        monkeypatch.setattr(
+            homology, "intersection_form", lambda o, model: linalg.eye(model.rank)
+        )
+        with pytest.raises(ConventionViolation, match="not skew"):
+            h1_model(l_origami(2, 2))
+
 
 class TestCoordinatesAgainstKernelSmithForm:
     @pytest.mark.parametrize(
@@ -249,7 +263,52 @@ class TestSymplecticCompletion:
                 model.coords(edge_cycle(o, c.start, c.word))
                 for c in find_hss(o)
             ]
-            symplectic_completion(model, classes)  # asserts internally
+            S = symplectic_completion(model, classes)
+            StGS = linalg.mat_mul(
+                linalg.mat_mul(linalg.transpose(S), model.gram), S
+            )
+            assert StGS == standard_j(model.g)
+
+
+class TestSymplecticCompletionErrors:
+    """The completion rejects classes that are not a primitive Lagrangian
+    system: a multiple or a repeat of a class spans no direct summand, and
+    a class meeting another is not isotropic."""
+
+    @staticmethod
+    def cut_classes(o):
+        from origami_forge.hss import find_hss
+
+        model = h1_model(o)
+        classes = [
+            model.coords(edge_cycle(o, c.start, c.word)) for c in find_hss(o)
+        ]
+        return model, classes
+
+    @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
+    def test_multiple_of_a_class_is_not_primitive(self, o):
+        model, (a0, *rest) = self.cut_classes(o)
+        with pytest.raises(NotPrimitive, match="direct summand"):
+            symplectic_completion(model, [[2 * x for x in a0], *rest])
+
+    @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
+    def test_repeated_class_is_not_primitive(self, o):
+        model, (a0, _a1, *rest) = self.cut_classes(o)
+        with pytest.raises(NotPrimitive, match="direct summand"):
+            symplectic_completion(model, [a0, a0, *rest])
+
+    @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
+    def test_class_meeting_another_is_not_lagrangian(self, o):
+        model, classes = self.cut_classes(o)
+        S = symplectic_completion(model, classes)
+        b0 = [row[model.g] for row in S]  # <A_0, B_0> = 1
+        with pytest.raises(NotLagrangian, match="classes 0 and 1 intersect"):
+            symplectic_completion(model, [classes[0], b0, *classes[2:]])
+
+    def test_wrong_class_count_is_not_lagrangian(self):
+        model, classes = self.cut_classes(l_origami(2, 2))
+        with pytest.raises(NotLagrangian, match="exactly g classes"):
+            symplectic_completion(model, classes[:1])
 
 
 class TestInducedMatrix:
@@ -407,6 +466,24 @@ class TestAlphaMembership:
         images = [parse_symplectic(t, 2) for t in ("a1", "a2", "b1", "b2")]
         assert action_matrix_from_images(2, images) == linalg.eye(4)
 
+    def test_wrong_image_count_in_membership(self):
+        images = [parse_symplectic(t, 2) for t in ("a1", "a2", "b1")]
+        with pytest.raises(UnknownGenerator, match="3 images"):
+            modg_alpha_check(AlphaSpec.standard(2), images)
+        with pytest.raises(UnknownGenerator, match="3 images"):
+            modg_alpha_conjugator(AlphaSpec.standard(2), images)
+
+    def test_wrong_image_count_in_action_matrix(self):
+        images = [parse_symplectic(t, 2) for t in ("a1", "a2", "b1")]
+        with pytest.raises(UnknownGenerator, match="3 images"):
+            action_matrix_from_images(2, images)
+
+    def test_bad_alpha_spec(self):
+        with pytest.raises(UnknownGenerator, match="3 images"):
+            AlphaSpec(2, (identity(2),) * 3)
+        with pytest.raises(UnknownGenerator, match="not a word over F_2"):
+            AlphaSpec(2, (identity(3),) * 4)
+
 
 class TestWordFixtures:
     def test_parse_and_shape(self):
@@ -421,6 +498,30 @@ class TestWordFixtures:
         assert wf.g == 1
         assert wf.gens["a1"] == parse_word("x^-2")
         assert len(wf.image_list("f")) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("gen a1 x^-2\n", "line 1: expected '='"),
+            ("gen a1 = x\ngen a1 = y\n", "line 2: duplicate gen a1"),
+            ("alphabet a1 b1\nalphabet a1 b1\n",
+             "line 2: alphabet declared twice"),
+            ("gen a1 = x\nimage f c1 = a1\n",
+             "image of unknown generator c1"),
+            ("gen a1 = x\nrelation a1 = a1\n", "line 2: unknown directive"),
+            ("= x\n", "line 1: unknown directive"),
+        ],
+        ids=["no-equals", "duplicate-gen", "second-alphabet",
+             "unknown-image", "unknown-directive", "empty-head"],
+    )
+    def test_bad_input_is_bad_format(self, text, message):
+        with pytest.raises(BadFormat, match=message):
+            parse_word_fixture(text)
+
+    def test_odd_alphabet_is_bad_format(self):
+        wf = parse_word_fixture("alphabet a1 a2 b1\n")
+        with pytest.raises(BadFormat, match="odd number"):
+            wf.g
 
     def test_shipped_l_shape_fixture(self):
         import os
