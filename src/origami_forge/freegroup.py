@@ -298,11 +298,14 @@ def is_horizontal(w: Word) -> bool:
 
 
 def is_conjugate_horizontal(w: Word) -> bool:
+    """True iff some conjugate of w is horizontal.  The conjugates' y-sign
+    sequences are the rotations of the cyclic core's, and one of those
+    rotations alternates with sum 0 iff the sequence alternates cyclically."""
+    if w.rank != 2:
+        raise RankMismatch("horizontality is defined for rank 2")
     core, _ = cyclic_reduce(w)
-    for _, rot, _ in _rotations(core):
-        if is_horizontal(rot):
-            return True
-    return False
+    ysigns = [e for g, e in core.letters if g == 2]
+    return all(a != b for a, b in zip(ysigns, ysigns[1:] + ysigns[:1]))
 
 
 # ---------------------------------------------------------------------------

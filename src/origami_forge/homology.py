@@ -382,7 +382,7 @@ def symplectic_completion(
 ) -> linalg.Matrix:
     """Extend g pairwise-non-intersecting primitive classes (H1 coords) to
     a basis (A_1..A_g, B_1..B_g) in which the form is the standard J.
-    Returns its 2g x 2g column matrix S; `_in_symplectic_basis` checks it."""
+    Returns its 2g x 2g column matrix S; `_symplectic_inverse` checks it."""
     g = model.g
     A = [list(c) for c in lagrangian]
     if len(A) != g:
@@ -418,10 +418,8 @@ def symplectic_completion(
 # ---------------------------------------------------------------------------
 
 
-def _in_symplectic_basis(
-    model: H1Model, M: linalg.Matrix, basis: linalg.Matrix
-) -> linalg.Matrix:
-    """S^-1 M S for the columns S of a symplectic basis in H1 coordinates.
+def _symplectic_inverse(model: H1Model, basis: linalg.Matrix) -> linalg.Matrix:
+    """S^-1 for the columns S of a symplectic basis in H1 coordinates.
     S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T."""
     Jinv = linalg.transpose(standard_j(model.g))
     Sinv = linalg.mat_mul(
@@ -429,7 +427,7 @@ def _in_symplectic_basis(
     )
     if linalg.mat_mul(Sinv, basis) != linalg.eye(2 * model.g):
         raise ValueError("basis is not symplectic")
-    return linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
+    return Sinv
 
 
 def induced_matrix(
@@ -463,7 +461,8 @@ def induced_matrix(
             raise CertificateError("action is not linear and integral on H1")
         M.append(row)
     if basis is not None:
-        M = _in_symplectic_basis(model, M, basis)
+        Sinv = _symplectic_inverse(model, basis)
+        M = linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
     if abs(linalg.det_int(M)) != 1:
         raise CertificateError("action is not invertible on H1")
     return M
@@ -479,36 +478,31 @@ def twist_action(
     lifted as x -> x, y -> x^m y, in the given symplectic basis (as for
     `induced_matrix`).
 
-    When p1^m = id the lift's monodromy pair is (p1, p2) itself, so
-    walking phi(w) from any square traces T(chain of w) for the chain map
-    T(h_s) = h_s, T(v_s) = v_s + (m / l) * (sum of h_t over the cylinder
-    Z(s) of s), l the length of Z(s).  Column j is the class of T applied
-    to the basis cycle j; no lifted word is built."""
+    The lift twists each cylinder Z, of length l, m / l times about its
+    core c, the class of the sum of h_s over Z.  A cycle b crosses that core
+    once for each v_s with s in Z, and the signed count is <b, c>, so by
+    Picard-Lefschetz M = I + sum_Z (m / l) c (G c)^T, G the Gram matrix.
+    In the basis S the cores are S^-1 c and G is J."""
     if model is None:
         model = h1_model(o)
-    d = o.d
     cores = [z.squares for z in cylinders(o)]
     if any(m % len(z) for z in cores):
         raise CertificateError("twist lift does not stabilize the subgroup")
-
-    def T(chain: Sequence[int]) -> List[int]:
-        out = list(chain)
-        for z in cores:
-            k = m // len(z) * sum(chain[d + s - 1] for s in z)
-            if k:
-                for t in z:
-                    out[t - 1] += k
-        return out
-
-    if any(T(face) != face for face in linalg.transpose(model.complex.d2)):
-        raise CertificateError("twist moves a face boundary")
-    try:
-        cols = [model.coords(T(z)) for z in model.basis]
-    except ValueError:
-        raise CertificateError("twist maps a cycle to a non-cycle") from None
-    M = linalg.transpose(cols)
+    # the core of Z is the sum of its h_s, the edges s - 1 for s in Z
+    classes = [model.coords([int(e + 1 in z) for e in range(2 * o.d)])
+               for z in cores]
+    G = model.gram
     if basis is not None:
-        M = _in_symplectic_basis(model, M, basis)
+        Sinv = _symplectic_inverse(model, basis)
+        classes = [linalg.mat_vec(Sinv, c) for c in classes]
+        G = standard_j(model.g)
+    M = linalg.eye(2 * model.g)
+    for z, c in zip(cores, classes):
+        Gc = linalg.mat_vec(G, c)
+        for i, ci in enumerate(c):
+            if ci:
+                k = m // len(z) * ci
+                M[i] = [x + k * y for x, y in zip(M[i], Gc)]
     return M
 
 
@@ -695,8 +689,9 @@ def twist_membership_certificate(
         "multiplier": m,
         "matrix": list(mat),
         # twist_action raises unless p1^m = id, so the lift's monodromy pair
-        # is (p1, p2) and phi(H) is the stabilizer of the base
-        "witness_square": CosetAction(o).base,
+        # is (p1, p2) and phi(H) is the stabilizer of CosetAction's base
+        # square 1
+        "witness_square": 1,
         "curves": [
             {"start": c.start, "word": str(c.word)} for c in curves
         ],

@@ -1,7 +1,8 @@
 """Moebius transformations and their fixed-point/multiplier coordinates.
 
 This is the only floating-point module in the package; every comparison
-uses an absolute tolerance of 1e-9 on complex entries.
+of complex entries uses an absolute tolerance of 1e-9.  Only the pole test
+of `MoebiusMap.__call__` is relative.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ import cmath
 from dataclasses import dataclass
 
 TOL = 1e-9
+# A denominator c z + d smaller than this against |c z| + |d| is zero up to
+# the digits lost computing z, so the point maps to infinity
+POLE_TOL = 1e-12
 
 
 class DegenerateForm(ValueError):
@@ -46,7 +50,7 @@ class MoebiusMap:
 
     def __call__(self, z: complex) -> complex:
         den = self.c * z + self.d
-        if abs(den) < 1e-300:
+        if abs(den) <= POLE_TOL * (abs(self.c * z) + abs(self.d)):
             return complex("inf")
         return (self.a * z + self.b) / den
 
@@ -98,7 +102,7 @@ class FixedPointData:
         if abs(self.z - self.w) <= TOL:
             raise DegenerateInput("fixed points coincide")
         m = abs(self.multiplier)
-        if not (TOL < m < 1 - TOL * 0):
+        if not (TOL < m < 1):
             if m >= 1:
                 raise DegenerateInput("|multiplier| must be < 1")
             raise DegenerateInput("multiplier must be non-zero")
@@ -109,7 +113,10 @@ def classify(m: MoebiusMap) -> str:
     """One of identity | parabolic | elliptic | loxodromic."""
     if m.approx_eq(IDENTITY):
         return "identity"
-    tr2 = m.trace() ** 2
+    try:
+        tr2 = m.trace() ** 2
+    except OverflowError:
+        raise DegenerateInput("trace too large to square") from None
     if abs(tr2 - 4) <= TOL:
         return "parabolic"
     if abs(tr2.imag) <= TOL and tr2.real < 4:

@@ -158,6 +158,24 @@ class TestMoebius:
         data = run_json(capsys, "moebius", "--", "0,0", "1,0", "-1,0", "0,0")
         assert data["classification"] == "elliptic"
 
+    def test_overflowing_trace_is_degenerate_input(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moebius", "1e200,0", "0,0", "0,0", "1e-200,0"
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DegenerateInput",
+            "message": "trace too large to square",
+        }
+
+    @pytest.mark.parametrize("a", ["10,0", "1e4,0", "1e5,0"])
+    def test_attracting_fixed_point_at_infinity(self, capsys, a):
+        data = run_json(capsys, "moebius", a, "0,0", "0,0", "1,0")
+        assert data["classification"] == "loxodromic"
+        assert data["fixed_point_z"] is None
+        assert data["fixed_point_w"] is not None
+        assert abs(complex(*data["fixed_point_w"])) < 1e-9
+
     def test_bad_entry_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "moebius", "x", "0,0", "0,0", "1,0")
         assert code == 1
@@ -274,6 +292,7 @@ def test_cli_import_leaves_out_sympy():
         ["verify-hss", "o14"],
         ["hss", "o14", "--trace"],
         ["homology", "o14", "--twist"],
+        ["moebius", "1e5,0", "0,0", "0,0", "1,0"],
     ],
 )
 def test_same_answers_without_asserts(argv):

@@ -12,6 +12,7 @@ from origami_forge.freegroup import (
     AllTrivial,
     NotUnimodular,
     Word,
+    _rotations,
     beta_hat,
     compose,
     cyclic_reduce,
@@ -163,12 +164,37 @@ class TestHorizontality:
 
     @given(words)
     def test_conjugate_horizontal_matches_rotation_scan(self, w):
-        core, _ = cyclic_reduce(w)
-        brute = any(
-            is_horizontal(Word(2, core.letters[i:] + core.letters[:i]))
-            for i in range(max(1, len(core.letters)))
-        )
-        assert is_conjugate_horizontal(w) == brute
+        assert is_conjugate_horizontal(w) == rotation_scan(w)
+
+    def test_conjugate_horizontal_matches_rotation_scan_seeded(self):
+        # long words, and conjugates of horizontal words so that both
+        # answers occur often
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(3000):
+            w = Word(2, [(rng.randint(1, 2), rng.choice((-1, 1)))
+                         for _ in range(rng.randint(0, 30))])
+            if rng.random() < 0.5:
+                h = identity(2)
+                for _ in range(rng.randint(0, 4)):
+                    e = rng.choice((-1, 1))
+                    h = (h * x ** rng.randint(-3, 3) * gen(2, 2, e)
+                         * x ** rng.randint(-3, 3) * gen(2, 2, -e))
+                w = h.conj(w)
+            seen.add(rotation_scan(w))
+            assert is_conjugate_horizontal(w) == rotation_scan(w), w
+        assert seen == {True, False}
+
+    def test_conjugate_horizontal_needs_rank_two(self):
+        with pytest.raises(ValueError):
+            is_conjugate_horizontal(gen(3, 1))
+
+
+def rotation_scan(w):
+    """Reference: is some rotation of the cyclic core horizontal?  The
+    O(n^2) scan `is_conjugate_horizontal` was first written as."""
+    core, _ = cyclic_reduce(w)
+    return any(is_horizontal(rot) for _, rot, _ in _rotations(core))
 
 
 class TestExponentMap:

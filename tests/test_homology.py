@@ -48,6 +48,7 @@ from origami_forge.homology import (
 )
 from origami_forge.origami import (
     BadFormat,
+    cylinders,
     genus,
     horizontal_multiplier,
     l_origami,
@@ -374,6 +375,61 @@ class TestTwistAction:
         m, _ = horizontal_multiplier(o)
         M = twist_action(o, m)
         assert twist_action(o, 3 * m) == linalg.mat_mul(M, linalg.mat_mul(M, M))
+
+
+class TestPicardLefschetzPremises:
+    """`twist_action` reads the twist off the cylinder cores: the twist
+    about the core c_Z of Z moves a cycle b by (m / l_Z) <b, c_Z> c_Z."""
+
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_core_pairing_counts_vertical_edges(self, o):
+        from origami_forge.hss import find_hss
+
+        model = h1_model(o)
+        cycles = list(model.basis)
+        cycles += [edge_cycle(o, c.start, c.word) for c in find_hss(o)]
+        cycles += [edge_cycle(o, 1, h)
+                   for h in schreier_system(CosetAction(o)).generators]
+        for z in cylinders(o):
+            c = core_class(o, model, z)
+            for b in cycles:
+                v_count = sum(b[o.d + s - 1] for s in z.squares)
+                assert model.pair(model.coords(b), c) == v_count
+
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_block_is_minus_sum_of_core_squares(self, o):
+        from origami_forge.hss import find_hss
+
+        model = h1_model(o)
+        curves = find_hss(o)
+        cert = twist_membership_certificate(o, model, curves)
+        g, m, A = model.g, cert["multiplier"], cert["block"]
+        assert A == linalg.transpose(A)
+        S = symplectic_completion(model, [
+            model.coords(edge_cycle(o, c.start, c.word)) for c in curves
+        ])
+        expected = linalg.zeros(g, g)
+        for z in cylinders(o):
+            c = core_class(o, model, z)
+            # <c_Z, B_j> is the A_j-coordinate of c_Z
+            a = [model.pair(c, [row[g + j] for row in S]) for j in range(g)]
+            k = m // len(z.squares)
+            for i in range(g):
+                for j in range(g):
+                    expected[i][j] -= k * a[i] * a[j]
+        assert A == expected
+
+
+def core_class(o, model, z):
+    """H1 coordinates of the core of the cylinder z: the sum of its h_s."""
+    chain = [0] * (2 * o.d)
+    for s in z.squares:
+        chain[s - 1] = 1
+    return model.coords(chain)
 
 
 class TestBlockForm:
