@@ -10,16 +10,16 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
-import math
 import os
 import random
 import sys
 from typing import Optional
 
 from . import homology, hss, moebius
-from .freegroup import exponent_sums, is_conjugate_horizontal
+from .freegroup import is_conjugate_horizontal
 from .origami import (
     Origami,
     BadFormat,
@@ -231,14 +231,17 @@ def parse_complex(text: str) -> complex:
     if len(parts) != 2:
         raise BadFormat(f"expected 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise BadFormat(f"non-numeric complex entry {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise BadFormat(f"non-finite complex entry {text!r}")
+    return z
 
 
 def _cplx(z: complex) -> Optional[list]:
     """[re, im], or None for the point at infinity."""
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         return None
     return [z.real, z.imag]
 

@@ -56,7 +56,6 @@ __all__ = [
     "intersection_form",
     "symplectic_completion",
     "induced_matrix",
-    "twist_action",
     "block_form_check",
     "CharPoly",
     "charpoly",
@@ -168,6 +167,8 @@ def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
     """The 1-chain traced by the word from the start square; a cycle iff
     the word's monodromy fixes the start."""
     d = o.d
+    if not 1 <= start <= d:
+        raise ValueError("start square out of range")
     vec = [0] * (2 * d)
     s = start
     for g, e in w.letters:
@@ -306,7 +307,8 @@ def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
                 seen[w] = True
                 tree.append(e)
                 frontier.append(w)
-    assert all(seen), "1-skeleton not connected"
+    if not all(seen):
+        raise ConventionViolation("1-skeleton not connected")
     # contract tree edges: splice the two circles at the edge's darts
     rep = list(range(nv))
 
@@ -320,7 +322,8 @@ def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
     for e in tree:
         t, h = cx.edge_ends(e)
         rt, rh = find(t), find(h)
-        assert rt != rh
+        if rt == rh:
+            raise ConventionViolation("spanning tree edge closes a cycle")
         ca, cb = circ.pop(rt), circ.pop(rh)
         if (e, 0) not in ca:
             ca, cb = cb, ca
@@ -377,22 +380,32 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
+def _check_lagrangian(
+    model: H1Model, classes: Sequence[Sequence[int]]
+) -> List[List[int]]:
+    """Raise NotLagrangian unless there are g pairwise non-intersecting
+    classes; return the rows <A_i, .> = A_i^T * Gram."""
+    g = model.g
+    if len(classes) != g:
+        raise NotLagrangian("need exactly g classes")
+    Gt = linalg.transpose(model.gram)
+    GtA = [linalg.mat_vec(Gt, a) for a in classes]
+    for i in range(g):
+        for j in range(g):
+            if _dot(GtA[i], classes[j]) != 0:
+                raise NotLagrangian(f"classes {i} and {j} intersect")
+    return GtA
+
+
 def symplectic_completion(
     model: H1Model, lagrangian: Sequence[Sequence[int]]
 ) -> linalg.Matrix:
     """Extend g pairwise-non-intersecting primitive classes (H1 coords) to
     a basis (A_1..A_g, B_1..B_g) in which the form is the standard J.
-    Returns its 2g x 2g column matrix S; `_symplectic_inverse` checks it."""
+    Returns its 2g x 2g column matrix S; `induced_matrix` checks it."""
     g = model.g
     A = [list(c) for c in lagrangian]
-    if len(A) != g:
-        raise NotLagrangian("need exactly g classes")
-    # <A_i, v> = GtA[i] . v with GtA[i] = A_i^T * Gram
-    GtA = [linalg.mat_vec(linalg.transpose(model.gram), a) for a in A]
-    for i in range(g):
-        for j in range(g):
-            if _dot(GtA[i], A[j]) != 0:
-                raise NotLagrangian(f"classes {i} and {j} intersect")
+    GtA = _check_lagrangian(model, A)
     # B_j solves <A_i, B_j> = delta_ij.  The Gram matrix is unimodular, so
     # integral B_j exist iff the A_i span a rank-g direct summand
     C = linalg.smith_normal_form(GtA)
@@ -416,18 +429,6 @@ def symplectic_completion(
 # ---------------------------------------------------------------------------
 # induced action matrices
 # ---------------------------------------------------------------------------
-
-
-def _symplectic_inverse(model: H1Model, basis: linalg.Matrix) -> linalg.Matrix:
-    """S^-1 for the columns S of a symplectic basis in H1 coordinates.
-    S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T."""
-    Jinv = linalg.transpose(standard_j(model.g))
-    Sinv = linalg.mat_mul(
-        linalg.mat_mul(Jinv, linalg.transpose(basis)), model.gram
-    )
-    if linalg.mat_mul(Sinv, basis) != linalg.eye(2 * model.g):
-        raise ValueError("basis is not symplectic")
-    return Sinv
 
 
 def induced_matrix(
@@ -461,48 +462,16 @@ def induced_matrix(
             raise CertificateError("action is not linear and integral on H1")
         M.append(row)
     if basis is not None:
-        Sinv = _symplectic_inverse(model, basis)
+        # S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T
+        Jinv = linalg.transpose(standard_j(model.g))
+        Sinv = linalg.mat_mul(
+            linalg.mat_mul(Jinv, linalg.transpose(basis)), model.gram
+        )
+        if linalg.mat_mul(Sinv, basis) != linalg.eye(n):
+            raise ValueError("basis is not symplectic")
         M = linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
     if abs(linalg.det_int(M)) != 1:
         raise CertificateError("action is not invertible on H1")
-    return M
-
-
-def twist_action(
-    o: Origami,
-    m: int,
-    model: Optional[H1Model] = None,
-    basis: Optional[linalg.Matrix] = None,
-) -> linalg.Matrix:
-    """The 2g x 2g matrix on H1 of the horizontal multitwist (1, m; 0, 1),
-    lifted as x -> x, y -> x^m y, in the given symplectic basis (as for
-    `induced_matrix`).
-
-    The lift twists each cylinder Z, of length l, m / l times about its
-    core c, the class of the sum of h_s over Z.  A cycle b crosses that core
-    once for each v_s with s in Z, and the signed count is <b, c>, so by
-    Picard-Lefschetz M = I + sum_Z (m / l) c (G c)^T, G the Gram matrix.
-    In the basis S the cores are S^-1 c and G is J."""
-    if model is None:
-        model = h1_model(o)
-    cores = [z.squares for z in cylinders(o)]
-    if any(m % len(z) for z in cores):
-        raise CertificateError("twist lift does not stabilize the subgroup")
-    # the core of Z is the sum of its h_s, the edges s - 1 for s in Z
-    classes = [model.coords([int(e + 1 in z) for e in range(2 * o.d)])
-               for z in cores]
-    G = model.gram
-    if basis is not None:
-        Sinv = _symplectic_inverse(model, basis)
-        classes = [linalg.mat_vec(Sinv, c) for c in classes]
-        G = standard_j(model.g)
-    M = linalg.eye(2 * model.g)
-    for z, c in zip(cores, classes):
-        Gc = linalg.mat_vec(G, c)
-        for i, ci in enumerate(c):
-            if ci:
-                k = m // len(z) * ci
-                M[i] = [x + k * y for x, y in zip(M[i], Gc)]
     return M
 
 
@@ -674,12 +643,32 @@ def twist_membership_certificate(
     classes = [model.coords(edge_cycle(o, c.start, c.word)) for c in curves]
     if not f2_independent(classes):
         raise CertificateError("cut system classes dependent mod 2")
-    S = symplectic_completion(model, classes)
-    M = twist_action(o, m, model, S)
-    # the block form [[I, A], [0, I]] forces det M = 1
-    A = block_form_check(M)
-    if A is None:
-        raise CertificateError("twist action is not in block form")
+    g = model.g
+    _check_lagrangian(model, classes)
+    # the columns of the 2g x g matrix are the classes A_1..A_g
+    C = linalg.smith_normal_form(linalg.transpose(classes))
+    if C.invariant_factors() != [1] * g:
+        raise NotPrimitive("classes do not span a direct summand")
+    cores = [z.squares for z in cylinders(o)]
+    if any(m % len(z) for z in cores):
+        raise CertificateError("twist lift does not stabilize the subgroup")
+    # By Picard-Lefschetz the lift x -> x, y -> x^m y twists each cylinder
+    # Z, of length l, m / l times about its core c, the class of the sum of
+    # its h_s.  With c = A a + B b in any completion (A, B) it acts by
+    # [[I + sum k a b^T, -sum k a a^T], [sum k b b^T, I - sum k b a^T]],
+    # k = m / l > 0: the block form holds iff every b = 0, i.e. every core
+    # lies in span(A), and then the block is -sum k a a^T
+    A = linalg.zeros(g, g)
+    for z in cores:
+        a = C.solve(model.coords([int(e + 1 in z) for e in range(2 * o.d)]))
+        if a is None:
+            raise CertificateError("twist action is not in block form")
+        k = m // len(z)
+        for i, ai in enumerate(a):
+            if ai:
+                A[i] = [x - k * ai * y for x, y in zip(A[i], a)]
+    eye = linalg.eye(g)
+    M = [eye[i] + A[i] for i in range(g)] + [[0] * g + row for row in eye]
     # der(f) = (1, m; 0, 1) fixes the projection (sx, sy) of each curve
     # word iff the y-exponent sum vanishes
     proj_fixed = all(exponent_sums(c.word)[1] == 0 for c in curves)
@@ -688,16 +677,18 @@ def twist_membership_certificate(
     return {
         "multiplier": m,
         "matrix": list(mat),
-        # twist_action raises unless p1^m = id, so the lift's monodromy pair
-        # is (p1, p2) and phi(H) is the stabilizer of CosetAction's base
-        # square 1
+        # the certificate raises unless p1^m = id, so the lift's monodromy
+        # pair is (p1, p2) and phi(H) is the stabilizer of CosetAction's
+        # base square 1
         "witness_square": 1,
         "curves": [
             {"start": c.start, "word": str(c.word)} for c in curves
         ],
         "block": A,
         "action_matrix": M,
-        "charpoly_divides": charpoly_divides(mat, M),
+        # M = [[I, A], [0, I]] has charpoly (x - 1)^2g, which
+        # char(1, m; 0, 1) = (x - 1)^2 divides since g >= 1
+        "charpoly_divides": True,
         "projection_fixed": proj_fixed,
     }
 

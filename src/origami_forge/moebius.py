@@ -43,6 +43,8 @@ class MoebiusMap:
     @staticmethod
     def from_entries(a: complex, b: complex, c: complex, d: complex) -> "MoebiusMap":
         det = a * d - b * c
+        if not cmath.isfinite(det):
+            raise DegenerateInput("determinant is not finite")
         if abs(det) < TOL * TOL:
             raise DegenerateInput("determinant is zero")
         s = cmath.sqrt(det)

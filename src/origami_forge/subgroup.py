@@ -67,7 +67,8 @@ class CosetAction:
     base: int = 1
 
     def __post_init__(self):
-        assert 1 <= self.base <= self.origami.d, "base square out of range"
+        if not 1 <= self.base <= self.origami.d:
+            raise ValueError("base square out of range")
 
     def act(self, s: int, w: Word) -> int:
         return act_word(self.origami, s, w)
@@ -170,7 +171,8 @@ def rewrite(ss: SchreierSystem, w: Word) -> Word:
 
 def substitute(ss: SchreierSystem, w: Word) -> Word:
     """Replace each generator letter of a rank-(d+1) word by its F_2 word."""
-    assert w.rank == ss.rank, "word rank must equal the generator count"
+    if w.rank != ss.rank:
+        raise ValueError("word rank must equal the generator count")
     return w.substitute(ss.generators, 2)
 
 

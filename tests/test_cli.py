@@ -135,8 +135,14 @@ class TestShearAndHomology:
 
     def test_failed_certificate_check_is_domain_error(self, capsys, monkeypatch):
         from origami_forge import homology
+        from origami_forge.freegroup import parse_word
+        from origami_forge.origami import OrigamiCurve
 
-        monkeypatch.setattr(homology, "block_form_check", lambda M: None)
+        # l22's vertical cores: a Lagrangian the twist does not fix
+        y = parse_word("y")
+        monkeypatch.setattr(homology, "find_hss", lambda o: [
+            OrigamiCurve(min(z), y ** len(z)) for z in o.p2.orbits()
+        ])
         code, out, err = run_cli(capsys, "homology", "l22", "--twist")
         assert code == 1 and out == ""
         payload = json.loads(err)
@@ -166,6 +172,27 @@ class TestMoebius:
         assert json.loads(err)["error"] == {
             "type": "DegenerateInput",
             "message": "trace too large to square",
+        }
+
+    @pytest.mark.parametrize("entries", [
+        ("1e200,0", "0,0", "0,0", "1e200,0"),
+        ("1e300,0", "1,0", "0,0", "1e10,0"),
+        ("1e308,0", "1e308,0", "1e308,0", "1e308,0"),
+    ])
+    def test_infinite_determinant_is_degenerate_input(self, capsys, entries):
+        code, out, err = run_cli(capsys, "moebius", *entries)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DegenerateInput",
+            "message": "determinant is not finite",
+        }
+
+    def test_nan_entry_is_bad_format(self, capsys):
+        code, out, err = run_cli(capsys, "moebius", "nan,0", "0,0", "0,0", "1,0")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "BadFormat",
+            "message": "non-finite complex entry 'nan,0'",
         }
 
     @pytest.mark.parametrize("a", ["10,0", "1e4,0", "1e5,0"])
@@ -293,6 +320,7 @@ def test_cli_import_leaves_out_sympy():
         ["hss", "o14", "--trace"],
         ["homology", "o14", "--twist"],
         ["moebius", "1e5,0", "0,0", "0,0", "1,0"],
+        ["moebius", "1e200,0", "0,0", "0,0", "1e200,0"],
     ],
 )
 def test_same_answers_without_asserts(argv):
@@ -313,15 +341,25 @@ def test_same_answers_without_asserts(argv):
 
 
 def test_library_errors_without_asserts():
-    """Under python -O the word-fixture parser and the membership check
-    still raise their named errors."""
+    """Under python -O the word-fixture parser, the membership check, the
+    coset action, the Schreier substitution and the edge cycle still raise
+    their named errors."""
     script = (
-        "from origami_forge.homology import AlphaSpec, modg_alpha_check,"
-        " parse_symplectic, parse_word_fixture\n"
+        "from origami_forge.freegroup import parse_word\n"
+        "from origami_forge.homology import AlphaSpec, edge_cycle,"
+        " modg_alpha_check, parse_symplectic, parse_word_fixture\n"
+        "from origami_forge.origami import l_origami\n"
+        "from origami_forge.subgroup import CosetAction, schreier_system,"
+        " substitute\n"
+        "o = l_origami(2, 2)\n"
         "for call in (\n"
         "    lambda: parse_word_fixture('gen a1 x'),\n"
         "    lambda: modg_alpha_check(AlphaSpec.standard(2),"
         " [parse_symplectic(t, 2) for t in ('a1', 'a2', 'b1')]),\n"
+        "    lambda: CosetAction(o, base=0),\n"
+        "    lambda: substitute(schreier_system(CosetAction(o)),"
+        " parse_word('x y')),\n"
+        "    lambda: edge_cycle(o, 0, parse_word('x')),\n"
         "):\n"
         "    try:\n"
         "        print('returned', call())\n"
@@ -338,4 +376,7 @@ def test_library_errors_without_asserts():
     assert proc.stdout.splitlines() == [
         "BadFormat line 1: expected '='",
         "UnknownGenerator 3 images for the 2g = 4 generators",
+        "ValueError base square out of range",
+        "ValueError word rank must equal the generator count",
+        "ValueError start square out of range",
     ]

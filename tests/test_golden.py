@@ -2,7 +2,7 @@
 
 The files under ``tests/golden/`` hold the stdout of ``homology --twist``
 on the seven fixtures and on ``random_origami(random.Random(d), d)`` for
-d = 2..24, 32 and 48, and of ``sweep --count 30 --max-d 16 --seed 0``.
+d = 2..24, 32, 48, 64 and 96, and of ``sweep --count 30 --max-d 16 --seed 0``.
 They are the differential test for any change of the homology and
 linear-algebra algorithms: the H1 basis is fixed, so a replacement must
 reproduce every byte.  The ``hss_*`` files hold the stdout of ``hss`` and the stderr of
@@ -28,7 +28,7 @@ from origami_forge.origami import format_origami, random_origami
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 FIXTURE_NAMES = ("wollmilchsau", "o14", "l22", "l23", "l32", "x3", "x4")
-RANDOM_DEGREES = (*range(2, 25), 32, 48)
+RANDOM_DEGREES = (*range(2, 25), 32, 48, 64, 96)
 SWEEP_ARGV = ("sweep", "--count", "30", "--max-d", "16", "--seed", "0")
 HSS_DEGREES = (24, 40)
 

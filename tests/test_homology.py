@@ -43,14 +43,13 @@ from origami_forge.homology import (
     standard_j,
     symplectic_completion,
     symplectic_names,
-    twist_action,
     twist_membership_certificate,
 )
 from origami_forge.origami import (
     BadFormat,
+    OrigamiCurve,
     cylinders,
     genus,
-    horizontal_multiplier,
     l_origami,
     o14,
     random_origami,
@@ -341,7 +340,8 @@ class TestInducedMatrix:
 
 
 class TestTwistAction:
-    """The chain map against the word lift it replaced."""
+    """The certificate's matrix, read off the cores' coordinates in the cut
+    classes, against the word lift's action in the completed basis."""
 
     @pytest.mark.parametrize(
         "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
@@ -350,35 +350,36 @@ class TestTwistAction:
         from origami_forge.hss import find_hss
 
         model = h1_model(o)
-        m, _ = horizontal_multiplier(o)
+        curves = find_hss(o)
+        cert = twist_membership_certificate(o, model, curves)
         S = symplectic_completion(model, [
-            model.coords(edge_cycle(o, c.start, c.word)) for c in find_hss(o)
+            model.coords(edge_cycle(o, c.start, c.word)) for c in curves
         ])
+        m = cert["multiplier"]
         expected = induced_matrix(o, horizontal_twist_lift(m), model, S)
-        assert twist_action(o, m, model, S) == expected
+        assert cert["action_matrix"] == expected
 
-    def test_without_basis_matches_induced_matrix(self):
-        o = o14()
-        m, _ = horizontal_multiplier(o)
-        expected = induced_matrix(o, horizontal_twist_lift(m))
-        assert twist_action(o, m) == expected
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_charpoly_divides_action(self, o):
+        cert = twist_membership_certificate(o)
+        assert charpoly_divides(cert["matrix"], cert["action_matrix"])
 
-    def test_multiplier_must_be_a_period_of_p1(self):
+    def test_multiplier_must_be_a_period_of_p1(self, monkeypatch):
+        from origami_forge import origami
+
         # l22 has cylinders of lengths 2 and 1
         for m in (1, 3):
+            monkeypatch.setattr(
+                origami, "horizontal_multiplier", lambda o: (m, (1, m, 0, 1))
+            )
             with pytest.raises(CertificateError, match="does not stabilize"):
-                twist_action(l_origami(2, 2), m)
-
-    @pytest.mark.parametrize("o", FIXTURES, ids=lambda o: f"d{o.d}")
-    def test_multiples_compose(self, o):
-        # the twist by 3m is the cube of the twist by m
-        m, _ = horizontal_multiplier(o)
-        M = twist_action(o, m)
-        assert twist_action(o, 3 * m) == linalg.mat_mul(M, linalg.mat_mul(M, M))
+                twist_membership_certificate(l_origami(2, 2))
 
 
 class TestPicardLefschetzPremises:
-    """`twist_action` reads the twist off the cylinder cores: the twist
+    """The certificate reads the twist off the cylinder cores: the twist
     about the core c_Z of Z moves a cycle b by (m / l_Z) <b, c_Z> c_Z."""
 
     @pytest.mark.parametrize(
@@ -422,6 +423,13 @@ class TestPicardLefschetzPremises:
                 for j in range(g):
                     expected[i][j] -= k * a[i] * a[j]
         assert A == expected
+
+
+def vertical_cores(o):
+    """The core of each vertical cylinder: y^|z| from the least square of
+    each orbit z of p2."""
+    y = parse_word("y")
+    return [OrigamiCurve(min(z), y ** len(z)) for z in o.p2.orbits()]
 
 
 def core_class(o, model, z):
@@ -484,10 +492,39 @@ class TestCertificateChecks:
     def test_block_form_failure_raises_named_error(self, monkeypatch):
         from origami_forge import homology
 
-        monkeypatch.setattr(homology, "block_form_check", lambda M: None)
+        # every horizontal core crosses a vertical core, and the vertical
+        # cores pair to zero with each other, so no horizontal core lies in
+        # their span
+        monkeypatch.setattr(homology, "find_hss", vertical_cores)
         with pytest.raises(CertificateError, match="not in block form"):
             twist_membership_certificate(l_origami(2, 2))
         assert issubclass(CertificateError, ValueError)
+
+    @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
+    def test_cubed_curve_is_not_primitive(self, o):
+        from origami_forge.hss import find_hss
+
+        c0, *rest = find_hss(o)
+        curves = [OrigamiCurve(c0.start, c0.word ** 3), *rest]
+        with pytest.raises(NotPrimitive, match="direct summand"):
+            twist_membership_certificate(o, curves=curves)
+
+    @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
+    def test_too_few_curves_are_not_lagrangian(self, o):
+        from origami_forge.hss import find_hss
+
+        curves = find_hss(o)[:genus(o) - 1]
+        with pytest.raises(NotLagrangian, match="exactly g classes"):
+            twist_membership_certificate(o, curves=curves)
+
+    @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
+    def test_vertical_core_meets_a_cut_curve(self, o):
+        from origami_forge.hss import find_hss
+
+        c0, _c1, *rest = find_hss(o)
+        curves = [c0, vertical_cores(o)[0], *rest]
+        with pytest.raises(NotLagrangian, match="classes 0 and 1 intersect"):
+            twist_membership_certificate(o, curves=curves)
 
     def test_non_stabilizing_lift_is_certificate_error(self, monkeypatch):
         from origami_forge import origami
