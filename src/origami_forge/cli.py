@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
-Every subcommand prints a single JSON object (with a ``"schema": 1``
-version field) on standard output and exits 0.  Domain errors produce a
-structured JSON error object on standard error and exit code 1; argument
-errors exit 2.  Identical invocations (including seeds) produce
+Every subcommand prints a single JSON object (with a ``"schema"`` version
+field: 2 for ``homology``, 1 for the rest) on standard output and exits 0.
+Domain errors produce a structured JSON error object (schema 1) on
+standard error and exit code 1; argument errors exit 2.  Identical invocations (including seeds) produce
 byte-identical output.
 """
 
@@ -39,6 +39,9 @@ from .origami import (
 from .subgroup import CosetAction, veech_witness
 
 SCHEMA = 1
+# homology's intersection_matrix is written in the tree-cotree basis of
+# `homology.h1_model`; schema 1 wrote it in a Smith-form basis
+HOMOLOGY_SCHEMA = 2
 
 
 class VerificationFailed(ValueError):
@@ -217,7 +220,7 @@ def cmd_homology(args) -> dict:
     o = load_origami(args.origami)
     model = homology.h1_model(o)
     out = {
-        "schema": SCHEMA,
+        "schema": HOMOLOGY_SCHEMA,
         "rank": model.rank,
         "intersection_matrix": model.gram,
     }

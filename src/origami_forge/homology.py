@@ -3,8 +3,14 @@ intersection form, induced action matrices, block-form and characteristic
 polynomial tests, symplectic-homomorphism evaluation and membership checks.
 
 The CW structure has one vertex per singularity orbit, edges h_s (bottom
-side of square s) and v_s (left side), and one face per square.  All
-arithmetic is exact.
+side of square s) and v_s (left side), and one face per square.  H1 is
+read off one tree-cotree decomposition (Eppstein, SODA 2003): a spanning
+tree T of the 1-skeleton, a spanning tree C of the dual graph on the edges
+outside T, and the 2g chords left in neither.  The chords' fundamental
+cycles in T are the basis, peeling C from its leaves gives every edge's
+coordinates, and the Gram matrix is the chords' crossing matrix on the
+ribbon graph with T contracted.  No Smith form is needed: the quotient is
+free by construction.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -134,6 +140,13 @@ class CellComplex:
         return self.vertex_of[s], self.vertex_of[self.o.p2(s)]
 
 
+def _boundary(o: Origami, s: int) -> Tuple[Tuple[int, int], ...]:
+    """(edge index, sign) for each side of square s: +h_s, +v_{p1(s)},
+    -h_{p2(s)}, -v_s.  The columns of d2 and the cotree peel both read it."""
+    d = o.d
+    return ((s - 1, 1), (d + o.p1(s) - 1, 1), (o.p2(s) - 1, -1), (d + s - 1, -1))
+
+
 def cell_complex(o: Origami) -> CellComplex:
     d = o.d
     orbits = vertex_orbits(o)
@@ -141,22 +154,21 @@ def cell_complex(o: Origami) -> CellComplex:
     for vi, orbit in enumerate(orbits):
         for s in orbit:
             vertex_of[s] = vi
-    d2 = linalg.zeros(2 * d, d)
-    for s in range(1, d + 1):
-        col = s - 1
-        d2[s - 1][col] += 1                      # h_s
-        d2[d + o.p1(s) - 1][col] += 1            # v_{p1(s)}
-        d2[o.p2(s) - 1][col] -= 1                # h_{p2(s)}
-        d2[d + s - 1][col] -= 1                  # v_s
     d1 = linalg.zeros(len(orbits), 2 * d)
     for s in range(1, d + 1):
         d1[vertex_of[o.p1(s)]][s - 1] += 1
         d1[vertex_of[s]][s - 1] -= 1
         d1[vertex_of[o.p2(s)]][d + s - 1] += 1
         d1[vertex_of[s]][d + s - 1] -= 1
-    prod = linalg.mat_mul(d1, d2)
-    if any(any(row) for row in prod):
-        raise ConventionViolation("d1 * d2 != 0")
+    cols = []
+    for s in range(1, d + 1):
+        col = [0] * (2 * d)
+        for e, sign in _boundary(o, s):
+            col[e] += sign
+        if any(linalg.mat_vec(d1, col)):
+            raise ConventionViolation("d1 * d2 != 0")
+        cols.append(col)
+    d2 = linalg.transpose(cols)
     chi = len(orbits) - 2 * d + d
     if chi != 2 - 2 * genus(o):
         raise ConventionViolation("Euler characteristic mismatch")
@@ -202,6 +214,9 @@ class H1Model:
     coord_rows: linalg.Matrix        # 2g x 2d: cycle -> H1 coordinates
     basis: List[List[int]]           # 2g edge vectors representing the basis
     gram: linalg.Matrix              # intersection form on the basis
+    tree: List[int]                  # edges of the spanning tree T, BFS order
+    chords: List[int]                # edges in neither T nor C; basis[i]
+                                     # is the cycle of chords[i] in T
 
     @property
     def rank(self) -> int:
@@ -218,28 +233,79 @@ class H1Model:
         return _dot(u, linalg.mat_vec(self.gram, v))
 
 
+def _spanning_tree(cx: CellComplex) -> Tuple[List[int], List[List[int]]]:
+    """A BFS spanning tree T of the 1-skeleton from vertex 0: its edges in
+    the order found, and for each vertex v the edge vector of the path in T
+    from vertex 0 to v."""
+    nv, n = len(cx.vertices), cx.edge_count
+    adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(nv)]
+    for e in range(n):
+        t, h = cx.edge_ends(e)
+        adj[t].append((h, e, 1))
+        adj[h].append((t, e, -1))
+    path: List[Optional[List[int]]] = [None] * nv
+    path[0] = [0] * n
+    tree, order = [], [0]
+    for v in order:
+        for w, e, sign in adj[v]:
+            if path[w] is None:
+                path[w] = path[v][:]
+                path[w][e] += sign
+                tree.append(e)
+                order.append(w)
+    if len(order) != nv:
+        raise ConventionViolation("1-skeleton not connected")
+    return tree, path
+
+
 def h1_model(o: Origami) -> H1Model:
     cx = cell_complex(o)
     g = genus(o)
-    # U d1 V = D: the last k columns of V are a basis K of the cycles, and
-    # the last k rows of V^-1 give any cycle's coordinates in that basis
-    s1 = linalg.smith_normal_form(cx.d1)
-    K = [row[s1.rank:] for row in s1.V]
-    Kinv = s1.Vinv[s1.rank:]
-    k = len(Kinv)
-    # H1 = Z^k / (boundaries in kernel coordinates)
-    snf = linalg.smith_normal_form(linalg.mat_mul(Kinv, cx.d2))
-    rho = snf.rank
-    if any(f not in (1, -1) for f in snf.invariant_factors()):
-        raise ConventionViolation("torsion in H1")
-    if k - rho != 2 * g:
+    n = cx.edge_count
+    tree, path = _spanning_tree(cx)
+    in_tree = set(tree)
+    # each edge bounds two square sides; sides[e] sums their squares
+    sides = [0] * n
+    for s in range(1, o.d + 1):
+        for e, _ in _boundary(o, s):
+            sides[e] += s
+    # C: a BFS spanning tree of the dual graph on the edges outside T,
+    # rooted at square 1; C reaches square f through the edge into[f]
+    into = {1: None}
+    order = [1]
+    for f in order:
+        for e, _ in _boundary(o, f):
+            other = sides[e] - f
+            if e not in in_tree and other not in into:
+                into[other] = e
+                order.append(other)
+    in_cotree = set(into.values())
+    chords = [e for e in range(n) if e not in in_tree and e not in in_cotree]
+    if len(chords) != 2 * g:
         raise ConventionViolation("rank of H1 differs from 2g")
-    basis = [
-        linalg.mat_vec(K, [snf.Uinv[i][j] for i in range(k)])
-        for j in range(rho, k)
-    ]
-    coord_rows = linalg.mat_mul(snf.U[rho:], Kinv)
-    model = H1Model(o, cx, g, coord_rows, basis, [])
+    # col[e] holds the H1 coordinates of edge e: a unit vector for a chord,
+    # 0 for an edge of T, and for the edge e of C into square f minus the
+    # rest of f's boundary, since that boundary is 0 in H1.  Peeling C from
+    # its leaves finds every other C edge of f (into a child) done.
+    col = [[0] * (2 * g) for _ in range(n)]
+    for i, e in enumerate(chords):
+        col[e][i] = 1
+    for f in reversed(order[1:]):
+        e = into[f]
+        rest = [0] * (2 * g)
+        for e2, sign2 in _boundary(o, f):
+            if e2 == e:
+                sign = sign2
+            else:
+                rest = [x + sign2 * y for x, y in zip(rest, col[e2])]
+        col[e] = [-sign * x for x in rest]
+    basis = []
+    for e in chords:
+        t, h = cx.edge_ends(e)
+        z = [a - b for a, b in zip(path[t], path[h])]
+        z[e] += 1
+        basis.append(z)
+    model = H1Model(o, cx, g, linalg.transpose(col), basis, [], tree, chords)
     model.gram = intersection_form(o, model)
     if any(
         model.gram[i][j] != -model.gram[j][i]
@@ -284,31 +350,13 @@ def _rotation_circles(cx: CellComplex) -> List[List[Tuple[int, int]]]:
 
 
 def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
-    """Gram matrix of the algebraic intersection pairing on the basis,
-    computed on the one-vertex ribbon graph obtained by contracting a
-    spanning tree of the 1-skeleton."""
+    """Gram matrix of the algebraic intersection pairing on the basis.
+    Contracting the spanning tree T leaves a one-vertex ribbon graph on
+    which each basis cycle is its chord alone, so the Gram matrix is the
+    crossing matrix of the chords."""
     cx = model.complex
     circles = _rotation_circles(cx)
     nv = len(cx.vertices)
-    # BFS spanning tree over vertices
-    tree: List[int] = []
-    seen = [False] * nv
-    seen[0] = True
-    frontier = [0]
-    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in range(nv)}
-    for e in range(cx.edge_count):
-        t, h = cx.edge_ends(e)
-        adj[t].append((h, e))
-        adj[h].append((t, e))
-    while frontier:
-        v = frontier.pop(0)
-        for w, e in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                tree.append(e)
-                frontier.append(w)
-    if not all(seen):
-        raise ConventionViolation("1-skeleton not connected")
     # contract tree edges: splice the two circles at the edge's darts
     rep = list(range(nv))
 
@@ -319,7 +367,7 @@ def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
         return v
 
     circ = {v: circles[v] for v in range(nv)}
-    for e in tree:
+    for e in model.tree:
         t, h = cx.edge_ends(e)
         rt, rh = find(t), find(h)
         if rt == rh:
@@ -335,32 +383,20 @@ def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
         circ[rt] = merged
     (final,) = circ.values()
     pos = {dart: i for i, dart in enumerate(final)}
-    tree_set = set(tree)
-    ends = {
-        e: (pos[(e, 0)], pos[(e, 1)])
-        for e in range(cx.edge_count)
-        if e not in tree_set
-    }
-    # the classes in chord coordinates: tree edges are contracted away
-    support = [[(e, z[e]) for e in ends if z[e]] for z in model.basis]
-    used = sorted({e for sup in support for e, _ in sup})
+    ends = [(pos[(e, 0)], pos[(e, 1)]) for e in model.chords]
 
-    def crossings(lo: int, hi: int) -> Dict[int, int]:
-        """X[e][f] for the chord e = lo -> hi and each used chord f: +-1
-        when exactly one end of f lies strictly inside the cyclic arc
-        lo -> hi, else 0.  The sign is calibrated so that the printed
-        genus-2 symplectic word system pairs as i(a_i, b_j) = delta_ij."""
+    def crossings(lo: int, hi: int) -> List[int]:
+        """The row of the chord lo -> hi: for each chord, +-1 when exactly
+        one of its ends lies strictly inside the cyclic arc lo -> hi, else
+        0.  The sign is calibrated so that the printed genus-2 symplectic
+        word system pairs as i(a_i, b_j) = delta_ij."""
 
         def inside(x: int) -> bool:
             return lo < x < hi if lo < hi else x > lo or x < hi
 
-        return {f: inside(ends[f][1]) - inside(ends[f][0]) for f in used}
+        return [inside(head) - inside(tail) for tail, head in ends]
 
-    # Gram = basis^T X basis, with each crossing of the chord crossing
-    # matrix X computed once, not once per pair of classes
-    X = {e: crossings(*ends[e]) for e in used}
-    XZ = [{e: sum(X[e][f] * c for f, c in sup) for e in used} for sup in support]
-    return [[sum(c * xz[e] for e, c in sup) for xz in XZ] for sup in support]
+    return [crossings(*e) for e in ends]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact integer linear algebra.
 
-Matrices are lists of rows of ints.  The Smith normal form is computed
-with explicit unimodular transforms, which is what the homology
-computations need: one factorisation answers any number of solves.
+Matrices are lists of rows of ints.  The Smith normal form keeps the two
+unimodular transforms U and V, which is what its callers read: one
+factorisation answers any number of solves.
 """
 
 from __future__ import annotations
@@ -50,16 +50,11 @@ def transpose(A: Matrix) -> Matrix:
 
 @dataclass
 class SmithForm:
-    """D = U * A * V with U, V unimodular; D diagonal with d_i | d_{i+1}.
-
-    Uinv and Vinv are maintained alongside so that A = Uinv * D * Vinv.
-    """
+    """D = U * A * V with U, V unimodular; D diagonal with d_i | d_{i+1}."""
 
     D: Matrix
     U: Matrix
     V: Matrix
-    Uinv: Matrix
-    Vinv: Matrix
 
     @property
     def rank(self) -> int:
@@ -94,43 +89,33 @@ def smith_normal_form(A: Matrix) -> SmithForm:
     m = len(A)
     n = len(A[0]) if m else 0
     D = [row[:] for row in A]
-    U, Uinv = eye(m), eye(m)
-    V, Vinv = eye(n), eye(n)
+    U, V = eye(m), eye(n)
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):  # row_i += c * row_j
         for t in range(n):
             D[i][t] += c * D[j][t]
         for t in range(m):
             U[i][t] += c * U[j][t]
-        for r in Uinv:
-            r[j] -= c * r[i]
 
     def row_neg(i):
         D[i] = [-x for x in D[i]]
         U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
 
     def col_swap(i, j):
         for r in D:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def col_add(i, j, c):  # col_i += c * col_j
         for r in D:
             r[i] += c * r[j]
         for r in V:
             r[i] += c * r[j]
-        for t in range(n):
-            Vinv[j][t] -= c * Vinv[i][t]
 
     k = 0
     while k < min(m, n):
@@ -178,12 +163,7 @@ def smith_normal_form(A: Matrix) -> SmithForm:
                 break
         if fixed:
             k += 1
-    return SmithForm(D, U, V, Uinv, Vinv)
-
-
-def solve_int(A: Matrix, b: list) -> Optional[list]:
-    """One integer solution x of A x = b, or None."""
-    return smith_normal_form(A).solve(b)
+    return SmithForm(D, U, V)
 
 
 def det_int(A: Matrix) -> int:

@@ -152,6 +152,66 @@ class TestShearAndHomology:
         }
 
 
+class TestH1PathAndSchema:
+    """H1 comes from one tree-cotree decomposition, so the only Smith form
+    left on a command's path is the twist certificate's primitivity check.
+    `homology` prints its intersection matrix in that basis, at schema 2."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from origami_forge import linalg
+
+        calls = {"smith_normal_form": 0, "mat_mul": 0}
+        for name in calls:
+
+            def counted(*args, _real=getattr(linalg, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        return calls
+
+    def test_h1_model_runs_no_smith_form(self, calls):
+        from origami_forge import homology
+
+        for make in cli.FIXTURES.values():
+            homology.h1_model(make())
+        assert calls == {"smith_normal_form": 0, "mat_mul": 0}
+
+    @pytest.mark.parametrize("argv, smith_forms", [
+        (["verify-hss", "o14"], 0),
+        (["homology", "o14"], 0),
+        (["homology", "o14", "--twist"], 1),
+    ])
+    def test_smith_forms_per_command(self, capsys, calls, argv, smith_forms):
+        run_json(capsys, *argv)
+        assert calls["smith_normal_form"] == smith_forms
+
+    def test_homology_at_schema_2(self, capsys):
+        assert run_json(capsys, "homology", "o14")["schema"] == 2
+        assert run_json(capsys, "homology", "l22", "--twist")["schema"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "o14"],
+        ["hss", "o14"],
+        ["sweep", "--count", "2", "--max-d", "8"],
+    ])
+    def test_other_commands_at_schema_1(self, capsys, argv):
+        assert run_json(capsys, *argv)["schema"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "/no/such/file.ori"],
+        ["homology", "/no/such/file.ori", "--twist"],
+        ["analyze", "/no/such/file.ori"],
+        ["veech-check", "l22", "--matrix", "1,2,3"],
+        ["moebius", "x,0", "0,0", "0,0", "1,0"],
+    ])
+    def test_error_payloads_at_schema_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["schema"] == 1
+
+
 class TestMoebius:
     def test_loxodromic_with_degenerate_form(self, capsys):
         data = run_json(capsys, "moebius", "2,0", "0,0", "0,0", "0.5,0")

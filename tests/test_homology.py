@@ -4,10 +4,11 @@ word-level mapping-class checks."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from origami_forge import linalg
+from origami_forge import homology, linalg
 from origami_forge.freegroup import (
     F2Endo,
     compose,
@@ -72,12 +73,15 @@ def torus():
     return x_origami(1)
 
 
-def kernel_snf_coords(o):
-    """Reference: the coordinate map H1 models were first built with.
-    The kernel of d1 is a 2d x k matrix K with its own Smith form; the
-    boundaries are solved into kernel coordinates column by column, and a
-    cycle's H1 coordinates are proj * (its solution against K).  Returns
-    the basis and the map."""
+def kernel_snf_model(o):
+    """Reference: the H1 model built from Smith forms, before the
+    tree-cotree decomposition.  The kernel of d1 is a 2d x k matrix K with
+    its own Smith form; the boundaries are solved into kernel coordinates
+    column by column, and U B V = D for that boundary matrix B.  A cycle's
+    H1 coordinates are the last k - rank rows of U times its solution
+    against K; the basis is K times the last columns of U^-1, each solved
+    against U's own Smith form.  Returns the basis, the coordinate map and
+    the chord-support Gram matrix of the basis."""
     cx = cell_complex(o)
     n = 2 * o.d
     s1 = linalg.smith_normal_form(cx.d1)
@@ -90,8 +94,9 @@ def kernel_snf_coords(o):
     snf = linalg.smith_normal_form(B)
     rho = snf.rank
     proj = snf.U[rho:]
+    u_snf = linalg.smith_normal_form(snf.U)
     basis = [
-        linalg.mat_vec(K, [snf.Uinv[i][j] for i in range(k)])
+        linalg.mat_vec(K, u_snf.solve([int(i == j) for i in range(k)]))
         for j in range(rho, k)
     ]
 
@@ -100,7 +105,21 @@ def kernel_snf_coords(o):
         assert c is not None, "chain is not a cycle"
         return linalg.mat_vec(proj, c)
 
-    return basis, coords
+    return basis, coords, chord_support_gram(o, basis)
+
+
+def chord_support_gram(o, basis):
+    """Reference Gram matrix: Z X Z^T, with X the crossing matrix of every
+    edge outside the spanning tree on the contracted ribbon graph, and the
+    rows of Z the basis cycles' coefficients on those edges."""
+    cx = cell_complex(o)
+    tree, _ = homology._spanning_tree(cx)
+    outside = [e for e in range(cx.edge_count) if e not in set(tree)]
+    X = intersection_form(
+        o, SimpleNamespace(complex=cx, tree=tree, chords=outside)
+    )
+    Z = [[z[e] for e in outside] for z in basis]
+    return linalg.mat_mul(linalg.mat_mul(Z, X), linalg.transpose(Z))
 
 
 def coordinate_sample():
@@ -162,6 +181,16 @@ class TestH1Model:
         cuv = class_of(o, model, u * v)
         assert cuv == [a + b for a, b in zip(cu, cv)]
 
+    @pytest.mark.parametrize("d", [128, 160])
+    def test_entries_stay_small(self, d):
+        """Each edge bounds exactly two square sides, and the cotree peel
+        only adds +-1 multiples of child columns, so an edge's coordinates
+        count chords on two sides: |entry| <= 2.  The Gram matrix is a
+        crossing matrix of chords, with entries in {-1, 0, 1}."""
+        model = h1_model(random_origami(random.Random(d), d))
+        assert all(abs(x) <= 2 for row in model.coord_rows for x in row)
+        assert all(x in (-1, 0, 1) for row in model.gram for x in row)
+
     def test_non_skew_form_is_convention_violation(self, monkeypatch):
         from origami_forge import homology
 
@@ -177,19 +206,27 @@ class TestCoordinatesAgainstKernelSmithForm:
         "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
     )
     def test_same_basis_and_coordinates(self, o):
+        """The tree-cotree model against the Smith-form one: the new
+        coordinates S of the reference basis are unimodular, carry the new
+        Gram matrix to the reference one, and map reference coordinates to
+        new ones on every cycle the program pairs."""
         from origami_forge.hss import find_hss
 
         model = h1_model(o)
-        basis, oracle = kernel_snf_coords(o)
-        assert model.basis == basis
-        cycles = list(model.basis)
+        basis, oracle, gram = kernel_snf_model(o)
+        S = linalg.transpose([model.coords(z) for z in basis])
+        assert abs(linalg.det_int(S)) == 1
+        assert linalg.mat_mul(
+            linalg.mat_mul(linalg.transpose(S), model.gram), S
+        ) == gram
+        cycles = basis + model.basis
         cycles += [edge_cycle(o, c.start, c.word) for c in find_hss(o)]
         cs = CosetAction(o)
         cycles += [
             edge_cycle(o, cs.base, h) for h in schreier_system(cs).generators
         ]
         for z in cycles:
-            assert model.coords(z) == oracle(z), (o, z)
+            assert linalg.mat_vec(S, oracle(z)) == model.coords(z), (o, z)
         n = model.rank
         assert [model.coords(z) for z in model.basis] == linalg.eye(n)
 

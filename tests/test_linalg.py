@@ -1,5 +1,5 @@
-"""Exact integer linear algebra: Smith form with transforms, kernels,
-linear solves, determinants, and mod-2 rank."""
+"""Exact integer linear algebra: Smith form with its two transforms,
+kernels, linear solves, determinants, and mod-2 rank."""
 
 import itertools
 import random
@@ -26,8 +26,6 @@ def test_smith_form_transforms(A):
     snf = linalg.smith_normal_form(A)
     m, n = len(A), len(A[0])
     assert linalg.mat_mul(linalg.mat_mul(snf.U, A), snf.V) == snf.D
-    assert linalg.mat_mul(snf.U, snf.Uinv) == linalg.eye(m)
-    assert linalg.mat_mul(snf.V, snf.Vinv) == linalg.eye(n)
     factors = snf.invariant_factors()
     assert all(f > 0 for f in factors)
     for a, b in zip(factors, factors[1:]):
@@ -42,13 +40,11 @@ def test_smith_form_transforms(A):
 @given(small_matrices)
 @settings(max_examples=100, deadline=None)
 def test_kernel_basis_annihilated(A):
-    """The last n - r columns of V span ker A, and the last n - r rows of
-    V^-1 are their left inverse: the facts H1 coordinates are read from."""
+    """The last n - r columns of V lie in ker A."""
     snf = linalg.smith_normal_form(A)
     r, n = snf.rank, len(A[0])
     K = [row[r:] for row in snf.V]
     assert linalg.mat_mul(A, K) == linalg.zeros(len(A), n - r)
-    assert linalg.mat_mul(snf.Vinv[r:], K) == linalg.eye(n - r)
 
 
 @given(small_matrices, st.randoms(use_true_random=False))
@@ -56,14 +52,14 @@ def test_kernel_basis_annihilated(A):
 def test_solve_int_on_solvable_systems(A, rng):
     x = [rng.randint(-4, 4) for _ in A[0]]
     b = linalg.mat_vec(A, x)
-    sol = linalg.solve_int(A, b)
+    sol = linalg.smith_normal_form(A).solve(b)
     assert sol is not None
     assert linalg.mat_vec(A, sol) == b
 
 
 def test_solve_int_unsolvable():
-    assert linalg.solve_int([[2, 0], [0, 2]], [1, 0]) is None
-    assert linalg.solve_int([[1, 0], [1, 0]], [0, 1]) is None
+    assert linalg.smith_normal_form([[2, 0], [0, 2]]).solve([1, 0]) is None
+    assert linalg.smith_normal_form([[1, 0], [1, 0]]).solve([0, 1]) is None
 
 
 @given(small_matrices, st.randoms(use_true_random=False))
