@@ -286,7 +286,8 @@ def h1_model(o: Origami) -> H1Model:
     # col[e] holds the H1 coordinates of edge e: a unit vector for a chord,
     # 0 for an edge of T, and for the edge e of C into square f minus the
     # rest of f's boundary, since that boundary is 0 in H1.  Peeling C from
-    # its leaves finds every other C edge of f (into a child) done.
+    # its leaves reaches f after every other C edge of f, each of which
+    # leads into a child of f.
     col = [[0] * (2 * g) for _ in range(n)]
     for i, e in enumerate(chords):
         col[e][i] = 1

@@ -4,8 +4,9 @@ The files under ``tests/golden/`` hold the stdout of ``homology --twist``
 on the seven fixtures and on ``random_origami(random.Random(d), d)`` for
 d = 2..24, 32, 48, 64 and 96, and of ``sweep --count 30 --max-d 16 --seed 0``.
 They are the differential test for any change of the homology and
-linear-algebra algorithms: the H1 basis is fixed, so a replacement must
-reproduce every byte.  The ``hss_*`` files hold the stdout of ``hss`` and the stderr of
+linear-algebra algorithms: the H1 basis is the tree-cotree basis of
+``h1_model`` (BFS trees from vertex 0 and square 1), so a replacement
+must reproduce every byte, and a change of basis is a ``schema`` change.  The ``hss_*`` files hold the stdout of ``hss`` and the stderr of
 ``hss --trace`` (the merge history, one event per line) on the seven
 fixtures and on ``random_origami(random.Random(d), d)`` for d = 24 and 40;
 they pin the cut-system curves and the event stream of every merge round.

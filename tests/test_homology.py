@@ -114,7 +114,8 @@ def chord_support_gram(o, basis):
     rows of Z the basis cycles' coefficients on those edges."""
     cx = cell_complex(o)
     tree, _ = homology._spanning_tree(cx)
-    outside = [e for e in range(cx.edge_count) if e not in set(tree)]
+    in_tree = set(tree)
+    outside = [e for e in range(cx.edge_count) if e not in in_tree]
     X = intersection_form(
         o, SimpleNamespace(complex=cx, tree=tree, chords=outside)
     )
@@ -192,8 +193,6 @@ class TestH1Model:
         assert all(x in (-1, 0, 1) for row in model.gram for x in row)
 
     def test_non_skew_form_is_convention_violation(self, monkeypatch):
-        from origami_forge import homology
-
         monkeypatch.setattr(
             homology, "intersection_form", lambda o, model: linalg.eye(model.rank)
         )
@@ -527,8 +526,6 @@ class TestCharPoly:
 
 class TestCertificateChecks:
     def test_block_form_failure_raises_named_error(self, monkeypatch):
-        from origami_forge import homology
-
         # every horizontal core crosses a vertical core, and the vertical
         # cores pair to zero with each other, so no horizontal core lies in
         # their span
