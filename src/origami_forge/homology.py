@@ -11,11 +11,19 @@ cycles in T are the basis, peeling C from its leaves gives every edge's
 coordinates, and the Gram matrix is the chords' crossing matrix on the
 ribbon graph with T contracted.  No Smith form is needed: the quotient is
 free by construction.  All arithmetic is exact.
+
+The twist certificate runs no Smith form either.  The cut system's dual
+curves (`hss.dual_curves`) pair with its curves in an upper triangular
+matrix with +-1 on the diagonal, which proves that the curves span a
+direct summand and gives each cylinder core's coordinates by back
+substitution.  Only the oracles `symplectic_completion` and
+`induced_matrix`, which no command calls, still use a Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -29,7 +37,7 @@ from .freegroup import (
     parse_word,
     simultaneous_conjugacy,
 )
-from .hss import find_hss
+from .hss import dual_curves, find_hss_detailed
 from .origami import (
     BadFormat,
     Origami,
@@ -414,7 +422,7 @@ def standard_j(g: int) -> linalg.Matrix:
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _check_lagrangian(
@@ -661,46 +669,78 @@ def action_matrix_from_images(g: int, images: Sequence[Word]) -> linalg.Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _back_substitute(P: linalg.Matrix, r: Sequence[int]) -> List[int]:
+    """The x with P x = r, for P upper triangular with +-1 on the diagonal:
+    each step divides by +-1, so no entry outgrows the sums it is made of."""
+    n = len(r)
+    x = [0] * n
+    for k in range(n - 1, -1, -1):
+        t = r[k]
+        for j in range(k + 1, n):
+            t -= P[k][j] * x[j]
+        x[k] = t * P[k][k]
+    return x
+
+
 def twist_membership_certificate(
     o: Origami,
     model: Optional[H1Model] = None,
     curves: Optional[Sequence[OrigamiCurve]] = None,
+    duals: Optional[Sequence[OrigamiCurve]] = None,
 ) -> dict:
     """Machine-checkable evidence that the horizontal multitwist along the
     cylinder directions is affine with derivative (1, m; 0, 1) and acts on
     homology by a unipotent block matrix fixing the cut-system classes.
-    `model` and `curves` default to `h1_model(o)` and `find_hss(o)`."""
+    `model` defaults to `h1_model(o)`; a missing `curves` or `duals` comes
+    from one `find_hss_detailed(o)` and `hss.dual_curves` of its result."""
     from .origami import horizontal_multiplier
 
     m, mat = horizontal_multiplier(o)
     if model is None:
         model = h1_model(o)
-    if curves is None:
-        curves = find_hss(o)
-    classes = [model.coords(edge_cycle(o, c.start, c.word)) for c in curves]
-    if not f2_independent(classes):
-        raise CertificateError("cut system classes dependent mod 2")
-    g = model.g
-    _check_lagrangian(model, classes)
-    # the columns of the 2g x g matrix are the classes A_1..A_g
-    C = linalg.smith_normal_form(linalg.transpose(classes))
-    if C.invariant_factors() != [1] * g:
-        raise NotPrimitive("classes do not span a direct summand")
+    if curves is None or duals is None:
+        result = find_hss_detailed(o)
+        curves = result.curves if curves is None else curves
+        duals = dual_curves(result) if duals is None else duals
+    chains = [edge_cycle(o, c.start, c.word) for c in curves]
+    GtA = _check_lagrangian(model, [model.coords(z) for z in chains])
+    g, d = model.g, o.d
     cores = [z.squares for z in cylinders(o)]
-    if any(m % len(z) for z in cores):
-        raise CertificateError("twist lift does not stabilize the subgroup")
+
+    def meets(z: Sequence[int], core: Sequence[int]) -> int:
+        """<z, c_Z> for the core c_Z of the cylinder: the signed count of
+        z's vertical edges in it."""
+        return sum(z[d + s - 1] for s in core)
+
     # By Picard-Lefschetz the lift x -> x, y -> x^m y twists each cylinder
     # Z, of length l, m / l times about its core c, the class of the sum of
     # its h_s.  With c = A a + B b in any completion (A, B) it acts by
     # [[I + sum k a b^T, -sum k a a^T], [sum k b b^T, I - sum k b a^T]],
     # k = m / l > 0: the block form holds iff every b = 0, i.e. every core
-    # lies in span(A), and then the block is -sum k a a^T
+    # lies in span(A).  A primitive Lagrangian is its own orthogonal
+    # complement, so that is every core pairing to 0 with every curve
+    if any(meets(z, core) for z in chains for core in cores):
+        raise CertificateError("twist action is not in block form")
+    if any(m % len(core) for core in cores):
+        raise CertificateError("twist lift does not stabilize the subgroup")
+    # P[k][j] = <beta_k, A_j> = -<A_j, beta_k> for the duals beta_k.  Upper
+    # triangular with +-1 on the diagonal, P is invertible over Z, so
+    # P^-1 (<beta_k, .>)_k projects H1 onto span(A): the classes span a
+    # direct summand
+    dual_chains = [edge_cycle(o, c.start, c.word) for c in duals]
+    P = [[-_dot(Ga, b) for Ga in GtA]
+         for b in map(model.coords, dual_chains)]
+    if len(P) != g or any(
+        any(P[k][:k]) or P[k][k] not in (1, -1) for k in range(g)
+    ):
+        raise NotPrimitive(
+            "the dual curves do not certify a direct summand")
+    # then the core's coordinates a solve P a = (<beta_k, c>)_k, and the
+    # block is -sum k a a^T
     A = linalg.zeros(g, g)
-    for z in cores:
-        a = C.solve(model.coords([int(e + 1 in z) for e in range(2 * o.d)]))
-        if a is None:
-            raise CertificateError("twist action is not in block form")
-        k = m // len(z)
+    for core in cores:
+        a = _back_substitute(P, [meets(b, core) for b in dual_chains])
+        k = m // len(core)
         for i, ai in enumerate(a):
             if ai:
                 A[i] = [x - k * ai * y for x, y in zip(A[i], a)]

@@ -13,6 +13,11 @@ stages:
 3. the lists are split along the new curve and stage 2 repeats until
    g curves exist.
 
+``dual_curves`` adds, on demand, one dual curve per cut curve: a vertical
+transversal for each step-1 cut, and each later round's separating partner
+beta traced back like alpha.  The k-th dual meets the k-th cut curve once
+and misses every earlier one, which is what the twist certificate reads.
+
 All policies (bridging order, splice partner and label selection,
 cancellation, tie-breaks) are fixed and deterministic.
 
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .freegroup import Word
-from .origami import Cylinder, Origami, OrigamiCurve, cylinders, genus
+from .origami import Cylinder, Origami, OrigamiCurve, act_word, cylinders, genus
 
 __all__ = [
     "NoCommonLabel",
@@ -65,6 +70,7 @@ __all__ = [
     "emit_curve",
     "step3_update",
     "find_hss",
+    "dual_curves",
     "format_label",
 ]
 
@@ -779,10 +785,15 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
 
 @dataclass
 class HssResult:
+    o: Origami
     curves: list[OrigamiCurve]
     cut_cylinders: list[Cylinder]
     graph: HalfCylinderGraph
     histories: list[MergeHistory] = field(default_factory=list)
+    # the lists of every round and each round's separating partner beta;
+    # dual_curves traces the betas back through them
+    pool: Optional[Pool] = None
+    betas: list[Label] = field(default_factory=list)
 
 
 def find_hss_detailed(o: Origami) -> HssResult:
@@ -794,21 +805,94 @@ def find_hss_detailed(o: Origami) -> HssResult:
     if len(curves) > g:
         raise InconsistentChain("more cylinder cuts than the genus allows")
     if len(curves) == g:
-        return HssResult(curves, cuts, graph)
+        return HssResult(o, curves, cuts, graph)
     pool = init_lists(o, cuts)
     chain: Optional[PairChain] = None
     histories: list[MergeHistory] = []
+    betas: list[Label] = []
     while len(curves) < g:
         if chain is not None:
             step3_update(pool, chain)
         final, history = merge_all(pool)
         histories.append(history)
-        alpha, _beta = find_separating_pair(pool.labels(final))
+        alpha, beta = find_separating_pair(pool.labels(final))
+        betas.append(beta)
         chain = backtrack(pool, history, alpha)
         curves.append(emit_curve(pool, chain))
-    return HssResult(curves, cuts, graph, histories)
+    return HssResult(o, curves, cuts, graph, histories, pool, betas)
 
 
 def find_hss(o: Origami) -> list[OrigamiCurve]:
     """A horizontal Schottky cut system: g closed horizontal curves."""
     return find_hss_detailed(o).curves
+
+
+# ---------------------------------------------------------------------------
+# dual curves
+# ---------------------------------------------------------------------------
+
+# Steps of the walk in the surface cut along the step-1 cores, from the
+# corner at the bottom left of square t: along the bottom of t; up through
+# t, crossing its core; down through the square below t, crossing that
+# square's core; or along the top of the square below t, written y^-1 x y,
+# whose two crossings of that square's core cancel.
+_ALONG_BOTTOM = (Word(2, [(1, 1)]), Word(2, [(1, -1)]))
+_UP, _DOWN = Word(2, [(2, 1)]), Word(2, [(2, -1)])
+_ALONG_TOP = (Word(2, [(2, -1), (1, 1), (2, 1)]),
+              Word(2, [(2, -1), (1, -1), (2, 1)]))
+
+
+def _transversal(o: Origami, z: Cylinder, cut: set[int]) -> OrigamiCurve:
+    """A closed curve from the base s of the cut cylinder z that crosses
+    z's core once upward and every other cut core net zero times: y from s,
+    the shortest walk (BFS, steps in the order above) from the corner p2(s)
+    back to a square of z whose steps cross no cut core net, then x-steps
+    along z to s."""
+    s = z.base
+    inside = set(z.squares)
+    start = o.p2(s)
+    prev: dict[int, Optional[tuple[int, Word]]] = {start: None}
+    queue = [start]
+    for t in queue:
+        if t in inside:
+            break
+        steps = list(_ALONG_BOTTOM)
+        if t not in cut:
+            steps.append(_UP)
+        steps += _ALONG_TOP if o.p2.inverse_of(t) in cut else [_DOWN]
+        for w in steps:
+            u = act_word(o, t, w)
+            if u not in prev:
+                prev[u] = (t, w)
+                queue.append(u)
+    else:
+        raise Disconnected("no walk back to the cut cylinder")
+    walk = []
+    u = t
+    while prev[u] is not None:
+        u, w = prev[u]
+        walk.append(w)
+    letters = [(2, 1)]
+    for w in reversed(walk):
+        letters += w.letters
+    while t != s:
+        letters.append((1, 1))
+        t = o.p1(t)
+    return OrigamiCurve(s, Word(2, letters))
+
+
+def dual_curves(result: HssResult) -> list[OrigamiCurve]:
+    """One closed dual curve per cut curve of the result, in the same order.
+
+    The dual of a step-1 cut is its transversal.  The dual of a later
+    round's curve is that round's beta, traced back like alpha: it lies in
+    the round's list P, so it misses the step-1 cores and the earlier
+    curves, and its two occurrences lie on opposite arcs of alpha's pair,
+    so it crosses alpha once.  So the k-th dual pairs to +-1 with the k-th
+    cut curve and to 0 with every earlier one."""
+    cut = {s for z in result.cut_cylinders for s in z.squares}
+    duals = [_transversal(result.o, z, cut) for z in result.cut_cylinders]
+    for history, beta in zip(result.histories, result.betas):
+        duals.append(emit_curve(result.pool,
+                                backtrack(result.pool, history, beta)))
+    return duals

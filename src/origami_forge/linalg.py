@@ -2,7 +2,9 @@
 
 Matrices are lists of rows of ints.  The Smith normal form keeps the two
 unimodular transforms U and V, which is what its callers read: one
-factorisation answers any number of solves.
+factorisation answers any number of solves.  No command runs it: its
+callers are the oracles `homology.symplectic_completion` and
+`homology.induced_matrix`, which the tests check the command paths against.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class SmithForm:
             if self.D[i][i] != 0:
                 r += 1
         return r
-
-    def invariant_factors(self) -> list:
-        return [self.D[i][i] for i in range(self.rank)]
 
     def solve(self, b: list) -> Optional[list]:
         """One integer solution x of A x = b, or None."""

@@ -76,6 +76,21 @@ class TestHss:
             {"start": 5, "word": "x^3"},
         ]
 
+    def test_hss_builds_no_dual_curves(self, capsys, monkeypatch):
+        """Only the twist certificate needs the dual curves: `hss`
+        backtracks once per round, for alpha alone."""
+        from origami_forge import hss
+
+        real, calls = hss.backtrack, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hss, "backtrack", counted)
+        run_json(capsys, "hss", "o14")
+        assert len(calls) == 2  # o14 has two backtracking rounds
+
     def test_trace_emits_json_lines(self, capsys):
         code, out, err = run_cli(capsys, "hss", "wollmilchsau", "--trace")
         assert code == 0
@@ -140,9 +155,16 @@ class TestShearAndHomology:
 
         # l22's vertical cores: a Lagrangian the twist does not fix
         y = parse_word("y")
-        monkeypatch.setattr(homology, "find_hss", lambda o: [
-            OrigamiCurve(min(z), y ** len(z)) for z in o.p2.orbits()
-        ])
+        real = homology.find_hss_detailed
+
+        def vertical_cores(o):
+            result = real(o)
+            result.curves = [
+                OrigamiCurve(min(z), y ** len(z)) for z in o.p2.orbits()
+            ]
+            return result
+
+        monkeypatch.setattr(homology, "find_hss_detailed", vertical_cores)
         code, out, err = run_cli(capsys, "homology", "l22", "--twist")
         assert code == 1 and out == ""
         payload = json.loads(err)
@@ -153,9 +175,10 @@ class TestShearAndHomology:
 
 
 class TestH1PathAndSchema:
-    """H1 comes from one tree-cotree decomposition, so the only Smith form
-    left on a command's path is the twist certificate's primitivity check.
-    `homology` prints its intersection matrix in that basis, at schema 2."""
+    """H1 comes from one tree-cotree decomposition, and the twist
+    certificate proves primitivity by the cut system's dual curves, so no
+    command's path runs a Smith form.  `homology` prints its intersection
+    matrix in the tree-cotree basis, at schema 2."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -181,7 +204,8 @@ class TestH1PathAndSchema:
     @pytest.mark.parametrize("argv, smith_forms", [
         (["verify-hss", "o14"], 0),
         (["homology", "o14"], 0),
-        (["homology", "o14", "--twist"], 1),
+        (["homology", "o14", "--twist"], 0),
+        (["sweep", "--count", "5", "--max-d", "16"], 0),
     ])
     def test_smith_forms_per_command(self, capsys, calls, argv, smith_forms):
         run_json(capsys, *argv)

@@ -46,11 +46,13 @@ from origami_forge.homology import (
     symplectic_names,
     twist_membership_certificate,
 )
+from origami_forge.hss import dual_curves, find_hss_detailed
 from origami_forge.origami import (
     BadFormat,
     OrigamiCurve,
     cylinders,
     genus,
+    is_closed,
     l_origami,
     o14,
     random_origami,
@@ -468,6 +470,19 @@ def vertical_cores(o):
     return [OrigamiCurve(min(z), y ** len(z)) for z in o.p2.orbits()]
 
 
+def with_curves(make_curves):
+    """find_hss_detailed with its curves replaced by make_curves(o); the
+    duals stay those of the real cut system."""
+    real = homology.find_hss_detailed
+
+    def patched(o):
+        result = real(o)
+        result.curves = make_curves(o)
+        return result
+
+    return patched
+
+
 def core_class(o, model, z):
     """H1 coordinates of the core of the cylinder z: the sum of its h_s."""
     chain = [0] * (2 * o.d)
@@ -529,7 +544,8 @@ class TestCertificateChecks:
         # every horizontal core crosses a vertical core, and the vertical
         # cores pair to zero with each other, so no horizontal core lies in
         # their span
-        monkeypatch.setattr(homology, "find_hss", vertical_cores)
+        monkeypatch.setattr(homology, "find_hss_detailed",
+                            with_curves(vertical_cores))
         with pytest.raises(CertificateError, match="not in block form"):
             twist_membership_certificate(l_origami(2, 2))
         assert issubclass(CertificateError, ValueError)
@@ -574,6 +590,103 @@ class TestCertificateChecks:
         o = l_origami(2, 2)
         with pytest.raises(ValueError, match="not symplectic"):
             induced_matrix(o, identity_endo(), basis=linalg.eye(4))
+
+
+def dual_pairing(o, model, curves, duals):
+    """P[k][j] = <beta_k, A_j> for the duals beta_k and the curves A_j."""
+    A = [model.coords(edge_cycle(o, c.start, c.word)) for c in curves]
+    B = [model.coords(edge_cycle(o, c.start, c.word)) for c in duals]
+    return [[model.pair(b, a) for a in A] for b in B], A
+
+
+class TestDualCurves:
+    """The cut system's dual curves certify it: the k-th dual meets the
+    k-th cut curve once and misses every earlier one."""
+
+    @pytest.mark.parametrize(
+        "o",
+        coordinate_sample()
+        + [random_origami(random.Random(d), d) for d in (32, 48, 64)],
+        ids=lambda o: f"d{o.d}",
+    )
+    def test_unit_triangular_pairing_gives_core_coordinates(self, o):
+        model = h1_model(o)
+        result = find_hss_detailed(o)
+        duals = dual_curves(result)
+        assert len(duals) == len(result.curves) == model.g
+        assert all(is_closed(o, c) for c in duals)
+        P, A = dual_pairing(o, model, result.curves, duals)
+        for k, row in enumerate(P):
+            assert row[k] in (1, -1)
+            assert not any(row[:k])
+        # <beta_k, c_Z> is the count of beta_k's vertical edges in Z
+        chains = [edge_cycle(o, c.start, c.word) for c in duals]
+        for z in cylinders(o):
+            r = [sum(b[o.d + s - 1] for s in z.squares) for b in chains]
+            a = homology._back_substitute(P, r)
+            spanned = [sum(ai * col[i] for ai, col in zip(a, A))
+                       for i in range(2 * model.g)]
+            assert spanned == core_class(o, model, z)
+
+    def test_reversed_duals_are_not_primitive(self):
+        o = o14()
+        result = find_hss_detailed(o)
+        duals = dual_curves(result)
+        with pytest.raises(NotPrimitive, match="direct summand"):
+            twist_membership_certificate(o, duals=duals[::-1])
+        # both reversed, o14's pairing is lower triangular with a non-zero
+        # entry below the diagonal
+        with pytest.raises(NotPrimitive, match="direct summand"):
+            twist_membership_certificate(
+                o, curves=result.curves[::-1], duals=duals[::-1])
+
+    def test_back_substitution_divides_by_the_diagonal(self):
+        rng = random.Random(13)
+        for n in range(1, 8):
+            P = [[rng.choice((1, -1)) if j == k else
+                  rng.randint(-3, 3) if j > k else 0 for j in range(n)]
+                 for k in range(n)]
+            x = [rng.randint(-5, 5) for _ in range(n)]
+            assert homology._back_substitute(P, linalg.mat_vec(P, x)) == x
+
+    @pytest.mark.parametrize("d", [128, 160])
+    def test_certificate_integers_stay_small(self, d, monkeypatch):
+        """Every entry of P, every partial sum of the back substitution and
+        every coordinate a_Z is at most L, the total letter count of the
+        curves and the duals.  The right-hand sides and the step-1 rows of
+        P count one word's vertical letters in one cylinder, so they are at
+        most L.  Every other entry of P is the intersection number of two
+        of the words; pushed off the edges, each letter of one crosses one
+        edge, so it is at most a product of letter counts, a polynomial
+        bound.  a_Z is the output's own coordinate vector: block[i][i] is
+        -sum k_Z a_Z[i]^2 with every k_Z >= 1.  Back substitution divides
+        only by +-1, so it multiplies no sizes.  Measured: |P| <= 42 and
+        |a_Z| <= 1, far below L."""
+        o = random_origami(random.Random(d), d)
+        result = find_hss_detailed(o)
+        duals = dual_curves(result)
+        L = sum(len(c.word) for c in result.curves + duals)
+        seen = []
+        real = homology._back_substitute
+
+        def recorded(P, r):
+            x = real(P, r)
+            seen.append((P, r, x))
+            return x
+
+        monkeypatch.setattr(homology, "_back_substitute", recorded)
+        twist_membership_certificate(o, h1_model(o), result.curves, duals)
+        assert len(seen) == len(cylinders(o))
+        P = seen[0][0]
+        assert max(abs(x) for row in P for x in row) <= L
+        for _, r, x in seen:
+            assert max(map(abs, x)) <= L
+            for k in range(len(r)):
+                t = r[k]
+                assert abs(t) <= L
+                for j in range(k + 1, len(r)):
+                    t -= P[k][j] * x[j]
+                    assert abs(t) <= L
 
 
 class TestAlphaMembership:
