@@ -23,27 +23,33 @@ cancellation, tie-breaks) are fixed and deterministic.
 
 Stages 2 and 3 look things up by index instead of rescanning.  Every
 label is interned to a small int when its side is created (``Pool.lab``),
-so all label equality tests compare ints.  ``merge_all`` builds, per
-round, an inverted index from label id to the remaining pool lists that
-hold it, keeps a count of the label ids in the accumulator and a min-heap
-of candidate pool positions; the next splice partner is the smallest
-position that still shares a label, which is the list a front-to-back
-rescan would pick.  Cancellation resumes one position left of the last
-hit, because everything before it was already checked clean; as the
-accumulator is itself clean, a splice checks only the pairs from the
-first junction to the start of the accumulator's tail.  The wrap-around
-pair is checked last.  The events, their order and the list numbering
-are those of a full rescan after every removal.  Stage 3 keeps a
-side -> pool list map instead of searching the pool for each pair.
+so all label equality tests compare ints.  A pool list never changes once
+made, so its label ids, its square-label ids and its side -> position map
+are computed once per list.  ``merge_all`` keeps one mutable accumulator
+(its sides and their label ids) for the whole round: a splice or a
+cancellation edits it in place and logs an event under a fresh list id,
+and only the round's final list P is stored.  The next splice partner is
+found through an inverted index from label id to the remaining pool lists
+that hold it, a count of the label ids in the accumulator and a min-heap
+of candidate pool positions; it is the smallest position that still
+shares a label, which is the list a front-to-back rescan would pick.
+Cancellation resumes one position left of the last hit, because
+everything before it was already checked clean; as the accumulator is
+itself clean, a splice checks only the pairs from the first junction to
+the start of the accumulator's tail.  The wrap-around pair is checked
+last.  The events, their order and the list numbering are those of a full
+rescan after every removal.  Backtracking tells the two operands of a
+splice apart by a side -> initial-list map, and inserts split pairs into
+a linked chain.  Stage 3 keeps a side -> pool list map, finds sides by
+their stored positions, and rebuilds the pool order once per round.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .freegroup import Word
 from .origami import Cylinder, Origami, OrigamiCurve, act_word, cylinders, genus
@@ -63,7 +69,6 @@ __all__ = [
     "Pool",
     "step1",
     "init_lists",
-    "concatenate",
     "merge_all",
     "find_separating_pair",
     "backtrack",
@@ -209,8 +214,7 @@ def step1(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Side:
+class _Side(NamedTuple):
     """One occurrence of a label on the cut boundary.  Identity matters:
     sides survive splicing and are tracked through the merge history."""
 
@@ -224,7 +228,8 @@ class LabeledList:
     """An immutable list of sides with a cyclic flag.
 
     kind: 'u' / 'o' for boundary lists, 'lz' for an uncut cylinder's
-    combined list [a_Z, lower..., a_Z, upper...], 'm' for merge results.
+    combined list [a_Z, lower..., a_Z, upper...], 'm' for a round's final
+    list P.
     """
 
     lid: int
@@ -244,6 +249,9 @@ class MergeHistory:
     Events:
       ('merge', result, left, right, glued_left_side, glued_right_side)
       ('cancel', result, parent, removed_side_a, removed_side_b)
+
+    The right operand of a merge is always one of the initial lists; the
+    results of the events are not stored, except the final one.
     """
 
     initial: list[int]
@@ -265,30 +273,40 @@ PairChain = list  # of ChainPair
 
 class Pool:
     """Mutable state of one cut-system computation: the side registry,
-    every list ever formed, and the current pool sections.
+    the stored lists and the current pool sections.
 
     Labels are interned: ``lab[sid]`` is the label id of side sid,
-    ``label_ids`` and ``label_at`` map a label to its id and back, and
+    ``label_ids`` and ``label_at`` map a label to its id and back,
     ``square`` / ``unprimed`` say per id whether it is a square label and
-    whether it carries no marks.  ``home`` maps every side of a current pool list to that list's lid.
+    whether it carries no marks, and ``order`` holds the sort key of each
+    square label.  ``home`` maps every side of a current pool list to that
+    list's lid.  Per stored list, ``labs`` holds its label ids and ``own``
+    its square-label ids; ``positions`` holds a side -> position map, made
+    on first use.  ``exponents`` keeps each chain pair's x-exponent.
     """
 
     def __init__(self, o: Origami):
         self.o = o
-        self.sides: dict[int, _Side] = {}
+        self.sides: list[_Side] = []
         self.lists: dict[int, LabeledList] = {}
+        self.labs: dict[int, list[int]] = {}
+        self.own: dict[int, list[int]] = {}
+        self.positions: dict[int, dict[int, int]] = {}
+        self.exponents: dict[tuple[int, int, int], int] = {}
         self.lab: list[int] = []
         self.label_ids: dict[Label, int] = {}
         self.square: list[bool] = []
         self.unprimed: list[bool] = []
+        self.order: list[Optional[tuple]] = []
         self.label_at: list[Label] = []
+        self.primes: dict[tuple[int, int], int] = {}  # (label id, mark) -> id
         self.home: dict[int, int] = {}
-        self._next_side = 0
         self._next_list = 0
         # sections hold (cylinder base, lid), kept sorted by cylinder
         self.u_section: list[tuple[int, int]] = []
         self.o_section: list[tuple[int, int]] = []
         self.lz_section: list[tuple[int, int]] = []
+        self.second_sentinel: dict[int, int] = {}  # uncut cylinder -> side
         self.cyl_of: dict[int, Cylinder] = {}
         self.cyl_pos: dict[int, int] = {}    # square -> index in its cylinder
         for z in cylinders(o):
@@ -298,24 +316,60 @@ class Pool:
 
     # -- registry helpers --------------------------------------------------
 
-    def new_side(self, label: Label, half: Optional[str], cyl: int) -> int:
-        sid = self._next_side
-        self._next_side += 1
-        self.sides[sid] = _Side(label, half, cyl)
+    def intern(self, label: Label) -> int:
         lab = self.label_ids.get(label)
         if lab is None:
             lab = self.label_ids[label] = len(self.label_at)
             self.label_at.append(label)
-            self.square.append(_is_square(label))
-            self.unprimed.append(_is_square(label) and not label.marks)
+            sq = _is_square(label)
+            self.square.append(sq)
+            self.unprimed.append(sq and not label.marks)
+            self.order.append(_label_key(label) if sq else None)
+        return lab
+
+    def new_side(self, label: Label, half: Optional[str], cyl: int) -> int:
+        return self._add_side(self.intern(label), half, cyl)
+
+    def _add_side(self, lab: int, half: Optional[str], cyl: int) -> int:
+        sid = len(self.sides)
+        self.sides.append(_Side(self.label_at[lab], half, cyl))
         self.lab.append(lab)
         return sid
 
-    def new_list(self, sides, cyclic: bool, kind: str, cyl: int) -> int:
+    def primed(self, sid: int, mark: int) -> int:
+        """A new side like sid whose label carries one more mark."""
+        key = (self.lab[sid], mark)
+        lab = self.primes.get(key)
+        side = self.sides[sid]
+        if lab is None:
+            label = SLabel(side.label.square, side.label.marks + (mark,))
+            lab = self.primes[key] = self.intern(label)
+        return self._add_side(lab, side.half, side.cyl)
+
+    def new_lid(self) -> int:
         lid = self._next_list
         self._next_list += 1
-        self.lists[lid] = LabeledList(lid, tuple(sides), cyclic, kind, cyl)
         return lid
+
+    def new_list(self, sides, cyclic: bool, kind: str, cyl: int) -> int:
+        return self.put_list(self.new_lid(), sides, cyclic, kind, cyl)
+
+    def put_list(self, lid: int, sides, cyclic: bool, kind: str,
+                 cyl: int) -> int:
+        """Store a list under a lid taken before with new_lid."""
+        lst = self.lists[lid] = LabeledList(lid, tuple(sides), cyclic, kind, cyl)
+        lab, square = self.lab, self.square
+        labs = self.labs[lid] = [lab[s] for s in lst.sides]
+        self.own[lid] = [l for l in labs if square[l]]
+        return lid
+
+    def position(self, lid: int) -> dict[int, int]:
+        """Side -> index in the stored list lid."""
+        pos = self.positions.get(lid)
+        if pos is None:
+            pos = self.positions[lid] = {
+                s: k for k, s in enumerate(self.lists[lid].sides)}
+        return pos
 
     def label_of(self, sid: int) -> Label:
         return self.sides[sid].label
@@ -326,7 +380,7 @@ class Pool:
             self.home[s] = lid
 
     def labels(self, lid: int) -> list[Label]:
-        return [self.label_of(s) for s in self.lists[lid].sides]
+        return [self.label_at[l] for l in self.labs[lid]]
 
     def pool_lids(self) -> list[int]:
         return [lid for _, lid in self.u_section + self.o_section + self.lz_section]
@@ -356,6 +410,7 @@ class Pool:
             else:
                 a1 = self.new_side(Sentinel(base), None, base)
                 a2 = self.new_side(Sentinel(base), None, base)
+                self.second_sentinel[base] = a2
                 lz = self.new_list([a1] + u_sides + [a2] + o_sides, True, "lz", base)
                 self.lz_section.append((base, lz))
                 self.settle(lz)
@@ -374,56 +429,39 @@ def init_lists(o: Origami, cuts: list[Cylinder]) -> Pool:
 # ---------------------------------------------------------------------------
 
 
-def concatenate(pool: Pool, lid: int, mid: int, at: Label,
-                history: Optional[MergeHistory] = None) -> int:
-    """Splice two lists at the first occurrence of `at` in each:
-    [a.., at, b..] + [c.., at, d..] -> [a.., d.., c.., b..], followed by
-    repeated cancellation of adjacent equal labels (with wrap-around).
-    Returns the lid of the result."""
-    at_id = pool.label_ids.get(at)
-    if at_id is None:
-        raise NoCommonLabel(f"label {format_label(at)} missing")
-    return _splice(pool, lid, mid, at_id, history)[0]
+def _splice(pool: Pool, lid: int, sides: list[int], labs: list[int],
+            mid: int, at: int, events: list[tuple], clean: bool) -> int:
+    """Splice pool list mid into the accumulator (lid, sides, labs) at the
+    first occurrence of label id `at` in each,
+    [a.., at, b..] + [c.., at, d..] -> [a.., d.., c.., b..], in place, then
+    cancel; returns the accumulator's new lid.
 
-
-def _splice(pool: Pool, lid: int, mid: int, at: int,
-            history: Optional[MergeHistory],
-            clean_labs: Optional[list[int]] = None) -> tuple[int, list[int]]:
-    """concatenate on a label id; returns the result's lid and label ids.
-
-    `clean_labs`, when given, are the label ids of list lid, which is
-    clean (a cancellation result): no two adjacent labels in it are
-    equal, so the pairs inside a and inside b need no check.  The list
-    is consumed."""
-    if lid == mid:
-        raise ValueError("cannot splice a list with itself")
-    L, M = pool.lists[lid].sides, pool.lists[mid].sides
-    lab_l = clean_labs if clean_labs is not None else [pool.lab[s] for s in L]
-    lab_m = [pool.lab[s] for s in M]
+    When `clean`, no two adjacent labels of the accumulator are equal (it
+    is a cancellation result), so the pairs inside a and inside b need no
+    check."""
+    M, lab_m = pool.lists[mid].sides, pool.labs[mid]
     try:
-        i, j = lab_l.index(at), lab_m.index(at)
+        i, j = labs.index(at), lab_m.index(at)
     except ValueError:
         raise NoCommonLabel(
             f"label {format_label(pool.label_at[at])} missing") from None
-    sides = list(L)
+    glued = sides[i]
+    b = len(labs) - i - 1
     sides[i:i + 1] = M[j + 1:] + M[:j]
-    labs = lab_l
     labs[i:i + 1] = lab_m[j + 1:] + lab_m[:j]
-    rid = pool.new_list(sides, True, "m", 0)
-    if history is not None:
-        history.events.append(("merge", rid, lid, mid, L[i], M[j]))
-    if clean_labs is None:
-        return _cancel_all(pool, rid, sides, labs, history, 0, len(labs))
-    b = len(L) - i - 1
-    return _cancel_all(pool, rid, sides, labs, history,
-                       max(i - 1, 0), len(labs) - b)
+    rid = pool.new_lid()
+    events.append(("merge", rid, lid, mid, glued, M[j]))
+    if clean:
+        return _cancel_all(pool, rid, sides, labs, events, max(i - 1, 0),
+                           len(labs) - b)
+    return _cancel_all(pool, rid, sides, labs, events, 0, len(labs))
 
 
 def _cancel_all(pool: Pool, lid: int, sides: list[int], labs: list[int],
-                history: Optional[MergeHistory], k: int,
-                clean_from: int) -> tuple[int, list[int]]:
+                events: list[tuple], k: int, clean_from: int) -> int:
     """Remove the first adjacent pair of equal labels, else the wrap-around
-    pair, until neither exists; every intermediate list is materialised.
+    pair, until neither exists.  The accumulator is edited in place and
+    each removal logs an event under a fresh lid; returns the last lid.
 
     Only the pairs (j, j+1) with k <= j < clean_from can be equal: the
     ones before k were checked, the ones from clean_from on lie in a clean
@@ -440,13 +478,12 @@ def _cancel_all(pool: Pool, lid: int, sides: list[int], labs: list[int],
             k = max(k - 1, 0)
         elif n >= 2 and labs[-1] == labs[0]:
             s1, s2 = sides[-1], sides[0]
-            sides, labs = sides[1:-1], labs[1:-1]
+            del sides[-1], sides[0], labs[-1], labs[0]
             k = max(n - 3, 0)
         else:
-            return lid, labs
-        rid = pool.new_list(sides, True, "m", 0)
-        if history is not None:
-            history.events.append(("cancel", rid, lid, s1, s2))
+            return lid
+        rid = pool.new_lid()
+        events.append(("cancel", rid, lid, s1, s2))
         lid = rid
 
 
@@ -467,9 +504,9 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     if not remaining:
         raise ValueError("empty pool")
     history = MergeHistory(initial=list(remaining))
+    events = history.events
     lab, square, unprimed = pool.lab, pool.square, pool.unprimed
-    own = [[lab[s] for s in pool.lists[lid].sides if square[lab[s]]]
-           for lid in remaining]
+    own = [pool.own[lid] for lid in remaining]
     holders: dict[int, list[int]] = {}
     for pos in range(1, len(remaining)):
         for l in own[pos]:
@@ -488,43 +525,33 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
             count[l] += 1
 
     absorb(0)
-    acc, acc_labs = remaining[0], None
-    for _ in range(len(remaining) - 1):
-        common = None
-        while heap and not common:
+    acc = remaining[0]
+    sides, labs = list(pool.lists[acc].sides), list(pool.labs[acc])
+    for r in range(len(remaining) - 1):
+        at = None
+        while heap and at is None:
             pos = heapq.heappop(heap)
             if alive[pos]:
-                common = [l for l in own[pos] if count[l]]
-        if not common:
+                for l in own[pos]:
+                    if count[l]:
+                        if unprimed[l]:
+                            at = l
+                            break
+                        if at is None:
+                            at = l
+        if at is None:
             raise Disconnected("pool does not splice to a single list")
-        at = next((l for l in common if unprimed[l]), common[0])
         absorb(pos)
-        logged = len(history.events)
-        acc, acc_labs = _splice(pool, acc, remaining[pos], at, history,
-                                acc_labs)
-        for ev in history.events[logged:]:
+        logged = len(events)
+        acc = _splice(pool, acc, sides, labs, remaining[pos], at, events, r > 0)
+        for ev in events[logged:]:
             l = lab[ev[-1]]  # the glued or cancelled pair shares one label
             if square[l]:
                 count[l] -= 2
+    if events:
+        pool.put_list(acc, sides, True, "m", 0)
     history.final = acc
     return acc, history
-
-
-def replay(pool: Pool, history: MergeHistory) -> tuple[int, ...]:
-    """Re-run the logged events from the initial lists; returns the
-    reconstructed final side sequence (for the replay invariant)."""
-    state = {lid: list(pool.lists[lid].sides) for lid in history.initial}
-    for ev in history.events:
-        if ev[0] == "merge":
-            _, rid, lid, mid, gl, gm = ev
-            L, M = state.pop(lid), state.pop(mid)
-            i, j = L.index(gl), M.index(gm)
-            state[rid] = L[:i] + M[j + 1:] + M[:j] + L[i + 1:]
-        else:
-            _, rid, pid, s1, s2 = ev
-            state[rid] = [s for s in state.pop(pid) if s not in (s1, s2)]
-    assert set(state) == {history.final}
-    return tuple(state[history.final])
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +563,37 @@ def find_separating_pair(labels: Sequence) -> tuple:
     """In a cyclic label sequence where every square label occurs twice,
     find (alpha, beta): the two alpha occurrences split the sequence into
     two arcs each holding exactly one beta.  Deterministic: smallest alpha
-    first, then smallest beta; sentinels are never selected.
+    first, then smallest beta; sentinels are never selected."""
+    ids: dict = {}
+    for l in labels:
+        ids.setdefault(l, len(ids))
+    distinct = list(ids)
+    square = [_is_square(l) for l in distinct]
+    order = [_label_key(l) if sq else None for l, sq in zip(distinct, square)]
+    alpha, beta = _separating_pair([ids[l] for l in labels], square, order)
+    return distinct[alpha], distinct[beta]
+
+
+def _separating_pair(labs: Sequence[int], square: Sequence[bool],
+                     order: Sequence) -> tuple[int, int]:
+    """find_separating_pair on label ids, ordered by order[id].
 
     One pass per alpha: beta separates iff it occurs once strictly
     between the two alphas and twice in all."""
-    occ: dict = {}
-    for k, l in enumerate(labels):
-        if _is_square(l):
+    occ: dict[int, list[int]] = {}
+    for k, l in enumerate(labs):
+        if square[l]:
             occ.setdefault(l, []).append(k)
-    for alpha in sorted(occ, key=_label_key):
+    key = order.__getitem__
+    for alpha in sorted(occ, key=key):
         if len(occ[alpha]) != 2:
             continue
         i, j = occ[alpha]
-        inside = Counter(l for l in labels[i + 1:j] if _is_square(l))
+        inside = Counter(l for l in labs[i + 1:j] if square[l])
         betas = [b for b, c in inside.items()
                  if c == 1 and len(occ[b]) == 2 and b != alpha]
         if betas:
-            return alpha, min(betas, key=_label_key)
+            return alpha, min(betas, key=key)
     raise NoPairFound("no separating pair of labels")
 
 
@@ -570,41 +611,51 @@ def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
     if len(occ) != 2:
         raise InconsistentChain("alpha must occur exactly twice")
     a1, a2 = occ  # a1 is the earlier occurrence in stored order
-    # pairs [side, side, lid of the list holding both] in chain order;
-    # `tagged` indexes them by that lid, so an event that touches none of
-    # them costs one dict lookup
+    # the right operand of a merge is an initial list, and each side lies
+    # in exactly one initial list
+    initial_of = {s: lid for lid in history.initial
+                  for s in pool.lists[lid].sides}
+    # pairs [side, side, lid of the list holding both], linked in chain
+    # order by `after`; `tagged` indexes them by that lid, so an event that
+    # touches none of them costs one dict lookup
     pairs: list[list[int]] = [[a1, a2, history.final]]
-    tagged: dict[int, list[list[int]]] = {history.final: list(pairs)}
+    after = [-1]
+    tagged: dict[int, list[int]] = {history.final: [0]}
     for ev in reversed(history.events):
         group = tagged.pop(ev[1], None)
         if group is None:
             continue
         if ev[0] == "cancel":
-            for pair in group:
-                pair[2] = ev[2]
+            for k in group:
+                pairs[k][2] = ev[2]
             tagged.setdefault(ev[2], []).extend(group)
             continue
         _, rid, lid, mid, gl, gm = ev
-        left = pool.lists[lid].sides
-        for pair in group:
+        for k in group:
+            pair = pairs[k]
             sa, sb, _ = pair
-            pa = lid if sa in left else mid
-            pb = lid if sb in left else mid
+            pa = mid if initial_of.get(sa) == mid else lid
+            pb = mid if initial_of.get(sb) == mid else lid
             if pa == pb:
                 pair[2] = pa
-                tagged.setdefault(pa, []).append(pair)
+                tagged.setdefault(pa, []).append(k)
                 continue
             if pa == lid:
                 pair[:], rest = [sa, gl, lid], [gm, sb, mid]
             else:
                 pair[:], rest = [sa, gm, mid], [gl, sb, lid]
-            k = next(k for k, p in enumerate(pairs) if p is pair)
-            pairs.insert(k + 1, rest)
-            tagged.setdefault(pair[2], []).append(pair)
-            tagged.setdefault(rest[2], []).append(rest)
+            r = len(pairs)
+            pairs.append(rest)
+            after.append(after[k])
+            after[k] = r
+            tagged.setdefault(pair[2], []).append(k)
+            tagged.setdefault(rest[2], []).append(r)
     initial = set(history.initial)
     chain: PairChain = []
-    for sa, sb, tag in pairs:
+    k = 0
+    while k >= 0:
+        sa, sb, tag = pairs[k]
+        k = after[k]
         if tag not in initial:
             raise InconsistentChain(f"pair not traced to a pool list: {tag}")
         ha, hb = pool.sides[sa].half, pool.sides[sb].half
@@ -625,16 +676,18 @@ def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
 # ---------------------------------------------------------------------------
 
 
-def _half_entries(pool: Pool, lid: int, half: str) -> tuple[list[int], bool]:
-    """The stored side sequence relevant to a pair in list lid, and whether
-    it is cyclic: whole list for 'u'/'o' lists, the matching half (always
-    cyclic) for an uncut cylinder's combined list."""
+def _half_bounds(pool: Pool, lid: int, half: str) -> tuple[int, int, bool]:
+    """The span lo:hi of list lid's sides relevant to a pair, and whether
+    it is cyclic: the whole list for 'u'/'o' lists, the matching half
+    (always cyclic) for an uncut cylinder's combined list
+    [a_Z, lower..., a_Z, upper...]."""
     lst = pool.lists[lid]
     if lst.kind == "lz":
-        return [s for s in lst.sides if pool.sides[s].half == half], True
+        k = pool.position(lid)[pool.second_sentinel[lst.cyl]]
+        return (1, k, True) if half == "u" else (k + 1, len(lst.sides), True)
     if lst.kind != half:
         raise InconsistentChain(f"{half!r} pair in a {lst.kind!r} list")
-    return list(lst.sides), lst.cyclic
+    return 0, len(lst.sides), lst.cyclic
 
 
 def _underlying(pool: Pool, sid: int) -> int:
@@ -661,8 +714,19 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
     square to the second (ties at half the cylinder length resolve
     positive).  Non-cyclic lists: the directed step count given by the
     stored positions (lower-boundary lists run with p1, upper against it).
+
+    It depends only on the pair's list, which never changes, so it is
+    computed once per pair: emission and the next round's split share it.
     """
-    entries, cyclic = _half_entries(pool, pair.lid, pair.half)
+    key = (pair.lid, pair.side_a, pair.side_b)
+    e = pool.exponents.get(key)
+    if e is None:
+        e = pool.exponents[key] = _exponent(pool, pair)
+    return e
+
+
+def _exponent(pool: Pool, pair: ChainPair) -> int:
+    _, _, cyclic = _half_bounds(pool, pair.lid, pair.half)
     cyl = pool.cyl_of[pair.cyl]
     a = _underlying(pool, pair.side_a)
     b = _underlying(pool, pair.side_b)
@@ -674,8 +738,8 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
         if 2 * t0 < n or 2 * t0 == n:
             return t0
         return t0 - n
-    i, j = entries.index(pair.side_a), entries.index(pair.side_b)
-    if (pair.half == "u") == (i < j):
+    pos = pool.position(pair.lid)
+    if (pair.half == "u") == (pos[pair.side_a] < pos[pair.side_b]):
         return t0
     return t0 - n
 
@@ -701,10 +765,6 @@ def emit_curve(pool: Pool, chain: PairChain) -> OrigamiCurve:
 # ---------------------------------------------------------------------------
 
 
-def _section_of(pool: Pool, half: str) -> list[tuple[int, int]]:
-    return pool.u_section if half == "u" else pool.o_section
-
-
 def step3_update(pool: Pool, chain: PairChain) -> None:
     """Split, for every chain pair in order, the pool list holding it.
 
@@ -712,9 +772,13 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
     the list [a.., r_s, b.., r_{s+1}, c..] becomes
       L0 = [a.., r_s', r_{s+1}'', c..]  and  L1 = (r_s'', b.., r_{s+1}')
     on the lower boundary (primes swapped on the upper); L0 keeps the
-    parent's kind and cyclicity, L1 is non-cyclic.  An uncut cylinder's
-    combined list keeps L0 embedded; every L1 joins the matching section.
+    parent's kind and cyclicity, L1 is non-cyclic.  L0 and L1 take the
+    parent's place in its section; an uncut cylinder's combined list keeps
+    L0 embedded, and its L1 joins the matching section after the lists of
+    its cylinder.  The sections are rebuilt once, after the last split.
     """
+    replaced: dict[int, tuple[int, ...]] = {}  # split list -> its successors
+    joining: dict[str, dict[int, list[int]]] = {"u": {}, "o": {}}
     for pair in chain:
         lid = pool.home.get(pair.side_a)
         if lid is None:
@@ -722,60 +786,78 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
         if pool.home.get(pair.side_b) != lid:
             raise InconsistentChain("chain pair torn across lists")
         lst = pool.lists[lid]
-        entries, cyclic = _half_entries(pool, lid, pair.half)
+        lo, hi, cyclic = _half_bounds(pool, lid, pair.half)
         e = _pair_exponent(pool, pair)
         forward = (e > 0) if pair.half == "u" else (e < 0)
         role_a, role_b = (pair.side_a, pair.side_b) if forward else (
             pair.side_b, pair.side_a)
-        ia, ib = entries.index(role_a), entries.index(role_b)
-        if cyclic:
-            if ia < ib:
-                between = entries[ia + 1:ib]
-            else:
-                between = entries[ia + 1:] + entries[:ib]
+        pos = pool.position(lid)
+        ia, ib = pos[role_a], pos[role_b]
+        sides = lst.sides
+        if ia < ib:
+            between = sides[ia + 1:ib]
+        elif cyclic:
+            between = sides[ia + 1:hi] + sides[lo:ib]
         else:
-            if ia >= ib:
-                raise InconsistentChain(
-                    "sweep must run forward in a non-cyclic list")
-            between = entries[ia + 1:ib]
+            raise InconsistentChain(
+                "sweep must run forward in a non-cyclic list")
 
-        def primed(sid: int, mark: int) -> int:
-            side = pool.sides[sid]
-            label = SLabel(side.label.square, side.label.marks + (mark,))
-            return pool.new_side(label, side.half, side.cyl)
-
-        if pair.half == "u":
-            a_l0, a_l1, b_l0, b_l1 = 1, 2, 2, 1
-        else:
-            a_l0, a_l1, b_l0, b_l1 = 2, 1, 1, 2
-        sub = {role_a: primed(role_a, a_l0), role_b: primed(role_b, b_l0)}
-        drop = set(between)
-        l1_sides = [primed(role_a, a_l1)] + between + [primed(role_b, b_l1)]
-        l1 = pool.new_list(l1_sides, False, pair.half, pair.cyl)
+        mark_0, mark_1 = (1, 2) if pair.half == "u" else (2, 1)
+        a_l0, b_l0 = pool.primed(role_a, mark_0), pool.primed(role_b, mark_1)
+        a_l1, b_l1 = pool.primed(role_a, mark_1), pool.primed(role_b, mark_0)
+        l1 = pool.new_list((a_l1,) + between + (b_l1,), False, pair.half,
+                           pair.cyl)
         pool.settle(l1)
         del pool.home[role_a], pool.home[role_b]  # replaced by primed copies
-
-        if lst.kind == "lz":
-            new_sides = [
-                sub.get(s, s) for s in lst.sides if s not in drop
-            ]
-            new_lz = pool.new_list(new_sides, True, "lz", lst.cyl)
-            pool.settle(new_lz)
-            k = pool.lz_section.index((lst.cyl, lid))
-            pool.lz_section[k] = (lst.cyl, new_lz)
+        if ia < ib:
+            kept = sides[:ia] + (a_l0, b_l0) + sides[ib + 1:]
         else:
-            l0_sides = [sub.get(s, s) for s in entries if s not in drop]
-            l0 = pool.new_list(l0_sides, lst.cyclic, lst.kind, lst.cyl)
-            pool.settle(l0)
-            section = _section_of(pool, pair.half)
-            k = section.index((lst.cyl, lid))
-            section[k] = (lst.cyl, l0)
-            section.insert(k + 1, (lst.cyl, l1))
-            continue
-        # L1 from a combined list joins its section, ordered by cylinder
-        section = _section_of(pool, pair.half)
-        k = bisect.bisect_right([c for c, _ in section], pair.cyl)
-        section.insert(k, (pair.cyl, l1))
+            kept = sides[:lo] + (b_l0,) + sides[ib + 1:ia] + (a_l0,) + sides[hi:]
+        l0 = pool.new_list(kept, lst.cyclic, lst.kind, lst.cyl)
+        pool.settle(l0)
+        if lst.kind == "lz":
+            replaced[lid] = (l0,)
+            joining[pair.half].setdefault(pair.cyl, []).append(l1)
+        else:
+            replaced[lid] = (l0, l1)
+    pool.u_section = _resection(pool.u_section, replaced, joining["u"])
+    pool.o_section = _resection(pool.o_section, replaced, joining["o"])
+    pool.lz_section = _resection(pool.lz_section, replaced, {})
+
+
+def _resection(section: list[tuple[int, int]], replaced: dict,
+               joining: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """The section with every split list replaced, recursively, by its
+    successors in order, and the lists joining[c] placed after the last
+    list of cylinder c."""
+    out: list[tuple[int, int]] = []
+
+    def put(cyl: int, lid: int) -> None:
+        stack = [lid]
+        while stack:
+            lid = stack.pop()
+            successors = replaced.get(lid)
+            if successors is None:
+                out.append((cyl, lid))
+            else:
+                stack.extend(reversed(successors))
+
+    joins = sorted(joining.items())
+    k = 0
+    for entry in section:
+        cyl, lid = entry
+        while k < len(joins) and joins[k][0] < cyl:
+            for l in joins[k][1]:
+                put(joins[k][0], l)
+            k += 1
+        if lid in replaced:
+            put(cyl, lid)
+        else:
+            out.append(entry)
+    for c, lids in joins[k:]:
+        for l in lids:
+            put(c, l)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -815,9 +897,10 @@ def find_hss_detailed(o: Origami) -> HssResult:
             step3_update(pool, chain)
         final, history = merge_all(pool)
         histories.append(history)
-        alpha, beta = find_separating_pair(pool.labels(final))
-        betas.append(beta)
-        chain = backtrack(pool, history, alpha)
+        alpha, beta = _separating_pair(pool.labs[final], pool.square,
+                                       pool.order)
+        betas.append(pool.label_at[beta])
+        chain = backtrack(pool, history, pool.label_at[alpha])
         curves.append(emit_curve(pool, chain))
     return HssResult(o, curves, cuts, graph, histories, pool, betas)
 

@@ -2,7 +2,9 @@
 
 This is the only floating-point module in the package; every comparison
 of complex entries uses an absolute tolerance of 1e-9.  Only the pole test
-of `MoebiusMap.__call__` is relative.
+of `MoebiusMap.__call__` is relative, and a multiplier is rejected only
+when it is exactly zero: a map like diag(1e5, 1e-5) has multiplier 1e-10,
+far below the tolerance, and is a valid loxodromic.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class FixedPointData:
         if abs(self.z - self.w) <= TOL:
             raise DegenerateInput("fixed points coincide")
         m = abs(self.multiplier)
-        if not (TOL < m < 1):
+        if not (0 < m < 1):
             if m >= 1:
                 raise DegenerateInput("|multiplier| must be < 1")
             raise DegenerateInput("multiplier must be non-zero")

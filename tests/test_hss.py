@@ -1,6 +1,8 @@
 """The cut-system algorithm: half-cylinder graph, labeled-list merging,
 separating pairs, backtracking, curve emission, and list splitting."""
 
+import json
+import os
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from origami_forge.hss import (
     Sentinel,
     SLabel,
     backtrack,
-    concatenate,
+    dual_curves,
     emit_curve,
     find_hss,
     find_hss_detailed,
@@ -25,7 +27,6 @@ from origami_forge.hss import (
     format_label,
     init_lists,
     merge_all,
-    replay,
     step1,
     step3_update,
 )
@@ -41,6 +42,8 @@ from origami_forge.origami import (
     x_origami,
 )
 
+from oracles import concatenate, replay
+
 
 def shown(pool, lid):
     return [format_label(l) for l in pool.labels(lid)]
@@ -48,7 +51,8 @@ def shown(pool, lid):
 
 # ---------------------------------------------------------------------------
 # reference engine: the stage-2 rescan implementation the indexed engine
-# replaced, kept as the oracle of the differential tests
+# replaced, kept as the oracle of the differential tests; its splice is
+# `oracles.concatenate`
 # ---------------------------------------------------------------------------
 
 
@@ -60,44 +64,6 @@ def _rescan_key(label):
 
 def _rescan_is_square(label):
     return not isinstance(label, Sentinel)
-
-
-def rescan_concatenate(pool, lid, mid, at, history=None):
-    """Splice at the first occurrence of `at` in each list, found by label
-    equality, then cancel by rescanning from the front."""
-    L, M = pool.lists[lid], pool.lists[mid]
-    try:
-        i = next(k for k, s in enumerate(L.sides) if pool.label_of(s) == at)
-        j = next(k for k, s in enumerate(M.sides) if pool.label_of(s) == at)
-    except StopIteration:
-        raise NoCommonLabel(f"label {format_label(at)} missing") from None
-    a, b = L.sides[:i], L.sides[i + 1:]
-    c, d = M.sides[:j], M.sides[j + 1:]
-    rid = pool.new_list(a + d + c + b, True, "m", 0)
-    if history is not None:
-        history.events.append(("merge", rid, lid, mid, L.sides[i], M.sides[j]))
-    return rescan_cancel_all(pool, rid, history)
-
-
-def rescan_cancel_all(pool, lid, history):
-    while True:
-        sides = pool.lists[lid].sides
-        n = len(sides)
-        hit = None
-        for k in range(n - 1):
-            if pool.label_of(sides[k]) == pool.label_of(sides[k + 1]):
-                hit = (k, k + 1)
-                break
-        if hit is None and n >= 2 and pool.label_of(sides[-1]) == pool.label_of(sides[0]):
-            hit = (n - 1, 0)
-        if hit is None:
-            return lid
-        k1, k2 = hit
-        removed = {sides[k1], sides[k2]}
-        rid = pool.new_list([s for s in sides if s not in removed], True, "m", 0)
-        if history is not None:
-            history.events.append(("cancel", rid, lid, sides[k1], sides[k2]))
-        lid = rid
 
 
 def rescan_merge_all(pool):
@@ -120,7 +86,7 @@ def rescan_merge_all(pool):
             raise Disconnected("pool does not splice to a single list")
         idx, mid, at = chosen
         remaining.pop(idx)
-        acc = rescan_concatenate(pool, acc, mid, at, history)
+        acc = concatenate(pool, acc, mid, at, history)
     history.final = acc
     return acc, history
 
@@ -452,6 +418,30 @@ class TestDriver:
             assert f2_independent(classes)
 
 
+class TestStoredLists:
+    """merge_all edits one accumulator per round in place: of the merge
+    results, only each round's final list P is stored."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return find_hss_detailed(random_origami(random.Random(64), 64))
+
+    def test_only_final_lists_are_stored(self, result):
+        merged = {lid for lid, lst in result.pool.lists.items()
+                  if lst.kind == "m"}
+        assert merged == {h.final for h in result.histories if h.events}
+
+    def test_dual_curves_match_golden(self, result):
+        """The golden holds dual_curves of this result as computed by the
+        engine that stored every intermediate list."""
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "golden", "hss_duals_random_d64.json")
+        with open(path, encoding="utf-8") as fh:
+            expected = json.load(fh)
+        assert [{"start": c.start, "word": str(c.word)}
+                for c in dual_curves(result)] == expected
+
+
 class TestAgainstRescanEngine:
     """Identical curves and merge histories as the reference engine."""
 
@@ -463,7 +453,7 @@ class TestAgainstRescanEngine:
         for _, o in random_sample:
             assert_same_as_rescan(o)
 
-    @pytest.mark.parametrize("d", range(2, 49))
+    @pytest.mark.parametrize("d", [*range(2, 49), 56, 64])
     def test_seeded_degree(self, d):
         assert_same_as_rescan(random_origami(random.Random(d), d))
 

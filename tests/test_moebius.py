@@ -2,6 +2,7 @@
 fixed-point/multiplier coordinates, all at 1e-9 tolerance."""
 
 import cmath
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from origami_forge.moebius import (
     IDENTITY,
     TOL,
     DegenerateForm,
+    DegenerateInput,
     FixedPointData,
     MoebiusMap,
     NotLoxodromic,
@@ -127,3 +129,25 @@ class TestFixedData:
             assert abs(fd2.multiplier - lam) < 1e-7
             assert abs(fd2.z - z) < 1e-6
             assert abs(fd2.w - w) < 1e-6
+
+
+class TestSmallMultiplier:
+    """The multiplier's zero test is exact, not an absolute floor: the
+    multiplier of diag(1e5, 1e-5) is 1e-10, below the 1e-9 tolerance."""
+
+    def test_cli_accepts_tiny_multiplier(self, capsys):
+        from origami_forge import cli
+
+        code = cli.run(["moebius", "1e5,0", "0,0", "0,0", "1e-5,0"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0, out
+        assert out["classification"] == "loxodromic"
+        assert out["multiplier"] == [pytest.approx(1e-10, rel=1e-9), 0.0]
+
+    def test_tiny_multiplier_validates(self):
+        fd = FixedPointData(0j, 1 + 0j, 1e-10).validate()
+        assert fd.multiplier == 1e-10
+
+    def test_zero_multiplier_is_rejected(self):
+        with pytest.raises(DegenerateInput, match="non-zero"):
+            FixedPointData(0j, 1 + 0j, 0).validate()
