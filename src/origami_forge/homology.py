@@ -1,6 +1,6 @@
 """Cellular homology of the origami surface and everything built on it:
-intersection form, induced action matrices, block-form and characteristic
-polynomial tests, symplectic-homomorphism evaluation and membership checks.
+intersection form, block-form and characteristic polynomial tests,
+symplectic-homomorphism evaluation and membership checks.
 
 The CW structure has one vertex per singularity orbit, edges h_s (bottom
 side of square s) and v_s (left side), and one face per square.  H1 is
@@ -16,8 +16,8 @@ The twist certificate runs no Smith form either.  The cut system's dual
 curves (`hss.dual_curves`) pair with its curves in an upper triangular
 matrix with +-1 on the diagonal, which proves that the curves span a
 direct summand and gives each cylinder core's coordinates by back
-substitution.  Only the oracles `symplectic_completion` and
-`induced_matrix`, which no command calls, still use a Smith form.
+substitution.  Only the oracle `symplectic_completion`, which no command
+calls, still uses a Smith form.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .origami import (
     vertex_orbits,
     vertex_permutation,
 )
-from .subgroup import CosetAction, aut_stabilizes, schreier_system
 
 __all__ = [
     "CertificateError",
@@ -56,7 +55,6 @@ __all__ = [
     "NotInSubgroup",
     "NotLagrangian",
     "NotPrimitive",
-    "DoesNotStabilize",
     "UnknownGenerator",
     "CellComplex",
     "H1Model",
@@ -69,7 +67,6 @@ __all__ = [
     "f2_independent",
     "intersection_form",
     "symplectic_completion",
-    "induced_matrix",
     "block_form_check",
     "CharPoly",
     "charpoly",
@@ -98,10 +95,6 @@ class NotLagrangian(ValueError):
 
 
 class NotPrimitive(ValueError):
-    pass
-
-
-class DoesNotStabilize(ValueError):
     pass
 
 
@@ -447,7 +440,7 @@ def symplectic_completion(
 ) -> linalg.Matrix:
     """Extend g pairwise-non-intersecting primitive classes (H1 coords) to
     a basis (A_1..A_g, B_1..B_g) in which the form is the standard J.
-    Returns its 2g x 2g column matrix S; `induced_matrix` checks it."""
+    Returns its 2g x 2g column matrix S."""
     g = model.g
     A = [list(c) for c in lagrangian]
     GtA = _check_lagrangian(model, A)
@@ -472,52 +465,8 @@ def symplectic_completion(
 
 
 # ---------------------------------------------------------------------------
-# induced action matrices
+# block form and characteristic polynomials
 # ---------------------------------------------------------------------------
-
-
-def induced_matrix(
-    o: Origami,
-    phi: F2Endo,
-    model: Optional[H1Model] = None,
-    basis: Optional[linalg.Matrix] = None,
-) -> linalg.Matrix:
-    """The 2g x 2g matrix of the automorphism on H1, in the given
-    symplectic basis (columns S in H1 coordinates with S^T G S = J, as
-    `symplectic_completion` returns; identity basis when omitted)."""
-    cs = CosetAction(o)
-    if aut_stabilizes(cs, phi) != cs.base:
-        raise DoesNotStabilize("phi(H) is not the stabilizer of the base")
-    if model is None:
-        model = h1_model(o)
-    n = 2 * model.g
-    ss = schreier_system(cs)
-    # M0 z_h = w_h for every Schreier generator h, i.e. Z M0^T = W with the
-    # classes as the rows of Z and W.  Z has rank n, so each row of M0 is
-    # the unique solution of an overdetermined system; that every one
-    # exists proves the action linear and integral.
-    Z = linalg.smith_normal_form([class_of(o, model, h) for h in ss.generators])
-    if Z.rank != n:
-        raise CertificateError("generator classes do not span H1 over Q")
-    W = [class_of(o, model, phi(h)) for h in ss.generators]
-    M = []
-    for r in range(n):
-        row = Z.solve([w[r] for w in W])
-        if row is None:
-            raise CertificateError("action is not linear and integral on H1")
-        M.append(row)
-    if basis is not None:
-        # S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T
-        Jinv = linalg.transpose(standard_j(model.g))
-        Sinv = linalg.mat_mul(
-            linalg.mat_mul(Jinv, linalg.transpose(basis)), model.gram
-        )
-        if linalg.mat_mul(Sinv, basis) != linalg.eye(n):
-            raise ValueError("basis is not symplectic")
-        M = linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
-    if abs(linalg.det_int(M)) != 1:
-        raise CertificateError("action is not invertible on H1")
-    return M
 
 
 def block_form_check(M: linalg.Matrix) -> Optional[linalg.Matrix]:

@@ -21,27 +21,34 @@ and misses every earlier one, which is what the twist certificate reads.
 All policies (bridging order, splice partner and label selection,
 cancellation, tie-breaks) are fixed and deterministic.
 
-Stages 2 and 3 look things up by index instead of rescanning.  Every
-label is interned to a small int when its side is created (``Pool.lab``),
-so all label equality tests compare ints.  A pool list never changes once
-made, so its label ids, its square-label ids and its side -> position map
-are computed once per list.  ``merge_all`` keeps one mutable accumulator
-(its sides and their label ids) for the whole round: a splice or a
-cancellation edits it in place and logs an event under a fresh list id,
-and only the round's final list P is stored.  The next splice partner is
-found through an inverted index from label id to the remaining pool lists
-that hold it, a count of the label ids in the accumulator and a min-heap
-of candidate pool positions; it is the smallest position that still
-shares a label, which is the list a front-to-back rescan would pick.
-Cancellation resumes one position left of the last hit, because
-everything before it was already checked clean; as the accumulator is
-itself clean, a splice checks only the pairs from the first junction to
-the start of the accumulator's tail.  The wrap-around pair is checked
-last.  The events, their order and the list numbering are those of a full
-rescan after every removal.  Backtracking tells the two operands of a
-splice apart by a side -> initial-list map, and inserts split pairs into
-a linked chain.  Stage 3 keeps a side -> pool list map, finds sides by
-their stored positions, and rebuilds the pool order once per round.
+Stages 2 and 3 look things up by index instead of rescanning.  A side is
+an int into flat arrays of its label id, boundary half and cylinder
+(``Pool.lab``, ``Pool.half``, ``Pool.cyl``), and every label is interned
+to a small int when its side is created, so all label equality tests
+compare ints.  A pool list never changes once made, so its label ids, its
+square-label ids and its side -> position map are computed once per list.
+``merge_all`` is one loop over the round, with one mutable accumulator
+(its sides and their label ids): a splice or a cancellation edits it in
+place and logs an event under a fresh list id, and only the round's final
+list P is stored.  The next splice partner is found through an inverted
+index from label id to the remaining pool lists that hold it, a count of
+the label ids in the accumulator and a min-heap of candidate pool
+positions; it is the smallest position that still shares a label, which
+is the list a front-to-back rescan would pick.  Cancellation resumes one
+position left of the last hit, because everything before it was already
+checked clean; as the accumulator is itself clean, a splice checks only
+the pairs from the first junction to the start of the accumulator's tail.
+The wrap-around pair is checked last.  The events, their order and the
+list numbering are those of a full rescan after every removal.
+
+Each merge hangs the absorbed pool list below the pool list that holds
+the accumulator's glued side, so a round's merges form a tree on its
+pool lists, which ``merge_all`` records with each side's pool list.
+Backtracking walks this tree from the lists of alpha's two occurrences up
+to where they meet, in time linear in the chain, and never replays the
+event log; ``dual_curves`` backtracks old rounds the same way.  Stage 3
+keeps a side -> pool list map, finds sides by their stored positions, and
+rebuilds the pool order once per round.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .freegroup import Word
@@ -101,16 +109,14 @@ class InconsistentChain(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SLabel:
+class SLabel(NamedTuple):
     """A square label, possibly decorated by split marks (1 = ', 2 = ")."""
 
     square: int
     marks: tuple = ()
 
 
-@dataclass(frozen=True)
-class Sentinel:
+class Sentinel(NamedTuple):
     """The a_Z marker of an uncut cylinder, namespaced by the cylinder."""
 
     cyl: int
@@ -214,18 +220,9 @@ def step1(
 # ---------------------------------------------------------------------------
 
 
-class _Side(NamedTuple):
-    """One occurrence of a label on the cut boundary.  Identity matters:
-    sides survive splicing and are tracked through the merge history."""
-
-    label: Label
-    half: Optional[str]      # 'u' (lower boundary), 'o' (upper), None sentinel
-    cyl: int                 # base square of the owning cylinder
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LabeledList:
-    """An immutable list of sides with a cyclic flag.
+    """A list of sides with a cyclic flag; a stored list never changes.
 
     kind: 'u' / 'o' for boundary lists, 'lz' for an uncut cylinder's
     combined list [a_Z, lower..., a_Z, upper...], 'm' for a round's final
@@ -252,15 +249,23 @@ class MergeHistory:
 
     The right operand of a merge is always one of the initial lists; the
     results of the events are not stored, except the final one.
+
+    The merges form a tree on the initial lists, rooted at the first: each
+    absorbed list hangs below the initial list that held the accumulator's
+    glued side.  ``tree`` maps an absorbed list to (that parent, the glued
+    side of the accumulator, the glued side of the list, the merge's
+    result), the last ordering the absorptions; ``home`` maps each side to
+    its initial list.
     """
 
     initial: list[int]
     events: list[tuple] = field(default_factory=list)
     final: Optional[int] = None
+    tree: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
+    home: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ChainPair:
+class ChainPair(NamedTuple):
     side_a: int
     side_b: int
     lid: int
@@ -275,25 +280,29 @@ class Pool:
     """Mutable state of one cut-system computation: the side registry,
     the stored lists and the current pool sections.
 
-    Labels are interned: ``lab[sid]`` is the label id of side sid,
-    ``label_ids`` and ``label_at`` map a label to its id and back,
-    ``square`` / ``unprimed`` say per id whether it is a square label and
-    whether it carries no marks, and ``order`` holds the sort key of each
-    square label.  ``home`` maps every side of a current pool list to that
-    list's lid.  Per stored list, ``labs`` holds its label ids and ``own``
-    its square-label ids; ``positions`` holds a side -> position map, made
-    on first use.  ``exponents`` keeps each chain pair's x-exponent.
+    Sides are ids into flat arrays: ``lab[sid]`` is the label id of side
+    sid, ``half[sid]`` its boundary ('u' lower, 'o' upper, None for a
+    sentinel) and ``cyl[sid]`` the base square of its cylinder.  Labels are
+    interned: ``label_ids`` and ``label_at`` map a label to its id and
+    back, ``square`` / ``unprimed`` say per id whether it is a square label
+    and whether it carries no marks, and ``order`` holds the sort key of
+    each square label.  ``home`` maps every side of a current pool list to
+    that list's lid.  Per stored list, ``labs`` holds its label ids and
+    ``own`` its square-label ids; ``positions`` holds a side -> position
+    map, made on first use.  ``exponents`` keeps each chain pair's
+    x-exponent.
     """
 
     def __init__(self, o: Origami):
         self.o = o
-        self.sides: list[_Side] = []
         self.lists: dict[int, LabeledList] = {}
         self.labs: dict[int, list[int]] = {}
         self.own: dict[int, list[int]] = {}
         self.positions: dict[int, dict[int, int]] = {}
         self.exponents: dict[tuple[int, int, int], int] = {}
         self.lab: list[int] = []
+        self.half: list[Optional[str]] = []
+        self.cyl: list[int] = []
         self.label_ids: dict[Label, int] = {}
         self.square: list[bool] = []
         self.unprimed: list[bool] = []
@@ -321,63 +330,68 @@ class Pool:
         if lab is None:
             lab = self.label_ids[label] = len(self.label_at)
             self.label_at.append(label)
-            sq = _is_square(label)
+            sq = isinstance(label, SLabel)
             self.square.append(sq)
             self.unprimed.append(sq and not label.marks)
-            self.order.append(_label_key(label) if sq else None)
+            # an SLabel is the tuple (square, marks), its own sort key
+            self.order.append(label if sq else None)
         return lab
 
     def new_side(self, label: Label, half: Optional[str], cyl: int) -> int:
-        return self._add_side(self.intern(label), half, cyl)
+        self.lab.append(self.intern(label))
+        self.half.append(half)
+        self.cyl.append(cyl)
+        return len(self.lab) - 1
 
-    def _add_side(self, lab: int, half: Optional[str], cyl: int) -> int:
-        sid = len(self.sides)
-        self.sides.append(_Side(self.label_at[lab], half, cyl))
-        self.lab.append(lab)
-        return sid
+    def primed(self, lab: int, mark: int) -> int:
+        """The id of label lab with one more mark."""
+        key = (lab, mark)
+        new = self.primes.get(key)
+        if new is None:
+            square, marks = self.label_at[lab]
+            new = self.primes[key] = self.intern(SLabel(square, marks + (mark,)))
+        return new
 
-    def primed(self, sid: int, mark: int) -> int:
-        """A new side like sid whose label carries one more mark."""
-        key = (self.lab[sid], mark)
-        lab = self.primes.get(key)
-        side = self.sides[sid]
-        if lab is None:
-            label = SLabel(side.label.square, side.label.marks + (mark,))
-            lab = self.primes[key] = self.intern(label)
-        return self._add_side(lab, side.half, side.cyl)
-
-    def new_lid(self) -> int:
-        lid = self._next_list
-        self._next_list += 1
-        return lid
+    def split_sides(self, a: int, b: int, mark_0: int, mark_1: int) -> range:
+        """Four new sides like a, b, a, b, whose labels carry one more
+        mark: mark_0, mark_1, mark_1 and mark_0."""
+        lab, half, cyl = self.lab, self.half, self.cyl
+        la, lb = lab[a], lab[b]
+        n = len(lab)
+        lab += (self.primed(la, mark_0), self.primed(lb, mark_1),
+                self.primed(la, mark_1), self.primed(lb, mark_0))
+        half += (half[a], half[b]) * 2
+        cyl += (cyl[a], cyl[b]) * 2
+        return range(n, n + 4)
 
     def new_list(self, sides, cyclic: bool, kind: str, cyl: int) -> int:
-        return self.put_list(self.new_lid(), sides, cyclic, kind, cyl)
+        lid = self._next_list
+        self._next_list += 1
+        return self.put_list(lid, sides, cyclic, kind, cyl)
 
     def put_list(self, lid: int, sides, cyclic: bool, kind: str,
                  cyl: int) -> int:
-        """Store a list under a lid taken before with new_lid."""
-        lst = self.lists[lid] = LabeledList(lid, tuple(sides), cyclic, kind, cyl)
-        lab, square = self.lab, self.square
-        labs = self.labs[lid] = [lab[s] for s in lst.sides]
-        self.own[lid] = [l for l in labs if square[l]]
+        """Store a list under a lid that no list has taken."""
+        sides = tuple(sides)
+        self.lists[lid] = LabeledList(lid, sides, cyclic, kind, cyl)
+        labs = self.labs[lid] = list(map(self.lab.__getitem__, sides))
+        self.own[lid] = list(compress(labs, map(self.square.__getitem__, labs)))
         return lid
 
     def position(self, lid: int) -> dict[int, int]:
         """Side -> index in the stored list lid."""
         pos = self.positions.get(lid)
         if pos is None:
-            pos = self.positions[lid] = {
-                s: k for k, s in enumerate(self.lists[lid].sides)}
+            sides = self.lists[lid].sides
+            pos = self.positions[lid] = dict(zip(sides, range(len(sides))))
         return pos
 
     def label_of(self, sid: int) -> Label:
-        return self.sides[sid].label
+        return self.label_at[self.lab[sid]]
 
     def settle(self, lid: int) -> None:
         """Record lid as the pool list holding each of its sides."""
-        for s in self.lists[lid].sides:
-            self.home[s] = lid
+        self.home.update(dict.fromkeys(self.lists[lid].sides, lid))
 
     def labels(self, lid: int) -> list[Label]:
         return [self.label_at[l] for l in self.labs[lid]]
@@ -429,125 +443,121 @@ def init_lists(o: Origami, cuts: list[Cylinder]) -> Pool:
 # ---------------------------------------------------------------------------
 
 
-def _splice(pool: Pool, lid: int, sides: list[int], labs: list[int],
-            mid: int, at: int, events: list[tuple], clean: bool) -> int:
-    """Splice pool list mid into the accumulator (lid, sides, labs) at the
-    first occurrence of label id `at` in each,
-    [a.., at, b..] + [c.., at, d..] -> [a.., d.., c.., b..], in place, then
-    cancel; returns the accumulator's new lid.
-
-    When `clean`, no two adjacent labels of the accumulator are equal (it
-    is a cancellation result), so the pairs inside a and inside b need no
-    check."""
-    M, lab_m = pool.lists[mid].sides, pool.labs[mid]
-    try:
-        i, j = labs.index(at), lab_m.index(at)
-    except ValueError:
-        raise NoCommonLabel(
-            f"label {format_label(pool.label_at[at])} missing") from None
-    glued = sides[i]
-    b = len(labs) - i - 1
-    sides[i:i + 1] = M[j + 1:] + M[:j]
-    labs[i:i + 1] = lab_m[j + 1:] + lab_m[:j]
-    rid = pool.new_lid()
-    events.append(("merge", rid, lid, mid, glued, M[j]))
-    if clean:
-        return _cancel_all(pool, rid, sides, labs, events, max(i - 1, 0),
-                           len(labs) - b)
-    return _cancel_all(pool, rid, sides, labs, events, 0, len(labs))
-
-
-def _cancel_all(pool: Pool, lid: int, sides: list[int], labs: list[int],
-                events: list[tuple], k: int, clean_from: int) -> int:
-    """Remove the first adjacent pair of equal labels, else the wrap-around
-    pair, until neither exists.  The accumulator is edited in place and
-    each removal logs an event under a fresh lid; returns the last lid.
-
-    Only the pairs (j, j+1) with k <= j < clean_from can be equal: the
-    ones before k were checked, the ones from clean_from on lie in a clean
-    suffix.  After removing (k, k+1) the scan resumes at k-1."""
-    while True:
-        n = len(labs)
-        stop = min(clean_from, n - 1)
-        while k < stop and labs[k] != labs[k + 1]:
-            k += 1
-        if k < stop:
-            s1, s2 = sides[k], sides[k + 1]
-            del sides[k:k + 2], labs[k:k + 2]
-            clean_from = max(clean_from - 2, k)
-            k = max(k - 1, 0)
-        elif n >= 2 and labs[-1] == labs[0]:
-            s1, s2 = sides[-1], sides[0]
-            del sides[-1], sides[0], labs[-1], labs[0]
-            k = max(n - 3, 0)
-        else:
-            return lid
-        rid = pool.new_lid()
-        events.append(("cancel", rid, lid, s1, s2))
-        lid = rid
-
-
 def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     """Splice the whole pool into a single list P.
 
     Policy: the accumulator starts as the first pool list; each round it
     is spliced with the first remaining list sharing a label, at the first
     common label in that list's stored order, unprimed labels preferred.
+    The splice [a.., at, b..] + [c.., at, d..] -> [a.., d.., c.., b..] is
+    made at the first occurrence of `at` in each.  Then the first adjacent
+    pair of equal labels, else the wrap-around pair, is removed until
+    neither exists.  The accumulator is edited in place, and each splice
+    and each removal logs an event under a fresh lid.
 
     The first sharing list is found through an index: `holders` maps a
     label id to the pool positions holding it, `count` counts the label
     ids in the accumulator, and `heap` holds every remaining position
     that shares a label (pushed when the accumulator gains one of its
     labels; entries that no longer share are dropped when popped).
+
+    Only the pairs (j, j+1) with k <= j < clean_from can be equal: the
+    ones before k were checked, the ones from clean_from on lie in a clean
+    suffix.  After the first splice the accumulator is clean, so a splice
+    checks from one left of the junction to the start of its tail b; after
+    removing (k, k+1) the scan resumes at k-1.
     """
     remaining = pool.pool_lids()
     if not remaining:
         raise ValueError("empty pool")
-    history = MergeHistory(initial=list(remaining))
-    events = history.events
-    lab, square, unprimed = pool.lab, pool.square, pool.unprimed
-    own = [pool.own[lid] for lid in remaining]
+    home = pool.home
+    history = MergeHistory(initial=list(remaining), home=home.copy())
+    events, tree = history.events, history.tree
+    lists, labs_of = pool.lists, pool.labs
+    square, unprimed = pool.square, pool.unprimed
+    own = list(map(pool.own.__getitem__, remaining))
     holders: dict[int, list[int]] = {}
     for pos in range(1, len(remaining)):
         for l in own[pos]:
             holders.setdefault(l, []).append(pos)
-    alive = [pos > 0 for pos in range(len(remaining))]
+    alive = [True] * len(remaining)
     count = [0] * len(square)
     heap: list[int] = []
-
-    def absorb(pos: int) -> None:
+    push, pop = heapq.heappush, heapq.heappop
+    pos = 0
+    acc = remaining[0]
+    sides, labs = list(lists[acc].sides), list(labs_of[acc])
+    rid = pool._next_list
+    for r in range(len(remaining)):
+        if r:  # r = 0 only absorbs the first list, the accumulator
+            at = None
+            while at is None:
+                if not heap:
+                    raise Disconnected("pool does not splice to a single list")
+                pos = pop(heap)
+                if alive[pos]:
+                    for l in own[pos]:
+                        if count[l]:
+                            if unprimed[l]:
+                                at = l
+                                break
+                            if at is None:
+                                at = l
+        # absorb the list at pos: push every position that shares a label
+        # the accumulator gains
         alive[pos] = False
         for l in own[pos]:
             if not count[l]:
                 for p in holders.get(l, ()):
                     if alive[p]:
-                        heapq.heappush(heap, p)
+                        push(heap, p)
             count[l] += 1
-
-    absorb(0)
-    acc = remaining[0]
-    sides, labs = list(pool.lists[acc].sides), list(pool.labs[acc])
-    for r in range(len(remaining) - 1):
-        at = None
-        while heap and at is None:
-            pos = heapq.heappop(heap)
-            if alive[pos]:
-                for l in own[pos]:
-                    if count[l]:
-                        if unprimed[l]:
-                            at = l
-                            break
-                        if at is None:
-                            at = l
-        if at is None:
-            raise Disconnected("pool does not splice to a single list")
-        absorb(pos)
-        logged = len(events)
-        acc = _splice(pool, acc, sides, labs, remaining[pos], at, events, r > 0)
-        for ev in events[logged:]:
-            l = lab[ev[-1]]  # the glued or cancelled pair shares one label
+        if not r:
+            continue
+        mid = remaining[pos]
+        M, lab_m = lists[mid].sides, labs_of[mid]
+        try:
+            i, j = labs.index(at), lab_m.index(at)
+        except ValueError:
+            raise NoCommonLabel(
+                f"label {format_label(pool.label_at[at])} missing") from None
+        gl, gm = sides[i], M[j]
+        tree[mid] = (home[gl], gl, gm, rid)
+        b = len(labs) - i - 1
+        if len(M) == 2:  # the commonest list: the splice renames a side
+            sides[i], labs[i] = M[1 - j], lab_m[1 - j]
+        else:
+            sides[i:i + 1] = M[j + 1:] + M[:j]
+            labs[i:i + 1] = lab_m[j + 1:] + lab_m[:j]
+        count[at] -= 2
+        events.append(("merge", rid, acc, mid, gl, gm))
+        acc, rid = rid, rid + 1
+        n = len(labs)
+        # the first splice (r = 1) starts from a pool list, maybe unclean
+        k, clean_from = (max(i - 1, 0), n - b) if r > 1 else (0, n)
+        while True:
+            stop = min(clean_from, n - 1)
+            while k < stop and labs[k] != labs[k + 1]:
+                k += 1
+            if k < stop:
+                l = labs[k]
+                s1, s2 = sides[k], sides[k + 1]
+                del sides[k:k + 2], labs[k:k + 2]
+                clean_from = max(clean_from - 2, k)
+                k = max(k - 1, 0)
+            elif n >= 2 and labs[-1] == labs[0]:
+                l = labs[0]
+                s1, s2 = sides[-1], sides[0]
+                del sides[-1], sides[0], labs[-1], labs[0]
+                k = max(n - 3, 0)
+            else:
+                break
+            n -= 2
             if square[l]:
                 count[l] -= 2
+            events.append(("cancel", rid, acc, s1, s2))
+            acc, rid = rid, rid + 1
+    pool._next_list = rid
     if events:
         pool.put_list(acc, sides, True, "m", 0)
     history.final = acc
@@ -604,66 +614,49 @@ def _separating_pair(labs: Sequence[int], square: Sequence[bool],
 
 def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
     """Trace the pair (alpha, alpha) of the final list back through the
-    merge history to a chain of pairs, each inside one original pool list."""
-    final = pool.lists[history.final]
+    merge history to a chain of pairs, each inside one initial list.
+
+    A merge splits a pair that straddles it into (.., gl) in the
+    accumulator and (gm, ..) in the absorbed list, so the chain follows the
+    merge tree's path from the list of alpha's first occurrence to that of
+    its second.  Each end climbs to its parent, the one absorbed later
+    first (a parent is absorbed before its children), until they meet; the
+    pairs in each list run from entry to exit side.
+    """
+    labs = pool.labs[history.final]
     aid = pool.label_ids.get(alpha)
-    occ = [s for s in final.sides if pool.lab[s] == aid]
-    if len(occ) != 2:
+    if labs.count(aid) != 2:
         raise InconsistentChain("alpha must occur exactly twice")
-    a1, a2 = occ  # a1 is the earlier occurrence in stored order
-    # the right operand of a merge is an initial list, and each side lies
-    # in exactly one initial list
-    initial_of = {s: lid for lid in history.initial
-                  for s in pool.lists[lid].sides}
-    # pairs [side, side, lid of the list holding both], linked in chain
-    # order by `after`; `tagged` indexes them by that lid, so an event that
-    # touches none of them costs one dict lookup
-    pairs: list[list[int]] = [[a1, a2, history.final]]
-    after = [-1]
-    tagged: dict[int, list[int]] = {history.final: [0]}
-    for ev in reversed(history.events):
-        group = tagged.pop(ev[1], None)
-        if group is None:
-            continue
-        if ev[0] == "cancel":
-            for k in group:
-                pairs[k][2] = ev[2]
-            tagged.setdefault(ev[2], []).extend(group)
-            continue
-        _, rid, lid, mid, gl, gm = ev
-        for k in group:
-            pair = pairs[k]
-            sa, sb, _ = pair
-            pa = mid if initial_of.get(sa) == mid else lid
-            pb = mid if initial_of.get(sb) == mid else lid
-            if pa == pb:
-                pair[2] = pa
-                tagged.setdefault(pa, []).append(k)
-                continue
-            if pa == lid:
-                pair[:], rest = [sa, gl, lid], [gm, sb, mid]
-            else:
-                pair[:], rest = [sa, gm, mid], [gl, sb, lid]
-            r = len(pairs)
-            pairs.append(rest)
-            after.append(after[k])
-            after[k] = r
-            tagged.setdefault(pair[2], []).append(k)
-            tagged.setdefault(rest[2], []).append(r)
-    initial = set(history.initial)
+    # x is the earlier occurrence in stored order
+    i = labs.index(aid)
+    sides = pool.lists[history.final].sides
+    x, y = sides[i], sides[labs.index(aid, i + 1)]
+    tree = history.tree
+    root = (None, None, None, -1)  # the first list is never absorbed
+    a, b = history.home[x], history.home[y]
+    head: list[tuple[int, int, int]] = []  # pairs from x's end, in order
+    tail: list[tuple[int, int, int]] = []  # pairs from y's end, reversed
+    while a != b:
+        up_a, up_b = tree.get(a, root), tree.get(b, root)
+        if up_a[3] > up_b[3]:
+            parent, gl, gm, _ = up_a
+            head.append((x, gm, a))
+            x, a = gl, parent
+        else:
+            parent, gl, gm, _ = up_b
+            tail.append((gm, y, b))
+            y, b = gl, parent
+    head.append((x, y, a))
+    head.extend(reversed(tail))
+    half, cyl = pool.half, pool.cyl
     chain: PairChain = []
-    k = 0
-    while k >= 0:
-        sa, sb, tag = pairs[k]
-        k = after[k]
-        if tag not in initial:
-            raise InconsistentChain(f"pair not traced to a pool list: {tag}")
-        ha, hb = pool.sides[sa].half, pool.sides[sb].half
-        if ha != hb or ha is None:
+    for sa, sb, lid in head:
+        h = half[sa]
+        if h != half[sb] or h is None:
             raise InconsistentChain("pair straddles list halves")
-        chain.append(ChainPair(sa, sb, tag, ha, pool.sides[sa].cyl))
+        chain.append(ChainPair(sa, sb, lid, h, cyl[sa]))
     # emission starts with a lower-boundary pair when possible
-    if chain and chain[0].half == "o" and chain[-1].half == "u":
+    if chain[0].half == "o" and chain[-1].half == "u":
         chain = [
             ChainPair(p.side_b, p.side_a, p.lid, p.half, p.cyl)
             for p in reversed(chain)
@@ -693,9 +686,8 @@ def _half_bounds(pool: Pool, lid: int, half: str) -> tuple[int, int, bool]:
 def _underlying(pool: Pool, sid: int) -> int:
     """The square of the pair's cylinder that carries this boundary label:
     the label itself on the lower boundary, its p2-preimage on the upper."""
-    side = pool.sides[sid]
-    sq = side.label.square
-    return sq if side.half == "u" else pool.o.p2.inverse_of(sq)
+    sq = pool.label_of(sid).square
+    return sq if pool.half[sid] == "u" else pool.o.p2.inverse_of(sq)
 
 
 def _p1_steps(pool: Pool, cyl: Cylinder, a: int, b: int) -> int:
@@ -726,10 +718,11 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
 
 
 def _exponent(pool: Pool, pair: ChainPair) -> int:
-    _, _, cyclic = _half_bounds(pool, pair.lid, pair.half)
-    cyl = pool.cyl_of[pair.cyl]
-    a = _underlying(pool, pair.side_a)
-    b = _underlying(pool, pair.side_b)
+    side_a, side_b, lid, half, base = pair
+    _, _, cyclic = _half_bounds(pool, lid, half)
+    cyl = pool.cyl_of[base]
+    a = _underlying(pool, side_a)
+    b = _underlying(pool, side_b)
     if a == b:
         raise InconsistentChain("pair joins a square to itself")
     t0 = _p1_steps(pool, cyl, a, b)
@@ -738,8 +731,8 @@ def _exponent(pool: Pool, pair: ChainPair) -> int:
         if 2 * t0 < n or 2 * t0 == n:
             return t0
         return t0 - n
-    pos = pool.position(pair.lid)
-    if (pair.half == "u") == (pos[pair.side_a] < pos[pair.side_b]):
+    pos = pool.position(lid)
+    if (half == "u") == (pos[side_a] < pos[side_b]):
         return t0
     return t0 - n
 
@@ -750,7 +743,7 @@ def emit_curve(pool: Pool, chain: PairChain) -> OrigamiCurve:
     if not chain:
         raise InconsistentChain("empty chain")
     first = chain[0]
-    alpha0 = pool.sides[first.side_a].label.square
+    alpha0 = pool.label_of(first.side_a).square
     start = alpha0 if first.half == "u" else pool.o.p2.inverse_of(alpha0)
     letters = []
     for pair in chain:
@@ -779,18 +772,19 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
     """
     replaced: dict[int, tuple[int, ...]] = {}  # split list -> its successors
     joining: dict[str, dict[int, list[int]]] = {"u": {}, "o": {}}
+    home = pool.home
     for pair in chain:
-        lid = pool.home.get(pair.side_a)
+        side_a, side_b, _, half, cyl = pair
+        lid = home.get(side_a)
         if lid is None:
-            raise InconsistentChain(f"side {pair.side_a} not in any pool list")
-        if pool.home.get(pair.side_b) != lid:
+            raise InconsistentChain(f"side {side_a} not in any pool list")
+        if home.get(side_b) != lid:
             raise InconsistentChain("chain pair torn across lists")
         lst = pool.lists[lid]
-        lo, hi, cyclic = _half_bounds(pool, lid, pair.half)
+        lo, hi, cyclic = _half_bounds(pool, lid, half)
         e = _pair_exponent(pool, pair)
-        forward = (e > 0) if pair.half == "u" else (e < 0)
-        role_a, role_b = (pair.side_a, pair.side_b) if forward else (
-            pair.side_b, pair.side_a)
+        forward = (e > 0) if half == "u" else (e < 0)
+        role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
         pos = pool.position(lid)
         ia, ib = pos[role_a], pos[role_b]
         sides = lst.sides
@@ -802,13 +796,11 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
             raise InconsistentChain(
                 "sweep must run forward in a non-cyclic list")
 
-        mark_0, mark_1 = (1, 2) if pair.half == "u" else (2, 1)
-        a_l0, b_l0 = pool.primed(role_a, mark_0), pool.primed(role_b, mark_1)
-        a_l1, b_l1 = pool.primed(role_a, mark_1), pool.primed(role_b, mark_0)
-        l1 = pool.new_list((a_l1,) + between + (b_l1,), False, pair.half,
-                           pair.cyl)
+        marks = (1, 2) if half == "u" else (2, 1)
+        a_l0, b_l0, a_l1, b_l1 = pool.split_sides(role_a, role_b, *marks)
+        l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half, cyl)
         pool.settle(l1)
-        del pool.home[role_a], pool.home[role_b]  # replaced by primed copies
+        del home[role_a], home[role_b]  # replaced by primed copies
         if ia < ib:
             kept = sides[:ia] + (a_l0, b_l0) + sides[ib + 1:]
         else:
@@ -817,7 +809,7 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
         pool.settle(l0)
         if lst.kind == "lz":
             replaced[lid] = (l0,)
-            joining[pair.half].setdefault(pair.cyl, []).append(l1)
+            joining[half].setdefault(cyl, []).append(l1)
         else:
             replaced[lid] = (l0, l1)
     pool.u_section = _resection(pool.u_section, replaced, joining["u"])

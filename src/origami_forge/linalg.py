@@ -3,8 +3,8 @@
 Matrices are lists of rows of ints.  The Smith normal form keeps the two
 unimodular transforms U and V, which is what its callers read: one
 factorisation answers any number of solves.  No command runs it: its
-callers are the oracles `homology.symplectic_completion` and
-`homology.induced_matrix`, which the tests check the command paths against.
+callers are the oracle `homology.symplectic_completion` and the tests'
+own oracles, which check the command paths.
 """
 
 from __future__ import annotations

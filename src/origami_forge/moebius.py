@@ -1,10 +1,17 @@
 """Moebius transformations and their fixed-point/multiplier coordinates.
 
-This is the only floating-point module in the package; every comparison
-of complex entries uses an absolute tolerance of 1e-9.  Only the pole test
-of `MoebiusMap.__call__` is relative, and a multiplier is rejected only
-when it is exactly zero: a map like diag(1e5, 1e-5) has multiplier 1e-10,
-far below the tolerance, and is a valid loxodromic.
+This is the only floating-point module in the package.  Tests of a single
+quantity (a trace, the entry c, the distance of two fixed points) use an
+absolute tolerance of 1e-9.  Comparisons of computed maps scale their
+tolerance by the magnitude of the compared values, never below 1:
+`MoebiusMap.approx_eq` by the largest entry of either map, and the branch
+check of `from_fixed_data` by the size of the products in the determinant
+and of the fixed points.  A map conjugated into general position can have
+entries near 1e9 whose last digits are rounding noise, and an absolute
+test would reject it.  The pole test of `MoebiusMap.__call__` is relative,
+and a multiplier is rejected only when it is exactly zero: a map like
+diag(1e5, 1e-5) has multiplier 1e-10, far below the tolerance, and is a
+valid loxodromic.
 """
 
 from __future__ import annotations
@@ -77,13 +84,13 @@ class MoebiusMap:
         return self.a + self.d
 
     def approx_eq(self, other: "MoebiusMap", tol: float = TOL) -> bool:
+        """Equal up to sign, each entry within tol times the largest entry
+        of either map (or within tol, if no entry exceeds 1)."""
+        mine = (self.a, self.b, self.c, self.d)
+        theirs = (other.a, other.b, other.c, other.d)
+        bound = tol * max(1.0, *map(abs, mine), *map(abs, theirs))
         for sign in (1, -1):
-            if (
-                abs(self.a - sign * other.a) <= tol
-                and abs(self.b - sign * other.b) <= tol
-                and abs(self.c - sign * other.c) <= tol
-                and abs(self.d - sign * other.d) <= tol
-            ):
+            if all(abs(x - sign * y) <= bound for x, y in zip(mine, theirs)):
                 return True
         return False
 
@@ -170,12 +177,13 @@ def from_fixed_data(f: FixedPointData) -> MoebiusMap:
         d = (-r * c + tr) / 2
         b = -s * c
         m = MoebiusMap(a, b, c, d)
-        if abs(a * d - b * c - 1) > 1e-6:
+        if abs(a * d - b * c - 1) > 1e-6 * max(1.0, abs(a * d), abs(b * c)):
             continue
         got = fixed_data(m)
+        span = 1e-6 * max(1.0, abs(f.z), abs(f.w))
         if (
-            abs(got.z - f.z) <= 1e-6
-            and abs(got.w - f.w) <= 1e-6
+            abs(got.z - f.z) <= span
+            and abs(got.w - f.w) <= span
             and abs(got.multiplier - lam) <= 1e-6
         ):
             return m

@@ -3,8 +3,8 @@
 F_2 = <x, y> acts on the squares through the monodromy (x by p1, y by p2,
 words applied left to right); H is the stabilizer of the base square.
 This module provides membership, a Schreier generating system with
-Reidemeister-Schreier rewriting, puncture relations, and Veech-group
-membership by the covering test on the monodromy pair of an automorphism.
+Reidemeister-Schreier rewriting, and Veech-group membership by the
+covering test on the monodromy pair of a lifted matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .freegroup import (
-    F2Endo,
     IntMatrix2,
     NotUnimodular,
     Word,
@@ -21,24 +20,19 @@ from .freegroup import (
     mat_det,
     nielsen_factors,
 )
-from .origami import Origami, Permutation, act_word, vertex_orbits
+from .origami import Origami, Permutation, act_word
 
 __all__ = [
     "NotInSubgroup",
-    "NotAutomorphism",
     "SchreierSystemError",
     "CosetAction",
     "SchreierSystem",
-    "PunctureData",
     "contains",
     "schreier_system",
     "rewrite",
     "substitute",
-    "puncture_relations",
-    "aut_stabilizes",
     "veech_witness",
     "veech_contains",
-    "COMMUTATOR",
 ]
 
 
@@ -46,16 +40,8 @@ class NotInSubgroup(ValueError):
     pass
 
 
-class NotAutomorphism(ValueError):
-    pass
-
-
 class SchreierSystemError(ValueError):
     """A check that decides the Schreier system failed."""
-
-
-# x^-1 y^-1 x y, the loop around a vertex
-COMMUTATOR = Word(2, [(1, -1), (2, -1), (1, 1), (2, 1)])
 
 
 @dataclass(frozen=True)
@@ -176,32 +162,6 @@ def substitute(ss: SchreierSystem, w: Word) -> Word:
     return w.substitute(ss.generators, 2)
 
 
-@dataclass(frozen=True)
-class PunctureData:
-    """One relation per vertex orbit: conjugates of powers of the
-    commutator x^-1 y^-1 x y, exponent = orbit size."""
-
-    conjugators: tuple[Word, ...]
-    exponents: tuple[int, ...]
-    relations: tuple[Word, ...]
-
-
-def puncture_relations(cs: CosetAction) -> PunctureData:
-    ss = schreier_system(cs)
-    conjugators = []
-    exponents = []
-    relations = []
-    for orbit in vertex_orbits(cs.origami):
-        s = min(orbit)
-        n = len(orbit)
-        r = (COMMUTATOR ** n).conj(ss.reps[s])
-        assert contains(cs, r), "puncture relation escaped H"
-        conjugators.append(ss.reps[s])
-        exponents.append(n)
-        relations.append(r)
-    return PunctureData(tuple(conjugators), tuple(exponents), tuple(relations))
-
-
 def _cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:
     """The first square s that H = Stab(base) fixes under (P, Q), or None:
     the first s such that base -> s extends to a map f of F_2-sets,
@@ -220,24 +180,11 @@ def _cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:
     return None
 
 
-def aut_stabilizes(cs: CosetAction, phi: F2Endo) -> Optional[int]:
-    """A square s with phi(H) = Stab(s), or None.
-
-    s . phi(w) is s . w under the monodromy pair (P, Q) of phi(x), phi(y),
-    so phi(H) <= Stab(s) iff H fixes s under (P, Q); for an automorphism
-    both have index d."""
-    if not phi.is_automorphism:
-        raise NotAutomorphism("endomorphism is not marked as an automorphism")
-    o = cs.origami
-    P = Permutation([act_word(o, s, phi.image_x) for s in range(1, o.d + 1)])
-    Q = Permutation([act_word(o, s, phi.image_y) for s in range(1, o.d + 1)])
-    return _cover(cs, P, Q)
-
-
 def veech_witness(cs: CosetAction, A: IntMatrix2) -> Optional[int]:
-    """`aut_stabilizes(cs, lift_matrix(A))`, not None iff A is in the Veech
-    group.  Each Nielsen factor (a, b; c, d) of A lifts to x -> x^a y^c,
-    y -> x^b y^d, so it acts on the pair directly: O(d log|A| + d^2)."""
+    """A square s with phi(H) = Stab(s) for phi = lift_matrix(A), or None;
+    not None iff A is in the Veech group.  Each Nielsen factor (a, b; c, d)
+    of A lifts to x -> x^a y^c, y -> x^b y^d, so it acts on the monodromy
+    pair directly: O(d log|A| + d^2)."""
     if mat_det(A) != 1:
         raise NotUnimodular(f"det {mat_det(A)} != 1")
     P, Q = cs.origami.p1, cs.origami.p2

@@ -3,11 +3,38 @@
 ``concatenate`` is the splice of the rescan engine: it finds the glued
 labels by label equality, cancels by rescanning from the front after
 every removal, and stores every intermediate list in the pool.  ``replay``
-re-runs a merge history from its initial lists.  Both check the indexed
-engine of ``origami_forge.hss`` from outside.
+re-runs a merge history from its initial lists, and ``replay_backtrack``
+traces a pair back by replaying the history's events in reverse.  They
+check the indexed engine of ``origami_forge.hss`` from outside.
+
+``induced_matrix`` computes the action of an automorphism of F_2 on H1
+from a Schreier system and a Smith form; the twist certificate is checked
+against it.  ``aut_stabilizes`` runs the covering test on the monodromy
+pair of a lifted automorphism, which ``subgroup.veech_witness`` builds
+from Nielsen factors instead.  ``puncture_relations`` gives one relation
+of H per vertex orbit.
 """
 
-from origami_forge.hss import NoCommonLabel, format_label
+from dataclasses import dataclass
+from typing import Optional
+
+from origami_forge import linalg
+from origami_forge.freegroup import F2Endo, Word
+from origami_forge.homology import (
+    CertificateError,
+    H1Model,
+    class_of,
+    h1_model,
+    standard_j,
+)
+from origami_forge.hss import (
+    ChainPair,
+    InconsistentChain,
+    NoCommonLabel,
+    format_label,
+)
+from origami_forge.origami import Origami, Permutation, act_word, vertex_orbits
+from origami_forge.subgroup import CosetAction, _cover, contains, schreier_system
 
 
 def concatenate(pool, lid, mid, at, history=None):
@@ -67,3 +94,171 @@ def replay(pool, history):
     if set(state) != {history.final}:
         raise AssertionError(f"history leaves lists {sorted(state)}")
     return tuple(state[history.final])
+
+
+def replay_backtrack(pool, history, alpha):
+    """backtrack by the event log: walk the events in reverse, and split
+    every pair whose two sides a merge brings from different operands into
+    (side, glued side) and (glued side, side).  The right operand of a
+    merge is an initial list, so a side -> initial-list map tells the
+    operands apart; split pairs are linked into chain order by `after`."""
+    final = pool.lists[history.final]
+    aid = pool.label_ids.get(alpha)
+    occ = [s for s in final.sides if pool.lab[s] == aid]
+    if len(occ) != 2:
+        raise InconsistentChain("alpha must occur exactly twice")
+    a1, a2 = occ
+    initial_of = {s: lid for lid in history.initial
+                  for s in pool.lists[lid].sides}
+    # pairs [side, side, lid of the list holding both]; `tagged` indexes
+    # them by that lid
+    pairs = [[a1, a2, history.final]]
+    after = [-1]
+    tagged = {history.final: [0]}
+    for ev in reversed(history.events):
+        group = tagged.pop(ev[1], None)
+        if group is None:
+            continue
+        if ev[0] == "cancel":
+            for k in group:
+                pairs[k][2] = ev[2]
+            tagged.setdefault(ev[2], []).extend(group)
+            continue
+        _, rid, lid, mid, gl, gm = ev
+        for k in group:
+            pair = pairs[k]
+            sa, sb, _ = pair
+            pa = mid if initial_of.get(sa) == mid else lid
+            pb = mid if initial_of.get(sb) == mid else lid
+            if pa == pb:
+                pair[2] = pa
+                tagged.setdefault(pa, []).append(k)
+                continue
+            if pa == lid:
+                pair[:], rest = [sa, gl, lid], [gm, sb, mid]
+            else:
+                pair[:], rest = [sa, gm, mid], [gl, sb, lid]
+            r = len(pairs)
+            pairs.append(rest)
+            after.append(after[k])
+            after[k] = r
+            tagged.setdefault(pair[2], []).append(k)
+            tagged.setdefault(rest[2], []).append(r)
+    initial = set(history.initial)
+    chain = []
+    k = 0
+    while k >= 0:
+        sa, sb, tag = pairs[k]
+        k = after[k]
+        if tag not in initial:
+            raise InconsistentChain(f"pair not traced to a pool list: {tag}")
+        ha, hb = pool.half[sa], pool.half[sb]
+        if ha != hb or ha is None:
+            raise InconsistentChain("pair straddles list halves")
+        chain.append(ChainPair(sa, sb, tag, ha, pool.cyl[sa]))
+    if chain and chain[0].half == "o" and chain[-1].half == "u":
+        chain = [ChainPair(p.side_b, p.side_a, p.lid, p.half, p.cyl)
+                 for p in reversed(chain)]
+    return chain
+
+
+# ---------------------------------------------------------------------------
+# subgroup and homology oracles
+# ---------------------------------------------------------------------------
+
+
+class NotAutomorphism(ValueError):
+    pass
+
+
+class DoesNotStabilize(ValueError):
+    pass
+
+
+# x^-1 y^-1 x y, the loop around a vertex
+COMMUTATOR = Word(2, [(1, -1), (2, -1), (1, 1), (2, 1)])
+
+
+@dataclass(frozen=True)
+class PunctureData:
+    """One relation per vertex orbit: conjugates of powers of the
+    commutator x^-1 y^-1 x y, exponent = orbit size."""
+
+    conjugators: tuple[Word, ...]
+    exponents: tuple[int, ...]
+    relations: tuple[Word, ...]
+
+
+def puncture_relations(cs: CosetAction) -> PunctureData:
+    ss = schreier_system(cs)
+    conjugators = []
+    exponents = []
+    relations = []
+    for orbit in vertex_orbits(cs.origami):
+        s = min(orbit)
+        n = len(orbit)
+        r = (COMMUTATOR ** n).conj(ss.reps[s])
+        if not contains(cs, r):
+            raise AssertionError("puncture relation escaped H")
+        conjugators.append(ss.reps[s])
+        exponents.append(n)
+        relations.append(r)
+    return PunctureData(tuple(conjugators), tuple(exponents), tuple(relations))
+
+
+def aut_stabilizes(cs: CosetAction, phi: F2Endo) -> Optional[int]:
+    """A square s with phi(H) = Stab(s), or None.
+
+    s . phi(w) is s . w under the monodromy pair (P, Q) of phi(x), phi(y),
+    so phi(H) <= Stab(s) iff H fixes s under (P, Q); for an automorphism
+    both have index d."""
+    if not phi.is_automorphism:
+        raise NotAutomorphism("endomorphism is not marked as an automorphism")
+    o = cs.origami
+    P = Permutation([act_word(o, s, phi.image_x) for s in range(1, o.d + 1)])
+    Q = Permutation([act_word(o, s, phi.image_y) for s in range(1, o.d + 1)])
+    return _cover(cs, P, Q)
+
+
+def induced_matrix(
+    o: Origami,
+    phi: F2Endo,
+    model: Optional[H1Model] = None,
+    basis: Optional[linalg.Matrix] = None,
+) -> linalg.Matrix:
+    """The 2g x 2g matrix of the automorphism on H1, in the given
+    symplectic basis (columns S in H1 coordinates with S^T G S = J, as
+    `symplectic_completion` returns; identity basis when omitted)."""
+    cs = CosetAction(o)
+    if aut_stabilizes(cs, phi) != cs.base:
+        raise DoesNotStabilize("phi(H) is not the stabilizer of the base")
+    if model is None:
+        model = h1_model(o)
+    n = 2 * model.g
+    ss = schreier_system(cs)
+    # M0 z_h = w_h for every Schreier generator h, i.e. Z M0^T = W with the
+    # classes as the rows of Z and W.  Z has rank n, so each row of M0 is
+    # the unique solution of an overdetermined system; that every one
+    # exists proves the action linear and integral.
+    Z = linalg.smith_normal_form([class_of(o, model, h) for h in ss.generators])
+    if Z.rank != n:
+        raise CertificateError("generator classes do not span H1 over Q")
+    W = [class_of(o, model, phi(h)) for h in ss.generators]
+    M = []
+    for r in range(n):
+        row = Z.solve([w[r] for w in W])
+        if row is None:
+            raise CertificateError("action is not linear and integral on H1")
+        M.append(row)
+    if basis is not None:
+        # S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T
+        Jinv = linalg.transpose(standard_j(model.g))
+        Sinv = linalg.mat_mul(
+            linalg.mat_mul(Jinv, linalg.transpose(basis)), model.gram
+        )
+        if linalg.mat_mul(Sinv, basis) != linalg.eye(n):
+            raise ValueError("basis is not symplectic")
+        M = linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
+    if abs(linalg.det_int(M)) != 1:
+        raise CertificateError("action is not invertible on H1")
+    return M

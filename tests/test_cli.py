@@ -287,6 +287,18 @@ class TestMoebius:
         assert data["fixed_point_w"] is not None
         assert abs(complex(*data["fixed_point_w"])) < 1e-9
 
+    @pytest.mark.parametrize("entries", [
+        ("1e5,0", "0,0", "0,0", "1e-5,0"),
+        ("1e8,0", "0,0", "0,0", "1e-8,0"),
+    ])
+    def test_large_entries_round_trip(self, capsys, entries):
+        """The conjugated probe of diag(1e8, 1e-8) has entries near 6e8,
+        so the round trip is checked relative to them."""
+        data = run_json(capsys, "moebius", *entries)
+        assert data["classification"] == "loxodromic"
+        assert data["conjugated"] is True
+        assert data["roundtrip"] is True
+
     def test_bad_entry_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "moebius", "x", "0,0", "0,0", "1,0")
         assert code == 1

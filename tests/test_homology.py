@@ -21,7 +21,6 @@ from origami_forge.homology import (
     AlphaSpec,
     CertificateError,
     ConventionViolation,
-    DoesNotStabilize,
     NotLagrangian,
     NotPrimitive,
     UnknownGenerator,
@@ -35,7 +34,6 @@ from origami_forge.homology import (
     edge_cycle,
     f2_independent,
     h1_model,
-    induced_matrix,
     intersection_form,
     modg_alpha_check,
     modg_alpha_conjugator,
@@ -60,6 +58,8 @@ from origami_forge.origami import (
     x_origami,
 )
 from origami_forge.subgroup import CosetAction, schreier_system
+
+from oracles import DoesNotStabilize, induced_matrix
 
 FIXTURES = [
     wollmilchsau(),

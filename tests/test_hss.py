@@ -16,6 +16,7 @@ from origami_forge.hss import (
     MergeHistory,
     NoCommonLabel,
     NoPairFound,
+    Pool,
     Sentinel,
     SLabel,
     backtrack,
@@ -42,7 +43,7 @@ from origami_forge.origami import (
     x_origami,
 )
 
-from oracles import concatenate, replay
+from oracles import concatenate, replay, replay_backtrack
 
 
 def shown(pool, lid):
@@ -52,7 +53,7 @@ def shown(pool, lid):
 # ---------------------------------------------------------------------------
 # reference engine: the stage-2 rescan implementation the indexed engine
 # replaced, kept as the oracle of the differential tests; its splice is
-# `oracles.concatenate`
+# `oracles.concatenate` and its backtracking `oracles.replay_backtrack`
 # ---------------------------------------------------------------------------
 
 
@@ -114,7 +115,8 @@ def rescan_find_separating_pair(labels):
 
 def rescan_find_hss(o):
     """(curves, histories) of the driver loop run on the reference stage-2
-    functions; stage 1, backtracking, emission and splitting are shared."""
+    and backtracking functions; stage 1, emission and splitting are
+    shared."""
     g = genus(o)
     cuts, _ = step1(o)
     curves = [OrigamiCurve(z.base, Word(2, [(1, z.length)])) for z in cuts]
@@ -129,7 +131,7 @@ def rescan_find_hss(o):
         final, history = rescan_merge_all(pool)
         histories.append(history)
         alpha, _ = rescan_find_separating_pair(pool.labels(final))
-        chain = backtrack(pool, history, alpha)
+        chain = replay_backtrack(pool, history, alpha)
         curves.append(emit_curve(pool, chain))
     return curves, histories
 
@@ -144,6 +146,35 @@ def assert_same_as_rescan(o):
         assert new.initial == old.initial, o
         assert new.events == old.events, o
         assert new.final == old.final, o
+
+
+def assert_tree_walk_matches_replay(o):
+    """The merge tree each history records agrees with its events, and
+    the tree walk gives the replayed chain for every round's alpha and
+    beta, also once the pool has moved on to later rounds."""
+    result = find_hss_detailed(o)
+    pool = result.pool
+    for history, beta in zip(result.histories, result.betas):
+        initial_of = {s: lid for lid in history.initial
+                      for s in pool.lists[lid].sides}
+        assert history.home == initial_of, o
+        root = history.initial[0]
+        absorbed = {root}
+        for ev in history.events:
+            if ev[0] != "merge":
+                continue
+            _, rid, _, mid, gl, gm = ev
+            parent = initial_of[gl]
+            assert history.tree[mid] == (parent, gl, gm, rid), o
+            assert parent in absorbed, o  # absorbed earlier
+            absorbed.add(mid)
+        assert set(history.tree) == absorbed - {root}, o
+        assert absorbed == set(history.initial), o
+        alpha, separating = find_separating_pair(pool.labels(history.final))
+        assert separating == beta, o
+        for label in (alpha, beta):
+            assert backtrack(pool, history, label) == replay_backtrack(
+                pool, history, label), (o, label)
 
 
 class TestStep1:
@@ -247,6 +278,36 @@ class TestMerging:
             "5", "6", "7", "a5", "3", "4",
         ]
         assert replay(pool, history) == pool.lists[final].sides
+
+    def test_unclean_lists_match_rescan(self):
+        """Pools whose lists hold adjacent equal labels, also in the first
+        list, and labels on more than two sides: the rescan engine decides
+        the events."""
+
+        def pool_of(lists):
+            pool = Pool(wollmilchsau())
+            for labels in lists:
+                sides = [pool.new_side(label, "u", 1) for label in labels]
+                lid = pool.new_list(sides, True, "u", 1)
+                pool.settle(lid)
+                pool.u_section.append((1, lid))
+            return pool
+
+        rng = random.Random(1515)
+        for _ in range(400):
+            lists = [[SLabel(rng.randint(1, 5), rng.choice(((), (), (1,))))
+                      for _ in range(rng.randint(1, 5))]
+                     for _ in range(rng.randint(1, 5))]
+            try:
+                old_final, old = rescan_merge_all(pool_of(lists))
+            except Disconnected:
+                with pytest.raises(Disconnected):
+                    merge_all(pool_of(lists))
+                continue
+            pool = pool_of(lists)
+            final, history = merge_all(pool)
+            assert (final, history.events) == (old_final, old.events), lists
+            assert replay(pool, history) == pool.lists[final].sides, lists
 
     def test_fourteen_square_merge_result(self):
         o = o14()
@@ -440,6 +501,31 @@ class TestStoredLists:
             expected = json.load(fh)
         assert [{"start": c.start, "word": str(c.word)}
                 for c in dual_curves(result)] == expected
+
+
+class TestBacktrackAgainstReplay:
+    """The merge-tree walk against the reverse replay of the event log."""
+
+    def test_fixtures(self, fixture_origamis):
+        for _, o in fixture_origamis:
+            assert_tree_walk_matches_replay(o)
+
+    def test_random_sample(self, random_sample):
+        for _, o in random_sample:
+            assert_tree_walk_matches_replay(o)
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_seeded_degree(self, d):
+        assert_tree_walk_matches_replay(random_origami(random.Random(d), d))
+
+    def test_alpha_must_occur_twice(self):
+        o = wollmilchsau()
+        cuts, _ = step1(o)
+        pool = init_lists(o, cuts)
+        _, history = merge_all(pool)
+        for label in (SLabel(2), SLabel(99), SLabel(1, (1,))):
+            with pytest.raises(InconsistentChain, match="exactly twice"):
+                backtrack(pool, history, label)
 
 
 class TestAgainstRescanEngine:

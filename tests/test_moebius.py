@@ -1,5 +1,6 @@
 """Moebius transformations: trace classification and the loxodromic
-fixed-point/multiplier coordinates, all at 1e-9 tolerance."""
+fixed-point/multiplier coordinates, at 1e-9 tolerance (scaled by the
+entries' magnitude when whole maps are compared)."""
 
 import cmath
 import json
@@ -69,6 +70,15 @@ class TestNormalization:
         m = MoebiusMap.from_entries(3, 1, 2, 4)
         flipped = MoebiusMap(-m.a, -m.b, -m.c, -m.d)
         assert m.approx_eq(flipped)
+
+    def test_approx_eq_scales_with_the_entries(self):
+        m = MoebiusMap(6e5, -2e5, 1.2e6, -4e5)
+        assert m.approx_eq(MoebiusMap(6e5 + 1e-9, -2e5, 1.2e6, -4e5 - 1e-9))
+        assert not m.approx_eq(MoebiusMap(6e5 + 1e-2, -2e5, 1.2e6, -4e5))
+
+    def test_approx_eq_is_absolute_below_one(self):
+        assert not IDENTITY.approx_eq(MoebiusMap(1 + 2e-9, 0, 0, 1))
+        assert IDENTITY.approx_eq(MoebiusMap(1 + 5e-10, 0, 5e-10, 1))
 
     def test_compose_inverse(self):
         m = MoebiusMap.from_entries(3, 1, 2, 4)
