@@ -40,7 +40,8 @@ from .subgroup import CosetAction, veech_witness
 
 SCHEMA = 1
 # homology's intersection_matrix is written in the tree-cotree basis of
-# `homology.h1_model`; schema 1 wrote it in a Smith-form basis
+# `homology.h1_model`; schema 1 wrote it in the basis of a diagonalised
+# boundary map
 HOMOLOGY_SCHEMA = 2
 
 

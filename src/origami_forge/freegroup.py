@@ -280,23 +280,6 @@ def simultaneous_conjugacy(pairs: Sequence[Tuple[Word, Word]]) -> Optional[Word]
 # horizontal words
 
 
-def is_horizontal(w: Word) -> bool:
-    """True iff w is a product of blocks x^{c_i} y x^{d_i} y^-1 (or the
-    mirror with y and y^-1 swapped).  Pure powers of x count as the empty
-    product."""
-    if w.rank != 2:
-        raise RankMismatch("horizontality is defined for rank 2")
-    ysigns = [e for g, e in w.letters if g == 2]
-    if not ysigns:
-        return True
-    if sum(ysigns) != 0:
-        return False
-    for a, b in zip(ysigns, ysigns[1:]):
-        if a == b:
-            return False
-    return True
-
-
 def is_conjugate_horizontal(w: Word) -> bool:
     """True iff some conjugate of w is horizontal.  The conjugates' y-sign
     sequences are the rotations of the cyclic core's, and one of those
@@ -348,18 +331,7 @@ def identity_endo() -> F2Endo:
     return F2Endo(gen(2, 1), gen(2, 2), True)
 
 
-def inner(wrd: Word) -> F2Endo:
-    """Conjugation by wrd."""
-    return F2Endo(gen(2, 1).conj(wrd), gen(2, 2).conj(wrd), True)
-
-
 IntMatrix2 = Tuple[int, int, int, int]  # (a, b, c, d) for ((a, b), (c, d))
-
-
-def mat_mul(A: IntMatrix2, B: IntMatrix2) -> IntMatrix2:
-    a, b, c, d = A
-    e, f, g, h = B
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def mat_det(A: IntMatrix2) -> int:

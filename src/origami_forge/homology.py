@@ -9,15 +9,16 @@ tree T of the 1-skeleton, a spanning tree C of the dual graph on the edges
 outside T, and the 2g chords left in neither.  The chords' fundamental
 cycles in T are the basis, peeling C from its leaves gives every edge's
 coordinates, and the Gram matrix is the chords' crossing matrix on the
-ribbon graph with T contracted.  No Smith form is needed: the quotient is
-free by construction.  All arithmetic is exact.
+ribbon graph with T contracted.  The quotient is free by construction, so
+no diagonal form is needed.  All arithmetic is exact.
 
-The twist certificate runs no Smith form either.  The cut system's dual
+The twist certificate diagonalises nothing either.  The cut system's dual
 curves (`hss.dual_curves`) pair with its curves in an upper triangular
 matrix with +-1 on the diagonal, which proves that the curves span a
 direct summand and gives each cylinder core's coordinates by back
-substitution.  Only the oracle `symplectic_completion`, which no command
-calls, still uses a Smith form.
+substitution.  `symplectic_completion`, which no command calls, finds its
+dual classes from one column reduction of the pairing matrix, a Hermite
+form: the classes span a direct summand iff every pivot is +-1.
 """
 
 from __future__ import annotations
@@ -445,14 +446,40 @@ def symplectic_completion(
     A = [list(c) for c in lagrangian]
     GtA = _check_lagrangian(model, A)
     # B_j solves <A_i, B_j> = delta_ij.  The Gram matrix is unimodular, so
-    # integral B_j exist iff the A_i span a rank-g direct summand
-    C = linalg.smith_normal_form(GtA)
-    B = []
-    for j in range(g):
-        b = C.solve([1 if i == j else 0 for i in range(g)])
-        if b is None:
+    # integral B_j exist iff the A_i span a rank-g direct summand.  Column
+    # operations col_j -= q col_p, tracked in V, bring H = GtA V to one
+    # pivot per row among the columns not yet pivoted (Kannan-Bachem);
+    # the summand is direct iff every pivot is +-1.  H and V are stored
+    # by columns.
+    H, V = linalg.transpose(GtA), linalg.eye(2 * g)
+    free, rows, pivots = list(range(2 * g)), list(range(g)), []
+    while rows:
+        nonzero = [(i, j) for i in rows for j in free if H[j][i]]
+        if not nonzero:
             raise NotPrimitive("classes do not span a direct summand")
-        B.append(b)
+        i, p = min(nonzero, key=lambda ij: abs(H[ij[1]][ij[0]]))
+        while True:
+            others = [j for j in free if j != p and H[j][i]]
+            if not others:
+                break
+            for j in others:
+                q = H[j][i] // H[p][i]
+                H[j] = [x - q * y for x, y in zip(H[j], H[p])]
+                V[j] = [x - q * y for x, y in zip(V[j], V[p])]
+            p = min((j for j in free if H[j][i]), key=lambda j: abs(H[j][i]))
+        if H[p][i] not in (1, -1):
+            raise NotPrimitive("classes do not span a direct summand")
+        rows.remove(i)
+        free.remove(p)
+        pivots.append((i, p))
+    # H is lower triangular in pivot order, so upper triangular in reverse
+    pivots.reverse()
+    P = [[H[p][i] for _, p in pivots] for i, _ in pivots]
+    Vp = list(zip(*(V[p] for _, p in pivots)))
+    B = [
+        linalg.mat_vec(Vp, _back_substitute(P, [int(i == j) for i, _ in pivots]))
+        for j in range(g)
+    ]
     # clear <B_i, B_j> using the A's; GB[j] = Gram * B_j once B_j is final
     GB: List[List[int]] = []
     for i in range(g):

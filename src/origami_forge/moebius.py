@@ -146,14 +146,13 @@ def fixed_data(m: MoebiusMap) -> FixedPointData:
     disc = cmath.sqrt((m.a + m.d) ** 2 - 4)
     p1 = ((m.a - m.d) + disc) / (2 * m.c)
     p2 = ((m.a - m.d) - disc) / (2 * m.c)
-
-    def deriv(z: complex) -> complex:
-        return 1 / (m.c * z + m.d) ** 2
-
-    l1, l2 = deriv(p1), deriv(p2)
-    if abs(l1) < abs(l2):
-        return FixedPointData(p1, p2, l1).validate()
-    return FixedPointData(p2, p1, l2).validate()
+    # the multiplier at p is 1 / (c p + d)^2, and the two values of c p + d
+    # are inverse; the attracting point's is the larger, and the other one
+    # can round to 0, so it is never inverted
+    n1, n2 = m.c * p1 + m.d, m.c * p2 + m.d
+    if abs(n1) > abs(n2):
+        return FixedPointData(p1, p2, 1 / n1 ** 2).validate()
+    return FixedPointData(p2, p1, 1 / n2 ** 2).validate()
 
 
 def from_fixed_data(f: FixedPointData) -> MoebiusMap:

@@ -7,22 +7,33 @@ re-runs a merge history from its initial lists, and ``replay_backtrack``
 traces a pair back by replaying the history's events in reverse.  They
 check the indexed engine of ``origami_forge.hss`` from outside.
 
+``smith_normal_form`` keeps both unimodular transforms, so one
+factorisation answers any number of integer solves.  The H1 model, the
+induced action and the symplectic completion are checked against Smith
+forms: ``snf_symplectic_completion`` is the completion that
+``homology.symplectic_completion`` replaced.  ``mat_mul`` multiplies
+integer matrices, and ``mat2_mul`` multiplies the 2 x 2 matrices of
+``freegroup``, kept as (a, b, c, d).
+
 ``induced_matrix`` computes the action of an automorphism of F_2 on H1
 from a Schreier system and a Smith form; the twist certificate is checked
 against it.  ``aut_stabilizes`` runs the covering test on the monodromy
 pair of a lifted automorphism, which ``subgroup.veech_witness`` builds
 from Nielsen factors instead.  ``puncture_relations`` gives one relation
-of H per vertex orbit.
+of H per vertex orbit.  ``inner`` is conjugation by a word, and
+``is_horizontal`` tests a word for the block shape of horizontal words.
 """
-
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from origami_forge import linalg
-from origami_forge.freegroup import F2Endo, Word
+from origami_forge.freegroup import F2Endo, IntMatrix2, RankMismatch, Word, gen
 from origami_forge.homology import (
     CertificateError,
     H1Model,
+    NotPrimitive,
+    _check_lagrangian,
+    _dot,
     class_of,
     h1_model,
     standard_j,
@@ -163,6 +174,199 @@ def replay_backtrack(pool, history, alpha):
 
 
 # ---------------------------------------------------------------------------
+# integer linear algebra
+# ---------------------------------------------------------------------------
+
+
+def mat_mul(A: linalg.Matrix, B: linalg.Matrix) -> linalg.Matrix:
+    m, k, n = len(A), len(B), len(B[0]) if B else 0
+    out = linalg.zeros(m, n)
+    for i in range(m):
+        Ai = A[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                row = out[i]
+                for j in range(n):
+                    row[j] += a * Bt[j]
+    return out
+
+
+@dataclass
+class SmithForm:
+    """D = U * A * V with U, V unimodular; D diagonal with d_i | d_{i+1}."""
+
+    D: linalg.Matrix
+    U: linalg.Matrix
+    V: linalg.Matrix
+
+    @property
+    def rank(self) -> int:
+        r = 0
+        for i in range(min(len(self.D), len(self.D[0]) if self.D else 0)):
+            if self.D[i][i] != 0:
+                r += 1
+        return r
+
+    def solve(self, b: list) -> Optional[list]:
+        """One integer solution x of A x = b, or None."""
+        D = self.D
+        m, n = len(D), len(self.V)
+        c = linalg.mat_vec(self.U, b)
+        y = [0] * n
+        for i in range(m):
+            d = D[i][i] if i < n else 0
+            if d == 0:
+                if c[i] != 0:
+                    return None
+            elif c[i] % d != 0:
+                return None
+            else:
+                y[i] = c[i] // d
+        return linalg.mat_vec(self.V, y)
+
+
+def smith_normal_form(A: linalg.Matrix) -> SmithForm:
+    m = len(A)
+    n = len(A[0]) if m else 0
+    D = [row[:] for row in A]
+    U, V = linalg.eye(m), linalg.eye(n)
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def row_add(i, j, c):  # row_i += c * row_j
+        for t in range(n):
+            D[i][t] += c * D[j][t]
+        for t in range(m):
+            U[i][t] += c * U[j][t]
+
+    def row_neg(i):
+        D[i] = [-x for x in D[i]]
+        U[i] = [-x for x in U[i]]
+
+    def col_swap(i, j):
+        for r in D:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(i, j, c):  # col_i += c * col_j
+        for r in D:
+            r[i] += c * r[j]
+        for r in V:
+            r[i] += c * r[j]
+
+    k = 0
+    while k < min(m, n):
+        # find a pivot
+        piv = None
+        for i in range(k, m):
+            for j in range(k, n):
+                if D[i][j] != 0:
+                    if piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]]):
+                        piv = (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        if i != k:
+            row_swap(k, i)
+        if j != k:
+            col_swap(k, j)
+        if D[k][k] < 0:
+            row_neg(k)
+        # clear column and row; restart if a remainder shrinks the pivot
+        dirty = False
+        for i in range(k + 1, m):
+            if D[i][k]:
+                q = D[i][k] // D[k][k]
+                row_add(i, k, -q)
+                if D[i][k]:
+                    dirty = True
+        for j in range(k + 1, n):
+            if D[k][j]:
+                q = D[k][j] // D[k][k]
+                col_add(j, k, -q)
+                if D[k][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # enforce divisibility d_k | D[i][j]
+        fixed = True
+        for i in range(k + 1, m):
+            for j in range(k + 1, n):
+                if D[i][j] % D[k][k] != 0:
+                    row_add(k, i, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            k += 1
+    return SmithForm(D, U, V)
+
+
+def snf_symplectic_completion(
+    model: H1Model, lagrangian: Sequence[Sequence[int]]
+) -> linalg.Matrix:
+    """The completion by a Smith form of the g x 2g pairing matrix: each
+    B_j is one integer solution of <A_i, B_j> = delta_ij, which exists for
+    every j iff the A_i span a rank-g direct summand."""
+    g = model.g
+    A = [list(c) for c in lagrangian]
+    C = smith_normal_form(_check_lagrangian(model, A))
+    B = []
+    for j in range(g):
+        b = C.solve([1 if i == j else 0 for i in range(g)])
+        if b is None:
+            raise NotPrimitive("classes do not span a direct summand")
+        B.append(b)
+    GB = []
+    for i in range(g):
+        for j in range(i):
+            c = _dot(B[i], GB[j])
+            if c:
+                B[i] = [x - c * y for x, y in zip(B[i], A[j])]
+        GB.append(linalg.mat_vec(model.gram, B[i]))
+    return [[(A + B)[j][i] for j in range(2 * g)] for i in range(2 * g)]
+
+
+# ---------------------------------------------------------------------------
+# free-group oracles
+# ---------------------------------------------------------------------------
+
+
+def is_horizontal(w: Word) -> bool:
+    """True iff w is a product of blocks x^{c_i} y x^{d_i} y^-1 (or the
+    mirror with y and y^-1 swapped).  Pure powers of x count as the empty
+    product."""
+    if w.rank != 2:
+        raise RankMismatch("horizontality is defined for rank 2")
+    ysigns = [e for g, e in w.letters if g == 2]
+    if not ysigns:
+        return True
+    if sum(ysigns) != 0:
+        return False
+    for a, b in zip(ysigns, ysigns[1:]):
+        if a == b:
+            return False
+    return True
+
+
+def inner(wrd: Word) -> F2Endo:
+    """Conjugation by wrd."""
+    return F2Endo(gen(2, 1).conj(wrd), gen(2, 2).conj(wrd), True)
+
+
+def mat2_mul(A: IntMatrix2, B: IntMatrix2) -> IntMatrix2:
+    a, b, c, d = A
+    e, f, g, h = B
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+# ---------------------------------------------------------------------------
 # subgroup and homology oracles
 # ---------------------------------------------------------------------------
 
@@ -240,7 +444,7 @@ def induced_matrix(
     # classes as the rows of Z and W.  Z has rank n, so each row of M0 is
     # the unique solution of an overdetermined system; that every one
     # exists proves the action linear and integral.
-    Z = linalg.smith_normal_form([class_of(o, model, h) for h in ss.generators])
+    Z = smith_normal_form([class_of(o, model, h) for h in ss.generators])
     if Z.rank != n:
         raise CertificateError("generator classes do not span H1 over Q")
     W = [class_of(o, model, phi(h)) for h in ss.generators]
@@ -253,12 +457,12 @@ def induced_matrix(
     if basis is not None:
         # S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T
         Jinv = linalg.transpose(standard_j(model.g))
-        Sinv = linalg.mat_mul(
-            linalg.mat_mul(Jinv, linalg.transpose(basis)), model.gram
+        Sinv = mat_mul(
+            mat_mul(Jinv, linalg.transpose(basis)), model.gram
         )
-        if linalg.mat_mul(Sinv, basis) != linalg.eye(n):
+        if mat_mul(Sinv, basis) != linalg.eye(n):
             raise ValueError("basis is not symplectic")
-        M = linalg.mat_mul(linalg.mat_mul(Sinv, M), basis)
+        M = mat_mul(mat_mul(Sinv, M), basis)
     if abs(linalg.det_int(M)) != 1:
         raise CertificateError("action is not invertible on H1")
     return M

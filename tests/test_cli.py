@@ -1,8 +1,11 @@
 """The command-line front end: JSON contracts, exit codes, fixture
 registry resolution, tracing, and output determinism."""
 
+import importlib
 import json
 import os
+import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -177,22 +180,32 @@ class TestShearAndHomology:
 class TestH1PathAndSchema:
     """H1 comes from one tree-cotree decomposition, and the twist
     certificate proves primitivity by the cut system's dual curves, so no
-    command's path runs a Smith form.  `homology` prints its intersection
-    matrix in the tree-cotree basis, at schema 2."""
+    command's path runs a Smith form.  The package carries none: the Smith
+    form and the matrix product live in `tests/oracles.py`.  `homology`
+    prints its intersection matrix in the tree-cotree basis, at schema 2."""
 
     @pytest.fixture()
-    def calls(self, monkeypatch):
-        from origami_forge import linalg
-
+    def calls(self):
+        """Calls of every Python function named smith_normal_form or
+        mat_mul, wherever it is defined, while the test runs."""
         calls = {"smith_normal_form": 0, "mat_mul": 0}
-        for name in calls:
 
-            def counted(*args, _real=getattr(linalg, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in calls:
+                calls[frame.f_code.co_name] += 1
 
-            monkeypatch.setattr(linalg, name, counted)
-        return calls
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            yield calls
+        finally:
+            sys.setprofile(previous)
+
+    def test_call_counter_sees_the_oracle(self, calls):
+        from oracles import smith_normal_form
+
+        smith_normal_form([[2, 4], [6, 8]])
+        assert calls == {"smith_normal_form": 1, "mat_mul": 0}
 
     def test_h1_model_runs_no_smith_form(self, calls):
         from origami_forge import homology
@@ -209,7 +222,26 @@ class TestH1PathAndSchema:
     ])
     def test_smith_forms_per_command(self, capsys, calls, argv, smith_forms):
         run_json(capsys, *argv)
-        assert calls["smith_normal_form"] == smith_forms
+        assert calls == {"smith_normal_form": smith_forms, "mat_mul": 0}
+
+    def test_no_module_carries_a_smith_form(self):
+        import origami_forge
+
+        names = {"smith_normal_form", "SmithForm", "mat_mul"}
+        modules = [info.name
+                   for info in pkgutil.iter_modules(origami_forge.__path__)]
+        assert "linalg" in modules and "homology" in modules
+        for name in modules:
+            module = importlib.import_module(f"origami_forge.{name}")
+            assert not names & set(vars(module)), name
+
+    def test_no_source_file_names_smith_normal_form(self):
+        root = pathlib.Path(cli.__file__).parent
+        files = [p for p in root.rglob("*")
+                 if p.is_file() and "__pycache__" not in p.parts]
+        assert any(p.name == "linalg.py" for p in files)
+        assert [p.name for p in files
+                if b"smith_normal_form" in p.read_bytes()] == []
 
     def test_homology_at_schema_2(self, capsys):
         assert run_json(capsys, "homology", "o14")["schema"] == 2
@@ -290,10 +322,15 @@ class TestMoebius:
     @pytest.mark.parametrize("entries", [
         ("1e5,0", "0,0", "0,0", "1e-5,0"),
         ("1e8,0", "0,0", "0,0", "1e-8,0"),
+        ("1e10,0", "0,0", "0,0", "1e-10,0"),
+        ("1e12,0", "0,0", "0,0", "1e-12,0"),
+        ("1e15,0", "0,0", "0,0", "1e-15,0"),
     ])
     def test_large_entries_round_trip(self, capsys, entries):
         """The conjugated probe of diag(1e8, 1e-8) has entries near 6e8,
-        so the round trip is checked relative to them."""
+        so the round trip is checked relative to them.  From diag(1e10,
+        1e-10) on, c p + d rounds to 0 at the repelling fixed point, so
+        the multiplier is read at the attracting one only."""
         data = run_json(capsys, "moebius", *entries)
         assert data["classification"] == "loxodromic"
         assert data["conjugated"] is True
@@ -438,16 +475,21 @@ def test_same_answers_without_asserts(argv):
 
 def test_library_errors_without_asserts():
     """Under python -O the word-fixture parser, the membership check, the
-    coset action, the Schreier substitution and the edge cycle still raise
-    their named errors."""
+    coset action, the Schreier substitution, the edge cycle and the
+    symplectic completion still raise their named errors."""
     script = (
         "from origami_forge.freegroup import parse_word\n"
         "from origami_forge.homology import AlphaSpec, edge_cycle,"
-        " modg_alpha_check, parse_symplectic, parse_word_fixture\n"
+        " h1_model, modg_alpha_check, parse_symplectic,"
+        " parse_word_fixture, symplectic_completion\n"
+        "from origami_forge.hss import find_hss\n"
         "from origami_forge.origami import l_origami\n"
         "from origami_forge.subgroup import CosetAction, schreier_system,"
         " substitute\n"
         "o = l_origami(2, 2)\n"
+        "model = h1_model(o)\n"
+        "a0, *rest = [model.coords(edge_cycle(o, c.start, c.word))"
+        " for c in find_hss(o)]\n"
         "for call in (\n"
         "    lambda: parse_word_fixture('gen a1 x'),\n"
         "    lambda: modg_alpha_check(AlphaSpec.standard(2),"
@@ -456,6 +498,8 @@ def test_library_errors_without_asserts():
         "    lambda: substitute(schreier_system(CosetAction(o)),"
         " parse_word('x y')),\n"
         "    lambda: edge_cycle(o, 0, parse_word('x')),\n"
+        "    lambda: symplectic_completion(model,"
+        " [[2 * x for x in a0], *rest]),\n"
         "):\n"
         "    try:\n"
         "        print('returned', call())\n"
@@ -475,4 +519,5 @@ def test_library_errors_without_asserts():
         "ValueError base square out of range",
         "ValueError word rank must equal the generator count",
         "ValueError start square out of range",
+        "NotPrimitive classes do not span a direct summand",
     ]

@@ -22,19 +22,18 @@ from origami_forge.freegroup import (
     horizontal_twist_lift,
     identity,
     identity_endo,
-    inner,
     is_conjugate,
     is_conjugate_horizontal,
-    is_horizontal,
     lift_matrix,
     mat_det,
-    mat_mul,
     nielsen_factors,
     parse_word,
     primitive_root,
     simultaneous_conjugacy,
     word,
 )
+
+from oracles import inner, is_horizontal, mat2_mul
 
 letters = st.lists(
     st.tuples(st.integers(1, 2), st.sampled_from([-1, 1])), max_size=12
@@ -213,7 +212,7 @@ class TestExponentMap:
     def test_composition_is_matrix_product(self):
         a = lift_matrix((1, 1, 0, 1))
         b = lift_matrix((1, 0, 1, 1))
-        assert beta_hat(compose(a, b)) == mat_mul((1, 1, 0, 1), (1, 0, 1, 1))
+        assert beta_hat(compose(a, b)) == mat2_mul((1, 1, 0, 1), (1, 0, 1, 1))
 
     def test_nielsen_factors_multiply_to_the_matrix(self):
         rng = random.Random(7)
@@ -226,7 +225,7 @@ class TestExponentMap:
                 _, d, b = _bezout(a, c)
                 A = rng.choice(((a, -b, c, d), (a, b, c, -d)))
                 factors = nielsen_factors(A)
-                assert functools.reduce(mat_mul, factors, (1, 0, 0, 1)) == A
+                assert functools.reduce(mat2_mul, factors, (1, 0, 0, 1)) == A
                 assert len(factors) <= 12 * digits + 4
 
     def test_lift_matrix_rejects_non_unimodular(self):

@@ -59,7 +59,13 @@ from origami_forge.origami import (
 )
 from origami_forge.subgroup import CosetAction, schreier_system
 
-from oracles import DoesNotStabilize, induced_matrix
+from oracles import (
+    DoesNotStabilize,
+    induced_matrix,
+    mat_mul,
+    smith_normal_form,
+    snf_symplectic_completion,
+)
 
 FIXTURES = [
     wollmilchsau(),
@@ -86,17 +92,17 @@ def kernel_snf_model(o):
     the chord-support Gram matrix of the basis."""
     cx = cell_complex(o)
     n = 2 * o.d
-    s1 = linalg.smith_normal_form(cx.d1)
+    s1 = smith_normal_form(cx.d1)
     K = [row[s1.rank:] for row in s1.V]
     k = len(K[0])
-    kernel_snf = linalg.smith_normal_form(K)
+    kernel_snf = smith_normal_form(K)
     cols = [kernel_snf.solve([cx.d2[i][j] for i in range(n)])
             for j in range(o.d)]
     B = [[c[i] for c in cols] for i in range(k)]
-    snf = linalg.smith_normal_form(B)
+    snf = smith_normal_form(B)
     rho = snf.rank
     proj = snf.U[rho:]
-    u_snf = linalg.smith_normal_form(snf.U)
+    u_snf = smith_normal_form(snf.U)
     basis = [
         linalg.mat_vec(K, u_snf.solve([int(i == j) for i in range(k)]))
         for j in range(rho, k)
@@ -122,7 +128,7 @@ def chord_support_gram(o, basis):
         o, SimpleNamespace(complex=cx, tree=tree, chords=outside)
     )
     Z = [[z[e] for e in outside] for z in basis]
-    return linalg.mat_mul(linalg.mat_mul(Z, X), linalg.transpose(Z))
+    return mat_mul(mat_mul(Z, X), linalg.transpose(Z))
 
 
 def coordinate_sample():
@@ -139,7 +145,7 @@ class TestCellComplex:
     @pytest.mark.parametrize("o", FIXTURES, ids=lambda o: f"d{o.d}")
     def test_boundary_square_zero(self, o):
         cx = cell_complex(o)
-        assert linalg.mat_mul(cx.d1, cx.d2) == linalg.zeros(
+        assert mat_mul(cx.d1, cx.d2) == linalg.zeros(
             len(cx.d1), len(cx.d2[0])
         )
 
@@ -217,8 +223,8 @@ class TestCoordinatesAgainstKernelSmithForm:
         basis, oracle, gram = kernel_snf_model(o)
         S = linalg.transpose([model.coords(z) for z in basis])
         assert abs(linalg.det_int(S)) == 1
-        assert linalg.mat_mul(
-            linalg.mat_mul(linalg.transpose(S), model.gram), S
+        assert mat_mul(
+            mat_mul(linalg.transpose(S), model.gram), S
         ) == gram
         cycles = basis + model.basis
         cycles += [edge_cycle(o, c.start, c.word) for c in find_hss(o)]
@@ -302,10 +308,21 @@ class TestSymplecticCompletion:
                 for c in find_hss(o)
             ]
             S = symplectic_completion(model, classes)
-            StGS = linalg.mat_mul(
-                linalg.mat_mul(linalg.transpose(S), model.gram), S
+            StGS = mat_mul(
+                mat_mul(linalg.transpose(S), model.gram), S
             )
             assert StGS == standard_j(model.g)
+
+
+def cut_classes(o):
+    """The H1 model of o and the classes of its cut system's curves."""
+    from origami_forge.hss import find_hss
+
+    model = h1_model(o)
+    classes = [
+        model.coords(edge_cycle(o, c.start, c.word)) for c in find_hss(o)
+    ]
+    return model, classes
 
 
 class TestSymplecticCompletionErrors:
@@ -313,40 +330,111 @@ class TestSymplecticCompletionErrors:
     system: a multiple or a repeat of a class spans no direct summand, and
     a class meeting another is not isotropic."""
 
-    @staticmethod
-    def cut_classes(o):
-        from origami_forge.hss import find_hss
-
-        model = h1_model(o)
-        classes = [
-            model.coords(edge_cycle(o, c.start, c.word)) for c in find_hss(o)
-        ]
-        return model, classes
-
     @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
     def test_multiple_of_a_class_is_not_primitive(self, o):
-        model, (a0, *rest) = self.cut_classes(o)
+        model, (a0, *rest) = cut_classes(o)
         with pytest.raises(NotPrimitive, match="direct summand"):
             symplectic_completion(model, [[2 * x for x in a0], *rest])
 
     @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
     def test_repeated_class_is_not_primitive(self, o):
-        model, (a0, _a1, *rest) = self.cut_classes(o)
+        model, (a0, _a1, *rest) = cut_classes(o)
         with pytest.raises(NotPrimitive, match="direct summand"):
             symplectic_completion(model, [a0, a0, *rest])
 
     @pytest.mark.parametrize("o", [l_origami(2, 2), o14()], ids=["l22", "o14"])
     def test_class_meeting_another_is_not_lagrangian(self, o):
-        model, classes = self.cut_classes(o)
+        model, classes = cut_classes(o)
         S = symplectic_completion(model, classes)
         b0 = [row[model.g] for row in S]  # <A_0, B_0> = 1
         with pytest.raises(NotLagrangian, match="classes 0 and 1 intersect"):
             symplectic_completion(model, [classes[0], b0, *classes[2:]])
 
     def test_wrong_class_count_is_not_lagrangian(self):
-        model, classes = self.cut_classes(l_origami(2, 2))
+        model, classes = cut_classes(l_origami(2, 2))
         with pytest.raises(NotLagrangian, match="exactly g classes"):
             symplectic_completion(model, classes[:1])
+
+
+def unimodular(rng, g):
+    """A random g x g integer matrix of determinant +-1: the identity under
+    random row additions and sign flips."""
+    T = linalg.eye(g)
+    for _ in range(2 * g):
+        if g > 1:
+            i, j = rng.sample(range(g), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            T[i] = [x + c * y for x, y in zip(T[i], T[j])]
+        if rng.random() < 0.3:
+            k = rng.randrange(g)
+            T[k] = [-x for x in T[k]]
+    return T
+
+
+def completions(model, classes):
+    """Both completions of the classes: each S, or NotPrimitive's message."""
+    out = []
+    for complete in (symplectic_completion, snf_symplectic_completion):
+        try:
+            out.append(complete(model, classes))
+        except NotPrimitive as exc:
+            out.append(str(exc))
+    return out
+
+
+def check_symplectic_basis(model, classes, S):
+    g = model.g
+    assert [[row[j] for row in S] for j in range(g)] == classes
+    StGS = mat_mul(mat_mul(linalg.transpose(S), model.gram), S)
+    assert StGS == standard_j(g)
+
+
+def check_against_smith_form(o, rng):
+    """The cut classes and their images under random g x g matrices T:
+    both completions give a symplectic basis that starts with the classes
+    when det T = +-1, and both reject the classes otherwise."""
+    model, A = cut_classes(o)
+    g = model.g
+    Ts = [linalg.eye(g), unimodular(rng, g), unimodular(rng, g)]
+    Ts += [[[rng.randint(-2, 2) for _ in range(g)] for _ in range(g)]
+           for _ in range(2)]
+    for T in Ts:
+        classes = [
+            [sum(t * a[r] for t, a in zip(row, A)) for r in range(2 * g)]
+            for row in T
+        ]
+        new, old = completions(model, classes)
+        if abs(linalg.det_int(T)) == 1:
+            check_symplectic_basis(model, classes, new)
+            check_symplectic_basis(model, classes, old)
+        else:
+            assert new == old == "classes do not span a direct summand"
+
+
+class TestCompletionAgainstSmithForm:
+    """The column-reduction completion against the Smith-form one it
+    replaced, on the cut classes and on their images under random integer
+    matrices T, unimodular or not."""
+
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_coordinate_sample(self, o):
+        check_against_smith_form(o, random.Random(f"{o.d}:{o.p1}:{o.p2}"))
+
+    def test_random_sample(self, random_sample):
+        rng = random.Random(17)
+        for _, o in random_sample:
+            check_against_smith_form(o, rng)
+
+    def test_entries_stay_near_the_oracles(self):
+        """The reduction keeps S's entries within a factor 10 of the Smith
+        form's at d = 32...96."""
+        for d in (32, 64, 96):
+            model, classes = cut_classes(random_origami(random.Random(d), d))
+            new, old = completions(model, classes)
+            big = [max(abs(x) for row in S for x in row) for S in (new, old)]
+            assert big[0] <= 10 * big[1], (d, big)
 
 
 class TestInducedMatrix:

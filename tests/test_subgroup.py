@@ -13,9 +13,7 @@ from origami_forge.freegroup import (
     gen,
     horizontal_twist_lift,
     identity_endo,
-    inner,
     lift_matrix,
-    mat_mul,
     parse_word,
 )
 from origami_forge.origami import (
@@ -41,7 +39,13 @@ from origami_forge.subgroup import (
     veech_witness,
 )
 
-from oracles import COMMUTATOR, aut_stabilizes, puncture_relations
+from oracles import (
+    COMMUTATOR,
+    aut_stabilizes,
+    inner,
+    mat2_mul,
+    puncture_relations,
+)
 
 
 def fixture_origamis():
@@ -64,7 +68,7 @@ def random_sl2(rng, max_factors=10):
     """A seeded random product of T^+-1, S = (0, -1; 1, 0) and -I."""
     A = (1, 0, 0, 1)
     for _ in range(rng.randint(0, max_factors)):
-        A = mat_mul(A, rng.choice((T, T_INV, S, MINUS_I)))
+        A = mat2_mul(A, rng.choice((T, T_INV, S, MINUS_I)))
     return A
 
 
@@ -96,7 +100,7 @@ def big_sl2(rng, digits):
     A = (a, (a * d - 1) // c, c, d)
     # spread the signs and the shape over SL_2(Z)
     for _ in range(rng.randrange(4)):
-        A = mat_mul(A, S)
+        A = mat2_mul(A, S)
     return A
 
 
