@@ -3,7 +3,9 @@
 Every subcommand prints a single JSON object (with a ``"schema"`` version
 field: 2 for ``homology``, 1 for the rest) on standard output and exits 0.
 Domain errors produce a structured JSON error object (schema 1) on
-standard error and exit code 1; argument errors exit 2.  Identical invocations (including seeds) produce
+standard error and exit code 1; argument errors exit 2.  A failing
+``sweep`` item's error also carries its seed, its index and its origami
+as .ori text.  Identical invocations (including seeds) produce
 byte-identical output.
 """
 
@@ -308,10 +310,23 @@ def cmd_fixtures(args) -> dict:
 
 
 def sweep_one(seed: int, max_d: int, index: int) -> dict:
-    """All randomized property suites on one seed-derived origami."""
+    """All randomized property suites on one seed-derived origami.  An
+    exception leaves with a `reproduce` dict: the seed, the index and the
+    origami as .ori text, which `run` adds to the error report."""
     rng = random.Random(f"{seed}:{index}")
     d = rng.randint(2, max_d)
     o = random_origami(rng, d)
+    try:
+        return _sweep_checks(o, rng, index)
+    except Exception as exc:
+        exc.reproduce = {"seed": seed, "index": index,
+                         "origami": format_origami(o)}
+        raise
+
+
+def _sweep_checks(o: Origami, rng: random.Random, index: int) -> dict:
+    """The suites of `sweep_one`; rng has drawn the origami and draws the
+    bridging orders."""
     result = hss.find_hss_detailed(o)
     curves = result.curves
     model = homology.h1_model(o)
@@ -324,14 +339,14 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
         and report["conjugate_horizontal"]
     )
 
-    # step-1 cut count is independent of the bridging order
-    ncyl = len(cylinders(o))
+    # step-1 cut count is independent of the bridging order: the bridging
+    # pass reruns on the cut system's own half-cylinder graph
     base_cuts = len(result.cut_cylinders)
     orders_ok = True
     for _ in range(10):
-        order = list(range(ncyl))
+        order = list(range(len(result.graph.cyls)))
         rng.shuffle(order)
-        if len(hss.step1(o, order)[0]) != base_cuts:
+        if len(hss.step1_cuts(result.graph, order)[0]) != base_cuts:
             orders_ok = False
             break
 
@@ -339,7 +354,7 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
         o, model, curves, hss.dual_curves(result))
     return {
         "index": index,
-        "d": d,
+        "d": o.d,
         "genus": report["genus"],
         "curves": [c["word"] for c in report["curves"]],
         "hss_ok": hss_ok,
@@ -432,13 +447,9 @@ def run(argv: Optional[list] = None) -> int:
         emit(command(args))
         return 0
     except (ValueError, ArithmeticError, AssertionError, OSError) as exc:
-        emit(
-            {
-                "schema": SCHEMA,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            },
-            sys.stderr,
-        )
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        error.update(getattr(exc, "reproduce", {}))
+        emit({"schema": SCHEMA, "error": error}, sys.stderr)
         return 1
 
 

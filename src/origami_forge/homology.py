@@ -12,6 +12,14 @@ coordinates, and the Gram matrix is the chords' crossing matrix on the
 ribbon graph with T contracted.  The quotient is free by construction, so
 no diagonal form is needed.  All arithmetic is exact.
 
+Nothing is stored dense.  Each edge's coordinate column and each row of
+the Gram matrix is a list of (index, value) pairs: an edge's coordinates
+count the chords on the two square sides it bounds, and the Gram matrix
+is a crossing matrix, so both are mostly zero.  A cycle's coordinates are
+the sum of its edges' columns, after its boundary is checked to vanish
+from the ends of those edges; a pairing, a Lagrangian row <A_i, .> and
+the check d1 d2 = 0 touch only non-zero entries.
+
 The twist certificate diagonalises nothing either.  The cut system's dual
 curves (`hss.dual_curves`) pair with its curves in an upper triangular
 matrix with +-1 on the diagonal, which proves that the curves span a
@@ -119,8 +127,7 @@ class CellComplex:
     o: Origami
     vertices: tuple            # vertex orbits, each a tuple of squares
     vertex_of: tuple           # square -> vertex index (1-based squares)
-    d1: linalg.Matrix          # V x 2d
-    d2: linalg.Matrix          # 2d x d
+    ends: tuple                # edge index -> (tail vertex, head vertex)
 
     @property
     def edge_count(self) -> int:
@@ -134,17 +141,13 @@ class CellComplex:
 
     def edge_ends(self, e: int) -> Tuple[int, int]:
         """(tail vertex, head vertex) of edge index e."""
-        d = self.o.d
-        if e < d:
-            s = e + 1
-            return self.vertex_of[s], self.vertex_of[self.o.p1(s)]
-        s = e - d + 1
-        return self.vertex_of[s], self.vertex_of[self.o.p2(s)]
+        return self.ends[e]
 
 
 def _boundary(o: Origami, s: int) -> Tuple[Tuple[int, int], ...]:
     """(edge index, sign) for each side of square s: +h_s, +v_{p1(s)},
-    -h_{p2(s)}, -v_s.  The columns of d2 and the cotree peel both read it."""
+    -h_{p2(s)}, -v_s.  The boundary check of `cell_complex` and the
+    cotree peel both read it."""
     d = o.d
     return ((s - 1, 1), (d + o.p1(s) - 1, 1), (o.p2(s) - 1, -1), (d + s - 1, -1))
 
@@ -156,25 +159,22 @@ def cell_complex(o: Origami) -> CellComplex:
     for vi, orbit in enumerate(orbits):
         for s in orbit:
             vertex_of[s] = vi
-    d1 = linalg.zeros(len(orbits), 2 * d)
+    ends = [(vertex_of[s], vertex_of[o.p1(s)]) for s in range(1, d + 1)]
+    ends += [(vertex_of[s], vertex_of[o.p2(s)]) for s in range(1, d + 1)]
+    # d1 d2 = 0: the four sides of each square sum to 0 at every vertex
     for s in range(1, d + 1):
-        d1[vertex_of[o.p1(s)]][s - 1] += 1
-        d1[vertex_of[s]][s - 1] -= 1
-        d1[vertex_of[o.p2(s)]][d + s - 1] += 1
-        d1[vertex_of[s]][d + s - 1] -= 1
-    cols = []
-    for s in range(1, d + 1):
-        col = [0] * (2 * d)
+        at: Dict[int, int] = {}
         for e, sign in _boundary(o, s):
-            col[e] += sign
-        if any(linalg.mat_vec(d1, col)):
+            t, h = ends[e]
+            at[h] = at.get(h, 0) + sign
+            at[t] = at.get(t, 0) - sign
+        if any(at.values()):
             raise ConventionViolation("d1 * d2 != 0")
-        cols.append(col)
-    d2 = linalg.transpose(cols)
     chi = len(orbits) - 2 * d + d
     if chi != 2 - 2 * genus(o):
         raise ConventionViolation("Euler characteristic mismatch")
-    return CellComplex(o, tuple(tuple(x) for x in orbits), tuple(vertex_of), d1, d2)
+    return CellComplex(o, tuple(tuple(x) for x in orbits), tuple(vertex_of),
+                       tuple(ends))
 
 
 def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
@@ -208,14 +208,24 @@ def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
+# a sparse integer vector: (index, value) for each non-zero entry
+Sparse = List[Tuple[int, int]]
+
+
 @dataclass
 class H1Model:
+    """H1 in the basis of the chords' cycles, stored sparse: `columns`
+    and `gram_rows` hold only non-zero entries, so `coords` and `pair`
+    cost the entries they touch.  `gram` is the dense form, which the
+    `homology` command prints."""
+
     o: Origami
     complex: CellComplex
     g: int
-    coord_rows: linalg.Matrix        # 2g x 2d: cycle -> H1 coordinates
+    columns: List[Sparse]            # edge e -> H1 coordinates of e
     basis: List[List[int]]           # 2g edge vectors representing the basis
     gram: linalg.Matrix              # intersection form on the basis
+    gram_rows: List[Sparse]          # the rows of gram
     tree: List[int]                  # edges of the spanning tree T, BFS order
     chords: List[int]                # edges in neither T nor C; basis[i]
                                      # is the cycle of chords[i] in T
@@ -225,14 +235,34 @@ class H1Model:
         return len(self.basis)
 
     def coords(self, z: Sequence[int]) -> List[int]:
-        """H1 coordinates of a cycle given as an edge vector."""
-        if any(linalg.mat_vec(self.complex.d1, z)):
+        """H1 coordinates of a cycle given as an edge vector: the sum of
+        its edges' columns, once its boundary is checked to be 0."""
+        ends = self.complex.ends
+        at = [0] * len(self.complex.vertices)
+        out = [0] * len(self.basis)
+        for e, x in enumerate(z):
+            if x:
+                t, h = ends[e]
+                at[h] += x
+                at[t] -= x
+                for i, c in self.columns[e]:
+                    out[i] += c * x
+        if any(at):
             raise ValueError("chain is not a cycle")
-        return linalg.mat_vec(self.coord_rows, z)
+        return out
+
+    def form_row(self, u: Sequence[int]) -> List[int]:
+        """The row <u, .> = u^T Gram of a class u in H1 coordinates."""
+        out = [0] * len(self.basis)
+        for i, x in enumerate(u):
+            if x:
+                for j, c in self.gram_rows[i]:
+                    out[j] += c * x
+        return out
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         """Intersection number of two classes given in H1 coordinates."""
-        return _dot(u, linalg.mat_vec(self.gram, v))
+        return _dot(self.form_row(u), v)
 
 
 def _spanning_tree(cx: CellComplex) -> Tuple[List[int], List[List[int]]]:
@@ -285,31 +315,35 @@ def h1_model(o: Origami) -> H1Model:
     chords = [e for e in range(n) if e not in in_tree and e not in in_cotree]
     if len(chords) != 2 * g:
         raise ConventionViolation("rank of H1 differs from 2g")
-    # col[e] holds the H1 coordinates of edge e: a unit vector for a chord,
-    # 0 for an edge of T, and for the edge e of C into square f minus the
-    # rest of f's boundary, since that boundary is 0 in H1.  Peeling C from
-    # its leaves reaches f after every other C edge of f, each of which
-    # leads into a child of f.
-    col = [[0] * (2 * g) for _ in range(n)]
+    # col[e] holds the H1 coordinates of edge e, by index: a unit vector
+    # for a chord, 0 for an edge of T, and for the edge e of C into square
+    # f minus the rest of f's boundary, since that boundary is 0 in H1.
+    # Peeling C from its leaves reaches f after every other C edge of f,
+    # each of which leads into a child of f.
+    col: List[Dict[int, int]] = [{} for _ in range(n)]
     for i, e in enumerate(chords):
-        col[e][i] = 1
+        col[e] = {i: 1}
     for f in reversed(order[1:]):
         e = into[f]
-        rest = [0] * (2 * g)
+        rest: Dict[int, int] = {}
         for e2, sign2 in _boundary(o, f):
             if e2 == e:
                 sign = sign2
             else:
-                rest = [x + sign2 * y for x, y in zip(rest, col[e2])]
-        col[e] = [-sign * x for x in rest]
+                for i, x in col[e2].items():
+                    rest[i] = rest.get(i, 0) + sign2 * x
+        col[e] = {i: -sign * x for i, x in rest.items() if x}
     basis = []
     for e in chords:
         t, h = cx.edge_ends(e)
         z = [a - b for a, b in zip(path[t], path[h])]
         z[e] += 1
         basis.append(z)
-    model = H1Model(o, cx, g, linalg.transpose(col), basis, [], tree, chords)
+    model = H1Model(o, cx, g, [list(c.items()) for c in col], basis, [], [],
+                    tree, chords)
     model.gram = intersection_form(o, model)
+    model.gram_rows = [[(j, x) for j, x in enumerate(row) if x]
+                       for row in model.gram]
     if any(
         model.gram[i][j] != -model.gram[j][i]
         for i in range(2 * g)
@@ -427,8 +461,7 @@ def _check_lagrangian(
     g = model.g
     if len(classes) != g:
         raise NotLagrangian("need exactly g classes")
-    Gt = linalg.transpose(model.gram)
-    GtA = [linalg.mat_vec(Gt, a) for a in classes]
+    GtA = [model.form_row(a) for a in classes]
     for i in range(g):
         for j in range(g):
             if _dot(GtA[i], classes[j]) != 0:
@@ -451,7 +484,7 @@ def symplectic_completion(
     # pivot per row among the columns not yet pivoted (Kannan-Bachem);
     # the summand is direct iff every pivot is +-1.  H and V are stored
     # by columns.
-    H, V = linalg.transpose(GtA), linalg.eye(2 * g)
+    H, V = [list(col) for col in zip(*GtA)], linalg.eye(2 * g)
     free, rows, pivots = list(range(2 * g)), list(range(g)), []
     while rows:
         nonzero = [(i, j) for i in rows for j in free if H[j][i]]
@@ -475,19 +508,23 @@ def symplectic_completion(
     # H is lower triangular in pivot order, so upper triangular in reverse
     pivots.reverse()
     P = [[H[p][i] for _, p in pivots] for i, _ in pivots]
-    Vp = list(zip(*(V[p] for _, p in pivots)))
-    B = [
-        linalg.mat_vec(Vp, _back_substitute(P, [int(i == j) for i, _ in pivots]))
-        for j in range(g)
-    ]
-    # clear <B_i, B_j> using the A's; GB[j] = Gram * B_j once B_j is final
-    GB: List[List[int]] = []
+    B = []
+    for j in range(g):
+        y = _back_substitute(P, [int(i == j) for i, _ in pivots])
+        b = [0] * (2 * g)
+        for (_, p), yk in zip(pivots, y):
+            if yk:
+                b = [x + yk * v for x, v in zip(b, V[p])]
+        B.append(b)
+    # clear <B_i, B_j> for j < i using the A's.  Subtracting c A_j from B_i
+    # changes only its pairing with B_j, as <A_j, B_k> = delta_jk, so every
+    # c reads off the row <B_i, .> taken before the clearing
     for i in range(g):
+        row = model.form_row(B[i])
         for j in range(i):
-            c = _dot(B[i], GB[j])
+            c = _dot(row, B[j])
             if c:
                 B[i] = [x - c * y for x, y in zip(B[i], A[j])]
-        GB.append(linalg.mat_vec(model.gram, B[i]))
     return [[(A + B)[j][i] for j in range(2 * g)] for i in range(2 * g)]
 
 
@@ -537,7 +574,7 @@ def charpoly(M: linalg.Matrix) -> CharPoly:
         items = [1, -M[k][k]]
         for _ in range(m - 1):
             items.append(-sum(r * x for r, x in zip(R, v)))
-            v = linalg.mat_vec(A, v)
+            v = [_dot(row, v) for row in A]
         coeffs = [
             sum(items[i - j] * coeffs[j] for j in range(min(i, m - 1) + 1))
             for i in range(m + 1)

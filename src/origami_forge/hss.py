@@ -76,6 +76,8 @@ __all__ = [
     "PairChain",
     "Pool",
     "step1",
+    "step1_graph",
+    "step1_cuts",
     "init_lists",
     "merge_all",
     "find_separating_pair",
@@ -151,17 +153,19 @@ def _is_square(label) -> bool:
 
 @dataclass
 class HalfCylinderGraph:
-    """Two nodes per cylinder (lower 'u', upper 'o'); p2-gluing edges plus
-    the bridges chosen in stage 1."""
+    """Two nodes per cylinder i, the upper 2i and the lower 2i + 1; the
+    p2-gluing edges, plus the bridges chosen in stage 1."""
 
     cyls: list[Cylinder]
     edges: set[tuple[int, int]]      # (index of upper node's cylinder, lower's)
     bridges: list[int]               # cylinder indices that received a bridge
+    roots: list[int]                 # node -> its component's root under
+                                     # the edges alone, before any bridge
 
 
 class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+    def __init__(self, parent: list[int]):
+        self.parent = parent
 
     def find(self, v: int) -> int:
         while self.parent[v] != v:
@@ -177,19 +181,11 @@ class _UnionFind:
         return True
 
 
-def step1(
-    o: Origami, order: Optional[Sequence[int]] = None
-) -> tuple[list[Cylinder], HalfCylinderGraph]:
-    """Maximal cylinder cut system.
-
-    Nodes z_i^o (upper boundary) and z_i^u (lower boundary) per cylinder;
-    an edge z_i^o -- z_j^u whenever p2 carries a square of Z_i into Z_j.
-    Bridges z_i^o -- z_i^u are added while scanning cylinders (by default
-    in descending index) whenever the two nodes are still in different
-    components.  Cut cylinders are exactly the bridge-less ones.
-    """
+def step1_graph(o: Origami) -> HalfCylinderGraph:
+    """The half of stage 1 that no bridging order changes: the cylinders,
+    an edge z_i^o -- z_j^u whenever p2 carries a square of Z_i into Z_j,
+    and the components those edges join.  It has no bridges yet."""
     cyls = cylinders(o)
-    ncyl = len(cyls)
     cyl_index = {}
     for i, z in enumerate(cyls):
         for s in z.squares:
@@ -198,21 +194,53 @@ def step1(
     for i, z in enumerate(cyls):
         for s in z.squares:
             edges.add((i, cyl_index[o.p2(s)]))
+    uf = _UnionFind(list(range(2 * len(cyls))))
+    for i, j in edges:
+        uf.union(2 * i, 2 * j + 1)
+    return HalfCylinderGraph(cyls, edges, [],
+                             [uf.find(v) for v in range(2 * len(cyls))])
+
+
+def step1_cuts(
+    graph: HalfCylinderGraph, order: Optional[Sequence[int]] = None
+) -> tuple[list[Cylinder], HalfCylinderGraph]:
+    """The bridging pass of stage 1 on a graph from `step1_graph`, whose
+    own bridges it ignores: scanning the cylinders in the given order (by
+    default in descending index), it bridges z_i^o -- z_i^u whenever the
+    two nodes are still in different components.  The cut cylinders are
+    exactly the bridge-less ones; returns them and the bridged graph."""
+    ncyl = len(graph.cyls)
     if order is None:
         order = range(ncyl - 1, -1, -1)
     elif sorted(order) != list(range(ncyl)):
         raise ValueError("order must permute cylinders")
-    uf = _UnionFind(2 * ncyl)
-    for i, j in edges:
-        uf.union(2 * i, 2 * j + 1)
+    uf = _UnionFind(list(graph.roots))
     bridges = []
     for i in order:
         if uf.union(2 * i, 2 * i + 1):
             bridges.append(i)
     if len({uf.find(v) for v in range(2 * ncyl)}) != 1:
         raise Disconnected("surface not connected after bridging")
-    cuts = [z for i, z in enumerate(cyls) if i not in bridges]
-    return cuts, HalfCylinderGraph(cyls, edges, bridges)
+    bridged = set(bridges)
+    cuts = [z for i, z in enumerate(graph.cyls) if i not in bridged]
+    return cuts, HalfCylinderGraph(graph.cyls, graph.edges, bridges,
+                                   graph.roots)
+
+
+def step1(
+    o: Origami, order: Optional[Sequence[int]] = None
+) -> tuple[list[Cylinder], HalfCylinderGraph]:
+    """Maximal cylinder cut system: `step1_cuts` on `step1_graph(o)`.
+
+    Nodes z_i^o (upper boundary) and z_i^u (lower boundary) per cylinder;
+    an edge z_i^o -- z_j^u whenever p2 carries a square of Z_i into Z_j.
+    Bridges z_i^o -- z_i^u are added while scanning cylinders (by default
+    in descending index) whenever the two nodes are still in different
+    components.  Cut cylinders are exactly the bridge-less ones.  Only
+    the bridges depend on the order, so a caller that tries several
+    orders builds the graph once and runs `step1_cuts` for each.
+    """
+    return step1_cuts(step1_graph(o), order)
 
 
 # ---------------------------------------------------------------------------

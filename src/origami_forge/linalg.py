@@ -1,8 +1,8 @@
 """Exact integer linear algebra.
 
-Matrices are lists of rows of ints.  The program needs only products with
-a vector, Bareiss determinants and ranks mod 2 here; its triangular solves
-sit beside their callers in `homology`.
+Matrices are lists of rows of ints.  The program needs only Bareiss
+determinants and ranks mod 2 here; its sparse products and triangular
+solves sit beside their callers in `homology`.
 """
 
 from __future__ import annotations
@@ -21,15 +21,6 @@ def eye(n: int) -> Matrix:
     for i in range(n):
         out[i][i] = 1
     return out
-
-
-def mat_vec(A: Matrix, v: list) -> list:
-    nz = [(j, x) for j, x in enumerate(v) if x]  # chains are mostly zero
-    return [sum(row[j] * x for j, x in nz) for row in A]
-
-
-def transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)] if A else []
 
 
 def det_int(A: Matrix) -> int:

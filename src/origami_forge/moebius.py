@@ -143,9 +143,15 @@ def fixed_data(m: MoebiusMap) -> FixedPointData:
         raise NotLoxodromic(f"map is {kind}")
     if abs(m.c) <= TOL:
         raise DegenerateForm("c = 0: a fixed point lies at infinity")
+    # the fixed points solve c p^2 + (d - a) p - b = 0.  Of the numerators
+    # (a - d) +- disc, the larger one cannot cancel; its root is computed
+    # as ((a - d) +- disc) / 2c, and the other one from p1 p2 = -b / c
     disc = cmath.sqrt((m.a + m.d) ** 2 - 4)
-    p1 = ((m.a - m.d) + disc) / (2 * m.c)
-    p2 = ((m.a - m.d) - disc) / (2 * m.c)
+    plus, minus = (m.a - m.d) + disc, (m.a - m.d) - disc
+    if abs(plus) >= abs(minus):
+        p1, p2 = plus / (2 * m.c), -2 * m.b / plus
+    else:
+        p1, p2 = -2 * m.b / minus, minus / (2 * m.c)
     # the multiplier at p is 1 / (c p + d)^2, and the two values of c p + d
     # are inverse; the attracting point's is the larger, and the other one
     # can round to 0, so it is never inverted
@@ -161,23 +167,27 @@ def from_fixed_data(f: FixedPointData) -> MoebiusMap:
     Uses r = z + w, s = z w, t = lambda + 1/lambda:
     c = sqrt((t - 2) / (r^2 - 4 s)) with the branch Im(c) > 0,
     a = (r c + sqrt(t + 2)) / 2, d = (-r c + sqrt(t + 2)) / 2, b = -s c.
+    Of a and d, the smaller can cancel away, so it is taken from
+    a d = 1 + b c instead.
     """
     f.validate()
     lam = f.multiplier
     r = f.z + f.w
     s = f.z * f.w
     t = lam + 1 / lam
-    denom = r * r - 4 * s  # = (z - w)^2 != 0
+    denom = (f.z - f.w) ** 2  # = r^2 - 4 s, which cancels when z is near w
     c = cmath.sqrt((t - 2) / denom)
     if c.imag < 0 or (abs(c.imag) <= TOL and c.real < 0):
         c = -c
+    b = -s * c
     for tr in (cmath.sqrt(t + 2), -cmath.sqrt(t + 2)):
         a = (r * c + tr) / 2
         d = (-r * c + tr) / 2
-        b = -s * c
+        if abs(a) >= abs(d):
+            d = (1 + b * c) / a
+        else:
+            a = (1 + b * c) / d
         m = MoebiusMap(a, b, c, d)
-        if abs(a * d - b * c - 1) > 1e-6 * max(1.0, abs(a * d), abs(b * c)):
-            continue
         got = fixed_data(m)
         span = 1e-6 * max(1.0, abs(f.z), abs(f.w))
         if (

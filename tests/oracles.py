@@ -11,9 +11,13 @@ check the indexed engine of ``origami_forge.hss`` from outside.
 factorisation answers any number of integer solves.  The H1 model, the
 induced action and the symplectic completion are checked against Smith
 forms: ``snf_symplectic_completion`` is the completion that
-``homology.symplectic_completion`` replaced.  ``mat_mul`` multiplies
-integer matrices, and ``mat2_mul`` multiplies the 2 x 2 matrices of
-``freegroup``, kept as (a, b, c, d).
+``homology.symplectic_completion`` replaced.  ``mat_vec``, ``transpose``
+and ``mat_mul`` are dense integer matrix products, and ``mat2_mul``
+multiplies the 2 x 2 matrices of ``freegroup``, kept as (a, b, c, d).
+
+``d1``, ``d2`` and ``coord_rows`` are the dense boundary and coordinate
+matrices that the sparse H1 model no longer stores; ``DenseH1`` computes
+coordinates, pairings and Lagrangian rows by dense products through them.
 
 ``induced_matrix`` computes the action of an automorphism of F_2 on H1
 from a Schreier system and a Smith form; the twist certificate is checked
@@ -178,6 +182,15 @@ def replay_backtrack(pool, history, alpha):
 # ---------------------------------------------------------------------------
 
 
+def mat_vec(A: linalg.Matrix, v: list) -> list:
+    nz = [(j, x) for j, x in enumerate(v) if x]  # chains are mostly zero
+    return [sum(row[j] * x for j, x in nz) for row in A]
+
+
+def transpose(A: linalg.Matrix) -> linalg.Matrix:
+    return [list(col) for col in zip(*A)] if A else []
+
+
 def mat_mul(A: linalg.Matrix, B: linalg.Matrix) -> linalg.Matrix:
     m, k, n = len(A), len(B), len(B[0]) if B else 0
     out = linalg.zeros(m, n)
@@ -213,7 +226,7 @@ class SmithForm:
         """One integer solution x of A x = b, or None."""
         D = self.D
         m, n = len(D), len(self.V)
-        c = linalg.mat_vec(self.U, b)
+        c = mat_vec(self.U, b)
         y = [0] * n
         for i in range(m):
             d = D[i][i] if i < n else 0
@@ -224,7 +237,7 @@ class SmithForm:
                 return None
             else:
                 y[i] = c[i] // d
-        return linalg.mat_vec(self.V, y)
+        return mat_vec(self.V, y)
 
 
 def smith_normal_form(A: linalg.Matrix) -> SmithForm:
@@ -329,8 +342,87 @@ def snf_symplectic_completion(
             c = _dot(B[i], GB[j])
             if c:
                 B[i] = [x - c * y for x, y in zip(B[i], A[j])]
-        GB.append(linalg.mat_vec(model.gram, B[i]))
+        GB.append(mat_vec(model.gram, B[i]))
     return [[(A + B)[j][i] for j in range(2 * g)] for i in range(2 * g)]
+
+
+# ---------------------------------------------------------------------------
+# dense H1 oracles
+# ---------------------------------------------------------------------------
+
+
+def d1(cx) -> linalg.Matrix:
+    """The V x 2d boundary matrix of the edges: h_s runs from the vertex
+    of s to that of p1(s), v_s from the vertex of s to that of p2(s)."""
+    o, vertex_of = cx.o, cx.vertex_of
+    d = o.d
+    D = linalg.zeros(len(cx.vertices), 2 * d)
+    for s in range(1, d + 1):
+        D[vertex_of[o.p1(s)]][s - 1] += 1
+        D[vertex_of[s]][s - 1] -= 1
+        D[vertex_of[o.p2(s)]][d + s - 1] += 1
+        D[vertex_of[s]][d + s - 1] -= 1
+    return D
+
+
+def d2(cx) -> linalg.Matrix:
+    """The 2d x d boundary matrix of the squares: square s is bounded by
+    h_s + v_{p1(s)} - h_{p2(s)} - v_s."""
+    o = cx.o
+    d = o.d
+    D = linalg.zeros(2 * d, d)
+    for s in range(1, d + 1):
+        D[s - 1][s - 1] += 1
+        D[d + o.p1(s) - 1][s - 1] += 1
+        D[o.p2(s) - 1][s - 1] -= 1
+        D[d + s - 1][s - 1] -= 1
+    return D
+
+
+def coord_rows(model: H1Model) -> linalg.Matrix:
+    """The dense 2g x 2d coordinate matrix R, from what defines it rather
+    than from the cotree peel: R sends the i-th chord to e_i and every
+    tree edge to 0, and R d2 = 0.  The edges left, those of the cotree,
+    form a spanning tree of the dual graph, so d2 restricted to them has
+    full column rank and each row of R on them is the unique solution of
+    one linear system, solved by a Smith form."""
+    cx = model.complex
+    n, d = cx.edge_count, cx.o.d
+    D = d2(cx)
+    known = set(model.tree) | set(model.chords)
+    cotree = [e for e in range(n) if e not in known]
+    snf = smith_normal_form([[D[e][f] for e in cotree] for f in range(d)])
+    R = linalg.zeros(len(model.chords), n)
+    for i, chord in enumerate(model.chords):
+        R[i][chord] = 1
+        x = snf.solve([-D[chord][f] for f in range(d)])
+        if x is None:
+            raise AssertionError("cotree columns have no integer solution")
+        for e, xe in zip(cotree, x):
+            R[i][e] = xe
+    return R
+
+
+class DenseH1:
+    """Coordinates, pairings and Lagrangian rows of an H1 model by dense
+    products through d1, coord_rows and the Gram matrix."""
+
+    def __init__(self, model: H1Model):
+        self.gram = model.gram
+        self.d1 = d1(model.complex)
+        self.rows = coord_rows(model)
+
+    def coords(self, z):
+        if any(mat_vec(self.d1, z)):
+            raise ValueError("chain is not a cycle")
+        return mat_vec(self.rows, z)
+
+    def pair(self, u, v):
+        return _dot(u, mat_vec(self.gram, v))
+
+    def lagrangian_rows(self, classes):
+        Gt = transpose(self.gram)
+        return [mat_vec(Gt, a) for a in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +548,9 @@ def induced_matrix(
         M.append(row)
     if basis is not None:
         # S^T G S = J gives the exact inverse S^-1 = J^-1 S^T G, J^-1 = J^T
-        Jinv = linalg.transpose(standard_j(model.g))
+        Jinv = transpose(standard_j(model.g))
         Sinv = mat_mul(
-            mat_mul(Jinv, linalg.transpose(basis)), model.gram
+            mat_mul(Jinv, transpose(basis)), model.gram
         )
         if mat_mul(Sinv, basis) != linalg.eye(n):
             raise ValueError("basis is not symplectic")

@@ -6,13 +6,20 @@ import json
 import os
 import pathlib
 import pkgutil
+import random
 import subprocess
 import sys
 
 import pytest
 
-from origami_forge import cli
-from origami_forge.origami import format_origami, wollmilchsau
+from origami_forge import cli, hss
+from origami_forge.origami import (
+    cylinders,
+    format_origami,
+    parse_origami,
+    random_origami,
+    wollmilchsau,
+)
 
 
 def run_cli(capsys, *argv):
@@ -325,16 +332,27 @@ class TestMoebius:
         ("1e10,0", "0,0", "0,0", "1e-10,0"),
         ("1e12,0", "0,0", "0,0", "1e-12,0"),
         ("1e15,0", "0,0", "0,0", "1e-15,0"),
+        ("0.1160934793566741,0", "-2701428392374802.5,0",
+         "0.48821338339011044,0", "1.1702513964189196e+16,0"),
     ])
     def test_large_entries_round_trip(self, capsys, entries):
         """The conjugated probe of diag(1e8, 1e-8) has entries near 6e8,
         so the round trip is checked relative to them.  From diag(1e10,
         1e-10) on, c p + d rounds to 0 at the repelling fixed point, so
-        the multiplier is read at the attracting one only."""
-        data = run_json(capsys, "moebius", *entries)
+        the multiplier is read at the attracting one only.  The last map
+        has c != 0 and fixed points near -0.23 and -2.4e16: the smaller
+        one is taken from their product, since (a - d) - disc cancels to
+        0, and so is the smaller of a and d when the map is rebuilt."""
+        data = run_json(capsys, "moebius", "--", *entries)
         assert data["classification"] == "loxodromic"
-        assert data["conjugated"] is True
+        # only a map with c = 0 is conjugated into general position
+        assert data["conjugated"] is (entries[2] == "0,0")
         assert data["roundtrip"] is True
+        if not data["conjugated"]:
+            z, w = (complex(*data[k])
+                    for k in ("fixed_point_z", "fixed_point_w"))
+            assert abs(z + 0.23084171492052305) < 1e-12
+            assert abs(w / -2.3970080219694052e16 - 1) < 1e-12
 
     def test_bad_entry_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "moebius", "x", "0,0", "0,0", "1,0")
@@ -377,6 +395,62 @@ class TestSweepAndDeterminism:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @staticmethod
+    def sweep_origami(seed, max_d, index):
+        rng = random.Random(f"{seed}:{index}")
+        return random_origami(rng, rng.randint(2, max_d))
+
+    def test_bridging_order_check_is_not_vacuous(self, monkeypatch):
+        """With a bridging pass whose cut count depends on the order, every
+        item with two or more cylinders reads cut_count_invariant false."""
+        multi = [i for i in range(10)
+                 if len(cylinders(self.sweep_origami(3, 16, i))) >= 2]
+        assert len(multi) >= 3
+        assert all(cli.sweep_one(3, 16, i)["cut_count_invariant"]
+                   for i in multi)
+        real = hss.step1_cuts
+
+        def by_order(graph, order=None):
+            cuts, bridged = real(graph, order)
+            if order is not None and list(order) != sorted(order)[::-1]:
+                cuts = cuts[1:]
+            return cuts, bridged
+
+        monkeypatch.setattr(hss, "step1_cuts", by_order)
+        for i in multi:
+            item = cli.sweep_one(3, 16, i)
+            assert item["cut_count_invariant"] is False
+            assert item["ok"] is False
+
+    def test_failure_report_reproduces_the_item(self, capsys, monkeypatch):
+        """A sweep item that raises is reported with its seed, its index
+        and its origami as .ori text, and nothing goes to stdout."""
+        from origami_forge import homology
+
+        real = homology.twist_membership_certificate
+        seen = []
+
+        def fail_third(o, *args):
+            seen.append(o)
+            if len(seen) == 3:
+                raise homology.CertificateError("forced failure")
+            return real(o, *args)
+
+        monkeypatch.setattr(homology, "twist_membership_certificate",
+                            fail_third)
+        code, out, err = run_cli(
+            capsys, "sweep", "--count", "5", "--seed", "7", "--max-d", "10")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {
+            "type": "CertificateError",
+            "message": "forced failure",
+            "seed": 7,
+            "index": 2,
+            "origami": format_origami(seen[2]),
+        }
+        assert parse_origami(error["origami"]) == self.sweep_origami(7, 10, 2)
 
     def test_installed_entry_point(self, ori_file):
         proc = subprocess.run(

@@ -60,11 +60,17 @@ from origami_forge.origami import (
 from origami_forge.subgroup import CosetAction, schreier_system
 
 from oracles import (
+    DenseH1,
     DoesNotStabilize,
+    coord_rows,
+    d1,
+    d2,
     induced_matrix,
     mat_mul,
+    mat_vec,
     smith_normal_form,
     snf_symplectic_completion,
+    transpose,
 )
 
 FIXTURES = [
@@ -92,11 +98,12 @@ def kernel_snf_model(o):
     the chord-support Gram matrix of the basis."""
     cx = cell_complex(o)
     n = 2 * o.d
-    s1 = smith_normal_form(cx.d1)
+    s1 = smith_normal_form(d1(cx))
     K = [row[s1.rank:] for row in s1.V]
     k = len(K[0])
     kernel_snf = smith_normal_form(K)
-    cols = [kernel_snf.solve([cx.d2[i][j] for i in range(n)])
+    D2 = d2(cx)
+    cols = [kernel_snf.solve([D2[i][j] for i in range(n)])
             for j in range(o.d)]
     B = [[c[i] for c in cols] for i in range(k)]
     snf = smith_normal_form(B)
@@ -104,14 +111,14 @@ def kernel_snf_model(o):
     proj = snf.U[rho:]
     u_snf = smith_normal_form(snf.U)
     basis = [
-        linalg.mat_vec(K, u_snf.solve([int(i == j) for i in range(k)]))
+        mat_vec(K, u_snf.solve([int(i == j) for i in range(k)]))
         for j in range(rho, k)
     ]
 
     def coords(z):
         c = kernel_snf.solve(z)
         assert c is not None, "chain is not a cycle"
-        return linalg.mat_vec(proj, c)
+        return mat_vec(proj, c)
 
     return basis, coords, chord_support_gram(o, basis)
 
@@ -128,7 +135,7 @@ def chord_support_gram(o, basis):
         o, SimpleNamespace(complex=cx, tree=tree, chords=outside)
     )
     Z = [[z[e] for e in outside] for z in basis]
-    return mat_mul(mat_mul(Z, X), linalg.transpose(Z))
+    return mat_mul(mat_mul(Z, X), transpose(Z))
 
 
 def coordinate_sample():
@@ -145,15 +152,26 @@ class TestCellComplex:
     @pytest.mark.parametrize("o", FIXTURES, ids=lambda o: f"d{o.d}")
     def test_boundary_square_zero(self, o):
         cx = cell_complex(o)
-        assert mat_mul(cx.d1, cx.d2) == linalg.zeros(
-            len(cx.d1), len(cx.d2[0])
-        )
+        D1, D2 = d1(cx), d2(cx)
+        assert mat_mul(D1, D2) == linalg.zeros(len(D1), len(D2[0]))
+
+    def test_boundary_check_sees_a_wrong_sign(self, monkeypatch):
+        real = homology._boundary
+
+        def flipped(o, s):
+            (e, sign), *rest = real(o, s)
+            return ((e, -sign), *rest)
+
+        # the Wollmilchsau has four vertices, and h_s joins two of them
+        monkeypatch.setattr(homology, "_boundary", flipped)
+        with pytest.raises(ConventionViolation, match="d1 \\* d2"):
+            cell_complex(wollmilchsau())
 
     def test_edge_cycle_boundaries_vanish(self):
         o = wollmilchsau()
         cx = cell_complex(o)
         z = edge_cycle(o, 1, parse_word("x y^-1 x y"))
-        assert linalg.mat_vec(cx.d1, z) == [0] * len(cx.d1)
+        assert mat_vec(d1(cx), z) == [0] * len(cx.vertices)
 
 
 class TestH1Model:
@@ -197,7 +215,7 @@ class TestH1Model:
         count chords on two sides: |entry| <= 2.  The Gram matrix is a
         crossing matrix of chords, with entries in {-1, 0, 1}."""
         model = h1_model(random_origami(random.Random(d), d))
-        assert all(abs(x) <= 2 for row in model.coord_rows for x in row)
+        assert all(abs(x) <= 2 for col in model.columns for _, x in col)
         assert all(x in (-1, 0, 1) for row in model.gram for x in row)
 
     def test_non_skew_form_is_convention_violation(self, monkeypatch):
@@ -221,10 +239,10 @@ class TestCoordinatesAgainstKernelSmithForm:
 
         model = h1_model(o)
         basis, oracle, gram = kernel_snf_model(o)
-        S = linalg.transpose([model.coords(z) for z in basis])
+        S = transpose([model.coords(z) for z in basis])
         assert abs(linalg.det_int(S)) == 1
         assert mat_mul(
-            mat_mul(linalg.transpose(S), model.gram), S
+            mat_mul(transpose(S), model.gram), S
         ) == gram
         cycles = basis + model.basis
         cycles += [edge_cycle(o, c.start, c.word) for c in find_hss(o)]
@@ -233,7 +251,7 @@ class TestCoordinatesAgainstKernelSmithForm:
             edge_cycle(o, cs.base, h) for h in schreier_system(cs).generators
         ]
         for z in cycles:
-            assert linalg.mat_vec(S, oracle(z)) == model.coords(z), (o, z)
+            assert mat_vec(S, oracle(z)) == model.coords(z), (o, z)
         n = model.rank
         assert [model.coords(z) for z in model.basis] == linalg.eye(n)
 
@@ -248,6 +266,82 @@ class TestCoordinatesAgainstKernelSmithForm:
         z[e] = 1
         with pytest.raises(ValueError, match="not a cycle"):
             model.coords(z)
+
+
+def check_against_dense(o, rng):
+    """The sparse model's coords, pair and Lagrangian rows against dense
+    products through d1, coord_rows and the Gram matrix, on the basis,
+    the cut curves, their duals, integer combinations of these plus square
+    boundaries, and random chains, cycles or not."""
+    model = h1_model(o)
+    dense = DenseH1(model)
+    result = find_hss_detailed(o)
+    cuts = [edge_cycle(o, c.start, c.word) for c in result.curves]
+    chains = cuts + [edge_cycle(o, c.start, c.word)
+                     for c in dual_curves(result)] + model.basis
+    n = model.complex.edge_count
+    D2 = d2(model.complex)
+    for _ in range(4):
+        z = [0] * n
+        for c in rng.sample(chains, min(3, len(chains))):
+            k = rng.randint(-3, 3)
+            z = [x + k * y for x, y in zip(z, c)]
+        for f in rng.sample(range(o.d), min(3, o.d)):
+            k = rng.randint(-3, 3)
+            z = [x + k * row[f] for x, row in zip(z, D2)]
+        chains.append(z)
+    classes = [model.coords(z) for z in chains]
+    assert classes == [dense.coords(z) for z in chains]
+    some = rng.sample(classes, min(10, len(classes)))
+    for u in some:
+        for v in some:
+            assert model.pair(u, v) == dense.pair(u, v)
+    A = classes[:len(cuts)]
+    assert homology._check_lagrangian(model, A) == dense.lagrangian_rows(A)
+    for _ in range(4):
+        z = [rng.choice((-1, 0, 0, 0, 1)) for _ in range(n)]
+        try:
+            want = dense.coords(z)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a cycle"):
+                model.coords(z)
+        else:
+            assert model.coords(z) == want
+    cx = model.complex
+    loose = [e for e in range(n) if len(set(cx.edge_ends(e))) == 2]
+    if loose:
+        z = list(cuts[0])
+        z[rng.choice(loose)] += 1
+        with pytest.raises(ValueError, match="not a cycle"):
+            model.coords(z)
+        with pytest.raises(ValueError, match="not a cycle"):
+            dense.coords(z)
+
+
+class TestSparseAgainstDense:
+    """The sparse H1 model against the dense matrices it replaced."""
+
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_coordinate_sample(self, o):
+        check_against_dense(o, random.Random(f"{o.d}:{o.p1}:{o.p2}"))
+
+    def test_random_sample(self, random_sample):
+        rng = random.Random(19)
+        for _, o in random_sample:
+            check_against_dense(o, rng)
+
+    @pytest.mark.parametrize("o", FIXTURES, ids=lambda o: f"d{o.d}")
+    def test_columns_are_the_dense_rows(self, o):
+        """coord_rows solves for the cotree columns by a Smith form; the
+        sparse columns come from peeling the cotree."""
+        model = h1_model(o)
+        R = coord_rows(model)
+        assert [[(i, x) for i, x in enumerate(col) if x]
+                for col in transpose(R)] == [sorted(c) for c in model.columns]
+        assert model.gram_rows == [
+            [(j, x) for j, x in enumerate(row) if x] for row in model.gram]
 
 
 class TestWordSystemGram:
@@ -309,7 +403,7 @@ class TestSymplecticCompletion:
             ]
             S = symplectic_completion(model, classes)
             StGS = mat_mul(
-                mat_mul(linalg.transpose(S), model.gram), S
+                mat_mul(transpose(S), model.gram), S
             )
             assert StGS == standard_j(model.g)
 
@@ -385,7 +479,7 @@ def completions(model, classes):
 def check_symplectic_basis(model, classes, S):
     g = model.g
     assert [[row[j] for row in S] for j in range(g)] == classes
-    StGS = mat_mul(mat_mul(linalg.transpose(S), model.gram), S)
+    StGS = mat_mul(mat_mul(transpose(S), model.gram), S)
     assert StGS == standard_j(g)
 
 
@@ -535,7 +629,7 @@ class TestPicardLefschetzPremises:
         curves = find_hss(o)
         cert = twist_membership_certificate(o, model, curves)
         g, m, A = model.g, cert["multiplier"], cert["block"]
-        assert A == linalg.transpose(A)
+        assert A == transpose(A)
         S = symplectic_completion(model, [
             model.coords(edge_cycle(o, c.start, c.word)) for c in curves
         ])
@@ -735,7 +829,7 @@ class TestDualCurves:
                   rng.randint(-3, 3) if j > k else 0 for j in range(n)]
                  for k in range(n)]
             x = [rng.randint(-5, 5) for _ in range(n)]
-            assert homology._back_substitute(P, linalg.mat_vec(P, x)) == x
+            assert homology._back_substitute(P, mat_vec(P, x)) == x
 
     @pytest.mark.parametrize("d", [128, 160])
     def test_certificate_integers_stay_small(self, d, monkeypatch):

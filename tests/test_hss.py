@@ -29,6 +29,8 @@ from origami_forge.hss import (
     init_lists,
     merge_all,
     step1,
+    step1_cuts,
+    step1_graph,
     step3_update,
 )
 from origami_forge.origami import (
@@ -210,6 +212,25 @@ class TestStep1:
                 order = list(range(ncyl))
                 rng.shuffle(order)
                 assert len(step1(o, order)[0]) == base
+
+
+    def test_one_graph_serves_every_order(self):
+        """The bridging pass on one shared graph gives step1's cuts and
+        bridges for every order, and leaves the graph as it found it."""
+        rng = random.Random(22)
+        for _ in range(25):
+            o = random_origami(rng, rng.randint(2, 14))
+            graph = step1_graph(o)
+            roots = list(graph.roots)
+            assert graph.bridges == []
+            for _ in range(10):
+                order = list(range(len(graph.cyls)))
+                rng.shuffle(order)
+                cuts, bridged = step1_cuts(graph, order)
+                want, want_graph = step1(o, order)
+                assert len(cuts) == len(want)
+                assert cuts == want and bridged == want_graph
+            assert graph.roots == roots and graph.bridges == []
 
 
 class TestInitialLists:
