@@ -145,11 +145,11 @@ def cmd_hss(args) -> dict:
     result = hss.find_hss_detailed(o)
     if args.trace:
         dump_trace(result, sys.stderr)
-    n_cuts = len(result.cut_cylinders)
+    curves = [curve_json(c) for c in result.curves]
     return {
         "schema": SCHEMA,
-        "curves": [curve_json(c) for c in result.curves],
-        "step1_cuts": [curve_json(c) for c in result.curves[:n_cuts]],
+        "curves": curves,
+        "step1_cuts": curves[:len(result.cut_cylinders)],
     }
 
 

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .freegroup import (
-    F2Endo,
     Word,
     default_names,
     exponent_sums,
@@ -52,9 +51,7 @@ from .origami import (
     Origami,
     OrigamiCurve,
     act_word,
-    cylinders,
     genus,
-    vertex_orbits,
     vertex_permutation,
 )
 
@@ -133,12 +130,6 @@ class CellComplex:
     def edge_count(self) -> int:
         return 2 * self.o.d
 
-    def h(self, s: int) -> int:
-        return s - 1
-
-    def v(self, s: int) -> int:
-        return self.o.d + s - 1
-
     def edge_ends(self, e: int) -> Tuple[int, int]:
         """(tail vertex, head vertex) of edge index e."""
         return self.ends[e]
@@ -154,7 +145,7 @@ def _boundary(o: Origami, s: int) -> Tuple[Tuple[int, int], ...]:
 
 def cell_complex(o: Origami) -> CellComplex:
     d = o.d
-    orbits = vertex_orbits(o)
+    orbits = o.corner_orbits
     vertex_of = [None] * (d + 1)
     for vi, orbit in enumerate(orbits):
         for s in orbit:
@@ -170,11 +161,7 @@ def cell_complex(o: Origami) -> CellComplex:
             at[t] = at.get(t, 0) - sign
         if any(at.values()):
             raise ConventionViolation("d1 * d2 != 0")
-    chi = len(orbits) - 2 * d + d
-    if chi != 2 - 2 * genus(o):
-        raise ConventionViolation("Euler characteristic mismatch")
-    return CellComplex(o, tuple(tuple(x) for x in orbits), tuple(vertex_of),
-                       tuple(ends))
+    return CellComplex(o, orbits, tuple(vertex_of), tuple(ends))
 
 
 def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
@@ -368,22 +355,49 @@ def f2_independent(classes: Sequence[Sequence[int]]) -> bool:
 # -- ribbon graph rotation system -------------------------------------------
 
 
-def _rotation_circles(cx: CellComplex) -> List[List[Tuple[int, int]]]:
-    """Cyclic dart order around each vertex.  A dart is (edge index, end)
-    with end 0 = tail, 1 = head.  Around a singularity the corner walk
-    visits, for each square s of the orbit in commutator order:
-    v_s out, h_{p1^-1(s)} in, v_{p1 p2^-1 p1^-1(s)} in, h_{c(s)} out."""
-    o = cx.o
-    circles = []
-    for orbit in cx.vertices:
-        circle = []
-        for s in orbit:
-            circle.append((cx.v(s), 0))
-            circle.append((cx.h(o.p1.inverse_of(s)), 1))
-            circle.append((cx.v(o.p1(o.p2.inverse_of(o.p1.inverse_of(s)))), 1))
-            circle.append((cx.h(vertex_permutation(o, s)), 0))
-        circles.append(circle)
-    return circles
+def _rotation(o: Origami) -> List[int]:
+    """The successor of each dart in the cyclic order around its vertex.
+    Dart 2e + end is edge e's tail (end 0) or head (end 1).  Around a
+    singularity the corner walk visits, for each square s of the orbit in
+    commutator order: v_s out, h_{p1^-1(s)} in, v_{p1 p2^-1 p1^-1(s)} in,
+    h_{c(s)} out, and then v_{c(s)} out, where c is the corner permutation."""
+    d = o.d
+    succ = [0] * (4 * d)
+    for s in range(1, d + 1):
+        c = vertex_permutation(o, s)
+        left = o.p1.inverse_of(s)
+        darts = (2 * (d + s - 1), 2 * (left - 1) + 1,
+                 2 * (d + o.p1(o.p2.inverse_of(left)) - 1) + 1, 2 * (c - 1),
+                 2 * (d + c - 1))
+        for x, y in zip(darts, darts[1:]):
+            succ[x] = y
+    return succ
+
+
+def _contracted_order(o: Origami, tree: Sequence[int]) -> List[int]:
+    """The darts outside the spanning tree T in their cyclic order around
+    the one vertex left when T is contracted, found in one walk: the
+    successor of a dart is its successor around its own vertex, or, while
+    that is a dart of T, the successor of that dart's partner.  This is the
+    order that splicing the two circles at each edge of T gives.  If T does
+    not contract to one vertex, the walk returns to its start before it
+    has seen every dart outside T."""
+    succ = _rotation(o)
+    in_tree = [False] * len(succ)
+    for e in tree:
+        in_tree[2 * e] = in_tree[2 * e + 1] = True
+    first = in_tree.index(False)
+    order, x = [], first
+    while True:
+        order.append(x)
+        x = succ[x]
+        while in_tree[x]:
+            x = succ[x ^ 1]
+        if x == first:
+            break
+    if len(order) != len(succ) - 2 * len(tree):
+        raise ConventionViolation("contracting T leaves more than one vertex")
+    return order
 
 
 def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
@@ -391,36 +405,8 @@ def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
     Contracting the spanning tree T leaves a one-vertex ribbon graph on
     which each basis cycle is its chord alone, so the Gram matrix is the
     crossing matrix of the chords."""
-    cx = model.complex
-    circles = _rotation_circles(cx)
-    nv = len(cx.vertices)
-    # contract tree edges: splice the two circles at the edge's darts
-    rep = list(range(nv))
-
-    def find(v):
-        while rep[v] != v:
-            rep[v] = rep[rep[v]]
-            v = rep[v]
-        return v
-
-    circ = {v: circles[v] for v in range(nv)}
-    for e in model.tree:
-        t, h = cx.edge_ends(e)
-        rt, rh = find(t), find(h)
-        if rt == rh:
-            raise ConventionViolation("spanning tree edge closes a cycle")
-        ca, cb = circ.pop(rt), circ.pop(rh)
-        if (e, 0) not in ca:
-            ca, cb = cb, ca
-            rt, rh = rh, rt
-        i = ca.index((e, 0))
-        j = cb.index((e, 1))
-        merged = ca[:i] + cb[j + 1:] + cb[:j] + ca[i + 1:]
-        rep[rh] = rt
-        circ[rt] = merged
-    (final,) = circ.values()
-    pos = {dart: i for i, dart in enumerate(final)}
-    ends = [(pos[(e, 0)], pos[(e, 1)]) for e in model.chords]
+    pos = {x: i for i, x in enumerate(_contracted_order(o, model.tree))}
+    ends = [(pos[2 * e], pos[2 * e + 1]) for e in model.chords]
 
     def crossings(lo: int, hi: int) -> List[int]:
         """The row of the chord lo -> hi: for each chord, +-1 when exactly
@@ -718,7 +704,7 @@ def twist_membership_certificate(
     chains = [edge_cycle(o, c.start, c.word) for c in curves]
     GtA = _check_lagrangian(model, [model.coords(z) for z in chains])
     g, d = model.g, o.d
-    cores = [z.squares for z in cylinders(o)]
+    cores = [z.squares for z in o.horizontal_cylinders]
 
     def meets(z: Sequence[int], core: Sequence[int]) -> int:
         """<z, c_Z> for the core c_Z of the cylinder: the signed count of

@@ -186,14 +186,11 @@ def step1_graph(o: Origami) -> HalfCylinderGraph:
     an edge z_i^o -- z_j^u whenever p2 carries a square of Z_i into Z_j,
     and the components those edges join.  It has no bridges yet."""
     cyls = cylinders(o)
-    cyl_index = {}
-    for i, z in enumerate(cyls):
-        for s in z.squares:
-            cyl_index[s] = i
+    at = o.cylinder_at
     edges = set()
     for i, z in enumerate(cyls):
         for s in z.squares:
-            edges.add((i, cyl_index[o.p2(s)]))
+            edges.add((i, at[o.p2(s)][0]))
     uf = _UnionFind(list(range(2 * len(cyls))))
     for i, j in edges:
         uf.union(2 * i, 2 * j + 1)
@@ -344,12 +341,6 @@ class Pool:
         self.o_section: list[tuple[int, int]] = []
         self.lz_section: list[tuple[int, int]] = []
         self.second_sentinel: dict[int, int] = {}  # uncut cylinder -> side
-        self.cyl_of: dict[int, Cylinder] = {}
-        self.cyl_pos: dict[int, int] = {}    # square -> index in its cylinder
-        for z in cylinders(o):
-            for k, s in enumerate(z.squares):
-                self.cyl_of[s] = z
-                self.cyl_pos[s] = k
 
     # -- registry helpers --------------------------------------------------
 
@@ -431,14 +422,9 @@ class Pool:
 
     def init_lists(self, cuts: list[Cylinder]) -> None:
         cut_bases = {z.base for z in cuts}
-        for z in cylinders(self.o):
+        for z in self.o.horizontal_cylinders:
             base = z.base
-            n = z.length
-            lower = [base]
-            s = base
-            for _ in range(n - 1):
-                s = self.o.p1(s)
-                lower.append(s)
+            lower = z.squares
             upper = [self.o.p2(s) for s in reversed(lower)]
             u_sides = [self.new_side(SLabel(s), "u", base) for s in lower]
             o_sides = [self.new_side(SLabel(s), "o", base) for s in upper]
@@ -718,15 +704,6 @@ def _underlying(pool: Pool, sid: int) -> int:
     return sq if pool.half[sid] == "u" else pool.o.p2.inverse_of(sq)
 
 
-def _p1_steps(pool: Pool, cyl: Cylinder, a: int, b: int) -> int:
-    """Forward steps 0 <= t < length with p1^t(a) = b."""
-    z = pool.cyl_of[a]
-    t = (pool.cyl_pos[b] - pool.cyl_pos[a]) % z.length
-    if pool.cyl_of[b] is not z or t > cyl.length:
-        raise InconsistentChain("squares not in the same cylinder")
-    return t
-
-
 def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
     """Signed x-exponent of the pair's syllable.
 
@@ -748,13 +725,18 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
 def _exponent(pool: Pool, pair: ChainPair) -> int:
     side_a, side_b, lid, half, base = pair
     _, _, cyclic = _half_bounds(pool, lid, half)
-    cyl = pool.cyl_of[base]
     a = _underlying(pool, side_a)
     b = _underlying(pool, side_b)
     if a == b:
         raise InconsistentChain("pair joins a square to itself")
-    t0 = _p1_steps(pool, cyl, a, b)
-    n = cyl.length
+    # the forward steps 0 <= t0 < n with p1^t0(a) = b in the pair's cylinder
+    at = pool.o.cylinder_at
+    z, ka = at[a]
+    zb, kb = at[b]
+    if z != at[base][0] or zb != z:
+        raise InconsistentChain("squares not in the pair's cylinder")
+    n = pool.o.horizontal_cylinders[z].length
+    t0 = (kb - ka) % n
     if cyclic:
         if 2 * t0 < n or 2 * t0 == n:
             return t0

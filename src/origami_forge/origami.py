@@ -12,7 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .freegroup import Word, parse_word
 
@@ -169,7 +170,10 @@ class Permutation:
 
 @dataclass(frozen=True)
 class Origami:
-    """d unit squares glued by right-neighbor p1 and upper-neighbor p2."""
+    """d unit squares glued by right-neighbor p1 and upper-neighbor p2.
+
+    Its cylinders, the cylinder and position of each square, its corner
+    orbits and its genus are cached properties, each derived once."""
 
     d: int
     p1: Permutation
@@ -191,6 +195,41 @@ class Origami:
             raise NotTransitive(
                 f"squares {sorted(set(range(1, self.d + 1)) - seen)} unreachable"
             )
+
+    # Derived on first use rather than in __post_init__: `veech-check` and
+    # the rejection loop of `random_origami` need none of these.
+
+    @cached_property
+    def horizontal_cylinders(self) -> tuple[Cylinder, ...]:
+        """Orbits of p1, ordered by smallest square."""
+        return tuple(Cylinder(tuple(orb)) for orb in self.p1.orbits())
+
+    @cached_property
+    def cylinder_at(self) -> tuple[tuple[int, int], ...]:
+        """Square s -> (index of its cylinder, position of s in it);
+        entry 0, no square, is (-1, -1)."""
+        at = [(-1, -1)] * (self.d + 1)
+        for i, z in enumerate(self.horizontal_cylinders):
+            for k, s in enumerate(z.squares):
+                at[s] = (i, k)
+        return tuple(at)
+
+    @cached_property
+    def corner_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of the corner permutation, one per vertex."""
+        corner = Permutation([vertex_permutation(self, s)
+                              for s in range(1, self.d + 1)])
+        return tuple(map(tuple, corner.orbits()))
+
+    @cached_property
+    def surface_genus(self) -> int:
+        """From the Euler characteristic: #vertices - d = 2 - 2g."""
+        v = len(self.corner_orbits)
+        if (self.d - v) % 2 != 0:
+            raise ParityViolation(f"d - #vertices = {self.d - v} is odd")
+        g = (self.d - v) // 2 + 1
+        assert g >= 1
+        return g
 
 
 def new_origami(d: int, p1: Permutation, p2: Permutation) -> Origami:
@@ -214,7 +253,7 @@ class Cylinder:
 
 def cylinders(o: Origami) -> list[Cylinder]:
     """Horizontal cylinders, ordered by smallest square."""
-    return [Cylinder(tuple(orb)) for orb in o.p1.orbits()]
+    return list(o.horizontal_cylinders)
 
 
 def vertex_permutation(o: Origami, s: int) -> int:
@@ -224,28 +263,11 @@ def vertex_permutation(o: Origami, s: int) -> int:
 
 def vertex_orbits(o: Origami) -> list[list[int]]:
     """Orbits of the corner permutation; one per vertex of the surface."""
-    seen = [False] * (o.d + 1)
-    out = []
-    for s in range(1, o.d + 1):
-        if seen[s]:
-            continue
-        orbit = []
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            orbit.append(t)
-            t = vertex_permutation(o, t)
-        out.append(orbit)
-    return out
+    return [list(orb) for orb in o.corner_orbits]
 
 
 def genus(o: Origami) -> int:
-    v = len(vertex_orbits(o))
-    if (o.d - v) % 2 != 0:
-        raise ParityViolation(f"d - #vertices = {o.d - v} is odd")
-    g = (o.d - v) // 2 + 1
-    assert g >= 1
-    return g
+    return o.surface_genus
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +358,7 @@ def is_closed(o: Origami, c: OrigamiCurve) -> bool:
 
 def horizontal_multiplier(o: Origami) -> tuple[int, tuple[int, int, int, int]]:
     """lcm of cylinder lengths m, with the matrix (1, m; 0, 1)."""
-    m = math.lcm(*(z.length for z in cylinders(o)))
+    m = math.lcm(*(z.length for z in o.horizontal_cylinders))
     return m, (1, m, 0, 1)
 
 

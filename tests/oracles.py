@@ -18,6 +18,8 @@ multiplies the 2 x 2 matrices of ``freegroup``, kept as (a, b, c, d).
 ``d1``, ``d2`` and ``coord_rows`` are the dense boundary and coordinate
 matrices that the sparse H1 model no longer stores; ``DenseH1`` computes
 coordinates, pairings and Lagrangian rows by dense products through them.
+``spliced_order`` contracts the spanning tree by splicing vertex circles
+under a union-find, as ``homology`` did before it contracted in one walk.
 
 ``induced_matrix`` computes the action of an automorphism of F_2 on H1
 from a Schreier system and a Smith form; the twist certificate is checked
@@ -48,7 +50,13 @@ from origami_forge.hss import (
     NoCommonLabel,
     format_label,
 )
-from origami_forge.origami import Origami, Permutation, act_word, vertex_orbits
+from origami_forge.origami import (
+    Origami,
+    Permutation,
+    act_word,
+    vertex_orbits,
+    vertex_permutation,
+)
 from origami_forge.subgroup import CosetAction, _cover, contains, schreier_system
 
 
@@ -401,6 +409,46 @@ def coord_rows(model: H1Model) -> linalg.Matrix:
         for e, xe in zip(cotree, x):
             R[i][e] = xe
     return R
+
+
+def spliced_order(cx, tree: Sequence[int]) -> list:
+    """The darts outside the spanning tree in their cyclic order around the
+    contracted vertex, by the splice that `homology._contracted_order`
+    replaced: one circle of darts per vertex, read off the corner walk of
+    its orbit, and for each tree edge the circles at its two darts spliced
+    under a union-find.  Dart 2e + end is edge e's tail (0) or head (1)."""
+    o = cx.o
+    d = o.d
+    circles = []
+    for orbit in cx.vertices:
+        circle = []
+        for s in orbit:
+            left = o.p1.inverse_of(s)
+            circle += [2 * (d + s - 1), 2 * (left - 1) + 1,
+                       2 * (d + o.p1(o.p2.inverse_of(left)) - 1) + 1,
+                       2 * (vertex_permutation(o, s) - 1)]
+        circles.append(circle)
+    rep = list(range(len(circles)))
+
+    def find(v):
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
+    circ = dict(enumerate(circles))
+    for e in tree:
+        t, h = cx.edge_ends(e)
+        rt, rh = find(t), find(h)
+        if rt == rh:
+            raise AssertionError("spanning tree edge closes a cycle")
+        ca, cb = circ.pop(rt), circ.pop(rh)
+        if 2 * e not in ca:
+            ca, cb, rt, rh = cb, ca, rh, rt
+        i, j = ca.index(2 * e), cb.index(2 * e + 1)
+        rep[rh] = rt
+        circ[rt] = ca[:i] + cb[j + 1:] + cb[:j] + ca[i + 1:]
+    (final,) = circ.values()
+    return final
 
 
 class DenseH1:

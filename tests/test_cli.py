@@ -1,6 +1,7 @@
 """The command-line front end: JSON contracts, exit codes, fixture
 registry resolution, tracing, and output determinism."""
 
+import contextlib
 import importlib
 import json
 import os
@@ -184,6 +185,24 @@ class TestShearAndHomology:
         }
 
 
+@contextlib.contextmanager
+def counting_calls(*names):
+    """Calls of every Python function with one of these names, wherever it
+    is defined, while the block runs."""
+    calls = dict.fromkeys(names, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in calls:
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
 class TestH1PathAndSchema:
     """H1 comes from one tree-cotree decomposition, and the twist
     certificate proves primitivity by the cut system's dual curves, so no
@@ -195,18 +214,8 @@ class TestH1PathAndSchema:
     def calls(self):
         """Calls of every Python function named smith_normal_form or
         mat_mul, wherever it is defined, while the test runs."""
-        calls = {"smith_normal_form": 0, "mat_mul": 0}
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name in calls:
-                calls[frame.f_code.co_name] += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
+        with counting_calls("smith_normal_form", "mat_mul") as calls:
             yield calls
-        finally:
-            sys.setprofile(previous)
 
     def test_call_counter_sees_the_oracle(self, calls):
         from oracles import smith_normal_form
@@ -230,6 +239,23 @@ class TestH1PathAndSchema:
     def test_smith_forms_per_command(self, capsys, calls, argv, smith_forms):
         run_json(capsys, *argv)
         assert calls == {"smith_normal_form": smith_forms, "mat_mul": 0}
+
+    @pytest.mark.parametrize("argv, origamis", [
+        (["sweep", "--count", "5", "--max-d", "16"], 5),
+        (["homology", "o14", "--twist"], 1),
+    ])
+    def test_each_origami_is_derived_once(self, capsys, argv, origamis):
+        """Cylinders, corner orbits and genus are derived once per origami
+        and read from its cache after that; each derivation walks one
+        permutation's orbits."""
+        names = ("horizontal_cylinders", "corner_orbits", "surface_genus",
+                 "orbits")
+        with counting_calls(*names) as calls:
+            run_json(capsys, *argv)
+        assert calls == {"horizontal_cylinders": origamis,
+                         "corner_orbits": origamis,
+                         "surface_genus": origamis,
+                         "orbits": 2 * origamis}
 
     def test_no_module_carries_a_smith_form(self):
         import origami_forge

@@ -70,6 +70,7 @@ from oracles import (
     mat_vec,
     smith_normal_form,
     snf_symplectic_completion,
+    spliced_order,
     transpose,
 )
 
@@ -316,6 +317,41 @@ def check_against_dense(o, rng):
             model.coords(z)
         with pytest.raises(ValueError, match="not a cycle"):
             dense.coords(z)
+
+
+def assert_walk_matches_splice(o):
+    cx = cell_complex(o)
+    tree, _ = homology._spanning_tree(cx)
+    walk = homology._contracted_order(o, tree)
+    spliced = spliced_order(cx, tree)
+    assert len(walk) == 2 * (cx.edge_count - len(tree))
+    k = spliced.index(walk[0])
+    assert walk == spliced[k:] + spliced[:k]
+
+
+class TestContractionAgainstSplice:
+    """One walk of the rotation system against the union-find splice it
+    replaced: the same cyclic order of the darts outside T."""
+
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_coordinate_sample(self, o):
+        assert_walk_matches_splice(o)
+
+    def test_random_sample(self, random_sample):
+        for _, o in random_sample:
+            assert_walk_matches_splice(o)
+
+    def test_tree_short_of_spanning_is_convention_violation(self):
+        """The Wollmilchsau has four vertices; three of its tree's edges
+        contract them to two."""
+        o = wollmilchsau()
+        model = h1_model(o)
+        assert len(model.tree) == 3
+        with pytest.raises(ConventionViolation, match="more than one vertex"):
+            intersection_form(o, SimpleNamespace(tree=model.tree[:-1],
+                                                 chords=model.chords))
 
 
 class TestSparseAgainstDense:

@@ -19,6 +19,7 @@ from origami_forge.hss import (
     Pool,
     Sentinel,
     SLabel,
+    _exponent,
     backtrack,
     dual_curves,
     emit_curve,
@@ -392,6 +393,22 @@ class TestBacktrackAndEmission:
         assert pairs == [("8", "12", "u"), ("12", "8", "o")]
         c = emit_curve(pool, chain)
         assert (c.start, str(c.word)) == (8, "x^-3 y^-1 x y")
+
+
+class TestPairExponent:
+    def test_pair_outside_its_tagged_cylinder_is_rejected(self):
+        """Squares 8 and 10 lie in o14's 7-square cylinder (base 8), two
+        steps apart; a pair of them tagged with the 3-square cylinder
+        (base 5) is inconsistent."""
+        o = o14()
+        pool = init_lists(o, [z for z in cylinders(o) if z.length == 7])
+        (lid,) = [lid for lid in pool.pool_lids()
+                  if pool.lists[lid].kind == "u"]
+        sides = pool.lists[lid].sides
+        assert shown(pool, lid)[:3] == ["8", "9", "10"]
+        assert _exponent(pool, ChainPair(sides[0], sides[2], lid, "u", 8)) == 2
+        with pytest.raises(InconsistentChain, match="pair's cylinder"):
+            _exponent(pool, ChainPair(sides[0], sides[2], lid, "u", 5))
 
 
 class TestListSplitting:

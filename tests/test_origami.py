@@ -120,6 +120,34 @@ class TestGeometry:
         assert genus(o) == n
         assert len(cylinders(o)) == 1
 
+    def test_returned_lists_do_not_reach_the_cache(self):
+        o = o14()
+        zs, orbits = cylinders(o), vertex_orbits(o)
+        zs.reverse()
+        zs.pop()
+        orbits[0].append(99)
+        orbits.pop()
+        assert [z.squares for z in cylinders(o)] == [
+            (1, 2, 3, 4), (5, 6, 7), (8, 9, 10, 11, 12, 13, 14)]
+        assert vertex_orbits(o) == [
+            [1], [2], [3, 6], [4], [5], [7], [8, 11, 12, 9, 10, 13], [14]]
+
+    def test_derived_once_and_outside_equality(self):
+        o = o14()
+        assert o.horizontal_cylinders is o.horizontal_cylinders
+        assert o.corner_orbits is o.corner_orbits
+        assert o == o14() and hash(o) == hash(o14())
+
+    @pytest.mark.parametrize("o", [wollmilchsau(), o14(), x_origami(3)],
+                             ids=["wollmilchsau", "o14", "x3"])
+    def test_cylinder_table(self, o):
+        zs = cylinders(o)
+        assert o.cylinder_at[0] == (-1, -1)
+        for s in range(1, o.d + 1):
+            i, k = o.cylinder_at[s]
+            assert zs[i].squares[k] == s
+            assert zs[i].squares[(k + 1) % zs[i].length] == o.p1(s)
+
     def test_multipliers(self):
         m, mat = horizontal_multiplier(wollmilchsau())
         assert (m, mat) == (4, (1, 4, 0, 1))
