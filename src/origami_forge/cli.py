@@ -98,9 +98,11 @@ def load_origami(ref: str) -> Origami:
 
 
 def emit(obj: dict, stream=None) -> None:
+    """One JSON line.  json.dumps encodes in C, where json.dump streams
+    through the pure-Python encoder; the text is the same."""
     stream = stream or sys.stdout
-    json.dump(obj, stream, sort_keys=True, separators=(", ", ": "))
-    stream.write("\n")
+    stream.write(json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+                 + "\n")
 
 
 def curve_json(c) -> dict:
@@ -263,13 +265,35 @@ def cmd_moebius(args) -> dict:
         "matrix": [_cplx(m.a), _cplx(m.b), _cplx(m.c), _cplx(m.d)],
     }
     if kind == "loxodromic":
-        conjugated = abs(m.c) <= moebius.TOL
-        probe = m.conjugate_by(moebius.GENERIC_CONJUGATOR) if conjugated else m
-        fd = moebius.fixed_data(probe)
-        ginv = moebius.GENERIC_CONJUGATOR.inverse()
-        z = ginv(fd.z) if conjugated else fd.z
-        w = ginv(fd.w) if conjugated else fd.w
-        back = moebius.from_fixed_data(fd)
+        # c = 0 puts a fixed point at infinity, and a c so small that the
+        # direct formulas overflow or underflow is no better: such a map is
+        # conjugated into general position.  If that fails as well, the
+        # direct failure is the one reported.
+        direct_error = None
+        if m.c != 0:
+            try:
+                fd = moebius.fixed_data(m)
+                back = moebius.from_fixed_data(fd)
+            except (ArithmeticError, moebius.DegenerateInput) as exc:
+                direct_error = exc
+            else:
+                if not all(map(cmath.isfinite, (fd.z, fd.w, fd.multiplier))):
+                    direct_error = OverflowError("fixed data is not finite")
+        conjugated = m.c == 0 or direct_error is not None
+        probe = m
+        if conjugated:
+            probe = m.conjugate_by(moebius.GENERIC_CONJUGATOR)
+            try:
+                fd = moebius.fixed_data(probe)
+                back = moebius.from_fixed_data(fd)
+            except (ArithmeticError, ValueError):
+                if direct_error is None:
+                    raise
+                raise direct_error from None
+            ginv = moebius.GENERIC_CONJUGATOR.inverse()
+            z, w = ginv(fd.z), ginv(fd.w)
+        else:
+            z, w = fd.z, fd.w
         out["fixed_point_z"] = _cplx(z)
         out["fixed_point_w"] = _cplx(w)
         out["multiplier"] = _cplx(fd.multiplier)

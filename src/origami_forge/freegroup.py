@@ -90,26 +90,26 @@ class Word:
 
 
 def _reduce(rank: int, letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """Freely reduce a sequence of letters (g, e), where a run x_g^e with
+    |e| > 1 stands for |e| letters and e = 0 for none: the run cancels
+    against the reduced tail, and what is left of it is appended at once."""
     out: List[Tuple[int, int]] = []
     for g, e in letters:
         if not (1 <= g <= rank):
             raise IndexOutOfRange(f"generator {g} out of range 1..{rank}")
-        if e not in (1, -1):
-            # allow exponents, expand
-            if e == 0:
-                continue
-            for _ in range(abs(e)):
-                _push(out, g, 1 if e > 0 else -1)
-            continue
-        _push(out, g, e)
+        if e == 1 or e == -1:
+            if out and out[-1] == (g, -e):
+                out.pop()
+            else:
+                out.append((g, e))
+        elif e:
+            step = 1 if e > 0 else -1
+            n, inverse = e * step, (g, -step)
+            while n and out and out[-1] == inverse:
+                out.pop()
+                n -= 1
+            out += [(g, step)] * n
     return tuple(out)
-
-
-def _push(out: List[Tuple[int, int]], g: int, e: int) -> None:
-    if out and out[-1][0] == g and out[-1][1] == -e:
-        out.pop()
-    else:
-        out.append((g, e))
 
 
 def word(rank: int, *letters: Tuple[int, int]) -> Word:

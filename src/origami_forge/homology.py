@@ -52,7 +52,6 @@ from .origami import (
     OrigamiCurve,
     act_word,
     genus,
-    vertex_permutation,
 )
 
 __all__ = [
@@ -363,8 +362,9 @@ def _rotation(o: Origami) -> List[int]:
     h_{c(s)} out, and then v_{c(s)} out, where c is the corner permutation."""
     d = o.d
     succ = [0] * (4 * d)
+    corner = o.corner.images()
     for s in range(1, d + 1):
-        c = vertex_permutation(o, s)
+        c = corner[s - 1]
         left = o.p1.inverse_of(s)
         darts = (2 * (d + s - 1), 2 * (left - 1) + 1,
                  2 * (d + o.p1(o.p2.inverse_of(left)) - 1) + 1, 2 * (c - 1),

@@ -22,24 +22,27 @@ All policies (bridging order, splice partner and label selection,
 cancellation, tie-breaks) are fixed and deterministic.
 
 Stages 2 and 3 look things up by index instead of rescanning.  A side is
-an int into flat arrays of its label id, boundary half and cylinder
-(``Pool.lab``, ``Pool.half``, ``Pool.cyl``), and every label is interned
-to a small int when its side is created, so all label equality tests
-compare ints.  A pool list never changes once made, so its label ids, its
-square-label ids and its side -> position map are computed once per list.
-``merge_all`` is one loop over the round, with one mutable accumulator
-(its sides and their label ids): a splice or a cancellation edits it in
-place and logs an event under a fresh list id, and only the round's final
-list P is stored.  The next splice partner is found through an inverted
-index from label id to the remaining pool lists that hold it, a count of
-the label ids in the accumulator and a min-heap of candidate pool
-positions; it is the smallest position that still shares a label, which
+an int into flat arrays of its label id, boundary half, cylinder and the
+(cylinder, position) of its underlying square (``Pool.lab``,
+``Pool.half``, ``Pool.cyl``, ``Pool.place``), and every label is
+interned to a small int when its side is created, so all label equality
+tests compare ints.  A pool list never changes once made, so its label
+ids and its square-label ids are computed once per list; a side's index
+in a list is found by ``tuple.index``, since pool lists are short and
+each split replaces its list anyway.  ``merge_all`` is one loop over the
+round, with one mutable accumulator (its sides and their label ids): a
+splice or a cancellation edits it in place and logs an event under a
+fresh list id, and only the round's final list P is stored.  The next
+splice partner is found through an inverted index from label id to the
+remaining pool lists that hold it, a count of the label ids in the
+accumulator and a min-heap that holds each candidate pool position at
+most once; it is the smallest position that still shares a label, which
 is the list a front-to-back rescan would pick.  Cancellation resumes one
 position left of the last hit, because everything before it was already
 checked clean; as the accumulator is itself clean, a splice checks only
-the pairs from the first junction to the start of the accumulator's tail.
-The wrap-around pair is checked last.  The events, their order and the
-list numbering are those of a full rescan after every removal.
+the pairs from the first junction to the start of the accumulator's
+tail.  The wrap-around pair is checked last.  The events, their order
+and the list numbering are those of a full rescan after every removal.
 
 Each merge hangs the absorbed pool list below the pool list that holds
 the accumulator's glued side, so a round's merges form a tree on its
@@ -47,8 +50,8 @@ pool lists, which ``merge_all`` records with each side's pool list.
 Backtracking walks this tree from the lists of alpha's two occurrences up
 to where they meet, in time linear in the chain, and never replays the
 event log; ``dual_curves`` backtracks old rounds the same way.  Stage 3
-keeps a side -> pool list map, finds sides by their stored positions, and
-rebuilds the pool order once per round.
+keeps a side -> pool list map, finds sides by their index in that list,
+and rebuilds the pool order once per round.
 """
 
 from __future__ import annotations
@@ -307,14 +310,17 @@ class Pool:
 
     Sides are ids into flat arrays: ``lab[sid]`` is the label id of side
     sid, ``half[sid]`` its boundary ('u' lower, 'o' upper, None for a
-    sentinel) and ``cyl[sid]`` the base square of its cylinder.  Labels are
-    interned: ``label_ids`` and ``label_at`` map a label to its id and
+    sentinel), ``cyl[sid]`` the base square of its cylinder and
+    ``place[sid]`` the (cylinder index, position) of the square of that
+    cylinder that carries the side: the label's square on the lower
+    boundary, its p2-preimage on the upper (None for a sentinel).  Labels
+    are interned: ``label_ids`` and ``label_at`` map a label to its id and
     back, ``square`` / ``unprimed`` say per id whether it is a square label
     and whether it carries no marks, and ``order`` holds the sort key of
     each square label.  ``home`` maps every side of a current pool list to
     that list's lid.  Per stored list, ``labs`` holds its label ids and
-    ``own`` its square-label ids; ``positions`` holds a side -> position
-    map, made on first use.  ``exponents`` keeps each chain pair's
+    ``own`` its square-label ids, the same list for a 'u' / 'o' list,
+    which holds no sentinel.  ``exponents`` keeps each chain pair's
     x-exponent.
     """
 
@@ -323,17 +329,16 @@ class Pool:
         self.lists: dict[int, LabeledList] = {}
         self.labs: dict[int, list[int]] = {}
         self.own: dict[int, list[int]] = {}
-        self.positions: dict[int, dict[int, int]] = {}
         self.exponents: dict[tuple[int, int, int], int] = {}
         self.lab: list[int] = []
         self.half: list[Optional[str]] = []
         self.cyl: list[int] = []
+        self.place: list[Optional[tuple[int, int]]] = []
         self.label_ids: dict[Label, int] = {}
         self.square: list[bool] = []
         self.unprimed: list[bool] = []
         self.order: list[Optional[tuple]] = []
         self.label_at: list[Label] = []
-        self.primes: dict[tuple[int, int], int] = {}  # (label id, mark) -> id
         self.home: dict[int, int] = {}
         self._next_list = 0
         # sections hold (cylinder base, lid), kept sorted by cylinder
@@ -345,9 +350,10 @@ class Pool:
     # -- registry helpers --------------------------------------------------
 
     def intern(self, label: Label) -> int:
-        lab = self.label_ids.get(label)
-        if lab is None:
-            lab = self.label_ids[label] = len(self.label_at)
+        """The id of label, minted on first sight with one dict probe."""
+        new = len(self.label_at)
+        lab = self.label_ids.setdefault(label, new)
+        if lab == new:
             self.label_at.append(label)
             sq = isinstance(label, SLabel)
             self.square.append(sq)
@@ -360,27 +366,31 @@ class Pool:
         self.lab.append(self.intern(label))
         self.half.append(half)
         self.cyl.append(cyl)
+        if isinstance(label, SLabel):
+            sq = label.square
+            if half != "u":
+                sq = self.o.p2.inverse_of(sq)
+            self.place.append(self.o.cylinder_at[sq])
+        else:
+            self.place.append(None)
         return len(self.lab) - 1
 
     def primed(self, lab: int, mark: int) -> int:
         """The id of label lab with one more mark."""
-        key = (lab, mark)
-        new = self.primes.get(key)
-        if new is None:
-            square, marks = self.label_at[lab]
-            new = self.primes[key] = self.intern(SLabel(square, marks + (mark,)))
-        return new
+        square, marks = self.label_at[lab]
+        return self.intern(SLabel._make((square, marks + (mark,))))
 
     def split_sides(self, a: int, b: int, mark_0: int, mark_1: int) -> range:
         """Four new sides like a, b, a, b, whose labels carry one more
         mark: mark_0, mark_1, mark_1 and mark_0."""
-        lab, half, cyl = self.lab, self.half, self.cyl
+        lab, half, cyl, place = self.lab, self.half, self.cyl, self.place
         la, lb = lab[a], lab[b]
         n = len(lab)
         lab += (self.primed(la, mark_0), self.primed(lb, mark_1),
                 self.primed(la, mark_1), self.primed(lb, mark_0))
         half += (half[a], half[b]) * 2
         cyl += (cyl[a], cyl[b]) * 2
+        place += (place[a], place[b]) * 2
         return range(n, n + 4)
 
     def new_list(self, sides, cyclic: bool, kind: str, cyl: int) -> int:
@@ -394,16 +404,12 @@ class Pool:
         sides = tuple(sides)
         self.lists[lid] = LabeledList(lid, sides, cyclic, kind, cyl)
         labs = self.labs[lid] = list(map(self.lab.__getitem__, sides))
-        self.own[lid] = list(compress(labs, map(self.square.__getitem__, labs)))
+        if kind == "u" or kind == "o":  # no sentinel
+            self.own[lid] = labs
+        else:
+            self.own[lid] = list(compress(labs,
+                                          map(self.square.__getitem__, labs)))
         return lid
-
-    def position(self, lid: int) -> dict[int, int]:
-        """Side -> index in the stored list lid."""
-        pos = self.positions.get(lid)
-        if pos is None:
-            sides = self.lists[lid].sides
-            pos = self.positions[lid] = dict(zip(sides, range(len(sides))))
-        return pos
 
     def label_of(self, sid: int) -> Label:
         return self.label_at[self.lab[sid]]
@@ -472,8 +478,9 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     The first sharing list is found through an index: `holders` maps a
     label id to the pool positions holding it, `count` counts the label
     ids in the accumulator, and `heap` holds every remaining position
-    that shares a label (pushed when the accumulator gains one of its
-    labels; entries that no longer share are dropped when popped).
+    that shares a label, each at most once: a position is pushed when the
+    accumulator gains one of its labels while it is `waiting`, and a
+    popped position that no longer shares one goes back to waiting.
 
     Only the pairs (j, j+1) with k <= j < clean_from can be equal: the
     ones before k were checked, the ones from clean_from on lie in a clean
@@ -494,7 +501,7 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     for pos in range(1, len(remaining)):
         for l in own[pos]:
             holders.setdefault(l, []).append(pos)
-    alive = [True] * len(remaining)
+    waiting = [True] * len(remaining)
     count = [0] * len(square)
     heap: list[int] = []
     push, pop = heapq.heappush, heapq.heappop
@@ -509,21 +516,22 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
                 if not heap:
                     raise Disconnected("pool does not splice to a single list")
                 pos = pop(heap)
-                if alive[pos]:
-                    for l in own[pos]:
-                        if count[l]:
-                            if unprimed[l]:
-                                at = l
-                                break
-                            if at is None:
-                                at = l
-        # absorb the list at pos: push every position that shares a label
-        # the accumulator gains
-        alive[pos] = False
+                for l in own[pos]:
+                    if count[l]:
+                        if unprimed[l]:
+                            at = l
+                            break
+                        if at is None:
+                            at = l
+                if at is None:
+                    waiting[pos] = True
+        # absorb the list at pos: push every waiting position that holds a
+        # label the accumulator gains
         for l in own[pos]:
             if not count[l]:
                 for p in holders.get(l, ()):
-                    if alive[p]:
+                    if waiting[p]:
+                        waiting[p] = False
                         push(heap, p)
             count[l] += 1
         if not r:
@@ -547,23 +555,28 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
         events.append(("merge", rid, acc, mid, gl, gm))
         acc, rid = rid, rid + 1
         n = len(labs)
-        # the first splice (r = 1) starts from a pool list, maybe unclean
-        k, clean_from = (max(i - 1, 0), n - b) if r > 1 else (0, n)
+        # the first splice (r = 1) starts from a pool list, maybe unclean;
+        # conditional expressions stand in for max and min below, which
+        # cost a builtin call each
+        if r > 1:
+            k, clean_from = i - 1 if i else 0, n - b
+        else:
+            k, clean_from = 0, n
         while True:
-            stop = min(clean_from, n - 1)
+            stop = clean_from if clean_from < n else n - 1
             while k < stop and labs[k] != labs[k + 1]:
                 k += 1
             if k < stop:
                 l = labs[k]
                 s1, s2 = sides[k], sides[k + 1]
                 del sides[k:k + 2], labs[k:k + 2]
-                clean_from = max(clean_from - 2, k)
-                k = max(k - 1, 0)
+                clean_from = clean_from - 2 if clean_from - 2 > k else k
+                k = k - 1 if k else 0
             elif n >= 2 and labs[-1] == labs[0]:
                 l = labs[0]
                 s1, s2 = sides[-1], sides[0]
                 del sides[-1], sides[0], labs[-1], labs[0]
-                k = max(n - 3, 0)
+                k = n - 3 if n > 3 else 0
             else:
                 break
             n -= 2
@@ -613,7 +626,8 @@ def _separating_pair(labs: Sequence[int], square: Sequence[bool],
         if len(occ[alpha]) != 2:
             continue
         i, j = occ[alpha]
-        inside = Counter(l for l in labs[i + 1:j] if square[l])
+        arc = labs[i + 1:j]
+        inside = Counter(compress(arc, map(square.__getitem__, arc)))
         betas = [b for b, c in inside.items()
                  if c == 1 and len(occ[b]) == 2 and b != alpha]
         if betas:
@@ -668,11 +682,11 @@ def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
         h = half[sa]
         if h != half[sb] or h is None:
             raise InconsistentChain("pair straddles list halves")
-        chain.append(ChainPair(sa, sb, lid, h, cyl[sa]))
+        chain.append(ChainPair._make((sa, sb, lid, h, cyl[sa])))
     # emission starts with a lower-boundary pair when possible
     if chain[0].half == "o" and chain[-1].half == "u":
         chain = [
-            ChainPair(p.side_b, p.side_a, p.lid, p.half, p.cyl)
+            ChainPair._make((p.side_b, p.side_a, p.lid, p.half, p.cyl))
             for p in reversed(chain)
         ]
     return chain
@@ -690,27 +704,21 @@ def _half_bounds(pool: Pool, lid: int, half: str) -> tuple[int, int, bool]:
     [a_Z, lower..., a_Z, upper...]."""
     lst = pool.lists[lid]
     if lst.kind == "lz":
-        k = pool.position(lid)[pool.second_sentinel[lst.cyl]]
+        k = lst.sides.index(pool.second_sentinel[lst.cyl])
         return (1, k, True) if half == "u" else (k + 1, len(lst.sides), True)
     if lst.kind != half:
         raise InconsistentChain(f"{half!r} pair in a {lst.kind!r} list")
     return 0, len(lst.sides), lst.cyclic
 
 
-def _underlying(pool: Pool, sid: int) -> int:
-    """The square of the pair's cylinder that carries this boundary label:
-    the label itself on the lower boundary, its p2-preimage on the upper."""
-    sq = pool.label_of(sid).square
-    return sq if pool.half[sid] == "u" else pool.o.p2.inverse_of(sq)
-
-
 def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
     """Signed x-exponent of the pair's syllable.
 
     Cyclic lists: minimal |t| with p1^t carrying the first underlying
-    square to the second (ties at half the cylinder length resolve
-    positive).  Non-cyclic lists: the directed step count given by the
-    stored positions (lower-boundary lists run with p1, upper against it).
+    square (`Pool.place`) to the second (ties at half the cylinder length
+    resolve positive).  Non-cyclic lists: the directed step count given by
+    the sides' order in the stored list (lower-boundary lists run with p1,
+    upper against it).
 
     It depends only on the pair's list, which never changes, so it is
     computed once per pair: emission and the next round's split share it.
@@ -725,15 +733,14 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
 def _exponent(pool: Pool, pair: ChainPair) -> int:
     side_a, side_b, lid, half, base = pair
     _, _, cyclic = _half_bounds(pool, lid, half)
-    a = _underlying(pool, side_a)
-    b = _underlying(pool, side_b)
+    place = pool.place
+    a, b = place[side_a], place[side_b]
     if a == b:
         raise InconsistentChain("pair joins a square to itself")
     # the forward steps 0 <= t0 < n with p1^t0(a) = b in the pair's cylinder
-    at = pool.o.cylinder_at
-    z, ka = at[a]
-    zb, kb = at[b]
-    if z != at[base][0] or zb != z:
+    z, ka = a
+    zb, kb = b
+    if z != pool.o.cylinder_at[base][0] or zb != z:
         raise InconsistentChain("squares not in the pair's cylinder")
     n = pool.o.horizontal_cylinders[z].length
     t0 = (kb - ka) % n
@@ -741,8 +748,8 @@ def _exponent(pool: Pool, pair: ChainPair) -> int:
         if 2 * t0 < n or 2 * t0 == n:
             return t0
         return t0 - n
-    pos = pool.position(lid)
-    if (half == "u") == (pos[side_a] < pos[side_b]):
+    sides = pool.lists[lid].sides
+    if (half == "u") == (sides.index(side_a) < sides.index(side_b)):
         return t0
     return t0 - n
 
@@ -795,9 +802,8 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
         e = _pair_exponent(pool, pair)
         forward = (e > 0) if half == "u" else (e < 0)
         role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
-        pos = pool.position(lid)
-        ia, ib = pos[role_a], pos[role_b]
         sides = lst.sides
+        ia, ib = sides.index(role_a), sides.index(role_b)
         if ia < ib:
             between = sides[ia + 1:ib]
         elif cyclic:
@@ -832,6 +838,8 @@ def _resection(section: list[tuple[int, int]], replaced: dict,
     """The section with every split list replaced, recursively, by its
     successors in order, and the lists joining[c] placed after the last
     list of cylinder c."""
+    if not section and not joining:
+        return section
     out: list[tuple[int, int]] = []
 
     def put(cyl: int, lid: int) -> None:

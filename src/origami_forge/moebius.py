@@ -137,11 +137,16 @@ def classify(m: MoebiusMap) -> str:
 
 def fixed_data(m: MoebiusMap) -> FixedPointData:
     """Attracting/repelling fixed points and the multiplier of a loxodromic
-    map with c != 0 and finite fixed points."""
+    map with c != 0 and finite fixed points.
+
+    Only c = 0 exactly puts a fixed point at infinity; a tiny c gives a far
+    but finite one, which the formulas below reach without cancellation.
+    When c is so small that a root or multiplier overflows, the arithmetic
+    error or the non-finite value is the caller's cue to conjugate."""
     kind = classify(m)
     if kind != "loxodromic":
         raise NotLoxodromic(f"map is {kind}")
-    if abs(m.c) <= TOL:
+    if m.c == 0:
         raise DegenerateForm("c = 0: a fixed point lies at infinity")
     # the fixed points solve c p^2 + (d - a) p - b = 0.  Of the numerators
     # (a - d) +- disc, the larger one cannot cancel; its root is computed

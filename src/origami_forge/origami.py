@@ -173,7 +173,8 @@ class Origami:
     """d unit squares glued by right-neighbor p1 and upper-neighbor p2.
 
     Its cylinders, the cylinder and position of each square, its corner
-    orbits and its genus are cached properties, each derived once."""
+    permutation and orbits and its genus are cached properties, each
+    derived once."""
 
     d: int
     p1: Permutation
@@ -215,11 +216,16 @@ class Origami:
         return tuple(at)
 
     @cached_property
+    def corner(self) -> Permutation:
+        """The corner permutation s -> p2(p1(p2^-1(p1^-1(s)))), which
+        cycles the bottom-left corners around each vertex."""
+        return Permutation([vertex_permutation(self, s)
+                            for s in range(1, self.d + 1)])
+
+    @cached_property
     def corner_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the corner permutation, one per vertex."""
-        corner = Permutation([vertex_permutation(self, s)
-                              for s in range(1, self.d + 1)])
-        return tuple(map(tuple, corner.orbits()))
+        return tuple(map(tuple, self.corner.orbits()))
 
     @cached_property
     def surface_genus(self) -> int:

@@ -21,6 +21,10 @@ coordinates, pairings and Lagrangian rows by dense products through them.
 ``spliced_order`` contracts the spanning tree by splicing vertex circles
 under a union-find, as ``homology`` did before it contracted in one walk.
 
+``letter_reduce`` is the free reduction that ``freegroup._reduce``
+replaced: it expands a run x^e into |e| letters and pushes them one at a
+time.
+
 ``induced_matrix`` computes the action of an automorphism of F_2 on H1
 from a Schreier system and a Smith form; the twist certificate is checked
 against it.  ``aut_stabilizes`` runs the covering test on the monodromy
@@ -33,7 +37,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from origami_forge import linalg
-from origami_forge.freegroup import F2Endo, IntMatrix2, RankMismatch, Word, gen
+from origami_forge.freegroup import (
+    F2Endo,
+    IndexOutOfRange,
+    IntMatrix2,
+    RankMismatch,
+    Word,
+    gen,
+)
 from origami_forge.homology import (
     CertificateError,
     H1Model,
@@ -58,6 +69,22 @@ from origami_forge.origami import (
     vertex_permutation,
 )
 from origami_forge.subgroup import CosetAction, _cover, contains, schreier_system
+
+
+def letter_reduce(rank, letters):
+    """Free reduction letter by letter: each letter (g, +-1) of the
+    expanded runs cancels the last kept letter or is kept."""
+    out = []
+    for g, e in letters:
+        if not (1 <= g <= rank):
+            raise IndexOutOfRange(f"generator {g} out of range 1..{rank}")
+        for _ in range(abs(e)):
+            step = 1 if e > 0 else -1
+            if out and out[-1] == (g, -step):
+                out.pop()
+            else:
+                out.append((g, step))
+    return tuple(out)
 
 
 def concatenate(pool, lid, mid, at, history=None):

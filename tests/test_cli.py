@@ -1,8 +1,10 @@
 """The command-line front end: JSON contracts, exit codes, fixture
 registry resolution, tracing, and output determinism."""
 
+import cmath
 import contextlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from origami_forge import cli, hss
+from origami_forge import cli, hss, moebius
 from origami_forge.origami import (
     cylinders,
     format_origami,
@@ -245,17 +247,24 @@ class TestH1PathAndSchema:
         (["homology", "o14", "--twist"], 1),
     ])
     def test_each_origami_is_derived_once(self, capsys, argv, origamis):
-        """Cylinders, corner orbits and genus are derived once per origami
-        and read from its cache after that; each derivation walks one
-        permutation's orbits."""
-        names = ("horizontal_cylinders", "corner_orbits", "surface_genus",
-                 "orbits")
+        """Cylinders, the corner permutation, its orbits and the genus are
+        derived once per origami and read from its cache after that; each
+        orbit derivation walks one permutation's orbits, and the corner
+        permutation takes one `vertex_permutation` call per square."""
+        names = ("horizontal_cylinders", "corner", "corner_orbits",
+                 "surface_genus", "orbits", "vertex_permutation")
         with counting_calls(*names) as calls:
-            run_json(capsys, *argv)
+            out = run_json(capsys, *argv)
+        if argv[0] == "sweep":
+            squares = sum(r["d"] for r in out["results"])
+        else:
+            squares = cli.load_origami(argv[1]).d
         assert calls == {"horizontal_cylinders": origamis,
+                         "corner": origamis,
                          "corner_orbits": origamis,
                          "surface_genus": origamis,
-                         "orbits": 2 * origamis}
+                         "orbits": 2 * origamis,
+                         "vertex_permutation": squares}
 
     def test_no_module_carries_a_smith_form(self):
         import origami_forge
@@ -299,6 +308,12 @@ class TestH1PathAndSchema:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["schema"] == 1
+
+
+# c is about -2.1e-7 as given and 7e-12 after normalisation
+TINY_C_ENTRIES = ("0,0", "-7615262321.288272,2147683305334608.8",
+                  "-2.1259530000031886e-07,0",
+                  "5.94238648618487e-14,-946604788.4949151")
 
 
 class TestMoebius:
@@ -379,6 +394,67 @@ class TestMoebius:
                     for k in ("fixed_point_z", "fixed_point_w"))
             assert abs(z + 0.23084171492052305) < 1e-12
             assert abs(w / -2.3970080219694052e16 - 1) < 1e-12
+
+    def test_tiny_c_has_finite_fixed_points(self, capsys):
+        """c is about 7e-12 after normalisation, below the 1e-9 tolerance
+        but not 0, so both fixed points are finite and are read off the
+        map itself; the far one lies near 4.5e15 (mpmath, 50 digits)."""
+        data = run_json(capsys, "moebius", "--", *TINY_C_ENTRIES)
+        assert data["classification"] == "loxodromic"
+        assert data["conjugated"] is False
+        assert data["roundtrip"] is True
+        for key, want in (
+            ("fixed_point_z",
+             complex(-2268827.8481555064, -8.0436609475870608)),
+            ("fixed_point_w",
+             complex(2268827.8481557859, -4452613903004881.3028)),
+        ):
+            got = complex(*data[key])
+            assert abs(got - want) <= 1e-9 * abs(want), key
+
+    def test_far_fixed_points_round_trip(self, capsys):
+        """Maps built from fixed data whose repelling point lies 1e6 to
+        1e15 from 0 have c near 1e-8 down to 1e-16; the CLI reads back
+        both fixed points and the multiplier without conjugating."""
+        rng = random.Random(2020)
+        for _ in range(40):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            w = 10 ** rng.uniform(6, 15) * cmath.exp(1j * rng.uniform(0, 7))
+            lam = rng.uniform(0.05, 0.9) * cmath.exp(1j * rng.uniform(0, 7))
+            m = moebius.from_fixed_data(moebius.FixedPointData(z, w, lam))
+            data = run_json(capsys, "moebius", "--", *(
+                f"{x.real!r},{x.imag!r}" for x in (m.a, m.b, m.c, m.d)))
+            assert data["conjugated"] is False and data["roundtrip"] is True
+            got_z, got_w, got_lam = (
+                complex(*data[k])
+                for k in ("fixed_point_z", "fixed_point_w", "multiplier"))
+            assert abs(got_z - z) <= 1e-9 * max(abs(z), 1)
+            assert abs(got_w - w) <= 1e-9 * abs(w)
+            assert abs(got_lam - lam) <= 1e-9
+
+    @pytest.mark.parametrize("c", ["1e-300,0", "1e-320,0", "5e-324,0"])
+    def test_extreme_c_is_conjugated(self, capsys, c):
+        """With c this small the direct formulas overflow (1e-300) or
+        underflow the multiplier to 0 (1e-320), or c normalises to 0
+        (5e-324), so the map is conjugated into general position."""
+        data = run_json(capsys, "moebius", "--", "3,0", "1,0", c, "2,0")
+        assert data["conjugated"] is True
+        assert data["roundtrip"] is True
+        assert data["fixed_point_z"] is None
+        assert data["fixed_point_w"] == [-1.0, 0.0]
+
+    def test_direct_failure_is_reported(self, capsys):
+        """The fixed points 0 and -2.9e-17 coincide within the tolerance.
+        The conjugated map fails too, as elliptic after rounding, but the
+        error names the direct failure."""
+        code, out, err = run_cli(
+            capsys, "moebius", "--", "0.022471940671470583,0", "0,0",
+            "-766442638479415.4,0", "8.889975994724545e-05,0")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DegenerateInput",
+            "message": "fixed points coincide",
+        }
 
     def test_bad_entry_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "moebius", "x", "0,0", "0,0", "1,0")
@@ -483,6 +559,7 @@ class TestSweepAndDeterminism:
             [sys.executable, "-m", "origami_forge.cli", "analyze", ori_file],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["genus"] == 3
@@ -516,6 +593,39 @@ class TestParser:
         run_json(capsys, "fixtures")
         monkeypatch.setattr(cli, "cmd_fixtures", lambda args: {"patched": 1})
         assert run_json(capsys, "fixtures") == {"patched": 1}
+
+
+class TestEmit:
+    """`emit` encodes with json.dumps; the text must be what the streaming
+    json.dump wrote, since the goldens pin only hss, homology and sweep."""
+
+    @pytest.mark.parametrize("obj", [
+        {"schema": 1, "classification": "loxodromic",
+         "fixed_point_z": None,
+         "fixed_point_w": [5e-324, -1.7976931348623157e308],
+         "multiplier": [1.8062434881375886e-15, -5.095496482693849e-10],
+         "conjugated": False, "roundtrip": True, "trace": [0.1, -0.0]},
+        {"schema": 1, "matrix": [1, -2, 0, 1], "member": False,
+         "witness_square": None},
+        {"schema": 1, "error": {
+            "type": "BadFormat",
+            "message": "non-finite entry 'ζ≠0', \"ü\"\n"}},
+        {"b": {"z": [], "a": {}}, "a": [True, False, None, 2.5e-300]},
+    ])
+    def test_same_text_as_json_dump(self, obj):
+        streamed, emitted = io.StringIO(), io.StringIO()
+        json.dump(obj, streamed, sort_keys=True, separators=(", ", ": "))
+        streamed.write("\n")
+        cli.emit(obj, emitted)
+        assert emitted.getvalue() == streamed.getvalue()
+
+    def test_error_object_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "moebius", "x,0", "0,0", "0,0", "1,0")
+        assert code == 1 and out == ""
+        obj = json.loads(err)
+        streamed = io.StringIO()
+        json.dump(obj, streamed, sort_keys=True, separators=(", ", ": "))
+        assert err == streamed.getvalue() + "\n"
 
 
 def src_env():
@@ -554,6 +664,7 @@ def test_cli_import_leaves_out_sympy():
         ["homology", "o14", "--twist"],
         ["moebius", "1e5,0", "0,0", "0,0", "1,0"],
         ["moebius", "1e200,0", "0,0", "0,0", "1e200,0"],
+        ["moebius", "--", *TINY_C_ENTRIES],
     ],
 )
 def test_same_answers_without_asserts(argv):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from origami_forge.freegroup import (
     AllTrivial,
+    IndexOutOfRange,
     NotUnimodular,
     Word,
+    _reduce,
     _rotations,
     beta_hat,
     compose,
@@ -33,7 +35,7 @@ from origami_forge.freegroup import (
     word,
 )
 
-from oracles import inner, is_horizontal, mat2_mul
+from oracles import inner, is_horizontal, letter_reduce, mat2_mul
 
 letters = st.lists(
     st.tuples(st.integers(1, 2), st.sampled_from([-1, 1])), max_size=12
@@ -60,6 +62,25 @@ class TestWordAlgebra:
     def test_reduction(self):
         w = Word(2, [(1, 1), (1, -1), (2, 1)])
         assert w == y
+
+    def test_runs_reduce_like_single_letters(self):
+        """_reduce cancels a run x^e against the reduced tail and appends
+        what is left at once; letter_reduce pushes |e| single letters.
+        Short runs over few generators make long cancellations common."""
+        rng = random.Random(1920)
+        for _ in range(2000):
+            rank = rng.randint(1, 4)
+            letters = [(rng.randint(1, rank), rng.randint(-5, 5))
+                       for _ in range(rng.randint(0, 12))]
+            assert _reduce(rank, letters) == letter_reduce(rank, letters), \
+                letters
+
+    @pytest.mark.parametrize("g", [0, 5])
+    def test_out_of_range_generator_raises(self, g):
+        letters = [(1, 3), (g, -2), (1, -3)]
+        for reduce in (_reduce, letter_reduce):
+            with pytest.raises(IndexOutOfRange, match="out of range 1..4"):
+                reduce(4, letters)
 
     def test_power_and_inverse(self):
         w = parse_word("x y^-1")

@@ -98,6 +98,14 @@ class TestFixedData:
         with pytest.raises(DegenerateForm):
             fixed_data(MoebiusMap.from_entries(2, 0, 0, 0.5))
 
+    def test_tiny_c_is_not_degenerate(self):
+        """Only c = 0 puts a fixed point at infinity: diag(2, 0.5) with
+        c = 1e-12 fixes 0 and a point near 1.5e12."""
+        fd = fixed_data(MoebiusMap.from_entries(2, 0, 1e-12, 0.5))
+        assert abs(fd.z - 1.5e12) <= 1e-9 * 1.5e12
+        assert abs(fd.w) <= 1e-9
+        assert abs(fd.multiplier - 0.25) <= 1e-9
+
     def test_degenerate_maps_recoverable_by_conjugation(self):
         m = MoebiusMap.from_entries(2, 0, 0, 0.5)
         probe = m.conjugate_by(GENERIC_CONJUGATOR)

@@ -135,6 +135,7 @@ class TestGeometry:
     def test_derived_once_and_outside_equality(self):
         o = o14()
         assert o.horizontal_cylinders is o.horizontal_cylinders
+        assert o.corner is o.corner
         assert o.corner_orbits is o.corner_orbits
         assert o == o14() and hash(o) == hash(o14())
 
