@@ -265,40 +265,14 @@ def cmd_moebius(args) -> dict:
         "matrix": [_cplx(m.a), _cplx(m.b), _cplx(m.c), _cplx(m.d)],
     }
     if kind == "loxodromic":
-        # c = 0 puts a fixed point at infinity, and a c so small that the
-        # direct formulas overflow or underflow is no better: such a map is
-        # conjugated into general position.  If that fails as well, the
-        # direct failure is the one reported.
-        direct_error = None
-        if m.c != 0:
-            try:
-                fd = moebius.fixed_data(m)
-                back = moebius.from_fixed_data(fd)
-            except (ArithmeticError, moebius.DegenerateInput) as exc:
-                direct_error = exc
-            else:
-                if not all(map(cmath.isfinite, (fd.z, fd.w, fd.multiplier))):
-                    direct_error = OverflowError("fixed data is not finite")
-        conjugated = m.c == 0 or direct_error is not None
-        probe = m
-        if conjugated:
-            probe = m.conjugate_by(moebius.GENERIC_CONJUGATOR)
-            try:
-                fd = moebius.fixed_data(probe)
-                back = moebius.from_fixed_data(fd)
-            except (ArithmeticError, ValueError):
-                if direct_error is None:
-                    raise
-                raise direct_error from None
-            ginv = moebius.GENERIC_CONJUGATOR.inverse()
-            z, w = ginv(fd.z), ginv(fd.w)
-        else:
-            z, w = fd.z, fd.w
-        out["fixed_point_z"] = _cplx(z)
-        out["fixed_point_w"] = _cplx(w)
+        fd = moebius.fixed_data(m)
+        out["fixed_point_z"] = _cplx(fd.z)
+        out["fixed_point_w"] = _cplx(fd.w)
         out["multiplier"] = _cplx(fd.multiplier)
-        out["conjugated"] = conjugated
-        out["roundtrip"] = back.approx_eq(probe)
+        # the fixed points are read off the map itself; the key stays,
+        # always false, so that the output keeps schema 1
+        out["conjugated"] = False
+        out["roundtrip"] = moebius.from_fixed_data(fd).approx_eq(m)
     return out
 
 

@@ -1,17 +1,17 @@
 """Moebius transformations and their fixed-point/multiplier coordinates.
 
 This is the only floating-point module in the package.  Tests of a single
-quantity (a trace, the entry c, the distance of two fixed points) use an
-absolute tolerance of 1e-9.  Comparisons of computed maps scale their
-tolerance by the magnitude of the compared values, never below 1:
-`MoebiusMap.approx_eq` by the largest entry of either map, and the branch
-check of `from_fixed_data` by the size of the products in the determinant
-and of the fixed points.  A map conjugated into general position can have
-entries near 1e9 whose last digits are rounding noise, and an absolute
-test would reject it.  The pole test of `MoebiusMap.__call__` is relative,
-and a multiplier is rejected only when it is exactly zero: a map like
-diag(1e5, 1e-5) has multiplier 1e-10, far below the tolerance, and is a
-valid loxodromic.
+quantity (a trace, the distance of two fixed points) use an absolute
+tolerance of 1e-9.  `MoebiusMap.approx_eq` scales its tolerance by the
+largest entry of either map, never below 1: a map like diag(1e8, 1e-8) has
+entries whose last digits are rounding noise, and an absolute test would
+reject it.  The pole test of `MoebiusMap.__call__` is relative, and a
+multiplier is rejected only when it is exactly zero: diag(1e5, 1e-5) has
+multiplier 1e-10, far below the tolerance, and is a valid loxodromic.
+
+A fixed point is a point [p : q] of the Riemann sphere, an eigenvector of
+the matrix.  q = 0 is the point at infinity, held as complex("inf"), so a
+map with c = 0 takes the same path as any other.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ TOL = 1e-9
 # A denominator c z + d smaller than this against |c z| + |d| is zero up to
 # the digits lost computing z, so the point maps to infinity
 POLE_TOL = 1e-12
-
-
-class DegenerateForm(ValueError):
-    pass
 
 
 class DegenerateInput(ValueError):
@@ -97,11 +93,6 @@ class MoebiusMap:
 
 IDENTITY = MoebiusMap(1, 0, 0, 1)
 
-# A fixed rational map with no real fixed point and c != 0; used by callers
-# to conjugate degenerate placements (fixed point at infinity) into general
-# position before reading off fixed-point data.
-GENERIC_CONJUGATOR = MoebiusMap.from_entries(1, 1, 2, 3)
-
 
 @dataclass(frozen=True)
 class FixedPointData:
@@ -110,7 +101,7 @@ class FixedPointData:
     multiplier: complex  # 0 < |multiplier| < 1
 
     def validate(self) -> "FixedPointData":
-        if abs(self.z - self.w) <= TOL:
+        if self.z == self.w or abs(self.z - self.w) <= TOL:
             raise DegenerateInput("fixed points coincide")
         m = abs(self.multiplier)
         if not (0 < m < 1):
@@ -137,68 +128,71 @@ def classify(m: MoebiusMap) -> str:
 
 def fixed_data(m: MoebiusMap) -> FixedPointData:
     """Attracting/repelling fixed points and the multiplier of a loxodromic
-    map with c != 0 and finite fixed points.
+    map; a fixed point at infinity is complex("inf").
 
-    Only c = 0 exactly puts a fixed point at infinity; a tiny c gives a far
-    but finite one, which the formulas below reach without cancellation.
-    When c is so small that a root or multiplier overflows, the arithmetic
-    error or the non-finite value is the caller's cue to conjugate."""
+    The fixed points are the eigenvectors [p : q] of the matrix.  Its
+    eigenvalues are lam and 1/lam with |lam| >= 1; lam's point is the
+    attracting one, and its multiplier is 1/lam^2.  For an eigenvalue ev,
+    (b, ev - a) and (ev - d, c) are both eigenvectors, and the one with the
+    larger q is used; q = 0 is the point at infinity."""
     kind = classify(m)
     if kind != "loxodromic":
         raise NotLoxodromic(f"map is {kind}")
-    if m.c == 0:
-        raise DegenerateForm("c = 0: a fixed point lies at infinity")
-    # the fixed points solve c p^2 + (d - a) p - b = 0.  Of the numerators
-    # (a - d) +- disc, the larger one cannot cancel; its root is computed
-    # as ((a - d) +- disc) / 2c, and the other one from p1 p2 = -b / c
-    disc = cmath.sqrt((m.a + m.d) ** 2 - 4)
-    plus, minus = (m.a - m.d) + disc, (m.a - m.d) - disc
-    if abs(plus) >= abs(minus):
-        p1, p2 = plus / (2 * m.c), -2 * m.b / plus
+    a, b, c, d = m.a, m.b, m.c, m.d
+    # s = lam - 1/lam.  Its square is taken as (a - d)^2 + 4 b c rather
+    # than t^2 - 4: that form does not change when the matrix is scaled,
+    # so the rounding of the normalised determinant does not enter it
+    t, delta = a + d, a - d
+    s = cmath.sqrt(delta * delta + 4 * (b * c))
+    if s == 0:
+        raise DegenerateInput("fixed points coincide")
+    if abs(t + s) < abs(t - s):
+        s = -s
+    lam = (t + s) / 2
+    # u = lam - a and v = lam - d.  For 1/lam the differences are -v and
+    # -u, and u v = b c.  The larger of u and v cannot cancel; the smaller
+    # one is taken from the product
+    u, v = (s - delta) / 2, (s + delta) / 2
+    if abs(u) >= abs(v):
+        v = b * c / u
     else:
-        p1, p2 = -2 * m.b / minus, minus / (2 * m.c)
-    # the multiplier at p is 1 / (c p + d)^2, and the two values of c p + d
-    # are inverse; the attracting point's is the larger, and the other one
-    # can round to 0, so it is never inverted
-    n1, n2 = m.c * p1 + m.d, m.c * p2 + m.d
-    if abs(n1) > abs(n2):
-        return FixedPointData(p1, p2, 1 / n1 ** 2).validate()
-    return FixedPointData(p2, p1, 1 / n2 ** 2).validate()
+        u = b * c / v
+    z = _point(b, u) if abs(u) >= abs(c) else _point(v, c)
+    w = _point(b, -v) if abs(v) >= abs(c) else _point(-u, c)
+    r = 1 / lam
+    return FixedPointData(z, w, r * r).validate()
+
+
+def _point(p: complex, q: complex) -> complex:
+    """The point [p : q] of the Riemann sphere."""
+    return p / q if q else complex("inf")
+
+
+def _column(z: complex) -> tuple[complex, complex]:
+    """A representative of z with entries of modulus at most 1."""
+    if not cmath.isfinite(z):
+        return 1, 0
+    if abs(z) <= 1:
+        return z, 1
+    return 1, 1 / z
 
 
 def from_fixed_data(f: FixedPointData) -> MoebiusMap:
     """The normalized map with the given fixed points and multiplier.
 
-    Uses r = z + w, s = z w, t = lambda + 1/lambda:
-    c = sqrt((t - 2) / (r^2 - 4 s)) with the branch Im(c) > 0,
-    a = (r c + sqrt(t + 2)) / 2, d = (-r c + sqrt(t + 2)) / 2, b = -s c.
-    Of a and d, the smaller can cancel away, so it is taken from
-    a d = 1 + b c instead.
+    With lam = 1 / sqrt(multiplier), the map is V diag(lam, 1/lam) V^-1,
+    where the columns of V represent z and w: (z, 1) for a point with
+    |z| <= 1, (1, 1/z) for a farther one and (1, 0) for infinity.  Every
+    entry of V has modulus at most 1, so fixed points near 1e200 do not
+    overflow the products.
     """
     f.validate()
-    lam = f.multiplier
-    r = f.z + f.w
-    s = f.z * f.w
-    t = lam + 1 / lam
-    denom = (f.z - f.w) ** 2  # = r^2 - 4 s, which cancels when z is near w
-    c = cmath.sqrt((t - 2) / denom)
-    if c.imag < 0 or (abs(c.imag) <= TOL and c.real < 0):
-        c = -c
-    b = -s * c
-    for tr in (cmath.sqrt(t + 2), -cmath.sqrt(t + 2)):
-        a = (r * c + tr) / 2
-        d = (-r * c + tr) / 2
-        if abs(a) >= abs(d):
-            d = (1 + b * c) / a
-        else:
-            a = (1 + b * c) / d
-        m = MoebiusMap(a, b, c, d)
-        got = fixed_data(m)
-        span = 1e-6 * max(1.0, abs(f.z), abs(f.w))
-        if (
-            abs(got.z - f.z) <= span
-            and abs(got.w - f.w) <= span
-            and abs(got.multiplier - lam) <= 1e-6
-        ):
-            return m
-    raise DegenerateInput("no branch reproduces the requested fixed data")
+    lam = 1 / cmath.sqrt(f.multiplier)
+    (p1, q1), (p2, q2) = _column(f.z), _column(f.w)
+    det = p1 * q2 - p2 * q1
+    k = (lam - 1 / lam) / det
+    a = (lam * p1 * q2 - p2 * q1 / lam) / det
+    d = (p1 * q2 / lam - lam * q1 * p2) / det
+    b = -p1 * (p2 * k)
+    c = q1 * (q2 * k)
+    return MoebiusMap(a, b, c, d)

@@ -20,7 +20,6 @@ from .freegroup import Word, parse_word
 __all__ = [
     "NotBijective",
     "NotTransitive",
-    "ParityViolation",
     "BadParameters",
     "BadDirection",
     "BadFormat",
@@ -29,7 +28,6 @@ __all__ = [
     "Cylinder",
     "OrigamiCurve",
     "AffineChange",
-    "new_origami",
     "cylinders",
     "vertex_orbits",
     "genus",
@@ -37,7 +35,6 @@ __all__ = [
     "x_origami",
     "wollmilchsau",
     "o14",
-    "trace_curve",
     "is_closed",
     "horizontal_multiplier",
     "vertical_multiplier",
@@ -54,10 +51,6 @@ class NotBijective(ValueError):
 
 
 class NotTransitive(ValueError):
-    pass
-
-
-class ParityViolation(AssertionError):
     pass
 
 
@@ -112,16 +105,6 @@ class Permutation:
     def inverse_of(self, s: int) -> int:
         assert 1 <= s <= self.size, f"square {s} out of range"
         return self._pre[s]
-
-    def power(self, s: int, k: int) -> int:
-        """Image of s under the k-th power (k may be negative)."""
-        if k >= 0:
-            for _ in range(k):
-                s = self._img[s - 1]
-        else:
-            for _ in range(-k):
-                s = self._pre[s]
-        return s
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self, then other: squares act on the left, as words do."""
@@ -230,16 +213,10 @@ class Origami:
     @cached_property
     def surface_genus(self) -> int:
         """From the Euler characteristic: #vertices - d = 2 - 2g."""
-        v = len(self.corner_orbits)
-        if (self.d - v) % 2 != 0:
-            raise ParityViolation(f"d - #vertices = {self.d - v} is odd")
-        g = (self.d - v) // 2 + 1
+        # d - #vertices is even: the corner permutation is a commutator
+        g = (self.d - len(self.corner_orbits)) // 2 + 1
         assert g >= 1
         return g
-
-
-def new_origami(d: int, p1: Permutation, p2: Permutation) -> Origami:
-    return Origami(d, p1, p2)
 
 
 @dataclass(frozen=True)
@@ -349,15 +326,6 @@ def act_word(o: Origami, s: int, w: Word) -> int:
     return s
 
 
-def trace_curve(o: Origami, c: OrigamiCurve) -> list[int]:
-    """Successive squares visited; first entry is the start square."""
-    assert 1 <= c.start <= o.d, "start square out of range"
-    out = [c.start]
-    for g, e in c.word.letters:
-        out.append(act_letter(o, out[-1], g, e))
-    return out
-
-
 def is_closed(o: Origami, c: OrigamiCurve) -> bool:
     return act_word(o, c.start, c.word) == c.start
 
@@ -434,6 +402,11 @@ def shear(o: Origami, p: int, q: int) -> tuple[Origami, AffineChange]:
     def sq(s: int, j: int) -> int:
         return (s - 1) * q + j + 1
 
+    # crossing the top edge at strip j shifts right by k = (j + p) div q,
+    # which is p div q or one more, since 0 <= j < q
+    k0 = p // q
+    lo = o.p1 ** k0
+    hi = lo * o.p1
     d2 = o.d * q
     img1 = [0] * d2
     img2 = [0] * d2
@@ -447,7 +420,8 @@ def shear(o: Origami, p: int, q: int) -> tuple[Origami, AffineChange]:
             # upper neighbor: crossing the top edge lands in p2(s),
             # shifted right by the accumulated direction offset
             k, j2 = divmod(j + p, q)
-            img2[sq(s, j) - 1] = sq(o.p1.power(o.p2(s), k), j2)
+            shift = lo if k == k0 else hi
+            img2[sq(s, j) - 1] = sq(shift(o.p2(s)), j2)
     sheared = Origami(d2, Permutation(img1), Permutation(img2))
     change = AffineChange(Fraction(1, q), Fraction(p, q), Fraction(0), Fraction(1))
     return sheared, change

@@ -2,7 +2,7 @@
 
 F_2 = <x, y> acts on the squares through the monodromy (x by p1, y by p2,
 words applied left to right); H is the stabilizer of the base square.
-This module provides membership, a Schreier generating system with
+This module provides a Schreier generating system with
 Reidemeister-Schreier rewriting, and Veech-group membership by the
 covering test on the monodromy pair of a lifted matrix.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "SchreierSystemError",
     "CosetAction",
     "SchreierSystem",
-    "contains",
     "schreier_system",
     "rewrite",
     "substitute",
@@ -55,14 +54,6 @@ class CosetAction:
     def __post_init__(self):
         if not 1 <= self.base <= self.origami.d:
             raise ValueError("base square out of range")
-
-    def act(self, s: int, w: Word) -> int:
-        return act_word(self.origami, s, w)
-
-
-def contains(cs: CosetAction, w: Word) -> bool:
-    """True iff w lies in H, i.e. its monodromy fixes the base square."""
-    return cs.act(cs.base, w) == cs.base
 
 
 @dataclass(frozen=True)
@@ -122,7 +113,7 @@ def schreier_system(cs: CosetAction) -> SchreierSystem:
                 edge_gen[(s, g)] = None
             else:
                 h = reps[s] * gen(2, g) * reps[t].inv()
-                if not contains(cs, h):
+                if act_word(o, cs.base, h) != cs.base:
                     raise SchreierSystemError("Schreier generator escaped H")
                 generators.append(h)
                 edge_gen[(s, g)] = len(generators)
@@ -135,9 +126,9 @@ def rewrite(ss: SchreierSystem, w: Word) -> Word:
     """Express w in H as a word over the Schreier generators h_1..h_{d+1}
     (returned as a Word of rank d+1)."""
     cs = ss.action
-    if not contains(cs, w):
-        raise NotInSubgroup(f"{w} does not fix the base square")
     o = cs.origami
+    if act_word(o, cs.base, w) != cs.base:
+        raise NotInSubgroup(f"{w} does not fix the base square")
     out = []
     s = cs.base
     for g, e in w.letters:

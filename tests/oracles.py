@@ -23,7 +23,10 @@ under a union-find, as ``homology`` did before it contracted in one walk.
 
 ``letter_reduce`` is the free reduction that ``freegroup._reduce``
 replaced: it expands a run x^e into |e| letters and pushes them one at a
-time.
+time.  ``power`` steps a square k times along a permutation, against
+which ``Permutation.__pow__`` is checked; ``trace_curve`` lists the
+squares a curve visits, and ``contains`` tests a word for membership in
+the stabilizer H of the base square.
 
 ``induced_matrix`` computes the action of an automorphism of F_2 on H1
 from a Schreier system and a Smith form; the twist certificate is checked
@@ -63,12 +66,14 @@ from origami_forge.hss import (
 )
 from origami_forge.origami import (
     Origami,
+    OrigamiCurve,
     Permutation,
+    act_letter,
     act_word,
     vertex_orbits,
     vertex_permutation,
 )
-from origami_forge.subgroup import CosetAction, _cover, contains, schreier_system
+from origami_forge.subgroup import CosetAction, _cover, schreier_system
 
 
 def letter_reduce(rank, letters):
@@ -85,6 +90,27 @@ def letter_reduce(rank, letters):
             else:
                 out.append((g, step))
     return tuple(out)
+
+
+def power(p: Permutation, s: int, k: int) -> int:
+    """Image of s under the k-th power of p (k may be negative), one step
+    at a time."""
+    for _ in range(abs(k)):
+        s = p(s) if k > 0 else p.inverse_of(s)
+    return s
+
+
+def trace_curve(o: Origami, c: OrigamiCurve) -> list:
+    """Successive squares visited; first entry is the start square."""
+    out = [c.start]
+    for g, e in c.word.letters:
+        out.append(act_letter(o, out[-1], g, e))
+    return out
+
+
+def contains(cs: CosetAction, w: Word) -> bool:
+    """True iff w lies in H, i.e. its monodromy fixes the base square."""
+    return act_word(cs.origami, cs.base, w) == cs.base
 
 
 def concatenate(pool, lid, mid, at, history=None):

@@ -315,12 +315,21 @@ TINY_C_ENTRIES = ("0,0", "-7615262321.288272,2147683305334608.8",
                   "-2.1259530000031886e-07,0",
                   "5.94238648618487e-14,-946604788.4949151")
 
+# c = 0, with fixed points infinity, which attracts, and about -1.05e9
+FAR_C0_ENTRIES = ("-13439.370303184452,0",
+                  "-14058651593862.508,7.567382060251522e-13", "0,0",
+                  "-0.004795380193680534,0")
+# c = 0, with a finite fixed point near 5.5e16 that attracts
+FAR_C0_ATTRACTING_ENTRIES = ("0.00010286831087499253,0",
+                             "1563544456298580.5,0", "0,0",
+                             "0.0006845308069205363,0.028586801182535006")
+
 
 class TestMoebius:
     def test_loxodromic_with_degenerate_form(self, capsys):
         data = run_json(capsys, "moebius", "2,0", "0,0", "0,0", "0.5,0")
         assert data["classification"] == "loxodromic"
-        assert data["conjugated"] is True
+        assert data["conjugated"] is False
         assert data["roundtrip"] is True
         assert abs(data["multiplier"][0] - 0.25) < 1e-9
 
@@ -377,19 +386,16 @@ class TestMoebius:
          "0.48821338339011044,0", "1.1702513964189196e+16,0"),
     ])
     def test_large_entries_round_trip(self, capsys, entries):
-        """The conjugated probe of diag(1e8, 1e-8) has entries near 6e8,
-        so the round trip is checked relative to them.  From diag(1e10,
-        1e-10) on, c p + d rounds to 0 at the repelling fixed point, so
-        the multiplier is read at the attracting one only.  The last map
-        has c != 0 and fixed points near -0.23 and -2.4e16: the smaller
-        one is taken from their product, since (a - d) - disc cancels to
-        0, and so is the smaller of a and d when the map is rebuilt."""
+        """Maps up to diag(1e15, 1e-15) round trip, compared relative to
+        their largest entry.  The last map has c != 0 and fixed points
+        near -0.23 and -2.4e16: of lam - a and lam - d the smaller one
+        cancels and is taken from their product b c, and so is the
+        smaller of a and d when the map is rebuilt."""
         data = run_json(capsys, "moebius", "--", *entries)
         assert data["classification"] == "loxodromic"
-        # only a map with c = 0 is conjugated into general position
-        assert data["conjugated"] is (entries[2] == "0,0")
+        assert data["conjugated"] is False
         assert data["roundtrip"] is True
-        if not data["conjugated"]:
+        if entries[2] != "0,0":
             z, w = (complex(*data[k])
                     for k in ("fixed_point_z", "fixed_point_w"))
             assert abs(z + 0.23084171492052305) < 1e-12
@@ -415,7 +421,7 @@ class TestMoebius:
     def test_far_fixed_points_round_trip(self, capsys):
         """Maps built from fixed data whose repelling point lies 1e6 to
         1e15 from 0 have c near 1e-8 down to 1e-16; the CLI reads back
-        both fixed points and the multiplier without conjugating."""
+        both fixed points and the multiplier."""
         rng = random.Random(2020)
         for _ in range(40):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -433,20 +439,52 @@ class TestMoebius:
             assert abs(got_lam - lam) <= 1e-9
 
     @pytest.mark.parametrize("c", ["1e-300,0", "1e-320,0", "5e-324,0"])
-    def test_extreme_c_is_conjugated(self, capsys, c):
-        """With c this small the direct formulas overflow (1e-300) or
-        underflow the multiplier to 0 (1e-320), or c normalises to 0
-        (5e-324), so the map is conjugated into general position."""
+    def test_extreme_c(self, capsys, c):
+        """The attracting fixed point of (3, 1; c, 2) is 1/c: about 1e300
+        for c = 1e-300, beyond float range for c = 1e-320, and infinity
+        when c normalises to 0 (5e-324).  The repelling one is -1."""
         data = run_json(capsys, "moebius", "--", "3,0", "1,0", c, "2,0")
-        assert data["conjugated"] is True
+        assert data["conjugated"] is False
         assert data["roundtrip"] is True
-        assert data["fixed_point_z"] is None
-        assert data["fixed_point_w"] == [-1.0, 0.0]
+        if c == "1e-300,0":
+            z = complex(*data["fixed_point_z"])
+            assert abs(z - 1e300) <= 1e-9 * 1e300
+        else:
+            assert data["fixed_point_z"] is None
+        w = complex(*data["fixed_point_w"])
+        assert abs(w + 1) <= 1e-15
+
+    @pytest.mark.parametrize("entries, want", [
+        (FAR_C0_ENTRIES, {
+            "fixed_point_z": None,
+            "fixed_point_w": complex(-1046080009.1863436, 5.63e-17),
+            "multiplier": complex(3.5681583924689322e-7, 0),
+        }),
+        (FAR_C0_ATTRACTING_ENTRIES, {
+            "fixed_point_z": complex(1112424151494633.3,
+                                     -54671993235983564.0),
+            "fixed_point_w": None,
+            "multiplier": complex(8.6118118501514277e-5,
+                                  -0.0035963926048730204),
+        }),
+    ], ids=["infinity_attracts", "infinity_repels"])
+    def test_far_fixed_points_with_c_zero(self, capsys, entries, want):
+        """Both maps are loxodromic with distinct fixed points, one of
+        them infinity; the values are mpmath's at 50 digits."""
+        data = run_json(capsys, "moebius", "--", *entries)
+        assert data["classification"] == "loxodromic"
+        assert data["conjugated"] is False
+        assert data["roundtrip"] is True
+        for key, value in want.items():
+            if value is None:
+                assert data[key] is None, key
+            else:
+                got = complex(*data[key])
+                assert abs(got - value) <= 1e-9 * abs(value), key
 
     def test_direct_failure_is_reported(self, capsys):
-        """The fixed points 0 and -2.9e-17 coincide within the tolerance.
-        The conjugated map fails too, as elliptic after rounding, but the
-        error names the direct failure."""
+        """The fixed points 0 and -2.9e-17 coincide within the tolerance,
+        and the error says so."""
         code, out, err = run_cli(
             capsys, "moebius", "--", "0.022471940671470583,0", "0,0",
             "-766442638479415.4,0", "8.889975994724545e-05,0")
@@ -665,6 +703,8 @@ def test_cli_import_leaves_out_sympy():
         ["moebius", "1e5,0", "0,0", "0,0", "1,0"],
         ["moebius", "1e200,0", "0,0", "0,0", "1e200,0"],
         ["moebius", "--", *TINY_C_ENTRIES],
+        ["moebius", "--", *FAR_C0_ENTRIES],
+        ["moebius", "--", *FAR_C0_ATTRACTING_ENTRIES],
     ],
 )
 def test_same_answers_without_asserts(argv):

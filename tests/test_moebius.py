@@ -9,10 +9,8 @@ import random
 import pytest
 
 from origami_forge.moebius import (
-    GENERIC_CONJUGATOR,
     IDENTITY,
     TOL,
-    DegenerateForm,
     DegenerateInput,
     FixedPointData,
     MoebiusMap,
@@ -94,9 +92,12 @@ class TestFixedData:
         with pytest.raises(NotLoxodromic):
             fixed_data(MoebiusMap.from_entries(1, 1, 0, 1))
 
-    def test_rejects_fixed_point_at_infinity(self):
-        with pytest.raises(DegenerateForm):
-            fixed_data(MoebiusMap.from_entries(2, 0, 0, 0.5))
+    def test_fixed_point_at_infinity(self):
+        """diag(2, 0.5) attracts to infinity and repels from 0."""
+        fd = fixed_data(MoebiusMap.from_entries(2, 0, 0, 0.5))
+        assert fd.z == complex("inf")
+        assert fd.w == 0
+        assert abs(fd.multiplier - 0.25) <= 1e-9
 
     def test_tiny_c_is_not_degenerate(self):
         """Only c = 0 puts a fixed point at infinity: diag(2, 0.5) with
@@ -106,12 +107,65 @@ class TestFixedData:
         assert abs(fd.w) <= 1e-9
         assert abs(fd.multiplier - 0.25) <= 1e-9
 
-    def test_degenerate_maps_recoverable_by_conjugation(self):
-        m = MoebiusMap.from_entries(2, 0, 0, 0.5)
-        probe = m.conjugate_by(GENERIC_CONJUGATOR)
-        fd = fixed_data(probe)
-        assert abs(fd.multiplier - 0.25) < 1e-9
-        assert from_fixed_data(fd).approx_eq(probe)
+    def test_c_zero_maps_round_trip(self):
+        """With c = 0 the fixed points are infinity and b / (d - a).
+        Infinity attracts when |a| > |d|, with multiplier d / a."""
+        rng = random.Random(11)
+        maps = [MoebiusMap.from_entries(2, 0, 0, 0.5)]
+        while len(maps) < 200:
+            a, b, d = (complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                       for _ in range(3))
+            if abs(a * d) > 1e-3:
+                m = MoebiusMap.from_entries(a, b, 0, d)
+                if classify(m) == "loxodromic":
+                    maps.append(m)
+        inf = complex("inf")
+        for m in maps:
+            fd = fixed_data(m)
+            finite = m.b / (m.d - m.a)
+            if abs(m.a) > abs(m.d):
+                assert fd.z == inf
+                assert abs(fd.w - finite) <= 1e-9 * max(abs(finite), 1)
+                assert abs(fd.multiplier - m.d / m.a) <= 1e-9
+            else:
+                assert fd.w == inf
+                assert abs(fd.z - finite) <= 1e-9 * max(abs(finite), 1)
+                assert abs(fd.multiplier - m.a / m.d) <= 1e-9
+            assert from_fixed_data(fd).approx_eq(m)
+
+    def test_c_zero_with_a_near_d(self):
+        """The normalised trace is near 2, so t^2 - 4 cancels to about
+        1.7e-5 and loses five digits; the discriminant (a - d)^2 + 4 b c
+        loses none when c = 0.  The repelling point is mpmath's at 50
+        digits."""
+        m = MoebiusMap.from_entries(
+            complex(4.324438280677054, -0.0002343630491551624),
+            complex(-0.8516749152893697, -610.438151887467),
+            0,
+            complex(4.306723008749075, -2.5313690424163526e-13),
+        )
+        fd = fixed_data(m)
+        want = complex(-407.71675439678338, 34452.905980058355)
+        assert fd.z == complex("inf")
+        assert abs(fd.w - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("z, w", [
+        (1e200, 2e200),
+        (1e200, -1e-200),
+        (3e150 + 1e150j, 1e-3),
+        (complex("inf"), 1e250),
+        (1e-250, complex("inf")),
+        (1e300, -1e300),
+    ])
+    def test_extreme_fixed_points_round_trip(self, z, w):
+        lam = 0.3 + 0.1j
+        fd = fixed_data(from_fixed_data(FixedPointData(z, w, lam)))
+        for got, want in ((fd.z, z), (fd.w, w)):
+            if cmath.isfinite(want):
+                assert abs(got - want) <= 1e-9 * abs(want)
+            else:
+                assert got == want
+        assert abs(fd.multiplier - lam) <= 1e-9
 
     def test_multiplier_contracts(self):
         rng = random.Random(7)
@@ -165,6 +219,10 @@ class TestSmallMultiplier:
     def test_tiny_multiplier_validates(self):
         fd = FixedPointData(0j, 1 + 0j, 1e-10).validate()
         assert fd.multiplier == 1e-10
+
+    def test_two_points_at_infinity_coincide(self):
+        with pytest.raises(DegenerateInput, match="coincide"):
+            FixedPointData(complex("inf"), complex("inf"), 0.5).validate()
 
     def test_zero_multiplier_is_rejected(self):
         with pytest.raises(DegenerateInput, match="non-zero"):

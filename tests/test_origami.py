@@ -2,8 +2,10 @@
 monodromy traces, shears, and the text format."""
 
 import glob
+import math
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,17 +32,17 @@ from origami_forge.origami import (
     horizontal_multiplier,
     is_closed,
     l_origami,
-    new_origami,
     o14,
     parse_origami,
     random_origami,
     shear,
-    trace_curve,
     vertex_orbits,
     vertical_multiplier,
     wollmilchsau,
     x_origami,
 )
+
+from oracles import power, trace_curve
 
 FIXTURE_DIR = os.path.join(os.path.dirname(origami_forge.__file__), "fixtures")
 
@@ -54,12 +56,12 @@ class TestPermutation:
         p = Permutation.from_cycles(4, [[1, 2, 3]])
         assert [p(s) for s in (1, 2, 3, 4)] == [2, 3, 1, 4]
         assert p.inverse_of(1) == 3
-        assert p.power(1, -2) == 2
+        assert power(p, 1, -2) == 2
 
     def test_power_shifts_along_orbits(self):
         p = Permutation.from_cycles(7, [[1, 2, 3], [4, 5], [7, 6]])
         for k in range(-7, 8):
-            expected = tuple(p.power(s, k) for s in range(1, 8))
+            expected = tuple(power(p, s, k) for s in range(1, 8))
             assert (p ** k).images() == expected
         assert p ** (6 * 10 ** 30 + 1) == p
 
@@ -71,9 +73,7 @@ class TestPermutation:
 class TestGeometry:
     def test_transitivity_required(self):
         with pytest.raises(NotTransitive):
-            new_origami(
-                2, Permutation([1, 2]), Permutation([1, 2])
-            )
+            Origami(2, Permutation([1, 2]), Permutation([1, 2]))
 
     def test_four_cylinder_invariants(self):
         o = wollmilchsau()
@@ -119,6 +119,13 @@ class TestGeometry:
         assert o.d == 2 * n
         assert genus(o) == n
         assert len(cylinders(o)) == 1
+
+    def test_vertex_count_has_the_parity_of_d(self, fixture_origamis,
+                                              random_sample):
+        """The corner permutation is a commutator, hence even, so d minus
+        its number of cycles is even and the genus is an integer."""
+        for _, o in fixture_origamis + random_sample:
+            assert (o.d - len(o.corner_orbits)) % 2 == 0
 
     def test_returned_lists_do_not_reach_the_cache(self):
         o = o14()
@@ -187,7 +194,7 @@ class TestShear:
             o = random_origami(rng, rng.randint(2, 8))
             p = rng.randint(-3, 3)
             q = rng.randint(1, 4)
-            while __import__("math").gcd(p, q) != 1:
+            while math.gcd(p, q) != 1:
                 p += 1
             sheared, change = shear(o, p, q)
             assert sheared.d == o.d * q
@@ -198,6 +205,40 @@ class TestShear:
         sheared, change = shear(l_origami(2, 2), 1, 1)
         assert sheared.d == 3
         assert change == AffineChange.from_ints(1, 1, 0, 1)
+
+    def test_upper_neighbors_against_stepping(self):
+        """Strip j of square s lies below strip (j + p) mod q of p2(s)
+        moved (j + p) div q squares right, stepped one square at a time."""
+        rng = random.Random(5)
+        for _ in range(40):
+            o = random_origami(rng, rng.randint(2, 8))
+            q = rng.randint(1, 5)
+            p = rng.randint(-20, 20)
+            while math.gcd(p, q) != 1:
+                p += 1
+            sheared = shear(o, p, q)[0]
+            expected = []
+            for s in range(1, o.d + 1):
+                for j in range(q):
+                    k, j2 = divmod(j + p, q)
+                    t = power(o.p1, o.p2(s), k)
+                    expected.append((t - 1) * q + j2 + 1)
+            assert sheared.p2.images() == tuple(expected)
+
+    @pytest.mark.parametrize("o", [l_origami(2, 2), o14(), x_origami(3)],
+                             ids=["l22", "o14", "x3"])
+    def test_huge_p_in_time_polynomial_in_its_bits(self, o):
+        """p1^m is the identity for m the lcm of the horizontal cylinder
+        lengths, so adding q m to p leaves the shear unchanged.  With
+        p = 10^30 + 1 a shear that steps p times would never finish."""
+        m = horizontal_multiplier(o)[0]
+        start = time.perf_counter()
+        for q in (1, 2, 3):
+            p = 10 ** 30 + 1
+            while math.gcd(p, q) != 1:
+                p += 1
+            assert shear(o, p + q * m, q)[0] == shear(o, p, q)[0]
+        assert time.perf_counter() - start < 0.5
 
 
 class TestTextFormat:
