@@ -41,6 +41,10 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
+        if not other.letters:
+            return self
+        if not self.letters:
+            return other
         return Word(self.rank, self.letters + other.letters)
 
     def inv(self) -> "Word":
@@ -50,6 +54,8 @@ class Word:
         return self.inv()
 
     def __pow__(self, n: int) -> "Word":
+        if n == 1:
+            return self
         base = self if n >= 0 else self.inv()
         return Word(self.rank, base.letters * abs(n))
 
@@ -318,19 +324,6 @@ def apply_endo(phi: F2Endo, w: Word) -> Word:
     return w.substitute((phi.image_x, phi.image_y), 2)
 
 
-def compose(phi: F2Endo, psi: F2Endo) -> F2Endo:
-    """phi after psi."""
-    return F2Endo(
-        apply_endo(phi, psi.image_x),
-        apply_endo(phi, psi.image_y),
-        phi.is_automorphism and psi.is_automorphism,
-    )
-
-
-def identity_endo() -> F2Endo:
-    return F2Endo(gen(2, 1), gen(2, 2), True)
-
-
 IntMatrix2 = Tuple[int, int, int, int]  # (a, b, c, d) for ((a, b), (c, d))
 
 
@@ -353,10 +346,6 @@ def horizontal_twist_lift(m: int) -> F2Endo:
 SWAP: IntMatrix2 = (0, 1, 1, 0)
 NEG_X: IntMatrix2 = (-1, 0, 0, 1)
 NEG_Y: IntMatrix2 = (1, 0, 0, -1)
-
-_LIFTS = {SWAP: F2Endo(gen(2, 2), gen(2, 1), True),
-          NEG_X: F2Endo(gen(2, 1, -1), gen(2, 2), True),
-          NEG_Y: F2Endo(gen(2, 1), gen(2, 2, -1), True)}
 
 
 def nielsen_factors(A: IntMatrix2) -> List[IntMatrix2]:
@@ -388,11 +377,19 @@ def nielsen_factors(A: IntMatrix2) -> List[IntMatrix2]:
     return factors
 
 
+def apply_factors(A: IntMatrix2, X, Y):
+    """(X, Y) moved through `nielsen_factors(A)` in order: each factor
+    (a, b; c, d) lifts to the automorphism x -> x^a y^c, y -> x^b y^d, so
+    it sends the images (X, Y) of x and y to (X^a Y^c, X^b Y^d).  X and Y
+    may lie in any group with * and **, such as words or permutations."""
+    for a, b, c, d in nielsen_factors(A):
+        X, Y = X ** a * Y ** c, X ** b * Y ** d
+    return X, Y
+
+
 def lift_matrix(A: IntMatrix2) -> F2Endo:
     """A preimage of A under beta_hat: the composite of the Nielsen
     automorphisms lifting `nielsen_factors(A)`, as long as A's entries."""
-    phi = identity_endo()
-    for F in nielsen_factors(A):
-        phi = compose(phi, _LIFTS.get(F) or horizontal_twist_lift(F[1]))
+    phi = F2Endo(*apply_factors(A, gen(2, 1), gen(2, 2)), True)
     assert beta_hat(phi) == A
     return phi

@@ -51,11 +51,14 @@ Backtracking walks this tree from the lists of alpha's two occurrences up
 to where they meet, in time linear in the chain, and never replays the
 event log; ``dual_curves`` backtracks old rounds the same way.  Stage 3
 keeps a side -> pool list map, finds sides by their index in that list,
-and rebuilds the pool order once per round.
+and rebuilds the pool order once per round: the pool is one list of lids,
+sorted by each list's section (its kind, 'u', 'o' or 'lz', then its
+cylinder), in which every split list is replaced by its successors.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
@@ -83,7 +86,6 @@ __all__ = [
     "step1_cuts",
     "init_lists",
     "merge_all",
-    "find_separating_pair",
     "backtrack",
     "emit_curve",
     "step3_update",
@@ -136,19 +138,6 @@ def format_label(label: Label) -> str:
     return str(label.square) + "".join("'" if m == 1 else '"' for m in label.marks)
 
 
-def _label_key(label):
-    """Deterministic order on square labels: square first, then marks."""
-    if isinstance(label, SLabel):
-        return (label.square, label.marks)
-    if isinstance(label, int):
-        return (label, ())
-    raise AssertionError(f"not a square label: {label}")
-
-
-def _is_square(label) -> bool:
-    return not isinstance(label, Sentinel)
-
-
 # ---------------------------------------------------------------------------
 # stage 1: maximal cylinder cut system
 # ---------------------------------------------------------------------------
@@ -156,11 +145,10 @@ def _is_square(label) -> bool:
 
 @dataclass
 class HalfCylinderGraph:
-    """Two nodes per cylinder i, the upper 2i and the lower 2i + 1; the
-    p2-gluing edges, plus the bridges chosen in stage 1."""
+    """Two nodes per cylinder i, the upper 2i and the lower 2i + 1, joined
+    by the p2-gluing edges, plus the bridges chosen in stage 1."""
 
     cyls: list[Cylinder]
-    edges: set[tuple[int, int]]      # (index of upper node's cylinder, lower's)
     bridges: list[int]               # cylinder indices that received a bridge
     roots: list[int]                 # node -> its component's root under
                                      # the edges alone, before any bridge
@@ -190,14 +178,11 @@ def step1_graph(o: Origami) -> HalfCylinderGraph:
     and the components those edges join.  It has no bridges yet."""
     cyls = cylinders(o)
     at = o.cylinder_at
-    edges = set()
+    uf = _UnionFind(list(range(2 * len(cyls))))
     for i, z in enumerate(cyls):
         for s in z.squares:
-            edges.add((i, at[o.p2(s)][0]))
-    uf = _UnionFind(list(range(2 * len(cyls))))
-    for i, j in edges:
-        uf.union(2 * i, 2 * j + 1)
-    return HalfCylinderGraph(cyls, edges, [],
+            uf.union(2 * i, 2 * at[o.p2(s)][0] + 1)
+    return HalfCylinderGraph(cyls, [],
                              [uf.find(v) for v in range(2 * len(cyls))])
 
 
@@ -223,8 +208,7 @@ def step1_cuts(
         raise Disconnected("surface not connected after bridging")
     bridged = set(bridges)
     cuts = [z for i, z in enumerate(graph.cyls) if i not in bridged]
-    return cuts, HalfCylinderGraph(graph.cyls, graph.edges, bridges,
-                                   graph.roots)
+    return cuts, HalfCylinderGraph(graph.cyls, bridges, graph.roots)
 
 
 def step1(
@@ -304,9 +288,12 @@ class ChainPair(NamedTuple):
 PairChain = list  # of ChainPair
 
 
+_SECTION_RANK = {"u": 0, "o": 1, "lz": 2}
+
+
 class Pool:
     """Mutable state of one cut-system computation: the side registry,
-    the stored lists and the current pool sections.
+    the stored lists and the current pool order.
 
     Sides are ids into flat arrays: ``lab[sid]`` is the label id of side
     sid, ``half[sid]`` its boundary ('u' lower, 'o' upper, None for a
@@ -321,7 +308,10 @@ class Pool:
     that list's lid.  Per stored list, ``labs`` holds its label ids and
     ``own`` its square-label ids, the same list for a 'u' / 'o' list,
     which holds no sentinel.  ``exponents`` keeps each chain pair's
-    x-exponent.
+    x-exponent.  ``pool_order`` holds the lids of the current pool lists,
+    sorted by `section`: the 'u' lists, then the 'o' lists, then the 'lz'
+    lists, each by cylinder; lists of one section keep the order in which
+    stage 3 placed them.
     """
 
     def __init__(self, o: Origami):
@@ -341,11 +331,7 @@ class Pool:
         self.label_at: list[Label] = []
         self.home: dict[int, int] = {}
         self._next_list = 0
-        # sections hold (cylinder base, lid), kept sorted by cylinder
-        self.u_section: list[tuple[int, int]] = []
-        self.o_section: list[tuple[int, int]] = []
-        self.lz_section: list[tuple[int, int]] = []
-        self.second_sentinel: dict[int, int] = {}  # uncut cylinder -> side
+        self.pool_order: list[int] = []
 
     # -- registry helpers --------------------------------------------------
 
@@ -418,11 +404,11 @@ class Pool:
         """Record lid as the pool list holding each of its sides."""
         self.home.update(dict.fromkeys(self.lists[lid].sides, lid))
 
-    def labels(self, lid: int) -> list[Label]:
-        return [self.label_at[l] for l in self.labs[lid]]
-
-    def pool_lids(self) -> list[int]:
-        return [lid for _, lid in self.u_section + self.o_section + self.lz_section]
+    def section(self, lid: int) -> tuple[int, int]:
+        """The place of list lid's part of the pool order: its kind's
+        rank, then its cylinder."""
+        lst = self.lists[lid]
+        return _SECTION_RANK[lst.kind], lst.cyl
 
     # -- stage 2 initialization --------------------------------------------
 
@@ -435,21 +421,17 @@ class Pool:
             u_sides = [self.new_side(SLabel(s), "u", base) for s in lower]
             o_sides = [self.new_side(SLabel(s), "o", base) for s in upper]
             if base in cut_bases:
-                ul = self.new_list(u_sides, True, "u", base)
-                ol = self.new_list(o_sides, True, "o", base)
-                self.u_section.append((base, ul))
-                self.o_section.append((base, ol))
-                self.settle(ul)
-                self.settle(ol)
+                lids = (self.new_list(u_sides, True, "u", base),
+                        self.new_list(o_sides, True, "o", base))
             else:
                 a1 = self.new_side(Sentinel(base), None, base)
                 a2 = self.new_side(Sentinel(base), None, base)
-                self.second_sentinel[base] = a2
-                lz = self.new_list([a1] + u_sides + [a2] + o_sides, True, "lz", base)
-                self.lz_section.append((base, lz))
-                self.settle(lz)
-        for section in (self.u_section, self.o_section, self.lz_section):
-            section.sort(key=lambda pair: pair[0])
+                lids = (self.new_list([a1] + u_sides + [a2] + o_sides, True,
+                                      "lz", base),)
+            for lid in lids:
+                self.settle(lid)
+            self.pool_order += lids
+        self.pool_order.sort(key=self.section)
 
 
 def init_lists(o: Origami, cuts: list[Cylinder]) -> Pool:
@@ -488,7 +470,7 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     checks from one left of the junction to the start of its tail b; after
     removing (k, k+1) the scan resumes at k-1.
     """
-    remaining = pool.pool_lids()
+    remaining = pool.pool_order
     if not remaining:
         raise ValueError("empty pool")
     home = pool.home
@@ -596,24 +578,13 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
 # ---------------------------------------------------------------------------
 
 
-def find_separating_pair(labels: Sequence) -> tuple:
-    """In a cyclic label sequence where every square label occurs twice,
-    find (alpha, beta): the two alpha occurrences split the sequence into
-    two arcs each holding exactly one beta.  Deterministic: smallest alpha
-    first, then smallest beta; sentinels are never selected."""
-    ids: dict = {}
-    for l in labels:
-        ids.setdefault(l, len(ids))
-    distinct = list(ids)
-    square = [_is_square(l) for l in distinct]
-    order = [_label_key(l) if sq else None for l, sq in zip(distinct, square)]
-    alpha, beta = _separating_pair([ids[l] for l in labels], square, order)
-    return distinct[alpha], distinct[beta]
-
-
 def _separating_pair(labs: Sequence[int], square: Sequence[bool],
                      order: Sequence) -> tuple[int, int]:
-    """find_separating_pair on label ids, ordered by order[id].
+    """In a cyclic sequence of label ids where every square label occurs
+    twice, find (alpha, beta): the two alpha occurrences split the sequence
+    into two arcs each holding exactly one beta.  Deterministic: smallest
+    alpha first, then smallest beta, by order[id]; sentinels are never
+    selected.
 
     One pass per alpha: beta separates iff it occurs once strictly
     between the two alphas and twice in all."""
@@ -701,11 +672,12 @@ def _half_bounds(pool: Pool, lid: int, half: str) -> tuple[int, int, bool]:
     """The span lo:hi of list lid's sides relevant to a pair, and whether
     it is cyclic: the whole list for 'u'/'o' lists, the matching half
     (always cyclic) for an uncut cylinder's combined list
-    [a_Z, lower..., a_Z, upper...]."""
+    [a_Z, lower..., a_Z, upper...], which always keeps a_Z at index 0."""
     lst = pool.lists[lid]
     if lst.kind == "lz":
-        k = lst.sides.index(pool.second_sentinel[lst.cyl])
-        return (1, k, True) if half == "u" else (k + 1, len(lst.sides), True)
+        labs = pool.labs[lid]
+        k = labs.index(labs[0], 1)
+        return (1, k, True) if half == "u" else (k + 1, len(labs), True)
     if lst.kind != half:
         raise InconsistentChain(f"{half!r} pair in a {lst.kind!r} list")
     return 0, len(lst.sides), lst.cyclic
@@ -783,12 +755,15 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
       L0 = [a.., r_s', r_{s+1}'', c..]  and  L1 = (r_s'', b.., r_{s+1}')
     on the lower boundary (primes swapped on the upper); L0 keeps the
     parent's kind and cyclicity, L1 is non-cyclic.  L0 and L1 take the
-    parent's place in its section; an uncut cylinder's combined list keeps
-    L0 embedded, and its L1 joins the matching section after the lists of
-    its cylinder.  The sections are rebuilt once, after the last split.
+    parent's place in the pool order; an uncut cylinder's combined list
+    keeps L0 embedded, and its L1 joins the pool order after the lists of
+    its section, those of its half and cylinder.  The order is rebuilt
+    once, after the last split: each split list is replaced, recursively,
+    by its successors, and then the joining lists and their successors are
+    inserted in chain order.
     """
     replaced: dict[int, tuple[int, ...]] = {}  # split list -> its successors
-    joining: dict[str, dict[int, list[int]]] = {"u": {}, "o": {}}
+    joining: list[int] = []  # the L1 lists of uncut cylinders
     home = pool.home
     for pair in chain:
         side_a, side_b, _, half, cyl = pair
@@ -825,49 +800,20 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
         pool.settle(l0)
         if lst.kind == "lz":
             replaced[lid] = (l0,)
-            joining[half].setdefault(cyl, []).append(l1)
+            joining.append(l1)
         else:
             replaced[lid] = (l0, l1)
-    pool.u_section = _resection(pool.u_section, replaced, joining["u"])
-    pool.o_section = _resection(pool.o_section, replaced, joining["o"])
-    pool.lz_section = _resection(pool.lz_section, replaced, {})
 
+    def successors(lid: int) -> list[int]:
+        nxt = replaced.get(lid)
+        return [lid] if nxt is None else [l for s in nxt for l in successors(s)]
 
-def _resection(section: list[tuple[int, int]], replaced: dict,
-               joining: dict[int, list[int]]) -> list[tuple[int, int]]:
-    """The section with every split list replaced, recursively, by its
-    successors in order, and the lists joining[c] placed after the last
-    list of cylinder c."""
-    if not section and not joining:
-        return section
-    out: list[tuple[int, int]] = []
-
-    def put(cyl: int, lid: int) -> None:
-        stack = [lid]
-        while stack:
-            lid = stack.pop()
-            successors = replaced.get(lid)
-            if successors is None:
-                out.append((cyl, lid))
-            else:
-                stack.extend(reversed(successors))
-
-    joins = sorted(joining.items())
-    k = 0
-    for entry in section:
-        cyl, lid = entry
-        while k < len(joins) and joins[k][0] < cyl:
-            for l in joins[k][1]:
-                put(joins[k][0], l)
-            k += 1
-        if lid in replaced:
-            put(cyl, lid)
-        else:
-            out.append(entry)
-    for c, lids in joins[k:]:
-        for l in lids:
-            put(c, l)
-    return out
+    order = pool.pool_order = [
+        l for lid in pool.pool_order
+        for l in (successors(lid) if lid in replaced else (lid,))]
+    for l1 in joining:
+        for l in successors(l1):
+            bisect.insort(order, l, key=pool.section)
 
 
 # ---------------------------------------------------------------------------

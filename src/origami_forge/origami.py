@@ -39,6 +39,7 @@ __all__ = [
     "horizontal_multiplier",
     "vertical_multiplier",
     "shear",
+    "MAX_SHEAR_SQUARES",
     "parse_origami",
     "format_origami",
     "random_origami",
@@ -383,17 +384,25 @@ class AffineChange:
 AFFINE_ID = AffineChange.from_ints(1, 0, 0, 1)
 
 
+# The most squares `shear` builds: its output has d * |q| squares.
+MAX_SHEAR_SQUARES = 10 ** 6
+
+
 def shear(o: Origami, p: int, q: int) -> tuple[Origami, AffineChange]:
     """Re-square the surface along direction (p, q).
 
     Each square is sliced into the q parallelograms spanned by (1/q, 0)
     and (p/q, 1), based at x = j/q on the bottom edge; the coordinate
     change g = (1/q, p/q; 0, 1) maps the resquared unit squares back onto
-    them.  Requires gcd(p, q) = 1.  For q = 0 (the horizontal direction
-    itself) the origami is returned unchanged with the identity change.
+    them.  Requires gcd(p, q) = 1 and d * |q| <= MAX_SHEAR_SQUARES.  For
+    q = 0 (the horizontal direction itself) the origami is returned
+    unchanged with the identity change.
     """
     if math.gcd(p, q) != 1:
         raise BadDirection(f"gcd({p}, {q}) != 1")
+    if o.d * abs(q) > MAX_SHEAR_SQUARES:
+        raise BadParameters(f"shear would build {o.d} * {abs(q)} squares, "
+                            f"more than {MAX_SHEAR_SQUARES}")
     if q == 0:
         return o, AFFINE_ID
     if q < 0:

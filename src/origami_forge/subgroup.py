@@ -16,9 +16,9 @@ from .freegroup import (
     IntMatrix2,
     NotUnimodular,
     Word,
+    apply_factors,
     gen,
     mat_det,
-    nielsen_factors,
 )
 from .origami import Origami, Permutation, act_word
 
@@ -173,15 +173,11 @@ def _cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:
 
 def veech_witness(cs: CosetAction, A: IntMatrix2) -> Optional[int]:
     """A square s with phi(H) = Stab(s) for phi = lift_matrix(A), or None;
-    not None iff A is in the Veech group.  Each Nielsen factor (a, b; c, d)
-    of A lifts to x -> x^a y^c, y -> x^b y^d, so it acts on the monodromy
-    pair directly: O(d log|A| + d^2)."""
+    not None iff A is in the Veech group.  The Nielsen factors of A act on
+    the monodromy pair directly (`apply_factors`): O(d log|A| + d^2)."""
     if mat_det(A) != 1:
         raise NotUnimodular(f"det {mat_det(A)} != 1")
-    P, Q = cs.origami.p1, cs.origami.p2
-    for a, b, c, d in nielsen_factors(A):
-        P, Q = P ** a * Q ** c, P ** b * Q ** d
-    return _cover(cs, P, Q)
+    return _cover(cs, *apply_factors(A, cs.origami.p1, cs.origami.p2))
 
 
 def veech_contains(cs: CosetAction, A: IntMatrix2) -> bool:

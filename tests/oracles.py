@@ -6,6 +6,10 @@ every removal, and stores every intermediate list in the pool.  ``replay``
 re-runs a merge history from its initial lists, and ``replay_backtrack``
 traces a pair back by replaying the history's events in reverse.  They
 check the indexed engine of ``origami_forge.hss`` from outside.
+``pool_labels`` lists a pool list's labels, and ``find_separating_pair`` runs
+the separating-pair search on labels instead of label ids.
+``SectionPool`` keeps the pool order as three sections, rebuilt once per
+round by ``resection``, as stage 3 did before it kept one list.
 
 ``smith_normal_form`` keeps both unimodular transforms, so one
 factorisation answers any number of integer solves.  The H1 model, the
@@ -20,6 +24,11 @@ matrices that the sparse H1 model no longer stores; ``DenseH1`` computes
 coordinates, pairings and Lagrangian rows by dense products through them.
 ``spliced_order`` contracts the spanning tree by splicing vertex circles
 under a union-find, as ``homology`` did before it contracted in one walk.
+
+``compose`` and ``identity_endo`` build F_2 endomorphisms, and
+``composed_lift`` lifts a matrix as ``lift_matrix`` did before it folded
+the Nielsen factors with ``freegroup.apply_factors``: by composing one
+Nielsen automorphism per factor.
 
 ``letter_reduce`` is the free reduction that ``freegroup._reduce``
 replaced: it expands a run x^e into |e| letters and pushes them one at a
@@ -43,10 +52,16 @@ from origami_forge import linalg
 from origami_forge.freegroup import (
     F2Endo,
     IndexOutOfRange,
+    NEG_X,
+    NEG_Y,
+    SWAP,
     IntMatrix2,
     RankMismatch,
     Word,
+    apply_endo,
     gen,
+    horizontal_twist_lift,
+    nielsen_factors,
 )
 from origami_forge.homology import (
     CertificateError,
@@ -62,6 +77,11 @@ from origami_forge.hss import (
     ChainPair,
     InconsistentChain,
     NoCommonLabel,
+    Sentinel,
+    SLabel,
+    _half_bounds,
+    _pair_exponent,
+    _separating_pair,
     format_label,
 )
 from origami_forge.origami import (
@@ -74,6 +94,32 @@ from origami_forge.origami import (
     vertex_permutation,
 )
 from origami_forge.subgroup import CosetAction, _cover, schreier_system
+
+
+def compose(phi: F2Endo, psi: F2Endo) -> F2Endo:
+    """phi after psi."""
+    return F2Endo(
+        apply_endo(phi, psi.image_x),
+        apply_endo(phi, psi.image_y),
+        phi.is_automorphism and psi.is_automorphism,
+    )
+
+
+def identity_endo() -> F2Endo:
+    return F2Endo(gen(2, 1), gen(2, 2), True)
+
+
+def composed_lift(A: IntMatrix2) -> F2Endo:
+    """The composite of the Nielsen automorphisms lifting
+    `nielsen_factors(A)`: x <-> y for SWAP, x -> x^-1 for NEG_X,
+    y -> y^-1 for NEG_Y and x -> x, y -> x^q y for T^q."""
+    lifts = {SWAP: F2Endo(gen(2, 2), gen(2, 1), True),
+             NEG_X: F2Endo(gen(2, 1, -1), gen(2, 2), True),
+             NEG_Y: F2Endo(gen(2, 1), gen(2, 2, -1), True)}
+    phi = identity_endo()
+    for F in nielsen_factors(A):
+        phi = compose(phi, lifts.get(F) or horizontal_twist_lift(F[1]))
+    return phi
 
 
 def letter_reduce(rank, letters):
@@ -236,6 +282,144 @@ def replay_backtrack(pool, history, alpha):
         chain = [ChainPair(p.side_b, p.side_a, p.lid, p.half, p.cyl)
                  for p in reversed(chain)]
     return chain
+
+
+def pool_labels(pool, lid):
+    """The labels of stored list lid, in order."""
+    return [pool.label_at[l] for l in pool.labs[lid]]
+
+
+def _label_key(label):
+    """Deterministic order on square labels: square first, then marks."""
+    if isinstance(label, SLabel):
+        return (label.square, label.marks)
+    if isinstance(label, int):
+        return (label, ())
+    raise AssertionError(f"not a square label: {label}")
+
+
+def _is_square(label) -> bool:
+    return not isinstance(label, Sentinel)
+
+
+def find_separating_pair(labels: Sequence) -> tuple:
+    """In a cyclic label sequence where every square label occurs twice,
+    find (alpha, beta): the two alpha occurrences split the sequence into
+    two arcs each holding exactly one beta.  Deterministic: smallest alpha
+    first, then smallest beta; sentinels are never selected."""
+    ids: dict = {}
+    for l in labels:
+        ids.setdefault(l, len(ids))
+    distinct = list(ids)
+    square = [_is_square(l) for l in distinct]
+    order = [_label_key(l) if sq else None for l, sq in zip(distinct, square)]
+    alpha, beta = _separating_pair([ids[l] for l in labels], square, order)
+    return distinct[alpha], distinct[beta]
+
+
+class SectionPool:
+    """The pool order of a pool as three sections, u, o and lz, each a list
+    of (cylinder, lid) sorted by cylinder.  `step3_update` splits the pool
+    lists as ``hss.step3_update`` does and rebuilds each section once by
+    `resection`.  The pool's ``pool_order`` is set to the sections' lids
+    after every update, so ``merge_all`` runs on this order."""
+
+    def __init__(self, pool):
+        self.sections = {"u": [], "o": [], "lz": []}
+        for lid in sorted(set(pool.home.values())):
+            lst = pool.lists[lid]
+            self.sections[lst.kind].append((lst.cyl, lid))
+        for section in self.sections.values():
+            section.sort(key=lambda pair: pair[0])
+        pool.pool_order = self.lids()
+
+    def lids(self):
+        return [lid for kind in ("u", "o", "lz")
+                for _, lid in self.sections[kind]]
+
+    def step3_update(self, pool, chain):
+        replaced = {}  # split list -> its successors
+        joining = {"u": {}, "o": {}}
+        home = pool.home
+        for pair in chain:
+            side_a, side_b, _, half, cyl = pair
+            lid = home.get(side_a)
+            if lid is None:
+                raise InconsistentChain(f"side {side_a} not in any pool list")
+            if home.get(side_b) != lid:
+                raise InconsistentChain("chain pair torn across lists")
+            lst = pool.lists[lid]
+            lo, hi, cyclic = _half_bounds(pool, lid, half)
+            e = _pair_exponent(pool, pair)
+            forward = (e > 0) if half == "u" else (e < 0)
+            role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
+            sides = lst.sides
+            ia, ib = sides.index(role_a), sides.index(role_b)
+            if ia < ib:
+                between = sides[ia + 1:ib]
+            elif cyclic:
+                between = sides[ia + 1:hi] + sides[lo:ib]
+            else:
+                raise InconsistentChain(
+                    "sweep must run forward in a non-cyclic list")
+            marks = (1, 2) if half == "u" else (2, 1)
+            a_l0, b_l0, a_l1, b_l1 = pool.split_sides(role_a, role_b, *marks)
+            l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half, cyl)
+            pool.settle(l1)
+            del home[role_a], home[role_b]
+            if ia < ib:
+                kept = sides[:ia] + (a_l0, b_l0) + sides[ib + 1:]
+            else:
+                kept = (sides[:lo] + (b_l0,) + sides[ib + 1:ia] + (a_l0,)
+                        + sides[hi:])
+            l0 = pool.new_list(kept, lst.cyclic, lst.kind, lst.cyl)
+            pool.settle(l0)
+            if lst.kind == "lz":
+                replaced[lid] = (l0,)
+                joining[half].setdefault(cyl, []).append(l1)
+            else:
+                replaced[lid] = (l0, l1)
+        for kind, joins in (("u", joining["u"]), ("o", joining["o"]),
+                            ("lz", {})):
+            self.sections[kind] = resection(self.sections[kind], replaced,
+                                            joins)
+        pool.pool_order = self.lids()
+
+
+def resection(section, replaced, joining):
+    """The section with every split list replaced, recursively, by its
+    successors in order, and the lists joining[c] placed after the last
+    list of cylinder c."""
+    if not section and not joining:
+        return section
+    out = []
+
+    def put(cyl, lid):
+        stack = [lid]
+        while stack:
+            lid = stack.pop()
+            successors = replaced.get(lid)
+            if successors is None:
+                out.append((cyl, lid))
+            else:
+                stack.extend(reversed(successors))
+
+    joins = sorted(joining.items())
+    k = 0
+    for entry in section:
+        cyl, lid = entry
+        while k < len(joins) and joins[k][0] < cyl:
+            for l in joins[k][1]:
+                put(joins[k][0], l)
+            k += 1
+        if lid in replaced:
+            put(cyl, lid)
+        else:
+            out.append(entry)
+    for c, lids in joins[k:]:
+        for l in lids:
+            put(c, l)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -149,6 +150,15 @@ class TestShearAndHomology:
         data = run_json(capsys, "shear", "l22", "--p", "1", "--q", "1")
         assert data["d"] == 3
         assert data["change"] == [["1", "1"], ["0", "1"]]
+
+    def test_shear_q_bound(self, capsys):
+        """d * q = 3 * 10^12 squares is refused before any is built."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "shear", "l22", "--p", "1",
+                                 "--q", str(10 ** 12))
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "BadParameters"
 
     def test_homology_report(self, capsys):
         data = run_json(capsys, "homology", "wollmilchsau")

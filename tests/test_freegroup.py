@@ -16,14 +16,12 @@ from origami_forge.freegroup import (
     _reduce,
     _rotations,
     beta_hat,
-    compose,
     cyclic_reduce,
     exponent_sums,
     format_word,
     gen,
     horizontal_twist_lift,
     identity,
-    identity_endo,
     is_conjugate,
     is_conjugate_horizontal,
     lift_matrix,
@@ -35,7 +33,15 @@ from origami_forge.freegroup import (
     word,
 )
 
-from oracles import inner, is_horizontal, letter_reduce, mat2_mul
+from oracles import (
+    compose,
+    composed_lift,
+    identity_endo,
+    inner,
+    is_horizontal,
+    letter_reduce,
+    mat2_mul,
+)
 
 letters = st.lists(
     st.tuples(st.integers(1, 2), st.sampled_from([-1, 1])), max_size=12
@@ -248,6 +254,20 @@ class TestExponentMap:
                 factors = nielsen_factors(A)
                 assert functools.reduce(mat2_mul, factors, (1, 0, 0, 1)) == A
                 assert len(factors) <= 12 * digits + 4
+
+    def test_lift_matrix_matches_composed_lifts(self):
+        """Folding the factors with apply_factors gives the same words as
+        composing one Nielsen automorphism per factor."""
+        rng = random.Random(22)
+        for digits in (1, 2, 3):
+            for _ in range(60):
+                a, c = (rng.randrange(-10 ** digits, 10 ** digits)
+                        for _ in range(2))
+                if math.gcd(a, c) != 1:
+                    continue
+                _, d, b = _bezout(a, c)
+                A = rng.choice(((a, -b, c, d), (a, b, c, -d)))
+                assert lift_matrix(A) == composed_lift(A), A
 
     def test_lift_matrix_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):

@@ -11,10 +11,8 @@ import pytest
 from origami_forge import homology, linalg
 from origami_forge.freegroup import (
     F2Endo,
-    compose,
     horizontal_twist_lift,
     identity,
-    identity_endo,
     parse_word,
 )
 from origami_forge.homology import (
@@ -65,6 +63,7 @@ from oracles import (
     coord_rows,
     d1,
     d2,
+    identity_endo,
     induced_matrix,
     mat_mul,
     mat_vec,

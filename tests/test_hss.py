@@ -4,6 +4,7 @@ separating pairs, backtracking, curve emission, and list splitting."""
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,12 +21,13 @@ from origami_forge.hss import (
     Sentinel,
     SLabel,
     _exponent,
+    _half_bounds,
+    _separating_pair,
     backtrack,
     dual_curves,
     emit_curve,
     find_hss,
     find_hss_detailed,
-    find_separating_pair,
     format_label,
     init_lists,
     merge_all,
@@ -46,11 +48,18 @@ from origami_forge.origami import (
     x_origami,
 )
 
-from oracles import concatenate, replay, replay_backtrack
+from oracles import (
+    SectionPool,
+    concatenate,
+    find_separating_pair,
+    pool_labels,
+    replay,
+    replay_backtrack,
+)
 
 
 def shown(pool, lid):
-    return [format_label(l) for l in pool.labels(lid)]
+    return [format_label(l) for l in pool_labels(pool, lid)]
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +82,16 @@ def _rescan_is_square(label):
 def rescan_merge_all(pool):
     """Each round rebuilds the label list of every remaining pool list and
     takes the first one sharing a label with the accumulator."""
-    remaining = pool.pool_lids()
+    remaining = list(pool.pool_order)
     history = MergeHistory(initial=list(remaining))
     acc = remaining.pop(0)
     while remaining:
-        acc_labels = {l for l in pool.labels(acc) if _rescan_is_square(l)}
+        acc_labels = {l for l in pool_labels(pool, acc)
+                      if _rescan_is_square(l)}
         chosen = None
         for idx, mid in enumerate(remaining):
-            m_order = [l for l in pool.labels(mid) if _rescan_is_square(l)]
+            m_order = [l for l in pool_labels(pool, mid)
+                       if _rescan_is_square(l)]
             common = [l for l in m_order if l in acc_labels]
             if common:
                 unprimed = [l for l in common if not l.marks]
@@ -133,7 +144,7 @@ def rescan_find_hss(o):
             step3_update(pool, chain)
         final, history = rescan_merge_all(pool)
         histories.append(history)
-        alpha, _ = rescan_find_separating_pair(pool.labels(final))
+        alpha, _ = rescan_find_separating_pair(pool_labels(pool, final))
         chain = replay_backtrack(pool, history, alpha)
         curves.append(emit_curve(pool, chain))
     return curves, histories
@@ -173,11 +184,40 @@ def assert_tree_walk_matches_replay(o):
             absorbed.add(mid)
         assert set(history.tree) == absorbed - {root}, o
         assert absorbed == set(history.initial), o
-        alpha, separating = find_separating_pair(pool.labels(history.final))
+        alpha, separating = find_separating_pair(
+            pool_labels(pool, history.final))
         assert separating == beta, o
         for label in (alpha, beta):
             assert backtrack(pool, history, label) == replay_backtrack(
                 pool, history, label), (o, label)
+
+
+def next_chain(pool):
+    """One cut-system round on the pool: merge, separating pair, chain."""
+    final, history = merge_all(pool)
+    alpha, _ = _separating_pair(pool.labs[final], pool.square, pool.order)
+    return backtrack(pool, history, pool.label_at[alpha])
+
+
+def assert_order_matches_sections(o):
+    """The pool order equals the three sections' order after every round,
+    the last one included; the sections run on a second pool kept in
+    lockstep with the first."""
+    cuts, _ = step1(o)
+    rounds = genus(o) - len(cuts)
+    if not rounds:
+        return
+    pool, ref_pool = init_lists(o, cuts), init_lists(o, cuts)
+    ref = SectionPool(ref_pool)
+    chain = None
+    for r in range(rounds + 1):
+        if chain is not None:
+            step3_update(pool, chain)
+            ref.step3_update(ref_pool, chain)
+        assert pool.pool_order == ref_pool.pool_order, (o, r)
+        if r < rounds:
+            chain = next_chain(pool)
+            assert next_chain(ref_pool) == chain, (o, r)
 
 
 class TestStep1:
@@ -239,7 +279,7 @@ class TestInitialLists:
         o = wollmilchsau()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        lids = pool.pool_lids()
+        lids = pool.pool_order
         assert [shown(pool, lid) for lid in lids] == [
             ["1", "2", "3", "4"],
             ["8", "5", "6", "7"],
@@ -251,7 +291,7 @@ class TestInitialLists:
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
         lz = [
-            lid for lid in pool.pool_lids() if pool.lists[lid].kind == "lz"
+            lid for lid in pool.pool_order if pool.lists[lid].kind == "lz"
         ]
         assert shown(pool, lz[0]) == [
             "a8", "8", "9", "10", "11", "12", "13", "14",
@@ -263,13 +303,13 @@ class TestInitialLists:
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
         lower = next(
-            lid for lid in pool.pool_lids() if pool.lists[lid].kind == "u"
+            lid for lid in pool.pool_order if pool.lists[lid].kind == "u"
         )
         upper = next(
-            lid for lid in pool.pool_lids() if pool.lists[lid].kind == "o"
+            lid for lid in pool.pool_order if pool.lists[lid].kind == "o"
         )
-        lo = [l.square for l in pool.labels(lower)]
-        up = [l.square for l in pool.labels(upper)]
+        lo = [l.square for l in pool_labels(pool, lower)]
+        up = [l.square for l in pool_labels(pool, upper)]
         assert up == [o.p2(s) for s in reversed(lo)]
 
 
@@ -278,7 +318,7 @@ class TestMerging:
         o = wollmilchsau()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        a, b = pool.pool_lids()[:2]  # [1,2,3,4] and [8,5,6,7]
+        a, b = pool.pool_order[:2]  # [1,2,3,4] and [8,5,6,7]
         with pytest.raises(NoCommonLabel):
             concatenate(pool, a, b, SLabel(9, ()), None)
 
@@ -286,7 +326,7 @@ class TestMerging:
         o = wollmilchsau()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        a, b = pool.pool_lids()[:2]  # [1,2,3,4] and [8,5,6,7]
+        a, b = pool.pool_order[:2]  # [1,2,3,4] and [8,5,6,7]
         with pytest.raises(NoCommonLabel, match="label 1 missing"):
             concatenate(pool, a, b, SLabel(1, ()), None)
 
@@ -312,7 +352,7 @@ class TestMerging:
                 sides = [pool.new_side(label, "u", 1) for label in labels]
                 lid = pool.new_list(sides, True, "u", 1)
                 pool.settle(lid)
-                pool.u_section.append((1, lid))
+                pool.pool_order.append(lid)
             return pool
 
         rng = random.Random(1515)
@@ -368,7 +408,7 @@ class TestBacktrackAndEmission:
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
-        alpha, _ = find_separating_pair(pool.labels(final))
+        alpha, _ = find_separating_pair(pool_labels(pool, final))
         chain = backtrack(pool, history, alpha)
         return pool, chain
 
@@ -402,7 +442,7 @@ class TestPairExponent:
         (base 5) is inconsistent."""
         o = o14()
         pool = init_lists(o, [z for z in cylinders(o) if z.length == 7])
-        (lid,) = [lid for lid in pool.pool_lids()
+        (lid,) = [lid for lid in pool.pool_order
                   if pool.lists[lid].kind == "u"]
         sides = pool.lists[lid].sides
         assert shown(pool, lid)[:3] == ["8", "9", "10"]
@@ -417,12 +457,12 @@ class TestListSplitting:
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
-        alpha, _ = find_separating_pair(pool.labels(final))
+        alpha, _ = find_separating_pair(pool_labels(pool, final))
         chain = backtrack(pool, history, alpha)
         step3_update(pool, chain)
         tables = [
             (pool.lists[lid].kind, pool.lists[lid].cyclic, shown(pool, lid))
-            for lid in pool.pool_lids()
+            for lid in pool.pool_order
         ]
         assert tables == [
             ("u", True, ["1'", '2"', "3", "4"]),
@@ -438,18 +478,18 @@ class TestListSplitting:
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
-        alpha, _ = find_separating_pair(pool.labels(final))
+        alpha, _ = find_separating_pair(pool_labels(pool, final))
         chain = backtrack(pool, history, alpha)
         step3_update(pool, chain)
         split = [
             shown(pool, lid)
-            for lid in pool.pool_lids()
+            for lid in pool.pool_order
             if pool.lists[lid].kind == "u" and not pool.lists[lid].cyclic
         ]
         assert split == [['12"', "13", "14", "8'"]]
         lz = [
             shown(pool, lid)
-            for lid in pool.pool_lids()
+            for lid in pool.pool_order
             if pool.lists[lid].kind == "lz"
         ]
         assert lz == [[
@@ -462,7 +502,7 @@ class TestListSplitting:
         o = wollmilchsau()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        lower, upper = pool.pool_lids()[:2]  # [1,2,3,4] and [8,5,6,7]
+        lower, upper = pool.pool_order[:2]  # [1,2,3,4] and [8,5,6,7]
         side_a = pool.lists[lower].sides[0]
         side_b = pool.lists[upper].sides[1]
         pair = ChainPair(side_a, side_b, lower, "u", 1)
@@ -602,3 +642,65 @@ class TestAgainstRescanEngine:
                     find_separating_pair(labels)
                 continue
             assert find_separating_pair(labels) == expected, labels
+
+
+class TestPoolOrderAgainstSections:
+    """One pool order, rebuilt once per round, against the three sections
+    it replaced."""
+
+    def test_fixtures(self, fixture_origamis):
+        for _, o in fixture_origamis:
+            assert_order_matches_sections(o)
+
+    def test_random_sample(self, random_sample):
+        for _, o in random_sample:
+            assert_order_matches_sections(o)
+
+    @pytest.mark.parametrize("d", [48, 64, 96])
+    def test_seeded_degree(self, d):
+        assert_order_matches_sections(random_origami(random.Random(d), d))
+
+    def test_lists_split_twice_in_one_chain(self, fixture_origamis):
+        """Chains of two or three pairs in one list, so that each later
+        pair splits the L0 or the L1 of the one before.  A cut-system round
+        never makes them, as its pairs lie in distinct lists of its merge
+        tree, but step3_update takes them."""
+        rng = random.Random(2222)
+        again = Counter()
+        for trial in range(1500):
+            _, o = fixture_origamis[trial % len(fixture_origamis)]
+            cuts, _ = step1(o)
+            pool, ref_pool = init_lists(o, cuts), init_lists(o, cuts)
+            ref = SectionPool(ref_pool)
+            if trial % 3 and genus(o) > len(cuts) + 1:
+                chain = next_chain(pool)
+                assert next_chain(ref_pool) == chain
+                step3_update(pool, chain)
+                ref.step3_update(ref_pool, chain)
+            lid = rng.choice(pool.pool_order)
+            lst = pool.lists[lid]
+            half = rng.choice("uo") if lst.kind == "lz" else lst.kind
+            lo, hi, _ = _half_bounds(pool, lid, half)
+            sides = lst.sides[lo:hi]
+            if len(sides) < 4:
+                continue
+            # nested pairs: each later one lies in the L0 or the L1 of the
+            # one before
+            k = rng.choice((4, 6)) if len(sides) >= 6 else 4
+            width = rng.randint(k, len(sides))  # a short one sweeps forward
+            start = rng.randint(0, len(sides) - width)
+            at = sorted(rng.sample(range(start, start + width), k))
+            chain = [ChainPair(sides[i], sides[j], lid, half, lst.cyl)
+                     for i, j in zip(at[:len(at) // 2], reversed(at))]
+            first = pool._next_list  # the first split makes L1, then L0
+            try:
+                step3_update(pool, chain)
+            except InconsistentChain:
+                continue
+            ref.step3_update(ref_pool, chain)
+            assert pool.pool_order == ref_pool.pool_order, (o, chain)
+            for part, made in (("L1", first), ("L0", first + 1)):
+                if made not in pool.pool_order:
+                    again[lst.kind, part] += 1
+        assert all(again[kind, part] for kind in ("u", "o", "lz")
+                   for part in ("L0", "L1")), again

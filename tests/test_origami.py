@@ -20,6 +20,7 @@ from origami_forge.origami import (
     BadDirection,
     BadFormat,
     BadParameters,
+    MAX_SHEAR_SQUARES,
     NotBijective,
     NotTransitive,
     Origami,
@@ -182,6 +183,13 @@ class TestShear:
     def test_requires_coprime_direction(self):
         with pytest.raises(BadDirection):
             shear(wollmilchsau(), 2, 4)
+
+    def test_square_count_is_bounded(self):
+        o = l_origami(2, 2)
+        q = MAX_SHEAR_SQUARES // o.d + 1
+        for p, q in ((1, q), (-1, -q), (1, 10 ** 40)):
+            with pytest.raises(BadParameters, match="squares"):
+                shear(o, p, q)
 
     def test_horizontal_direction_is_identity(self):
         o = wollmilchsau()

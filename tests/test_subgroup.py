@@ -10,9 +10,9 @@ import pytest
 from origami_forge.freegroup import (
     NotUnimodular,
     Word,
+    apply_factors,
     gen,
     horizontal_twist_lift,
-    identity_endo,
     lift_matrix,
     parse_word,
 )
@@ -42,6 +42,7 @@ from oracles import (
     COMMUTATOR,
     aut_stabilizes,
     contains,
+    identity_endo,
     inner,
     mat2_mul,
     puncture_relations,
@@ -231,6 +232,22 @@ class TestDifferential:
                 members += w is not None
                 non_members += w is None
         assert members > 50 and non_members > 50
+
+    def test_word_and_permutation_images_agree(self):
+        """apply_factors moves the words (x, y) and the monodromy pair
+        alike: each word image acts on every square as the permutation
+        image does.  A lift's words are as long as the matrix entries, so
+        5-digit entries run on the 3-square fixture only."""
+        rng = random.Random(606)
+        x, y = gen(2, 1), gen(2, 2)
+        for o in fixture_origamis():
+            for digits in (1, 1, 2, 2, 3, 3, 4) + ((5,) if o.d <= 3 else ()):
+                A = big_sl2(rng, digits)
+                X, Y = apply_factors(A, x, y)
+                P, Q = apply_factors(A, o.p1, o.p2)
+                for s in range(1, o.d + 1):
+                    assert act_word(o, s, X) == P(s), (o, A, s)
+                    assert act_word(o, s, Y) == Q(s), (o, A, s)
 
     def test_aut_stabilizes_matches_schreier_scan(self):
         rng = random.Random(17)
