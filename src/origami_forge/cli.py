@@ -193,7 +193,21 @@ def parse_matrix(text: str) -> tuple:
     try:
         return tuple(int(p) for p in parts)
     except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(d) > limit and d.isdecimal()
+                         for d in map(_digits, parts)):
+            raise BadFormat(
+                f"--matrix entries may have at most {limit} digits") from exc
         raise BadFormat("--matrix entries must be integers") from exc
+
+
+def _digits(entry: str) -> str:
+    """An integer literal without its whitespace, sign and underscores,
+    which is what Python's digit limit counts."""
+    entry = entry.strip()
+    if entry[:1] in ("+", "-"):
+        entry = entry[1:]
+    return entry.replace("_", "")
 
 
 def cmd_veech_check(args) -> dict:

@@ -381,10 +381,25 @@ def apply_factors(A: IntMatrix2, X, Y):
     """(X, Y) moved through `nielsen_factors(A)` in order: each factor
     (a, b; c, d) lifts to the automorphism x -> x^a y^c, y -> x^b y^d, so
     it sends the images (X, Y) of x and y to (X^a Y^c, X^b Y^d).  X and Y
-    may lie in any group with * and **, such as words or permutations."""
+    may lie in any group with * and **, such as words or permutations,
+    where ** returns its operand for exponent 1.
+
+    A zero exponent is skipped, so SWAP costs nothing, NEG_X and NEG_Y
+    one inverse each, and T^q one power and one product.  On permutations
+    of d squares each of these is O(d), so k factors cost O(d k) beside
+    the big-integer arithmetic of Euclid's algorithm."""
     for a, b, c, d in nielsen_factors(A):
-        X, Y = X ** a * Y ** c, X ** b * Y ** d
+        X, Y = _monomial(X, a, Y, c), _monomial(X, b, Y, d)
     return X, Y
+
+
+def _monomial(X, a: int, Y, c: int):
+    """X^a Y^c for exponents that are not both 0."""
+    if c == 0:
+        return X ** a
+    if a == 0:
+        return Y ** c
+    return X ** a * Y ** c
 
 
 def lift_matrix(A: IntMatrix2) -> F2Endo:

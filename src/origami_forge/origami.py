@@ -68,24 +68,38 @@ class BadFormat(ValueError):
 
 
 class Permutation:
-    """A permutation of {1..d}, stored as an image table."""
+    """A permutation of {1..d}, stored as an image table and a preimage
+    table.  `Permutation(images)` checks that images is a permutation;
+    products, powers and inverses are permutations by construction and
+    skip that check (`_of`)."""
 
     __slots__ = ("size", "_img", "_pre")
 
     def __init__(self, images: Sequence[int]):
-        d = len(images)
         img = tuple(images)
-        if sorted(img) != list(range(1, d + 1)):
-            raise NotBijective(f"not a permutation of 1..{d}: {img}")
-        pre = [0] * (d + 1)
+        if sorted(img) != list(range(1, len(img) + 1)):
+            raise NotBijective(f"not a permutation of 1..{len(img)}: {img}")
+        self._fill(img)
+
+    @classmethod
+    def _of(cls, img: tuple[int, ...]) -> "Permutation":
+        """The permutation with image tuple img, which must be one."""
+        p = object.__new__(cls)
+        p._fill(img)
+        return p
+
+    def _fill(self, img: tuple[int, ...]) -> None:
+        pre = [0] * (len(img) + 1)
         for s, t in enumerate(img, start=1):
             pre[t] = s
-        self.size = d
+        self.size = len(img)
         self._img = img
         self._pre = tuple(pre)
 
     @staticmethod
     def from_cycles(d: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
+        """Disjoint cycles in 1..d, checked entry by entry; the table they
+        give is then a permutation without a further check."""
         img = list(range(1, d + 1))
         seen = set()
         for cyc in cycles:
@@ -97,7 +111,7 @@ class Permutation:
                 seen.add(s)
             for i, s in enumerate(cyc):
                 img[s - 1] = cyc[(i + 1) % len(cyc)]
-        return Permutation(img)
+        return Permutation._of(tuple(img))
 
     def __call__(self, s: int) -> int:
         assert 1 <= s <= self.size, f"square {s} out of range"
@@ -109,15 +123,22 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self, then other: squares act on the left, as words do."""
-        return Permutation([other._img[t - 1] for t in self._img])
+        img = other._img
+        return Permutation._of(tuple([img[t - 1] for t in self._img]))
 
     def __pow__(self, k: int) -> "Permutation":
-        """The k-th power, each orbit shifted by k: O(d) for any k."""
+        """The k-th power: the operand itself for k = 1, the preimage
+        table for k = -1, and otherwise each orbit shifted by k, O(d) for
+        any k."""
+        if k == 1:
+            return self
+        if k == -1:
+            return Permutation._of(self._pre[1:])
         img = [0] * self.size
         for orbit in self.orbits():
             for i, s in enumerate(orbit):
                 img[s - 1] = orbit[(i + k) % len(orbit)]
-        return Permutation(img)
+        return Permutation._of(tuple(img))
 
     def orbits(self) -> list[list[int]]:
         """Orbits, each starting at its smallest element, ordered by that
@@ -168,11 +189,12 @@ class Origami:
         if self.p1.size != self.d or self.p2.size != self.d:
             raise NotBijective("permutation size differs from square count")
         # connectedness: <p1, p2> transitive on {1..d}
+        p1, p2 = self.p1.images(), self.p2.images()
         seen = {1}
         stack = [1]
         while stack:
             s = stack.pop()
-            for t in (self.p1(s), self.p2(s)):
+            for t in (p1[s - 1], p2[s - 1]):
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)

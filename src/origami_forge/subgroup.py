@@ -156,25 +156,43 @@ def substitute(ss: SchreierSystem, w: Word) -> Word:
 def _cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:
     """The first square s that H = Stab(base) fixes under (P, Q), or None:
     the first s such that base -> s extends to a map f of F_2-sets,
-    f(p1(t)) = P(f(t)) and f(p2(t)) = Q(f(t)).  f is built along a
-    spanning tree, then checked on all 2d edges: O(d) per s."""
+    f(p1(t)) = P(f(t)) and f(p2(t)) = Q(f(t)).  One breadth-first spanning
+    tree is built from the base; for each s, f is filled along its d - 1
+    edges and then checked on all 2d edges: O(d) per s, O(d^2) in all."""
     o = cs.origami
+    # Image tables with a leading 0, so that square t sits at index t and
+    # the unused entry 0 of f maps to 0 under every table.
+    p1, p2 = (0, *o.p1.images()), (0, *o.p2.images())
+    P, Q = (0, *P.images()), (0, *Q.images())
+    tree = []  # (t, u, R): u is first reached from t, so f(u) = R[f(t)]
+    seen = [False] * (o.d + 1)
+    seen[cs.base] = True
+    order = [cs.base]
+    for t in order:
+        for p, R in ((p1, P), (p2, Q)):
+            u = p[t]
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                tree.append((t, u, R))
+    f = [0] * (o.d + 1)
     for s in range(1, o.d + 1):
-        f, order = {cs.base: s}, [cs.base]
-        for t in order:
-            for p, q in ((o.p1, P), (o.p2, Q)):
-                if p(t) not in f:
-                    f[p(t)] = q(f[t])
-                    order.append(p(t))
-        if all(f[o.p1(t)] == P(f[t]) and f[o.p2(t)] == Q(f[t]) for t in f):
+        f[cs.base] = s
+        for t, u, R in tree:
+            f[u] = R[f[t]]
+        if ([f[u] for u in p1] == [P[v] for v in f]
+                and [f[u] for u in p2] == [Q[v] for v in f]):
             return s
     return None
 
 
 def veech_witness(cs: CosetAction, A: IntMatrix2) -> Optional[int]:
     """A square s with phi(H) = Stab(s) for phi = lift_matrix(A), or None;
-    not None iff A is in the Veech group.  The Nielsen factors of A act on
-    the monodromy pair directly (`apply_factors`): O(d log|A| + d^2)."""
+    not None iff A is in the Veech group.  The k = O(log|A|) Nielsen
+    factors of A act on the monodromy pair directly (`apply_factors`:
+    SWAP costs nothing, NEG_X and NEG_Y one inverse, T^q one power and one
+    product), and the covering test builds one spanning tree: O(d k + d^2)
+    beside Euclid's big-integer arithmetic."""
     if mat_det(A) != 1:
         raise NotUnimodular(f"det {mat_det(A)} != 1")
     return _cover(cs, *apply_factors(A, cs.origami.p1, cs.origami.p2))

@@ -41,7 +41,9 @@ the stabilizer H of the base square.
 from a Schreier system and a Smith form; the twist certificate is checked
 against it.  ``aut_stabilizes`` runs the covering test on the monodromy
 pair of a lifted automorphism, which ``subgroup.veech_witness`` builds
-from Nielsen factors instead.  ``puncture_relations`` gives one relation
+from Nielsen factors instead.  ``rescan_cover`` is the covering test as
+``subgroup._cover`` ran it before it built one spanning tree: a fresh
+breadth-first search over dicts for every candidate square.  ``puncture_relations`` gives one relation
 of H per vertex orbit.  ``inner`` is conjugation by a word, and
 ``is_horizontal`` tests a word for the block shape of horizontal words.
 """
@@ -799,6 +801,23 @@ def aut_stabilizes(cs: CosetAction, phi: F2Endo) -> Optional[int]:
     P = Permutation([act_word(o, s, phi.image_x) for s in range(1, o.d + 1)])
     Q = Permutation([act_word(o, s, phi.image_y) for s in range(1, o.d + 1)])
     return _cover(cs, P, Q)
+
+
+def rescan_cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:
+    """The first square s such that base -> s extends to a map f of
+    F_2-sets from (p1, p2) to (P, Q), or None; f is built along a spanning
+    tree searched again for every s, then checked on all 2d edges."""
+    o = cs.origami
+    for s in range(1, o.d + 1):
+        f, order = {cs.base: s}, [cs.base]
+        for t in order:
+            for p, q in ((o.p1, P), (o.p2, Q)):
+                if p(t) not in f:
+                    f[p(t)] = q(f[t])
+                    order.append(p(t))
+        if all(f[o.p1(t)] == P(f[t]) and f[o.p2(t)] == Q(f[t]) for t in f):
+            return s
+    return None
 
 
 def induced_matrix(

@@ -12,6 +12,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -143,6 +144,52 @@ class TestVeechCheck:
         )
         assert code == 1
         assert json.loads(err)["error"]["type"] == "NotUnimodular"
+
+    def test_fibonacci_matrix_within_budget(self, capsys):
+        """(F(n+1), F(n); F(n), F(n-1)) for even n has det 1; at 4,000
+        digits Euclid's algorithm splits it into 38,276 Nielsen factors,
+        and each call must still answer within 0.75 s, in-process."""
+        a, b = 0, 1
+        for _ in range(19138):
+            a, b = b, a + b
+        A = (b, a, a, b - a)
+        assert len(str(b)) == 4000
+        threads = threading.active_count()
+        for ref, member in (("wollmilchsau", True), ("o14", False)):
+            start = time.perf_counter()
+            data = run_json(capsys, "veech-check", ref,
+                            "--matrix", ",".join(map(str, A)))
+            assert time.perf_counter() - start < 0.75, ref
+            assert data["member"] is member and data["matrix"] == list(A)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("entries", [
+        "1{zeros},1,{nines},1",
+        "1,-{nines},0,1",
+        "1,0,{nines}_9,1",
+    ])
+    def test_entry_beyond_digit_limit_names_the_bound(self, capsys, entries):
+        """int() refuses a literal of more digits than the interpreter's
+        limit; the error names that limit rather than calling the entry
+        no integer.  The first matrix, (10^4400, 1; 10^4400 - 1, 1), has
+        det 1."""
+        limit = sys.get_int_max_str_digits()
+        text = entries.format(zeros="0" * (limit + 100),
+                              nines="9" * (limit + 100))
+        code, out, err = run_cli(capsys, "veech-check", "l22",
+                                 "--matrix", text)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "BadFormat",
+            "message": f"--matrix entries may have at most {limit} digits"}
+
+    @pytest.mark.parametrize("entries", ["1,2,x,1", "1,0,1_,1", "1,0,+-1,1"])
+    def test_entry_not_an_integer(self, capsys, entries):
+        code, _, err = run_cli(capsys, "veech-check", "l22",
+                               "--matrix", entries)
+        assert code == 1
+        assert json.loads(err)["error"] == {
+            "type": "BadFormat", "message": "--matrix entries must be integers"}
 
 
 class TestShearAndHomology:

@@ -59,12 +59,52 @@ class TestPermutation:
         assert p.inverse_of(1) == 3
         assert power(p, 1, -2) == 2
 
+    @pytest.mark.parametrize("cycles, message", [
+        ([[1, 5]], "entry 5 out of range 1..4"),
+        ([[0, 1]], "entry 0 out of range 1..4"),
+        ([[1, 2], [2, 3]], "entry 2 repeated across cycles"),
+        ([[1, 2, 1]], "entry 1 repeated across cycles"),
+    ])
+    def test_from_cycles_rejects_bad_entries(self, cycles, message):
+        """These checks are all that stands between parsed cycles and a
+        table that is not a permutation: from_cycles builds it unchecked."""
+        with pytest.raises(NotBijective) as exc:
+            Permutation.from_cycles(4, cycles)
+        assert str(exc.value) == message
+
     def test_power_shifts_along_orbits(self):
         p = Permutation.from_cycles(7, [[1, 2, 3], [4, 5], [7, 6]])
         for k in range(-7, 8):
             expected = tuple(power(p, s, k) for s in range(1, 8))
             assert (p ** k).images() == expected
         assert p ** (6 * 10 ** 30 + 1) == p
+
+    def test_unchecked_algebra_matches_checked(self):
+        """Products, powers, inverses and cycle tables skip the bijectivity
+        check; each must equal the checked `Permutation(list(...))` of its
+        images, preimage table included, and step as the oracle does."""
+
+        def checked(r):
+            c = Permutation(list(r.images()))
+            assert (r, r.size, r._pre) == (c, c.size, c._pre)
+            return r
+
+        rng = random.Random(23)
+        for d in range(1, 21):
+            for _ in range(3):
+                a, b = list(range(1, d + 1)), list(range(1, d + 1))
+                rng.shuffle(a)
+                rng.shuffle(b)
+                p, q = Permutation(a), Permutation(b)
+                assert checked(Permutation.from_cycles(d, p.cycles())) == p
+                product = checked(p * q).images()
+                assert product == tuple(q(p(s)) for s in range(1, d + 1))
+                order = math.lcm(*map(len, p.orbits()))
+                for k in [*range(-7, 8), order, -order, order + 1,
+                          -order - 1, 10 ** 30 + 1]:
+                    r = checked(p ** k)
+                    assert r.images() == tuple(power(p, s, k % order)
+                                               for s in range(1, d + 1))
 
     def test_orbits_sorted_by_minimum(self):
         p = Permutation.from_cycles(5, [[4, 5], [1, 3]])

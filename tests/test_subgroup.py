@@ -20,10 +20,12 @@ from origami_forge.origami import (
     Permutation,
     act_word,
     cylinders,
+    horizontal_multiplier,
     l_origami,
     o14,
     random_origami,
     vertex_orbits,
+    vertical_multiplier,
     wollmilchsau,
     x_origami,
 )
@@ -31,6 +33,7 @@ from origami_forge.subgroup import (
     CosetAction,
     NotInSubgroup,
     SchreierSystemError,
+    _cover,
     rewrite,
     schreier_system,
     substitute,
@@ -46,6 +49,7 @@ from oracles import (
     inner,
     mat2_mul,
     puncture_relations,
+    rescan_cover,
 )
 
 
@@ -248,6 +252,55 @@ class TestDifferential:
                 for s in range(1, o.d + 1):
                     assert act_word(o, s, X) == P(s), (o, A, s)
                     assert act_word(o, s, Y) == Q(s), (o, A, s)
+
+    def test_cover_matches_rescan_on_fixtures(self):
+        """One spanning tree against a search per candidate, from every
+        base square: on lifted matrices, on the monodromy pair conjugated
+        by a random permutation (an isomorphic F_2-set, so a cover exists
+        whose witness is rarely the base), and on random pairs."""
+        rng = random.Random(31)
+        members = non_members = 0
+        for o in fixture_origamis():
+            pairs = [apply_factors(random_sl2(rng), o.p1, o.p2)
+                     for _ in range(8)]
+            pairs += [apply_factors(big_sl2(rng, 6), o.p1, o.p2)
+                      for _ in range(2)]
+            for _ in range(4):
+                images = list(range(1, o.d + 1))
+                rng.shuffle(images)
+                sigma = Permutation(images)
+                pairs.append((sigma ** -1 * o.p1 * sigma,
+                              sigma ** -1 * o.p2 * sigma))
+                rng.shuffle(images)
+                P = Permutation(images)
+                rng.shuffle(images)
+                pairs.append((P, Permutation(images)))
+            for base in range(1, o.d + 1):
+                cs = CosetAction(o, base)
+                for P, Q in pairs:
+                    w = _cover(cs, P, Q)
+                    assert w == rescan_cover(cs, P, Q), (o, base, P, Q)
+                    members += w is not None
+                    non_members += w is None
+        assert members > 250 and non_members > 250
+
+    def test_cover_matches_rescan_on_random_sample(self, random_sample):
+        """Multitwists, which are members, and seeded random matrices on
+        the shared sample, from the base 1 and from a random base."""
+        rng = random.Random(37)
+        members = non_members = 0
+        for _, o in random_sample:
+            matrices = [horizontal_multiplier(o)[1], vertical_multiplier(o)[1]]
+            matrices += [random_sl2(rng) for _ in range(6)]
+            for base in (1, rng.randint(1, o.d)):
+                cs = CosetAction(o, base)
+                for A in matrices:
+                    P, Q = apply_factors(A, o.p1, o.p2)
+                    w = _cover(cs, P, Q)
+                    assert w == rescan_cover(cs, P, Q), (o, base, A)
+                    members += w is not None
+                    non_members += w is None
+        assert members > 1000 and non_members > 1000
 
     def test_aut_stabilizes_matches_schreier_scan(self):
         rng = random.Random(17)
