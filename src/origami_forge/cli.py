@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("veech-check", help="Veech group membership")
     p.add_argument("origami")
     p.add_argument("--matrix", required=True, metavar="a,b,c,d",
-                   help="integer matrix entries, row-major")
+                   help="integer matrix entries, row-major; write "
+                   "--matrix=a,b,c,d when a is negative")
 
     p = sub.add_parser("shear", help="re-square along a rational direction")
     p.add_argument("origami")

@@ -3,14 +3,19 @@ intersection form, block-form and characteristic polynomial tests,
 symplectic-homomorphism evaluation and membership checks.
 
 The CW structure has one vertex per singularity orbit, edges h_s (bottom
-side of square s) and v_s (left side), and one face per square.  H1 is
-read off one tree-cotree decomposition (Eppstein, SODA 2003): a spanning
-tree T of the 1-skeleton, a spanning tree C of the dual graph on the edges
-outside T, and the 2g chords left in neither.  The chords' fundamental
-cycles in T are the basis, peeling C from its leaves gives every edge's
-coordinates, and the Gram matrix is the chords' crossing matrix on the
-ribbon graph with T contracted.  The quotient is free by construction, so
-no diagonal form is needed.  All arithmetic is exact.
+side of square s) and v_s (left side), and one face per square.  Edges are
+indexed h_s -> s-1 and v_s -> d+s-1 for s in 1..d; h_s runs from the
+vertex of s to that of p1(s), v_s from the vertex of s to that of p2(s).
+`h1_model` builds this complex itself and keeps only the ends of each
+edge.  H1 is read off one tree-cotree decomposition (Eppstein, SODA
+2003): a spanning tree T of the 1-skeleton, a spanning tree C of the dual
+graph on the edges outside T, and the 2g chords left in neither.  T is
+kept as parent links, and each chord's fundamental cycle in T, a basis
+cycle, is summed up from its two ends.  Peeling C from its leaves gives
+every edge's coordinates, and the Gram matrix is the chords' crossing
+matrix on the ribbon graph with T contracted.  Each square's boundary is
+read once, and every step reads that table.  The quotient is free by
+construction, so no diagonal form is needed.  All arithmetic is exact.
 
 Nothing is stored dense.  Each edge's coordinate column and each row of
 the Gram matrix is a list of (index, value) pairs: an edge's coordinates
@@ -61,11 +66,9 @@ __all__ = [
     "NotLagrangian",
     "NotPrimitive",
     "UnknownGenerator",
-    "CellComplex",
     "H1Model",
     "AlphaSpec",
     "WordFixture",
-    "cell_complex",
     "edge_cycle",
     "h1_model",
     "class_of",
@@ -116,51 +119,11 @@ class CertificateError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellComplex:
-    """Edges are indexed h_s -> s-1 and v_s -> d+s-1 for s in 1..d."""
-
-    o: Origami
-    vertices: tuple            # vertex orbits, each a tuple of squares
-    vertex_of: tuple           # square -> vertex index (1-based squares)
-    ends: tuple                # edge index -> (tail vertex, head vertex)
-
-    @property
-    def edge_count(self) -> int:
-        return 2 * self.o.d
-
-    def edge_ends(self, e: int) -> Tuple[int, int]:
-        """(tail vertex, head vertex) of edge index e."""
-        return self.ends[e]
-
-
 def _boundary(o: Origami, s: int) -> Tuple[Tuple[int, int], ...]:
     """(edge index, sign) for each side of square s: +h_s, +v_{p1(s)},
-    -h_{p2(s)}, -v_s.  The boundary check of `cell_complex` and the
-    cotree peel both read it."""
+    -h_{p2(s)}, -v_s.  `h1_model` reads it once per square."""
     d = o.d
     return ((s - 1, 1), (d + o.p1(s) - 1, 1), (o.p2(s) - 1, -1), (d + s - 1, -1))
-
-
-def cell_complex(o: Origami) -> CellComplex:
-    d = o.d
-    orbits = o.corner_orbits
-    vertex_of = [None] * (d + 1)
-    for vi, orbit in enumerate(orbits):
-        for s in orbit:
-            vertex_of[s] = vi
-    ends = [(vertex_of[s], vertex_of[o.p1(s)]) for s in range(1, d + 1)]
-    ends += [(vertex_of[s], vertex_of[o.p2(s)]) for s in range(1, d + 1)]
-    # d1 d2 = 0: the four sides of each square sum to 0 at every vertex
-    for s in range(1, d + 1):
-        at: Dict[int, int] = {}
-        for e, sign in _boundary(o, s):
-            t, h = ends[e]
-            at[h] = at.get(h, 0) + sign
-            at[t] = at.get(t, 0) - sign
-        if any(at.values()):
-            raise ConventionViolation("d1 * d2 != 0")
-    return CellComplex(o, orbits, tuple(vertex_of), tuple(ends))
 
 
 def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
@@ -198,7 +161,7 @@ def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
 Sparse = List[Tuple[int, int]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class H1Model:
     """H1 in the basis of the chords' cycles, stored sparse: `columns`
     and `gram_rows` hold only non-zero entries, so `coords` and `pair`
@@ -206,8 +169,8 @@ class H1Model:
     `homology` command prints."""
 
     o: Origami
-    complex: CellComplex
     g: int
+    ends: List[Tuple[int, int]]      # edge e -> (tail vertex, head vertex)
     columns: List[Sparse]            # edge e -> H1 coordinates of e
     basis: List[List[int]]           # 2g edge vectors representing the basis
     gram: linalg.Matrix              # intersection form on the basis
@@ -223,8 +186,8 @@ class H1Model:
     def coords(self, z: Sequence[int]) -> List[int]:
         """H1 coordinates of a cycle given as an edge vector: the sum of
         its edges' columns, once its boundary is checked to be 0."""
-        ends = self.complex.ends
-        at = [0] * len(self.complex.vertices)
+        ends = self.ends
+        at = [0] * len(self.o.corner_orbits)
         out = [0] * len(self.basis)
         for e, x in enumerate(z):
             if x:
@@ -251,48 +214,66 @@ class H1Model:
         return _dot(self.form_row(u), v)
 
 
-def _spanning_tree(cx: CellComplex) -> Tuple[List[int], List[List[int]]]:
-    """A BFS spanning tree T of the 1-skeleton from vertex 0: its edges in
-    the order found, and for each vertex v the edge vector of the path in T
-    from vertex 0 to v."""
-    nv, n = len(cx.vertices), cx.edge_count
+# (parent vertex, edge, sign) of a vertex other than the root of T: the
+# edge runs from the parent to the vertex when sign is +1, back when -1
+Link = Tuple[int, int, int]
+
+
+def _spanning_tree(
+    nv: int, ends: Sequence[Tuple[int, int]]
+) -> Tuple[List[int], List[Optional[Link]]]:
+    """A BFS spanning tree T of the 1-skeleton on nv vertices from vertex
+    0, given the ends of each edge: its edges in the order found, and each
+    vertex's link to its parent (None for vertex 0)."""
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(nv)]
-    for e in range(n):
-        t, h = cx.edge_ends(e)
+    for e, (t, h) in enumerate(ends):
         adj[t].append((h, e, 1))
         adj[h].append((t, e, -1))
-    path: List[Optional[List[int]]] = [None] * nv
-    path[0] = [0] * n
+    parent: List[Optional[Link]] = [None] * nv
     tree, order = [], [0]
     for v in order:
         for w, e, sign in adj[v]:
-            if path[w] is None:
-                path[w] = path[v][:]
-                path[w][e] += sign
+            if w and parent[w] is None:
+                parent[w] = (v, e, sign)
                 tree.append(e)
                 order.append(w)
     if len(order) != nv:
         raise ConventionViolation("1-skeleton not connected")
-    return tree, path
+    return tree, parent
 
 
 def h1_model(o: Origami) -> H1Model:
-    cx = cell_complex(o)
-    g = genus(o)
-    n = cx.edge_count
-    tree, path = _spanning_tree(cx)
-    in_tree = set(tree)
-    # each edge bounds two square sides; sides[e] sums their squares
+    d, n = o.d, 2 * o.d
+    orbits = o.corner_orbits
+    vertex_of = [0] * (d + 1)
+    for vi, orbit in enumerate(orbits):
+        for s in orbit:
+            vertex_of[s] = vi
+    ends = [(vertex_of[s], vertex_of[o.p1(s)]) for s in range(1, d + 1)]
+    ends += [(vertex_of[s], vertex_of[o.p2(s)]) for s in range(1, d + 1)]
+    # boundary[f - 1] is the boundary of square f.  Each edge bounds two
+    # square sides, and sides[e] sums their squares
+    boundary = [_boundary(o, s) for s in range(1, d + 1)]
     sides = [0] * n
-    for s in range(1, o.d + 1):
-        for e, _ in _boundary(o, s):
+    for s, bd in enumerate(boundary, 1):
+        # d1 d2 = 0: the four sides of each square sum to 0 at every vertex
+        at: Dict[int, int] = {}
+        for e, sign in bd:
             sides[e] += s
+            t, h = ends[e]
+            at[h] = at.get(h, 0) + sign
+            at[t] = at.get(t, 0) - sign
+        if any(at.values()):
+            raise ConventionViolation("d1 * d2 != 0")
+    g = genus(o)
+    tree, parent = _spanning_tree(len(orbits), ends)
+    in_tree = set(tree)
     # C: a BFS spanning tree of the dual graph on the edges outside T,
     # rooted at square 1; C reaches square f through the edge into[f]
     into = {1: None}
     order = [1]
     for f in order:
-        for e, _ in _boundary(o, f):
+        for e, _ in boundary[f - 1]:
             other = sides[e] - f
             if e not in in_tree and other not in into:
                 into[other] = e
@@ -312,33 +293,36 @@ def h1_model(o: Origami) -> H1Model:
     for f in reversed(order[1:]):
         e = into[f]
         rest: Dict[int, int] = {}
-        for e2, sign2 in _boundary(o, f):
+        for e2, sign2 in boundary[f - 1]:
             if e2 == e:
                 sign = sign2
             else:
                 for i, x in col[e2].items():
                     rest[i] = rest.get(i, 0) + sign2 * x
         col[e] = {i: -sign * x for i, x in rest.items() if x}
+    # the cycle of chord e is e plus the path in T to its tail minus the
+    # path to its head, each path summed up the parent links from its end
     basis = []
     for e in chords:
-        t, h = cx.edge_ends(e)
-        z = [a - b for a, b in zip(path[t], path[h])]
-        z[e] += 1
+        z = [0] * n
+        z[e] = 1
+        for v, step in zip(ends[e], (1, -1)):
+            while v:
+                v, e2, sign = parent[v]
+                z[e2] += step * sign
         basis.append(z)
-    model = H1Model(o, cx, g, [list(c.items()) for c in col], basis, [], [],
-                    tree, chords)
-    model.gram = intersection_form(o, model)
-    model.gram_rows = [[(j, x) for j, x in enumerate(row) if x]
-                       for row in model.gram]
+    gram = intersection_form(o, tree, chords)
     if any(
-        model.gram[i][j] != -model.gram[j][i]
+        gram[i][j] != -gram[j][i]
         for i in range(2 * g)
         for j in range(2 * g)
     ):
         raise ConventionViolation("intersection form not skew")
-    if abs(linalg.det_int(model.gram)) != 1:
+    if abs(linalg.det_int(gram)) != 1:
         raise ConventionViolation("intersection form not unimodular")
-    return model
+    gram_rows = [[(j, x) for j, x in enumerate(row) if x] for row in gram]
+    return H1Model(o, g, ends, [list(c.items()) for c in col], basis, gram,
+                   gram_rows, tree, chords)
 
 
 def class_of(o: Origami, model: H1Model, w: Word, base: int = 1) -> List[int]:
@@ -400,13 +384,15 @@ def _contracted_order(o: Origami, tree: Sequence[int]) -> List[int]:
     return order
 
 
-def intersection_form(o: Origami, model: H1Model) -> linalg.Matrix:
-    """Gram matrix of the algebraic intersection pairing on the basis.
-    Contracting the spanning tree T leaves a one-vertex ribbon graph on
-    which each basis cycle is its chord alone, so the Gram matrix is the
-    crossing matrix of the chords."""
-    pos = {x: i for i, x in enumerate(_contracted_order(o, model.tree))}
-    ends = [(pos[2 * e], pos[2 * e + 1]) for e in model.chords]
+def intersection_form(
+    o: Origami, tree: Sequence[int], chords: Sequence[int]
+) -> linalg.Matrix:
+    """Gram matrix of the algebraic intersection pairing on the cycles of
+    the chords in the spanning tree T.  Contracting T leaves a one-vertex
+    ribbon graph on which each such cycle is its chord alone, so the Gram
+    matrix is the crossing matrix of the chords."""
+    pos = {x: i for i, x in enumerate(_contracted_order(o, tree))}
+    ends = [(pos[2 * e], pos[2 * e + 1]) for e in chords]
 
     def crossings(lo: int, hi: int) -> List[int]:
         """The row of the chord lo -> hi: for each chord, +-1 when exactly

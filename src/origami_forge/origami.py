@@ -186,6 +186,9 @@ class Origami:
     p2: Permutation
 
     def __post_init__(self):
+        if self.d < 1:
+            raise BadParameters(
+                f"an origami needs at least one square, not {self.d}")
         if self.p1.size != self.d or self.p2.size != self.d:
             raise NotBijective("permutation size differs from square count")
         # connectedness: <p1, p2> transitive on {1..d}
@@ -551,8 +554,8 @@ def format_origami(o: Origami) -> str:
 
 
 def random_origami(rng, d: int) -> Origami:
-    """A uniformly random transitive origami with d squares, by rejection."""
-    assert d >= 1
+    """A uniformly random transitive origami with d squares, by rejection;
+    BadParameters for d < 1."""
     while True:
         a = list(range(1, d + 1))
         b = list(range(1, d + 1))

@@ -22,6 +22,8 @@ multiplies the 2 x 2 matrices of ``freegroup``, kept as (a, b, c, d).
 ``d1``, ``d2`` and ``coord_rows`` are the dense boundary and coordinate
 matrices that the sparse H1 model no longer stores; ``DenseH1`` computes
 coordinates, pairings and Lagrangian rows by dense products through them.
+They take the origami, or the model's, and number its vertices by
+``vertex_index``, in the order of ``o.corner_orbits``.
 ``spliced_order`` contracts the spanning tree by splicing vertex circles
 under a union-find, as ``homology`` did before it contracted in one walk.
 
@@ -598,12 +600,21 @@ def snf_symplectic_completion(
 # ---------------------------------------------------------------------------
 
 
-def d1(cx) -> linalg.Matrix:
+def vertex_index(o) -> list:
+    """Square s -> index of its vertex orbit in o.corner_orbits."""
+    vertex_of = [None] * (o.d + 1)
+    for vi, orbit in enumerate(o.corner_orbits):
+        for s in orbit:
+            vertex_of[s] = vi
+    return vertex_of
+
+
+def d1(o) -> linalg.Matrix:
     """The V x 2d boundary matrix of the edges: h_s runs from the vertex
     of s to that of p1(s), v_s from the vertex of s to that of p2(s)."""
-    o, vertex_of = cx.o, cx.vertex_of
+    vertex_of = vertex_index(o)
     d = o.d
-    D = linalg.zeros(len(cx.vertices), 2 * d)
+    D = linalg.zeros(len(o.corner_orbits), 2 * d)
     for s in range(1, d + 1):
         D[vertex_of[o.p1(s)]][s - 1] += 1
         D[vertex_of[s]][s - 1] -= 1
@@ -612,10 +623,9 @@ def d1(cx) -> linalg.Matrix:
     return D
 
 
-def d2(cx) -> linalg.Matrix:
+def d2(o) -> linalg.Matrix:
     """The 2d x d boundary matrix of the squares: square s is bounded by
     h_s + v_{p1(s)} - h_{p2(s)} - v_s."""
-    o = cx.o
     d = o.d
     D = linalg.zeros(2 * d, d)
     for s in range(1, d + 1):
@@ -633,9 +643,9 @@ def coord_rows(model: H1Model) -> linalg.Matrix:
     form a spanning tree of the dual graph, so d2 restricted to them has
     full column rank and each row of R on them is the unique solution of
     one linear system, solved by a Smith form."""
-    cx = model.complex
-    n, d = cx.edge_count, cx.o.d
-    D = d2(cx)
+    d = model.o.d
+    n = 2 * d
+    D = d2(model.o)
     known = set(model.tree) | set(model.chords)
     cotree = [e for e in range(n) if e not in known]
     snf = smith_normal_form([[D[e][f] for e in cotree] for f in range(d)])
@@ -650,16 +660,16 @@ def coord_rows(model: H1Model) -> linalg.Matrix:
     return R
 
 
-def spliced_order(cx, tree: Sequence[int]) -> list:
+def spliced_order(o, tree: Sequence[int]) -> list:
     """The darts outside the spanning tree in their cyclic order around the
     contracted vertex, by the splice that `homology._contracted_order`
     replaced: one circle of darts per vertex, read off the corner walk of
     its orbit, and for each tree edge the circles at its two darts spliced
     under a union-find.  Dart 2e + end is edge e's tail (0) or head (1)."""
-    o = cx.o
     d = o.d
+    vertex_of = vertex_index(o)
     circles = []
-    for orbit in cx.vertices:
+    for orbit in o.corner_orbits:
         circle = []
         for s in orbit:
             left = o.p1.inverse_of(s)
@@ -676,7 +686,8 @@ def spliced_order(cx, tree: Sequence[int]) -> list:
 
     circ = dict(enumerate(circles))
     for e in tree:
-        t, h = cx.edge_ends(e)
+        s = e % d + 1  # e is h_s or v_s
+        t, h = vertex_of[s], vertex_of[(o.p1 if e < d else o.p2)(s)]
         rt, rh = find(t), find(h)
         if rt == rh:
             raise AssertionError("spanning tree edge closes a cycle")
@@ -696,7 +707,7 @@ class DenseH1:
 
     def __init__(self, model: H1Model):
         self.gram = model.gram
-        self.d1 = d1(model.complex)
+        self.d1 = d1(model.o)
         self.rows = coord_rows(model)
 
     def coords(self, z):

@@ -10,6 +10,7 @@ import os
 import pathlib
 import pkgutil
 import random
+import shlex
 import subprocess
 import sys
 import threading
@@ -242,6 +243,68 @@ class TestShearAndHomology:
             "type": "CertificateError",
             "message": "twist action is not in block form",
         }
+
+
+class TestExtremeInputBudget:
+    """Every command that reads one origami answers within 0.5 s on the
+    5,000-square torus, in-process and with no thread started: p1 is one
+    5,000-cycle and p2 the identity, so the surface has genus 1 and 5,000
+    vertices."""
+
+    @pytest.fixture(scope="class")
+    def torus_file(self, tmp_path_factory):
+        d = 5000
+        path = tmp_path_factory.mktemp("torus") / "torus5000.ori"
+        squares = " ".join(map(str, range(1, d + 1)))
+        path.write_text(f"squares: {d}\np1: ({squares})\np2: id\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["hss"], ["verify-hss"], ["homology"],
+        ["homology", "--twist"],
+    ], ids=" ".join)
+    def test_torus_within_budget(self, capsys, torus_file, argv):
+        threads = threading.active_count()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv[0], torus_file, *argv[1:])
+        assert time.perf_counter() - start < 0.5
+        assert code == 0, err
+        assert threading.active_count() == threads
+        data = json.loads(out)
+        if argv[0] == "homology":
+            assert data["rank"] == 2
+        elif argv[0] == "verify-hss":
+            assert data["ok"] is True and data["genus"] == 1
+        elif argv[0] == "analyze":
+            assert data["genus"] == 1 and len(data["vertex_orbits"]) == 5000
+        else:
+            assert data["curves"] == [{"start": 1, "word": "x^5000"}]
+
+
+def readme_cli_examples():
+    """The `origami-forge ...` lines of README.md's CLI block, each as an
+    argument list without the program name and the trailing comment."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines()
+            if line.startswith("origami-forge ")]
+
+
+class TestReadmeExamples:
+    """The documented usage keeps running: every example exits 0 and
+    prints one JSON object on stdout."""
+
+    def test_block_is_found(self):
+        assert len(readme_cli_examples()) >= 10
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_example_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out.endswith("}\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
 
 
 @contextlib.contextmanager

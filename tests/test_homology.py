@@ -3,8 +3,9 @@ intersection form, symplectic completions, induced matrices, and the
 word-level mapping-class checks."""
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,6 @@ from origami_forge.homology import (
     action_matrix_from_images,
     alpha_eval,
     block_form_check,
-    cell_complex,
     charpoly,
     charpoly_divides,
     class_of,
@@ -45,7 +45,9 @@ from origami_forge.homology import (
 from origami_forge.hss import dual_curves, find_hss_detailed
 from origami_forge.origami import (
     BadFormat,
+    Origami,
     OrigamiCurve,
+    Permutation,
     cylinders,
     genus,
     is_closed,
@@ -87,6 +89,13 @@ def torus():
     return x_origami(1)
 
 
+def cycle_torus(d):
+    """p1 one d-cycle and p2 the identity: a torus of d squares in one
+    cylinder, with d vertices."""
+    return Origami(d, Permutation(list(range(2, d + 1)) + [1]),
+                   Permutation(list(range(1, d + 1))))
+
+
 def kernel_snf_model(o):
     """Reference: the H1 model built from Smith forms, before the
     tree-cotree decomposition.  The kernel of d1 is a 2d x k matrix K with
@@ -96,13 +105,12 @@ def kernel_snf_model(o):
     against K; the basis is K times the last columns of U^-1, each solved
     against U's own Smith form.  Returns the basis, the coordinate map and
     the chord-support Gram matrix of the basis."""
-    cx = cell_complex(o)
     n = 2 * o.d
-    s1 = smith_normal_form(d1(cx))
+    s1 = smith_normal_form(d1(o))
     K = [row[s1.rank:] for row in s1.V]
     k = len(K[0])
     kernel_snf = smith_normal_form(K)
-    D2 = d2(cx)
+    D2 = d2(o)
     cols = [kernel_snf.solve([D2[i][j] for i in range(n)])
             for j in range(o.d)]
     B = [[c[i] for c in cols] for i in range(k)]
@@ -127,13 +135,11 @@ def chord_support_gram(o, basis):
     """Reference Gram matrix: Z X Z^T, with X the crossing matrix of every
     edge outside the spanning tree on the contracted ribbon graph, and the
     rows of Z the basis cycles' coefficients on those edges."""
-    cx = cell_complex(o)
-    tree, _ = homology._spanning_tree(cx)
+    tree, _ = homology._spanning_tree(len(o.corner_orbits),
+                                      h1_model(o).ends)
     in_tree = set(tree)
-    outside = [e for e in range(cx.edge_count) if e not in in_tree]
-    X = intersection_form(
-        o, SimpleNamespace(complex=cx, tree=tree, chords=outside)
-    )
+    outside = [e for e in range(2 * o.d) if e not in in_tree]
+    X = intersection_form(o, tree, outside)
     Z = [[z[e] for e in outside] for z in basis]
     return mat_mul(mat_mul(Z, X), transpose(Z))
 
@@ -151,8 +157,7 @@ def coordinate_sample():
 class TestCellComplex:
     @pytest.mark.parametrize("o", FIXTURES, ids=lambda o: f"d{o.d}")
     def test_boundary_square_zero(self, o):
-        cx = cell_complex(o)
-        D1, D2 = d1(cx), d2(cx)
+        D1, D2 = d1(o), d2(o)
         assert mat_mul(D1, D2) == linalg.zeros(len(D1), len(D2[0]))
 
     def test_boundary_check_sees_a_wrong_sign(self, monkeypatch):
@@ -165,13 +170,12 @@ class TestCellComplex:
         # the Wollmilchsau has four vertices, and h_s joins two of them
         monkeypatch.setattr(homology, "_boundary", flipped)
         with pytest.raises(ConventionViolation, match="d1 \\* d2"):
-            cell_complex(wollmilchsau())
+            h1_model(wollmilchsau())
 
     def test_edge_cycle_boundaries_vanish(self):
         o = wollmilchsau()
-        cx = cell_complex(o)
         z = edge_cycle(o, 1, parse_word("x y^-1 x y"))
-        assert mat_vec(d1(cx), z) == [0] * len(cx.vertices)
+        assert mat_vec(d1(o), z) == [0] * len(o.corner_orbits)
 
 
 class TestH1Model:
@@ -220,10 +224,44 @@ class TestH1Model:
 
     def test_non_skew_form_is_convention_violation(self, monkeypatch):
         monkeypatch.setattr(
-            homology, "intersection_form", lambda o, model: linalg.eye(model.rank)
+            homology, "intersection_form",
+            lambda o, tree, chords: linalg.eye(len(chords))
         )
         with pytest.raises(ConventionViolation, match="not skew"):
             h1_model(l_origami(2, 2))
+
+    def test_boundary_read_once_per_square(self, monkeypatch):
+        real = homology._boundary
+        calls = []
+
+        def counted(o, s):
+            calls.append(s)
+            return real(o, s)
+
+        monkeypatch.setattr(homology, "_boundary", counted)
+        for o in FIXTURES + [cycle_torus(50)]:
+            calls.clear()
+            h1_model(o)
+            assert sorted(calls) == list(range(1, o.d + 1)), o
+
+    def test_torus_of_5000_squares_within_budget(self):
+        """5,000 vertices: one dense 10,000-entry path per vertex would
+        hold 5 * 10^7 entries, while the tree's parent links hold one
+        triple per vertex.  Each call gets a fresh origami, so deriving
+        its corner orbits and genus counts too."""
+        o = cycle_torus(5000)
+        start = time.perf_counter()
+        model = h1_model(o)
+        assert time.perf_counter() - start < 0.5
+        assert model.rank == 2 and abs(model.gram[0][1]) == 1
+        o = cycle_torus(5000)
+        tracemalloc.start()
+        try:
+            h1_model(o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestCoordinatesAgainstKernelSmithForm:
@@ -258,11 +296,10 @@ class TestCoordinatesAgainstKernelSmithForm:
     def test_non_cycle_rejected(self):
         o = wollmilchsau()
         model = h1_model(o)
-        cx = model.complex
         # an edge joining two distinct singularities has a nonzero boundary
-        e = next(e for e in range(cx.edge_count)
-                 if len(set(cx.edge_ends(e))) == 2)
-        z = [0] * cx.edge_count
+        e = next(e for e in range(len(model.ends))
+                 if len(set(model.ends[e])) == 2)
+        z = [0] * len(model.ends)
         z[e] = 1
         with pytest.raises(ValueError, match="not a cycle"):
             model.coords(z)
@@ -279,8 +316,8 @@ def check_against_dense(o, rng):
     cuts = [edge_cycle(o, c.start, c.word) for c in result.curves]
     chains = cuts + [edge_cycle(o, c.start, c.word)
                      for c in dual_curves(result)] + model.basis
-    n = model.complex.edge_count
-    D2 = d2(model.complex)
+    n = len(model.ends)
+    D2 = d2(o)
     for _ in range(4):
         z = [0] * n
         for c in rng.sample(chains, min(3, len(chains))):
@@ -307,8 +344,7 @@ def check_against_dense(o, rng):
                 model.coords(z)
         else:
             assert model.coords(z) == want
-    cx = model.complex
-    loose = [e for e in range(n) if len(set(cx.edge_ends(e))) == 2]
+    loose = [e for e in range(n) if len(set(model.ends[e])) == 2]
     if loose:
         z = list(cuts[0])
         z[rng.choice(loose)] += 1
@@ -319,11 +355,11 @@ def check_against_dense(o, rng):
 
 
 def assert_walk_matches_splice(o):
-    cx = cell_complex(o)
-    tree, _ = homology._spanning_tree(cx)
+    model = h1_model(o)
+    tree, _ = homology._spanning_tree(len(o.corner_orbits), model.ends)
     walk = homology._contracted_order(o, tree)
-    spliced = spliced_order(cx, tree)
-    assert len(walk) == 2 * (cx.edge_count - len(tree))
+    spliced = spliced_order(o, tree)
+    assert len(walk) == 2 * (len(model.ends) - len(tree))
     k = spliced.index(walk[0])
     assert walk == spliced[k:] + spliced[:k]
 
@@ -349,8 +385,7 @@ class TestContractionAgainstSplice:
         model = h1_model(o)
         assert len(model.tree) == 3
         with pytest.raises(ConventionViolation, match="more than one vertex"):
-            intersection_form(o, SimpleNamespace(tree=model.tree[:-1],
-                                                 chords=model.chords))
+            intersection_form(o, model.tree[:-1], model.chords)
 
 
 class TestSparseAgainstDense:

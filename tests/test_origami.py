@@ -116,6 +116,15 @@ class TestGeometry:
         with pytest.raises(NotTransitive):
             Origami(2, Permutation([1, 2]), Permutation([1, 2]))
 
+    @pytest.mark.parametrize("build", [
+        lambda: Origami(0, Permutation([]), Permutation([])),
+        lambda: Origami(-1, Permutation([]), Permutation([])),
+        lambda: random_origami(random.Random(0), 0),
+    ], ids=["empty", "negative", "random"])
+    def test_no_squares_is_refused(self, build):
+        with pytest.raises(BadParameters, match="at least one square"):
+            build()
+
     def test_four_cylinder_invariants(self):
         o = wollmilchsau()
         zs = cylinders(o)
