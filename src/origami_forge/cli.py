@@ -25,6 +25,7 @@ from .freegroup import is_conjugate_horizontal
 from .origami import (
     Origami,
     BadFormat,
+    BadParameters,
     cylinders,
     format_origami,
     genus,
@@ -321,6 +322,11 @@ def cmd_fixtures(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# The largest --max-d of `sweep`: each item draws an origami of up to
+# that many squares.
+MAX_SWEEP_SQUARES = 1024
+
+
 def sweep_one(seed: int, max_d: int, index: int) -> dict:
     """All randomized property suites on one seed-derived origami.  An
     exception leaves with a `reproduce` dict: the seed, the index and the
@@ -386,6 +392,9 @@ def _sweep_checks(o: Origami, rng: random.Random, index: int) -> dict:
 
 
 def cmd_sweep(args) -> dict:
+    if not 2 <= args.max_d <= MAX_SWEEP_SQUARES:
+        raise BadParameters(f"--max-d must lie in 2..{MAX_SWEEP_SQUARES}, "
+                            f"not {args.max_d}")
     results = [sweep_one(args.seed, args.max_d, i) for i in range(args.count)]
     return {
         "schema": SCHEMA,
@@ -446,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fixtures", help="list the fixture registry")
 
     p = sub.add_parser("sweep", help="randomized property suites")
-    p.add_argument("--max-d", type=int, default=12, dest="max_d")
+    p.add_argument("--max-d", type=int, default=12, dest="max_d",
+                   help="most squares per origami, 2 to "
+                   f"{MAX_SWEEP_SQUARES}")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 

@@ -9,13 +9,13 @@ vertex of s to that of p1(s), v_s from the vertex of s to that of p2(s).
 `h1_model` builds this complex itself and keeps only the ends of each
 edge.  H1 is read off one tree-cotree decomposition (Eppstein, SODA
 2003): a spanning tree T of the 1-skeleton, a spanning tree C of the dual
-graph on the edges outside T, and the 2g chords left in neither.  T is
-kept as parent links, and each chord's fundamental cycle in T, a basis
-cycle, is summed up from its two ends.  Peeling C from its leaves gives
-every edge's coordinates, and the Gram matrix is the chords' crossing
-matrix on the ribbon graph with T contracted.  Each square's boundary is
-read once, and every step reads that table.  The quotient is free by
-construction, so no diagonal form is needed.  All arithmetic is exact.
+graph on the edges outside T, and the 2g chords left in neither.  The
+basis of H1 is the chords' fundamental cycles in T, which are never
+built: peeling C from its leaves gives every edge's coordinates in that
+basis, and the Gram matrix is the chords' crossing matrix on the ribbon
+graph with T contracted.  Each square's boundary is read once, and every
+step reads that table.  The quotient is free by construction, so no
+diagonal form is needed.  All arithmetic is exact.
 
 Nothing is stored dense.  Each edge's coordinate column and each row of
 the Gram matrix is a list of (index, value) pairs: an edge's coordinates
@@ -58,6 +58,7 @@ from .origami import (
     act_word,
     genus,
 )
+from .subgroup import NotInSubgroup
 
 __all__ = [
     "CertificateError",
@@ -91,10 +92,6 @@ __all__ = [
 
 
 class ConventionViolation(AssertionError):
-    pass
-
-
-class NotInSubgroup(ValueError):
     pass
 
 
@@ -163,32 +160,33 @@ Sparse = List[Tuple[int, int]]
 
 @dataclass(frozen=True)
 class H1Model:
-    """H1 in the basis of the chords' cycles, stored sparse: `columns`
-    and `gram_rows` hold only non-zero entries, so `coords` and `pair`
-    cost the entries they touch.  `gram` is the dense form, which the
-    `homology` command prints."""
+    """H1 in the basis of the chords' cycles in T, stored sparse:
+    `columns` and `gram_rows` hold only non-zero entries, so `coords` and
+    `pair` cost the entries they touch.  `gram` is the dense form, which
+    the `homology` command prints.  The basis cycles themselves are not
+    stored: the i-th is chords[i] closed up by the path in T between its
+    ends."""
 
     o: Origami
     g: int
     ends: List[Tuple[int, int]]      # edge e -> (tail vertex, head vertex)
     columns: List[Sparse]            # edge e -> H1 coordinates of e
-    basis: List[List[int]]           # 2g edge vectors representing the basis
     gram: linalg.Matrix              # intersection form on the basis
     gram_rows: List[Sparse]          # the rows of gram
     tree: List[int]                  # edges of the spanning tree T, BFS order
-    chords: List[int]                # edges in neither T nor C; basis[i]
-                                     # is the cycle of chords[i] in T
+    chords: List[int]                # edges in neither T nor C; basis
+                                     # cycle i is the cycle of chords[i] in T
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return 2 * self.g
 
     def coords(self, z: Sequence[int]) -> List[int]:
         """H1 coordinates of a cycle given as an edge vector: the sum of
         its edges' columns, once its boundary is checked to be 0."""
         ends = self.ends
         at = [0] * len(self.o.corner_orbits)
-        out = [0] * len(self.basis)
+        out = [0] * self.rank
         for e, x in enumerate(z):
             if x:
                 t, h = ends[e]
@@ -202,7 +200,7 @@ class H1Model:
 
     def form_row(self, u: Sequence[int]) -> List[int]:
         """The row <u, .> = u^T Gram of a class u in H1 coordinates."""
-        out = [0] * len(self.basis)
+        out = [0] * self.rank
         for i, x in enumerate(u):
             if x:
                 for j, c in self.gram_rows[i]:
@@ -214,32 +212,24 @@ class H1Model:
         return _dot(self.form_row(u), v)
 
 
-# (parent vertex, edge, sign) of a vertex other than the root of T: the
-# edge runs from the parent to the vertex when sign is +1, back when -1
-Link = Tuple[int, int, int]
-
-
-def _spanning_tree(
-    nv: int, ends: Sequence[Tuple[int, int]]
-) -> Tuple[List[int], List[Optional[Link]]]:
+def _spanning_tree(nv: int, ends: Sequence[Tuple[int, int]]) -> List[int]:
     """A BFS spanning tree T of the 1-skeleton on nv vertices from vertex
-    0, given the ends of each edge: its edges in the order found, and each
-    vertex's link to its parent (None for vertex 0)."""
-    adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(nv)]
+    0, given the ends of each edge: its edges in the order found."""
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(nv)]
     for e, (t, h) in enumerate(ends):
-        adj[t].append((h, e, 1))
-        adj[h].append((t, e, -1))
-    parent: List[Optional[Link]] = [None] * nv
+        adj[t].append((h, e))
+        adj[h].append((t, e))
+    seen = [True] + [False] * (nv - 1)
     tree, order = [], [0]
     for v in order:
-        for w, e, sign in adj[v]:
-            if w and parent[w] is None:
-                parent[w] = (v, e, sign)
+        for w, e in adj[v]:
+            if not seen[w]:
+                seen[w] = True
                 tree.append(e)
                 order.append(w)
     if len(order) != nv:
         raise ConventionViolation("1-skeleton not connected")
-    return tree, parent
+    return tree
 
 
 def h1_model(o: Origami) -> H1Model:
@@ -266,7 +256,7 @@ def h1_model(o: Origami) -> H1Model:
         if any(at.values()):
             raise ConventionViolation("d1 * d2 != 0")
     g = genus(o)
-    tree, parent = _spanning_tree(len(orbits), ends)
+    tree = _spanning_tree(len(orbits), ends)
     in_tree = set(tree)
     # C: a BFS spanning tree of the dual graph on the edges outside T,
     # rooted at square 1; C reaches square f through the edge into[f]
@@ -300,17 +290,6 @@ def h1_model(o: Origami) -> H1Model:
                 for i, x in col[e2].items():
                     rest[i] = rest.get(i, 0) + sign2 * x
         col[e] = {i: -sign * x for i, x in rest.items() if x}
-    # the cycle of chord e is e plus the path in T to its tail minus the
-    # path to its head, each path summed up the parent links from its end
-    basis = []
-    for e in chords:
-        z = [0] * n
-        z[e] = 1
-        for v, step in zip(ends[e], (1, -1)):
-            while v:
-                v, e2, sign = parent[v]
-                z[e2] += step * sign
-        basis.append(z)
     gram = intersection_form(o, tree, chords)
     if any(
         gram[i][j] != -gram[j][i]
@@ -321,7 +300,7 @@ def h1_model(o: Origami) -> H1Model:
     if abs(linalg.det_int(gram)) != 1:
         raise ConventionViolation("intersection form not unimodular")
     gram_rows = [[(j, x) for j, x in enumerate(row) if x] for row in gram]
-    return H1Model(o, g, ends, [list(c.items()) for c in col], basis, gram,
+    return H1Model(o, g, ends, [list(c.items()) for c in col], gram,
                    gram_rows, tree, chords)
 
 

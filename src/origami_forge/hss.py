@@ -22,14 +22,15 @@ All policies (bridging order, splice partner and label selection,
 cancellation, tie-breaks) are fixed and deterministic.
 
 Stages 2 and 3 look things up by index instead of rescanning.  A side is
-an int into flat arrays of its label id, boundary half, cylinder and the
-(cylinder, position) of its underlying square (``Pool.lab``,
-``Pool.half``, ``Pool.cyl``, ``Pool.place``), and every label is
-interned to a small int when its side is created, so all label equality
-tests compare ints.  A pool list never changes once made, so its label
-ids and its square-label ids are computed once per list; a side's index
-in a list is found by ``tuple.index``, since pool lists are short and
-each split replaces its list anyway.  ``merge_all`` is one loop over the
+nothing but its label id (``Pool.lab``), and every label is interned to a
+small int when its side is created, so all label equality tests compare
+ints.  A side's boundary half and cylinder are those of the pool list
+that holds it (in an uncut cylinder's list, the half is the side's place
+relative to the second a_Z), and the square under a side follows from its
+label and that half.  A pool list never changes once made, so it carries
+its label ids and its square-label ids, computed once; a side's index in
+a list is found by ``tuple.index``, since pool lists are short and each
+split replaces its list anyway.  ``merge_all`` is one loop over the
 round, with one mutable accumulator (its sides and their label ids): a
 splice or a cancellation edits it in place and logs an event under a
 fresh list id, and only the round's final list P is stored.  The next
@@ -238,7 +239,9 @@ class LabeledList:
 
     kind: 'u' / 'o' for boundary lists, 'lz' for an uncut cylinder's
     combined list [a_Z, lower..., a_Z, upper...], 'm' for a round's final
-    list P.
+    list P.  cyl: the base square of the cylinder whose boundary the list
+    runs along.  labs: the label id of each side; own: its square-label
+    ids, the same list for a 'u' / 'o' list, which holds no sentinel.
     """
 
     lid: int
@@ -246,9 +249,23 @@ class LabeledList:
     cyclic: bool
     kind: str
     cyl: int
+    labs: list[int]
+    own: list[int]
 
     def __len__(self) -> int:
         return len(self.sides)
+
+    def half_of(self, sid: int) -> Optional[str]:
+        """The boundary half of side sid: the list's kind, or in an 'lz'
+        list 'u' before the second a_Z, 'o' after it and None for a_Z."""
+        if self.kind != "lz":
+            return self.kind
+        k = self.sides.index(sid)
+        labs = self.labs
+        second = labs.index(labs[0], 1)
+        if k == 0 or k == second:
+            return None
+        return "u" if k < second else "o"
 
 
 @dataclass
@@ -295,39 +312,27 @@ class Pool:
     """Mutable state of one cut-system computation: the side registry,
     the stored lists and the current pool order.
 
-    Sides are ids into flat arrays: ``lab[sid]`` is the label id of side
-    sid, ``half[sid]`` its boundary ('u' lower, 'o' upper, None for a
-    sentinel), ``cyl[sid]`` the base square of its cylinder and
-    ``place[sid]`` the (cylinder index, position) of the square of that
-    cylinder that carries the side: the label's square on the lower
-    boundary, its p2-preimage on the upper (None for a sentinel).  Labels
-    are interned: ``label_ids`` and ``label_at`` map a label to its id and
-    back, ``square`` / ``unprimed`` say per id whether it is a square label
-    and whether it carries no marks, and ``order`` holds the sort key of
-    each square label.  ``home`` maps every side of a current pool list to
-    that list's lid.  Per stored list, ``labs`` holds its label ids and
-    ``own`` its square-label ids, the same list for a 'u' / 'o' list,
-    which holds no sentinel.  ``exponents`` keeps each chain pair's
-    x-exponent.  ``pool_order`` holds the lids of the current pool lists,
-    sorted by `section`: the 'u' lists, then the 'o' lists, then the 'lz'
-    lists, each by cylinder; lists of one section keep the order in which
-    stage 3 placed them.
+    A side is an id whose only per-side datum is its label id,
+    ``lab[sid]``; its boundary half and cylinder are those of the pool
+    list that holds it.  Labels are interned: ``label_ids`` and
+    ``label_at`` map a label to its id and back, and ``square`` /
+    ``unprimed`` say per id whether it is a square label and whether it
+    carries no marks.  ``home`` maps every side of a current pool list to
+    that list's lid.  ``exponents`` keeps each chain pair's x-exponent.
+    ``pool_order`` holds the lids of the current pool lists, sorted by
+    `section`: the 'u' lists, then the 'o' lists, then the 'lz' lists,
+    each by cylinder; lists of one section keep the order in which stage 3
+    placed them.
     """
 
     def __init__(self, o: Origami):
         self.o = o
         self.lists: dict[int, LabeledList] = {}
-        self.labs: dict[int, list[int]] = {}
-        self.own: dict[int, list[int]] = {}
         self.exponents: dict[tuple[int, int, int], int] = {}
         self.lab: list[int] = []
-        self.half: list[Optional[str]] = []
-        self.cyl: list[int] = []
-        self.place: list[Optional[tuple[int, int]]] = []
         self.label_ids: dict[Label, int] = {}
         self.square: list[bool] = []
         self.unprimed: list[bool] = []
-        self.order: list[Optional[tuple]] = []
         self.label_at: list[Label] = []
         self.home: dict[int, int] = {}
         self._next_list = 0
@@ -344,21 +349,10 @@ class Pool:
             sq = isinstance(label, SLabel)
             self.square.append(sq)
             self.unprimed.append(sq and not label.marks)
-            # an SLabel is the tuple (square, marks), its own sort key
-            self.order.append(label if sq else None)
         return lab
 
-    def new_side(self, label: Label, half: Optional[str], cyl: int) -> int:
+    def new_side(self, label: Label) -> int:
         self.lab.append(self.intern(label))
-        self.half.append(half)
-        self.cyl.append(cyl)
-        if isinstance(label, SLabel):
-            sq = label.square
-            if half != "u":
-                sq = self.o.p2.inverse_of(sq)
-            self.place.append(self.o.cylinder_at[sq])
-        else:
-            self.place.append(None)
         return len(self.lab) - 1
 
     def primed(self, lab: int, mark: int) -> int:
@@ -369,14 +363,11 @@ class Pool:
     def split_sides(self, a: int, b: int, mark_0: int, mark_1: int) -> range:
         """Four new sides like a, b, a, b, whose labels carry one more
         mark: mark_0, mark_1, mark_1 and mark_0."""
-        lab, half, cyl, place = self.lab, self.half, self.cyl, self.place
+        lab = self.lab
         la, lb = lab[a], lab[b]
         n = len(lab)
         lab += (self.primed(la, mark_0), self.primed(lb, mark_1),
                 self.primed(la, mark_1), self.primed(lb, mark_0))
-        half += (half[a], half[b]) * 2
-        cyl += (cyl[a], cyl[b]) * 2
-        place += (place[a], place[b]) * 2
         return range(n, n + 4)
 
     def new_list(self, sides, cyclic: bool, kind: str, cyl: int) -> int:
@@ -388,13 +379,12 @@ class Pool:
                  cyl: int) -> int:
         """Store a list under a lid that no list has taken."""
         sides = tuple(sides)
-        self.lists[lid] = LabeledList(lid, sides, cyclic, kind, cyl)
-        labs = self.labs[lid] = list(map(self.lab.__getitem__, sides))
+        labs = list(map(self.lab.__getitem__, sides))
         if kind == "u" or kind == "o":  # no sentinel
-            self.own[lid] = labs
+            own = labs
         else:
-            self.own[lid] = list(compress(labs,
-                                          map(self.square.__getitem__, labs)))
+            own = list(compress(labs, map(self.square.__getitem__, labs)))
+        self.lists[lid] = LabeledList(lid, sides, cyclic, kind, cyl, labs, own)
         return lid
 
     def label_of(self, sid: int) -> Label:
@@ -410,33 +400,34 @@ class Pool:
         lst = self.lists[lid]
         return _SECTION_RANK[lst.kind], lst.cyl
 
-    # -- stage 2 initialization --------------------------------------------
 
-    def init_lists(self, cuts: list[Cylinder]) -> None:
-        cut_bases = {z.base for z in cuts}
-        for z in self.o.horizontal_cylinders:
-            base = z.base
-            lower = z.squares
-            upper = [self.o.p2(s) for s in reversed(lower)]
-            u_sides = [self.new_side(SLabel(s), "u", base) for s in lower]
-            o_sides = [self.new_side(SLabel(s), "o", base) for s in upper]
-            if base in cut_bases:
-                lids = (self.new_list(u_sides, True, "u", base),
-                        self.new_list(o_sides, True, "o", base))
-            else:
-                a1 = self.new_side(Sentinel(base), None, base)
-                a2 = self.new_side(Sentinel(base), None, base)
-                lids = (self.new_list([a1] + u_sides + [a2] + o_sides, True,
-                                      "lz", base),)
-            for lid in lids:
-                self.settle(lid)
-            self.pool_order += lids
-        self.pool_order.sort(key=self.section)
+# ---------------------------------------------------------------------------
+# stage 2 initialization
+# ---------------------------------------------------------------------------
 
 
 def init_lists(o: Origami, cuts: list[Cylinder]) -> Pool:
+    """A pool with the boundary lists of every cylinder: a 'u' and an 'o'
+    list for a cut cylinder, one 'lz' list for an uncut one."""
     pool = Pool(o)
-    pool.init_lists(cuts)
+    new_side, new_list = pool.new_side, pool.new_list
+    cut_bases = {z.base for z in cuts}
+    for z in o.horizontal_cylinders:
+        base = z.base
+        lower = z.squares
+        u_sides = [new_side(SLabel(s)) for s in lower]
+        o_sides = [new_side(SLabel(o.p2(s))) for s in reversed(lower)]
+        if base in cut_bases:
+            lids = (new_list(u_sides, True, "u", base),
+                    new_list(o_sides, True, "o", base))
+        else:
+            a1, a2 = new_side(Sentinel(base)), new_side(Sentinel(base))
+            lids = (new_list([a1] + u_sides + [a2] + o_sides, True, "lz",
+                             base),)
+        for lid in lids:
+            pool.settle(lid)
+        pool.pool_order += lids
+    pool.pool_order.sort(key=pool.section)
     return pool
 
 
@@ -476,9 +467,9 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     home = pool.home
     history = MergeHistory(initial=list(remaining), home=home.copy())
     events, tree = history.events, history.tree
-    lists, labs_of = pool.lists, pool.labs
+    lists = pool.lists
     square, unprimed = pool.square, pool.unprimed
-    own = list(map(pool.own.__getitem__, remaining))
+    own = [lists[lid].own for lid in remaining]
     holders: dict[int, list[int]] = {}
     for pos in range(1, len(remaining)):
         for l in own[pos]:
@@ -489,7 +480,7 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     push, pop = heapq.heappush, heapq.heappop
     pos = 0
     acc = remaining[0]
-    sides, labs = list(lists[acc].sides), list(labs_of[acc])
+    sides, labs = list(lists[acc].sides), list(lists[acc].labs)
     rid = pool._next_list
     for r in range(len(remaining)):
         if r:  # r = 0 only absorbs the first list, the accumulator
@@ -519,7 +510,7 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
         if not r:
             continue
         mid = remaining[pos]
-        M, lab_m = lists[mid].sides, labs_of[mid]
+        M, lab_m = lists[mid].sides, lists[mid].labs
         try:
             i, j = labs.index(at), lab_m.index(at)
         except ValueError:
@@ -622,13 +613,13 @@ def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
     first (a parent is absorbed before its children), until they meet; the
     pairs in each list run from entry to exit side.
     """
-    labs = pool.labs[history.final]
+    final = pool.lists[history.final]
+    labs, sides = final.labs, final.sides
     aid = pool.label_ids.get(alpha)
     if labs.count(aid) != 2:
         raise InconsistentChain("alpha must occur exactly twice")
     # x is the earlier occurrence in stored order
     i = labs.index(aid)
-    sides = pool.lists[history.final].sides
     x, y = sides[i], sides[labs.index(aid, i + 1)]
     tree = history.tree
     root = (None, None, None, -1)  # the first list is never absorbed
@@ -647,13 +638,14 @@ def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
             y, b = gl, parent
     head.append((x, y, a))
     head.extend(reversed(tail))
-    half, cyl = pool.half, pool.cyl
+    lists = pool.lists
     chain: PairChain = []
     for sa, sb, lid in head:
-        h = half[sa]
-        if h != half[sb] or h is None:
+        lst = lists[lid]
+        h = lst.half_of(sa)
+        if h is None or h != lst.half_of(sb):
             raise InconsistentChain("pair straddles list halves")
-        chain.append(ChainPair._make((sa, sb, lid, h, cyl[sa])))
+        chain.append(ChainPair._make((sa, sb, lid, h, lst.cyl)))
     # emission starts with a lower-boundary pair when possible
     if chain[0].half == "o" and chain[-1].half == "u":
         chain = [
@@ -675,7 +667,7 @@ def _half_bounds(pool: Pool, lid: int, half: str) -> tuple[int, int, bool]:
     [a_Z, lower..., a_Z, upper...], which always keeps a_Z at index 0."""
     lst = pool.lists[lid]
     if lst.kind == "lz":
-        labs = pool.labs[lid]
+        labs = lst.labs
         k = labs.index(labs[0], 1)
         return (1, k, True) if half == "u" else (k + 1, len(labs), True)
     if lst.kind != half:
@@ -687,10 +679,11 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
     """Signed x-exponent of the pair's syllable.
 
     Cyclic lists: minimal |t| with p1^t carrying the first underlying
-    square (`Pool.place`) to the second (ties at half the cylinder length
-    resolve positive).  Non-cyclic lists: the directed step count given by
-    the sides' order in the stored list (lower-boundary lists run with p1,
-    upper against it).
+    square to the second (ties at half the cylinder length resolve
+    positive).  Non-cyclic lists: the directed step count given by the
+    sides' order in the stored list (lower-boundary lists run with p1,
+    upper against it).  The square under a side is its label's square on
+    the lower boundary and that square's p2-preimage on the upper.
 
     It depends only on the pair's list, which never changes, so it is
     computed once per pair: emission and the next round's split share it.
@@ -705,16 +698,18 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
 def _exponent(pool: Pool, pair: ChainPair) -> int:
     side_a, side_b, lid, half, base = pair
     _, _, cyclic = _half_bounds(pool, lid, half)
-    place = pool.place
-    a, b = place[side_a], place[side_b]
+    o, label_of = pool.o, pool.label_of
+    a, b = label_of(side_a).square, label_of(side_b).square
+    if half != "u":
+        a, b = o.p2.inverse_of(a), o.p2.inverse_of(b)
     if a == b:
         raise InconsistentChain("pair joins a square to itself")
     # the forward steps 0 <= t0 < n with p1^t0(a) = b in the pair's cylinder
-    z, ka = a
-    zb, kb = b
-    if z != pool.o.cylinder_at[base][0] or zb != z:
+    at = o.cylinder_at
+    (z, ka), (zb, kb) = at[a], at[b]
+    if z != at[base][0] or zb != z:
         raise InconsistentChain("squares not in the pair's cylinder")
-    n = pool.o.horizontal_cylinders[z].length
+    n = o.horizontal_cylinders[z].length
     t0 = (kb - ka) % n
     if cyclic:
         if 2 * t0 < n or 2 * t0 == n:
@@ -853,8 +848,8 @@ def find_hss_detailed(o: Origami) -> HssResult:
             step3_update(pool, chain)
         final, history = merge_all(pool)
         histories.append(history)
-        alpha, beta = _separating_pair(pool.labs[final], pool.square,
-                                       pool.order)
+        alpha, beta = _separating_pair(pool.lists[final].labs, pool.square,
+                                       pool.label_at)
         betas.append(pool.label_at[beta])
         chain = backtrack(pool, history, pool.label_at[alpha])
         curves.append(emit_curve(pool, chain))

@@ -4,7 +4,8 @@
 labels by label equality, cancels by rescanning from the front after
 every removal, and stores every intermediate list in the pool.  ``replay``
 re-runs a merge history from its initial lists, and ``replay_backtrack``
-traces a pair back by replaying the history's events in reverse.  They
+traces a pair back by replaying the history's events in reverse; it
+reads a side's half by ``side_half``, a scan of its list's labels.  They
 check the indexed engine of ``origami_forge.hss`` from outside.
 ``pool_labels`` lists a pool list's labels, and ``find_separating_pair`` runs
 the separating-pair search on labels instead of label ids.
@@ -20,7 +21,8 @@ and ``mat_mul`` are dense integer matrix products, and ``mat2_mul``
 multiplies the 2 x 2 matrices of ``freegroup``, kept as (a, b, c, d).
 
 ``d1``, ``d2`` and ``coord_rows`` are the dense boundary and coordinate
-matrices that the sparse H1 model no longer stores; ``DenseH1`` computes
+matrices that the sparse H1 model no longer stores, and ``basis_cycles``
+rebuilds the basis cycles it does not store either; ``DenseH1`` computes
 coordinates, pairings and Lagrangian rows by dense products through them.
 They take the origami, or the model's, and number its vertices by
 ``vertex_index``, in the order of ``o.corner_orbits``.
@@ -278,19 +280,37 @@ def replay_backtrack(pool, history, alpha):
         k = after[k]
         if tag not in initial:
             raise InconsistentChain(f"pair not traced to a pool list: {tag}")
-        ha, hb = pool.half[sa], pool.half[sb]
+        ha, hb = side_half(pool, tag, sa), side_half(pool, tag, sb)
         if ha != hb or ha is None:
             raise InconsistentChain("pair straddles list halves")
-        chain.append(ChainPair(sa, sb, tag, ha, pool.cyl[sa]))
+        chain.append(ChainPair(sa, sb, tag, ha, pool.lists[tag].cyl))
     if chain and chain[0].half == "o" and chain[-1].half == "u":
         chain = [ChainPair(p.side_b, p.side_a, p.lid, p.half, p.cyl)
                  for p in reversed(chain)]
     return chain
 
 
+def side_half(pool, lid, sid):
+    """The boundary half of side sid in pool list lid, by a scan of the
+    list's labels: the kind of a 'u' or 'o' list; in an uncut cylinder's
+    list [a_Z, lower..., a_Z, upper...], 'u' between the two a_Z, 'o'
+    after the second and None for an a_Z itself."""
+    lst = pool.lists[lid]
+    if lst.kind != "lz":
+        return lst.kind
+    half = None
+    for s in lst.sides:
+        sentinel = isinstance(pool.label_of(s), Sentinel)
+        if sentinel:
+            half = "o" if half else "u"
+        if s == sid:
+            return None if sentinel else half
+    raise InconsistentChain(f"side {sid} not in list {lid}")
+
+
 def pool_labels(pool, lid):
     """The labels of stored list lid, in order."""
-    return [pool.label_at[l] for l in pool.labs[lid]]
+    return [pool.label_at[l] for l in pool.lists[lid].labs]
 
 
 def _label_key(label):
@@ -634,6 +654,36 @@ def d2(o) -> linalg.Matrix:
         D[o.p2(s) - 1][s - 1] -= 1
         D[d + s - 1][s - 1] -= 1
     return D
+
+
+def basis_cycles(model: H1Model) -> list:
+    """The model's basis cycles as dense edge vectors: the i-th is
+    chords[i] plus the path in T from vertex 0 to its tail, minus the path
+    to its head.  T's parent links are rebuilt from the tree's edges."""
+    ends = model.ends
+    adj = {}
+    for e in model.tree:
+        t, h = ends[e]
+        adj.setdefault(t, []).append((h, e, 1))
+        adj.setdefault(h, []).append((t, e, -1))
+    parent = {0: None}  # vertex -> (parent vertex, edge, sign)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, e, sign in adj.get(v, ()):
+            if w not in parent:
+                parent[w] = (v, e, sign)
+                stack.append(w)
+    cycles = []
+    for chord in model.chords:
+        z = [0] * len(ends)
+        z[chord] = 1
+        for v, step in zip(ends[chord], (1, -1)):
+            while parent[v] is not None:
+                v, e, sign = parent[v]
+                z[e] += step * sign
+        cycles.append(z)
+    return cycles
 
 
 def coord_rows(model: H1Model) -> linalg.Matrix:

@@ -245,11 +245,30 @@ class TestShearAndHomology:
         }
 
 
+@pytest.fixture()
+def no_new_process(monkeypatch):
+    """Fail the test as soon as it tries to start a process.  pytest.fail
+    raises a BaseException, which `cli.run` does not turn into exit 1."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a process was started")
+
+    for name in ("fork", "posix_spawn", "posix_spawnp"):
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+
+
+MAX_FLOAT = "1.7976931348623157e308"
+
+
 class TestExtremeInputBudget:
     """Every command that reads one origami answers within 0.5 s on the
     5,000-square torus, in-process and with no thread started: p1 is one
     5,000-cycle and p2 the identity, so the surface has genus 1 and 5,000
-    vertices."""
+    vertices.  `sweep` refuses an out-of-range --max-d and `moebius`
+    answers extreme floats within the same budget, starting no thread or
+    process."""
 
     @pytest.fixture(scope="class")
     def torus_file(self, tmp_path_factory):
@@ -279,6 +298,51 @@ class TestExtremeInputBudget:
             assert data["genus"] == 1 and len(data["vertex_orbits"]) == 5000
         else:
             assert data["curves"] == [{"start": 1, "word": "x^5000"}]
+
+    @pytest.mark.parametrize("max_d", ["1", "1000000000000"])
+    def test_sweep_max_d_out_of_range_is_refused(self, capsys, no_new_process,
+                                                 max_d):
+        """--max-d 1 leaves random no degree to draw, and 10^12 would let
+        an origami's permutations take 10^12 entries; both are refused
+        before any origami is drawn."""
+        threads = threading.active_count()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--count", "1",
+                                 "--max-d", max_d)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "BadParameters",
+            "message": f"--max-d must lie in 2..{cli.MAX_SWEEP_SQUARES}, "
+                       f"not {max_d}"}
+        assert threading.active_count() == threads
+
+    def test_sweep_max_d_of_two_is_accepted(self, capsys):
+        data = run_json(capsys, "sweep", "--count", "3", "--max-d", "2")
+        assert data["ok"] is True and data["max_d"] == 2
+        assert {r["d"] for r in data["results"]} == {2}
+
+    @pytest.mark.parametrize("entries", [
+        (f"{MAX_FLOAT},{MAX_FLOAT}", f"-{MAX_FLOAT},{MAX_FLOAT}",
+         f"{MAX_FLOAT},-{MAX_FLOAT}", f"-{MAX_FLOAT},-{MAX_FLOAT}"),
+        ("5e-324,5e-324",) * 4,
+        ("1e154,0", "1e154,0", "1e154,0", "2e154,0"),
+        ("1e200,0", "1,0", "0,0", "1e-200,0"),
+        ("0,0", "1e300,0", "-1e-300,0", "0,0"),
+    ], ids=["max", "subnormal", "det-1e308", "det-1", "elliptic"])
+    def test_moebius_extreme_floats_within_budget(self, capsys,
+                                                  no_new_process, entries):
+        """Only the shape of the answer is checked: exit 0 with one JSON
+        object on stdout, or exit 1 with one on stderr."""
+        threads = threading.active_count()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "moebius", "--", *entries)
+        assert time.perf_counter() - start < 0.5
+        assert code in (0, 1)
+        text, other = (out, err) if code == 0 else (err, out)
+        assert other == "" and text.count("\n") == 1
+        assert isinstance(json.loads(text), dict)
+        assert threading.active_count() == threads
 
 
 def readme_cli_examples():

@@ -62,6 +62,7 @@ from origami_forge.subgroup import CosetAction, schreier_system
 from oracles import (
     DenseH1,
     DoesNotStabilize,
+    basis_cycles,
     coord_rows,
     d1,
     d2,
@@ -135,8 +136,7 @@ def chord_support_gram(o, basis):
     """Reference Gram matrix: Z X Z^T, with X the crossing matrix of every
     edge outside the spanning tree on the contracted ribbon graph, and the
     rows of Z the basis cycles' coefficients on those edges."""
-    tree, _ = homology._spanning_tree(len(o.corner_orbits),
-                                      h1_model(o).ends)
+    tree = homology._spanning_tree(len(o.corner_orbits), h1_model(o).ends)
     in_tree = set(tree)
     outside = [e for e in range(2 * o.d) if e not in in_tree]
     X = intersection_form(o, tree, outside)
@@ -246,9 +246,9 @@ class TestH1Model:
 
     def test_torus_of_5000_squares_within_budget(self):
         """5,000 vertices: one dense 10,000-entry path per vertex would
-        hold 5 * 10^7 entries, while the tree's parent links hold one
-        triple per vertex.  Each call gets a fresh origami, so deriving
-        its corner orbits and genus counts too."""
+        hold 5 * 10^7 entries, while T holds one edge per vertex.  Each
+        call gets a fresh origami, so deriving its corner orbits and genus
+        counts too."""
         o = cycle_torus(5000)
         start = time.perf_counter()
         model = h1_model(o)
@@ -282,7 +282,7 @@ class TestCoordinatesAgainstKernelSmithForm:
         assert mat_mul(
             mat_mul(transpose(S), model.gram), S
         ) == gram
-        cycles = basis + model.basis
+        cycles = basis + basis_cycles(model)
         cycles += [edge_cycle(o, c.start, c.word) for c in find_hss(o)]
         cs = CosetAction(o)
         cycles += [
@@ -291,7 +291,7 @@ class TestCoordinatesAgainstKernelSmithForm:
         for z in cycles:
             assert mat_vec(S, oracle(z)) == model.coords(z), (o, z)
         n = model.rank
-        assert [model.coords(z) for z in model.basis] == linalg.eye(n)
+        assert [model.coords(z) for z in basis_cycles(model)] == linalg.eye(n)
 
     def test_non_cycle_rejected(self):
         o = wollmilchsau()
@@ -315,7 +315,7 @@ def check_against_dense(o, rng):
     result = find_hss_detailed(o)
     cuts = [edge_cycle(o, c.start, c.word) for c in result.curves]
     chains = cuts + [edge_cycle(o, c.start, c.word)
-                     for c in dual_curves(result)] + model.basis
+                     for c in dual_curves(result)] + basis_cycles(model)
     n = len(model.ends)
     D2 = d2(o)
     for _ in range(4):
@@ -356,7 +356,7 @@ def check_against_dense(o, rng):
 
 def assert_walk_matches_splice(o):
     model = h1_model(o)
-    tree, _ = homology._spanning_tree(len(o.corner_orbits), model.ends)
+    tree = homology._spanning_tree(len(o.corner_orbits), model.ends)
     walk = homology._contracted_order(o, tree)
     spliced = spliced_order(o, tree)
     assert len(walk) == 2 * (len(model.ends) - len(tree))
@@ -679,7 +679,7 @@ class TestPicardLefschetzPremises:
         from origami_forge.hss import find_hss
 
         model = h1_model(o)
-        cycles = list(model.basis)
+        cycles = basis_cycles(model)
         cycles += [edge_cycle(o, c.start, c.word) for c in find_hss(o)]
         cycles += [edge_cycle(o, 1, h)
                    for h in schreier_system(CosetAction(o)).generators]

@@ -55,6 +55,7 @@ from oracles import (
     pool_labels,
     replay,
     replay_backtrack,
+    side_half,
 )
 
 
@@ -195,7 +196,8 @@ def assert_tree_walk_matches_replay(o):
 def next_chain(pool):
     """One cut-system round on the pool: merge, separating pair, chain."""
     final, history = merge_all(pool)
-    alpha, _ = _separating_pair(pool.labs[final], pool.square, pool.order)
+    alpha, _ = _separating_pair(pool.lists[final].labs, pool.square,
+                                pool.label_at)
     return backtrack(pool, history, pool.label_at[alpha])
 
 
@@ -349,7 +351,7 @@ class TestMerging:
         def pool_of(lists):
             pool = Pool(wollmilchsau())
             for labels in lists:
-                sides = [pool.new_side(label, "u", 1) for label in labels]
+                sides = [pool.new_side(label) for label in labels]
                 lid = pool.new_list(sides, True, "u", 1)
                 pool.settle(lid)
                 pool.pool_order.append(lid)
@@ -555,6 +557,29 @@ class TestDriver:
                 assert is_conjugate_horizontal(c.word)
                 classes.append(model.coords(edge_cycle(o, c.start, c.word)))
             assert f2_independent(classes)
+
+
+class TestSideHalves:
+    """A side is its label id: its half and cylinder are read off the
+    pool list that holds it."""
+
+    def test_pool_keeps_one_per_side_array(self):
+        pool = find_hss_detailed(random_origami(random.Random(40), 40)).pool
+        assert len(vars(pool)) == 11
+        n = len(pool.lab)
+        assert [k for k, v in vars(pool).items()
+                if isinstance(v, list) and len(v) == n] == ["lab"]
+
+    def test_half_of_matches_a_scan_of_the_labels(self, fixture_origamis):
+        for _, o in fixture_origamis + [
+                ("d64", random_origami(random.Random(64), 64))]:
+            result = find_hss_detailed(o)
+            if result.pool is None:
+                continue
+            for lid, lst in result.pool.lists.items():
+                if lst.kind != "m":
+                    assert [lst.half_of(s) for s in lst.sides] == [
+                        side_half(result.pool, lid, s) for s in lst.sides], o
 
 
 class TestStoredLists:

@@ -158,6 +158,16 @@ class TestSchreierSystem:
         with pytest.raises(NotInSubgroup):
             rewrite(ss, parse_word("x"))
 
+    def test_one_not_in_subgroup(self):
+        """homology.class_of raises the exception subgroup defines, so one
+        except clause catches a word outside H from either module."""
+        from origami_forge import homology
+
+        assert homology.NotInSubgroup is NotInSubgroup
+        o = wollmilchsau()
+        with pytest.raises(NotInSubgroup, match="does not fix"):
+            homology.class_of(o, homology.h1_model(o), parse_word("x"))
+
     def test_gen_index_lookup(self):
         cs = CosetAction(l_origami(2, 2))
         ss = schreier_system(cs)
