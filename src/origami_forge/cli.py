@@ -325,6 +325,8 @@ def cmd_fixtures(args) -> dict:
 # The largest --max-d of `sweep`: each item draws an origami of up to
 # that many squares.
 MAX_SWEEP_SQUARES = 1024
+# The largest --count of `sweep`, the number of items it runs.
+MAX_SWEEP_COUNT = 10_000
 
 
 def sweep_one(seed: int, max_d: int, index: int) -> dict:
@@ -364,7 +366,7 @@ def _sweep_checks(o: Origami, rng: random.Random, index: int) -> dict:
     for _ in range(10):
         order = list(range(len(result.graph.cyls)))
         rng.shuffle(order)
-        if len(hss.step1_cuts(result.graph, order)[0]) != base_cuts:
+        if len(hss.step1_cuts(result.graph, order)) != base_cuts:
             orders_ok = False
             break
 
@@ -395,6 +397,9 @@ def cmd_sweep(args) -> dict:
     if not 2 <= args.max_d <= MAX_SWEEP_SQUARES:
         raise BadParameters(f"--max-d must lie in 2..{MAX_SWEEP_SQUARES}, "
                             f"not {args.max_d}")
+    if not 0 <= args.count <= MAX_SWEEP_COUNT:
+        raise BadParameters(f"--count must lie in 0..{MAX_SWEEP_COUNT}, "
+                            f"not {args.count}")
     results = [sweep_one(args.seed, args.max_d, i) for i in range(args.count)]
     return {
         "schema": SCHEMA,
@@ -458,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=int, default=12, dest="max_d",
                    help="most squares per origami, 2 to "
                    f"{MAX_SWEEP_SQUARES}")
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=int, default=200,
+                   help=f"items to run, 0 to {MAX_SWEEP_COUNT}")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

@@ -118,10 +118,6 @@ def _reduce(rank: int, letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, i
     return tuple(out)
 
 
-def word(rank: int, *letters: Tuple[int, int]) -> Word:
-    return Word(rank, letters)
-
-
 def identity(rank: int) -> Word:
     return Word(rank)
 

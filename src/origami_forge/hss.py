@@ -6,7 +6,9 @@ stages:
 
 1. a maximal system of cylinder cuts, found on a graph with two nodes
    per cylinder (its lower and upper boundary) joined by the vertical
-   gluings; cylinders whose two nodes get bridged are not cut;
+   gluings; cylinders whose two nodes get bridged are not cut.  The graph
+   does not depend on the bridging order: ``step1_graph`` builds it and
+   ``step1_cuts`` runs the bridging pass on it, returning only the cuts;
 2. boundary labels of the cut surface are collected into lists, spliced
    into a single list P, and a separating pair of labels in P yields one
    further curve via backtracking through the splice history;
@@ -47,12 +49,17 @@ and the list numbering are those of a full rescan after every removal.
 
 Each merge hangs the absorbed pool list below the pool list that holds
 the accumulator's glued side, so a round's merges form a tree on its
-pool lists, which ``merge_all`` records with each side's pool list.
-Backtracking walks this tree from the lists of alpha's two occurrences up
-to where they meet, in time linear in the chain, and never replays the
-event log; ``dual_curves`` backtracks old rounds the same way.  Stage 3
-keeps a side -> pool list map, finds sides by their index in that list,
-and rebuilds the pool order once per round: the pool is one list of lids,
+pool lists, which ``merge_all`` records.  Backtracking walks this tree
+from the lists of alpha's two occurrences up to where they meet, in time
+linear in the chain, and never replays the event log.  It reads each
+side's pool list from a side -> pool list map: for the current round,
+the live ``Pool.home`` that stage 3 keeps; for an old round, which
+``dual_curves`` backtracks, a map rebuilt from that round's pool lists,
+which never change.  Backtracking computes each chain pair's
+x-exponent once, after fixing the chain's orientation, and stores it in
+the pair, where emission and the next round's split read it.  Stage 3
+finds sides by their index in their pool list, and rebuilds the pool
+order once per round: the pool is one list of lids,
 sorted by each list's section (its kind, 'u', 'o' or 'lz', then its
 cylinder), in which every split list is replaced by its successors.
 """
@@ -80,7 +87,6 @@ __all__ = [
     "LabeledList",
     "MergeHistory",
     "ChainPair",
-    "PairChain",
     "Pool",
     "step1",
     "step1_graph",
@@ -91,6 +97,8 @@ __all__ = [
     "emit_curve",
     "step3_update",
     "find_hss",
+    "find_hss_detailed",
+    "HssResult",
     "dual_curves",
     "format_label",
 ]
@@ -147,10 +155,10 @@ def format_label(label: Label) -> str:
 @dataclass
 class HalfCylinderGraph:
     """Two nodes per cylinder i, the upper 2i and the lower 2i + 1, joined
-    by the p2-gluing edges, plus the bridges chosen in stage 1."""
+    by the p2-gluing edges; `step1_cuts` bridges each cylinder's two
+    nodes on a copy of ``roots``."""
 
     cyls: list[Cylinder]
-    bridges: list[int]               # cylinder indices that received a bridge
     roots: list[int]                 # node -> its component's root under
                                      # the edges alone, before any bridge
 
@@ -176,46 +184,41 @@ class _UnionFind:
 def step1_graph(o: Origami) -> HalfCylinderGraph:
     """The half of stage 1 that no bridging order changes: the cylinders,
     an edge z_i^o -- z_j^u whenever p2 carries a square of Z_i into Z_j,
-    and the components those edges join.  It has no bridges yet."""
+    and the components those edges join."""
     cyls = cylinders(o)
     at = o.cylinder_at
     uf = _UnionFind(list(range(2 * len(cyls))))
     for i, z in enumerate(cyls):
         for s in z.squares:
             uf.union(2 * i, 2 * at[o.p2(s)][0] + 1)
-    return HalfCylinderGraph(cyls, [],
-                             [uf.find(v) for v in range(2 * len(cyls))])
+    return HalfCylinderGraph(cyls, [uf.find(v) for v in range(2 * len(cyls))])
 
 
 def step1_cuts(
     graph: HalfCylinderGraph, order: Optional[Sequence[int]] = None
-) -> tuple[list[Cylinder], HalfCylinderGraph]:
-    """The bridging pass of stage 1 on a graph from `step1_graph`, whose
-    own bridges it ignores: scanning the cylinders in the given order (by
-    default in descending index), it bridges z_i^o -- z_i^u whenever the
-    two nodes are still in different components.  The cut cylinders are
-    exactly the bridge-less ones; returns them and the bridged graph."""
+) -> list[Cylinder]:
+    """The bridging pass of stage 1 on a graph from `step1_graph`, which
+    it leaves as it found it: scanning the cylinders in the given order
+    (by default in descending index), it bridges z_i^o -- z_i^u whenever
+    the two nodes are still in different components.  Returns the cut
+    cylinders, exactly the bridge-less ones."""
     ncyl = len(graph.cyls)
     if order is None:
         order = range(ncyl - 1, -1, -1)
     elif sorted(order) != list(range(ncyl)):
         raise ValueError("order must permute cylinders")
     uf = _UnionFind(list(graph.roots))
-    bridges = []
-    for i in order:
-        if uf.union(2 * i, 2 * i + 1):
-            bridges.append(i)
+    cut = [i for i in order if not uf.union(2 * i, 2 * i + 1)]
     if len({uf.find(v) for v in range(2 * ncyl)}) != 1:
         raise Disconnected("surface not connected after bridging")
-    bridged = set(bridges)
-    cuts = [z for i, z in enumerate(graph.cyls) if i not in bridged]
-    return cuts, HalfCylinderGraph(graph.cyls, bridges, graph.roots)
+    return [graph.cyls[i] for i in sorted(cut)]
 
 
 def step1(
     o: Origami, order: Optional[Sequence[int]] = None
 ) -> tuple[list[Cylinder], HalfCylinderGraph]:
-    """Maximal cylinder cut system: `step1_cuts` on `step1_graph(o)`.
+    """Maximal cylinder cut system: `step1_cuts` on `step1_graph(o)`, and
+    that graph.
 
     Nodes z_i^o (upper boundary) and z_i^u (lower boundary) per cylinder;
     an edge z_i^o -- z_j^u whenever p2 carries a square of Z_i into Z_j.
@@ -225,7 +228,8 @@ def step1(
     the bridges depend on the order, so a caller that tries several
     orders builds the graph once and runs `step1_cuts` for each.
     """
-    return step1_cuts(step1_graph(o), order)
+    graph = step1_graph(o)
+    return step1_cuts(graph, order), graph
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +287,24 @@ class MergeHistory:
     absorbed list hangs below the initial list that held the accumulator's
     glued side.  ``tree`` maps an absorbed list to (that parent, the glued
     side of the accumulator, the glued side of the list, the merge's
-    result), the last ordering the absorptions; ``home`` maps each side to
-    its initial list.
+    result), the last ordering the absorptions.
     """
 
     initial: list[int]
     events: list[tuple] = field(default_factory=list)
     final: Optional[int] = None
     tree: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
-    home: dict[int, int] = field(default_factory=dict)
 
 
 class ChainPair(NamedTuple):
+    """Two sides of pool list lid on its boundary half, and the x-exponent
+    of the syllable they contribute (`_exponent`)."""
+
     side_a: int
     side_b: int
     lid: int
     half: str
-    cyl: int
-
-
-PairChain = list  # of ChainPair
+    exponent: int
 
 
 _SECTION_RANK = {"u": 0, "o": 1, "lz": 2}
@@ -318,17 +320,15 @@ class Pool:
     ``label_at`` map a label to its id and back, and ``square`` /
     ``unprimed`` say per id whether it is a square label and whether it
     carries no marks.  ``home`` maps every side of a current pool list to
-    that list's lid.  ``exponents`` keeps each chain pair's x-exponent.
-    ``pool_order`` holds the lids of the current pool lists, sorted by
-    `section`: the 'u' lists, then the 'o' lists, then the 'lz' lists,
-    each by cylinder; lists of one section keep the order in which stage 3
-    placed them.
+    that list's lid.  ``pool_order`` holds the lids of the current pool
+    lists, sorted by `section`: the 'u' lists, then the 'o' lists, then
+    the 'lz' lists, each by cylinder; lists of one section keep the order
+    in which stage 3 placed them.
     """
 
     def __init__(self, o: Origami):
         self.o = o
         self.lists: dict[int, LabeledList] = {}
-        self.exponents: dict[tuple[int, int, int], int] = {}
         self.lab: list[int] = []
         self.label_ids: dict[Label, int] = {}
         self.square: list[bool] = []
@@ -465,7 +465,7 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     if not remaining:
         raise ValueError("empty pool")
     home = pool.home
-    history = MergeHistory(initial=list(remaining), home=home.copy())
+    history = MergeHistory(initial=list(remaining))
     events, tree = history.events, history.tree
     lists = pool.lists
     square, unprimed = pool.square, pool.unprimed
@@ -602,28 +602,30 @@ def _separating_pair(labs: Sequence[int], square: Sequence[bool],
 # ---------------------------------------------------------------------------
 
 
-def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
-    """Trace the pair (alpha, alpha) of the final list back through the
-    merge history to a chain of pairs, each inside one initial list.
+def backtrack(pool: Pool, history: MergeHistory, alpha: int,
+              home: dict[int, int]) -> list[ChainPair]:
+    """Trace the pair (alpha, alpha) of the final list, alpha a label id,
+    back through the merge history to a chain of pairs, each inside one
+    initial list; home maps every side of the initial lists to its list.
 
     A merge splits a pair that straddles it into (.., gl) in the
     accumulator and (gm, ..) in the absorbed list, so the chain follows the
     merge tree's path from the list of alpha's first occurrence to that of
     its second.  Each end climbs to its parent, the one absorbed later
     first (a parent is absorbed before its children), until they meet; the
-    pairs in each list run from entry to exit side.
+    pairs in each list run from entry to exit side.  Each pair's exponent
+    is computed once the chain's orientation is fixed.
     """
     final = pool.lists[history.final]
     labs, sides = final.labs, final.sides
-    aid = pool.label_ids.get(alpha)
-    if labs.count(aid) != 2:
+    if labs.count(alpha) != 2:
         raise InconsistentChain("alpha must occur exactly twice")
     # x is the earlier occurrence in stored order
-    i = labs.index(aid)
-    x, y = sides[i], sides[labs.index(aid, i + 1)]
+    i = labs.index(alpha)
+    x, y = sides[i], sides[labs.index(alpha, i + 1)]
     tree = history.tree
     root = (None, None, None, -1)  # the first list is never absorbed
-    a, b = history.home[x], history.home[y]
+    a, b = home[x], home[y]
     head: list[tuple[int, int, int]] = []  # pairs from x's end, in order
     tail: list[tuple[int, int, int]] = []  # pairs from y's end, reversed
     while a != b:
@@ -639,20 +641,17 @@ def backtrack(pool: Pool, history: MergeHistory, alpha: Label) -> PairChain:
     head.append((x, y, a))
     head.extend(reversed(tail))
     lists = pool.lists
-    chain: PairChain = []
+    pairs = []
     for sa, sb, lid in head:
         lst = lists[lid]
         h = lst.half_of(sa)
         if h is None or h != lst.half_of(sb):
             raise InconsistentChain("pair straddles list halves")
-        chain.append(ChainPair._make((sa, sb, lid, h, lst.cyl)))
+        pairs.append((sa, sb, lid, h))
     # emission starts with a lower-boundary pair when possible
-    if chain[0].half == "o" and chain[-1].half == "u":
-        chain = [
-            ChainPair._make((p.side_b, p.side_a, p.lid, p.half, p.cyl))
-            for p in reversed(chain)
-        ]
-    return chain
+    if pairs[0][3] == "o" and pairs[-1][3] == "u":
+        pairs = [(sb, sa, lid, h) for sa, sb, lid, h in reversed(pairs)]
+    return [ChainPair(*p, _exponent(pool, *p)) for p in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +674,10 @@ def _half_bounds(pool: Pool, lid: int, half: str) -> tuple[int, int, bool]:
     return 0, len(lst.sides), lst.cyclic
 
 
-def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
-    """Signed x-exponent of the pair's syllable.
+def _exponent(pool: Pool, side_a: int, side_b: int, lid: int,
+              half: str) -> int:
+    """Signed x-exponent of the syllable of the pair (side_a, side_b) on
+    the given half of list lid, whose cylinder it must lie in.
 
     Cyclic lists: minimal |t| with p1^t carrying the first underlying
     square to the second (ties at half the cylinder length resolve
@@ -684,20 +685,9 @@ def _pair_exponent(pool: Pool, pair: ChainPair) -> int:
     sides' order in the stored list (lower-boundary lists run with p1,
     upper against it).  The square under a side is its label's square on
     the lower boundary and that square's p2-preimage on the upper.
-
-    It depends only on the pair's list, which never changes, so it is
-    computed once per pair: emission and the next round's split share it.
     """
-    key = (pair.lid, pair.side_a, pair.side_b)
-    e = pool.exponents.get(key)
-    if e is None:
-        e = pool.exponents[key] = _exponent(pool, pair)
-    return e
-
-
-def _exponent(pool: Pool, pair: ChainPair) -> int:
-    side_a, side_b, lid, half, base = pair
     _, _, cyclic = _half_bounds(pool, lid, half)
+    lst = pool.lists[lid]
     o, label_of = pool.o, pool.label_of
     a, b = label_of(side_a).square, label_of(side_b).square
     if half != "u":
@@ -707,7 +697,7 @@ def _exponent(pool: Pool, pair: ChainPair) -> int:
     # the forward steps 0 <= t0 < n with p1^t0(a) = b in the pair's cylinder
     at = o.cylinder_at
     (z, ka), (zb, kb) = at[a], at[b]
-    if z != at[base][0] or zb != z:
+    if z != at[lst.cyl][0] or zb != z:
         raise InconsistentChain("squares not in the pair's cylinder")
     n = o.horizontal_cylinders[z].length
     t0 = (kb - ka) % n
@@ -715,13 +705,13 @@ def _exponent(pool: Pool, pair: ChainPair) -> int:
         if 2 * t0 < n or 2 * t0 == n:
             return t0
         return t0 - n
-    sides = pool.lists[lid].sides
+    sides = lst.sides
     if (half == "u") == (sides.index(side_a) < sides.index(side_b)):
         return t0
     return t0 - n
 
 
-def emit_curve(pool: Pool, chain: PairChain) -> OrigamiCurve:
+def emit_curve(pool: Pool, chain: list[ChainPair]) -> OrigamiCurve:
     """Turn a pair chain into a closed horizontal curve: each lower-half
     pair contributes x^t y^-1, each upper-half pair x^t y."""
     if not chain:
@@ -731,8 +721,7 @@ def emit_curve(pool: Pool, chain: PairChain) -> OrigamiCurve:
     start = alpha0 if first.half == "u" else pool.o.p2.inverse_of(alpha0)
     letters = []
     for pair in chain:
-        e = _pair_exponent(pool, pair)
-        letters.append((1, e))
+        letters.append((1, pair.exponent))
         letters.append((2, -1 if pair.half == "u" else 1))
     return OrigamiCurve(start, Word(2, letters))
 
@@ -742,7 +731,7 @@ def emit_curve(pool: Pool, chain: PairChain) -> OrigamiCurve:
 # ---------------------------------------------------------------------------
 
 
-def step3_update(pool: Pool, chain: PairChain) -> None:
+def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
     """Split, for every chain pair in order, the pool list holding it.
 
     With roles ordered along the curve's sweep direction in stored order,
@@ -761,7 +750,7 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
     joining: list[int] = []  # the L1 lists of uncut cylinders
     home = pool.home
     for pair in chain:
-        side_a, side_b, _, half, cyl = pair
+        side_a, side_b, _, half, e = pair
         lid = home.get(side_a)
         if lid is None:
             raise InconsistentChain(f"side {side_a} not in any pool list")
@@ -769,7 +758,6 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
             raise InconsistentChain("chain pair torn across lists")
         lst = pool.lists[lid]
         lo, hi, cyclic = _half_bounds(pool, lid, half)
-        e = _pair_exponent(pool, pair)
         forward = (e > 0) if half == "u" else (e < 0)
         role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
         sides = lst.sides
@@ -784,7 +772,8 @@ def step3_update(pool: Pool, chain: PairChain) -> None:
 
         marks = (1, 2) if half == "u" else (2, 1)
         a_l0, b_l0, a_l1, b_l1 = pool.split_sides(role_a, role_b, *marks)
-        l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half, cyl)
+        l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half,
+                           lst.cyl)
         pool.settle(l1)
         del home[role_a], home[role_b]  # replaced by primed copies
         if ia < ib:
@@ -823,10 +812,10 @@ class HssResult:
     cut_cylinders: list[Cylinder]
     graph: HalfCylinderGraph
     histories: list[MergeHistory] = field(default_factory=list)
-    # the lists of every round and each round's separating partner beta;
-    # dual_curves traces the betas back through them
+    # the lists of every round and each round's separating partner beta,
+    # a label id; dual_curves traces the betas back through them
     pool: Optional[Pool] = None
-    betas: list[Label] = field(default_factory=list)
+    betas: list[int] = field(default_factory=list)
 
 
 def find_hss_detailed(o: Origami) -> HssResult:
@@ -840,9 +829,9 @@ def find_hss_detailed(o: Origami) -> HssResult:
     if len(curves) == g:
         return HssResult(o, curves, cuts, graph)
     pool = init_lists(o, cuts)
-    chain: Optional[PairChain] = None
+    chain: Optional[list[ChainPair]] = None
     histories: list[MergeHistory] = []
-    betas: list[Label] = []
+    betas: list[int] = []
     while len(curves) < g:
         if chain is not None:
             step3_update(pool, chain)
@@ -850,8 +839,8 @@ def find_hss_detailed(o: Origami) -> HssResult:
         histories.append(history)
         alpha, beta = _separating_pair(pool.lists[final].labs, pool.square,
                                        pool.label_at)
-        betas.append(pool.label_at[beta])
-        chain = backtrack(pool, history, pool.label_at[alpha])
+        betas.append(beta)
+        chain = backtrack(pool, history, alpha, pool.home)
         curves.append(emit_curve(pool, chain))
     return HssResult(o, curves, cuts, graph, histories, pool, betas)
 
@@ -926,7 +915,10 @@ def dual_curves(result: HssResult) -> list[OrigamiCurve]:
     cut curve and to 0 with every earlier one."""
     cut = {s for z in result.cut_cylinders for s in z.squares}
     duals = [_transversal(result.o, z, cut) for z in result.cut_cylinders]
+    pool = result.pool
     for history, beta in zip(result.histories, result.betas):
-        duals.append(emit_curve(result.pool,
-                                backtrack(result.pool, history, beta)))
+        # the round's lists never change, so they give its side -> list map
+        home = {s: lid for lid in history.initial
+                for s in pool.lists[lid].sides}
+        duals.append(emit_curve(pool, backtrack(pool, history, beta, home)))
     return duals

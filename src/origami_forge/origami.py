@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .freegroup import Word, parse_word
+from .freegroup import Word
 
 __all__ = [
     "NotBijective",
@@ -565,8 +565,3 @@ def random_origami(rng, d: int) -> Origami:
             return Origami(d, Permutation(a), Permutation(b))
         except NotTransitive:
             continue
-
-
-def curve(start: int, text: str) -> OrigamiCurve:
-    """Convenience: curve from a word in the default x/y alphabet."""
-    return OrigamiCurve(start, parse_word(text))

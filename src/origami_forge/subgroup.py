@@ -29,7 +29,6 @@ __all__ = [
     "SchreierSystem",
     "schreier_system",
     "rewrite",
-    "substitute",
     "veech_witness",
     "veech_contains",
 ]
@@ -144,13 +143,6 @@ def rewrite(ss: SchreierSystem, w: Word) -> Word:
                 out.append((idx, -1))
     assert s == cs.base
     return Word(ss.rank, out)
-
-
-def substitute(ss: SchreierSystem, w: Word) -> Word:
-    """Replace each generator letter of a rank-(d+1) word by its F_2 word."""
-    if w.rank != ss.rank:
-        raise ValueError("word rank must equal the generator count")
-    return w.substitute(ss.generators, 2)
 
 
 def _cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:

@@ -85,8 +85,8 @@ from origami_forge.hss import (
     NoCommonLabel,
     Sentinel,
     SLabel,
+    _exponent,
     _half_bounds,
-    _pair_exponent,
     _separating_pair,
     format_label,
 )
@@ -283,11 +283,10 @@ def replay_backtrack(pool, history, alpha):
         ha, hb = side_half(pool, tag, sa), side_half(pool, tag, sb)
         if ha != hb or ha is None:
             raise InconsistentChain("pair straddles list halves")
-        chain.append(ChainPair(sa, sb, tag, ha, pool.lists[tag].cyl))
-    if chain and chain[0].half == "o" and chain[-1].half == "u":
-        chain = [ChainPair(p.side_b, p.side_a, p.lid, p.half, p.cyl)
-                 for p in reversed(chain)]
-    return chain
+        chain.append((sa, sb, tag, ha))
+    if chain and chain[0][3] == "o" and chain[-1][3] == "u":
+        chain = [(sb, sa, tag, h) for sa, sb, tag, h in reversed(chain)]
+    return [ChainPair(*p, _exponent(pool, *p)) for p in chain]
 
 
 def side_half(pool, lid, sid):
@@ -366,7 +365,7 @@ class SectionPool:
         joining = {"u": {}, "o": {}}
         home = pool.home
         for pair in chain:
-            side_a, side_b, _, half, cyl = pair
+            side_a, side_b, _, half, e = pair
             lid = home.get(side_a)
             if lid is None:
                 raise InconsistentChain(f"side {side_a} not in any pool list")
@@ -374,7 +373,6 @@ class SectionPool:
                 raise InconsistentChain("chain pair torn across lists")
             lst = pool.lists[lid]
             lo, hi, cyclic = _half_bounds(pool, lid, half)
-            e = _pair_exponent(pool, pair)
             forward = (e > 0) if half == "u" else (e < 0)
             role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
             sides = lst.sides
@@ -388,6 +386,7 @@ class SectionPool:
                     "sweep must run forward in a non-cyclic list")
             marks = (1, 2) if half == "u" else (2, 1)
             a_l0, b_l0, a_l1, b_l1 = pool.split_sides(role_a, role_b, *marks)
+            cyl = lst.cyl
             l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half, cyl)
             pool.settle(l1)
             del home[role_a], home[role_b]

@@ -266,7 +266,8 @@ class TestExtremeInputBudget:
     """Every command that reads one origami answers within 0.5 s on the
     5,000-square torus, in-process and with no thread started: p1 is one
     5,000-cycle and p2 the identity, so the surface has genus 1 and 5,000
-    vertices.  `sweep` refuses an out-of-range --max-d and `moebius`
+    vertices.  `sweep` refuses an out-of-range --max-d or --count, and
+    `moebius`
     answers extreme floats within the same budget, starting no thread or
     process."""
 
@@ -321,6 +322,28 @@ class TestExtremeInputBudget:
         data = run_json(capsys, "sweep", "--count", "3", "--max-d", "2")
         assert data["ok"] is True and data["max_d"] == 2
         assert {r["d"] for r in data["results"]} == {2}
+
+    @pytest.mark.parametrize("count", ["-1", "10001"])
+    def test_sweep_count_out_of_range_is_refused(self, capsys,
+                                                 no_new_process, count):
+        """A negative count used to exit 0 with no results, and a count
+        past the bound would run that many items; both are refused before
+        any item is drawn."""
+        threads = threading.active_count()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--count", count,
+                                 "--max-d", "4")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "BadParameters",
+            "message": f"--count must lie in 0..{cli.MAX_SWEEP_COUNT}, "
+                       f"not {count}"}
+        assert threading.active_count() == threads
+
+    def test_sweep_count_of_zero_is_accepted(self, capsys):
+        data = run_json(capsys, "sweep", "--count", "0", "--max-d", "4")
+        assert data["ok"] is True and data["results"] == []
 
     @pytest.mark.parametrize("entries", [
         (f"{MAX_FLOAT},{MAX_FLOAT}", f"-{MAX_FLOAT},{MAX_FLOAT}",
@@ -460,6 +483,20 @@ class TestH1PathAndSchema:
         for name in modules:
             module = importlib.import_module(f"origami_forge.{name}")
             assert not names & set(vars(module)), name
+
+    def test_every_exported_name_resolves(self):
+        """Each module's __all__ names only what the module defines, and
+        hss exports the driver that cli and homology import."""
+        import origami_forge
+
+        exported = 0
+        for info in pkgutil.iter_modules(origami_forge.__path__):
+            module = importlib.import_module(f"origami_forge.{info.name}")
+            names = getattr(module, "__all__", ())
+            assert [n for n in names if not hasattr(module, n)] == [], info
+            exported += len(names)
+        assert exported
+        assert {"find_hss_detailed", "HssResult"} <= set(hss.__all__)
 
     def test_no_source_file_names_smith_normal_form(self):
         root = pathlib.Path(cli.__file__).parent
@@ -736,10 +773,10 @@ class TestSweepAndDeterminism:
         real = hss.step1_cuts
 
         def by_order(graph, order=None):
-            cuts, bridged = real(graph, order)
+            cuts = real(graph, order)
             if order is not None and list(order) != sorted(order)[::-1]:
                 cuts = cuts[1:]
-            return cuts, bridged
+            return cuts
 
         monkeypatch.setattr(hss, "step1_cuts", by_order)
         for i in multi:
@@ -910,8 +947,8 @@ def test_same_answers_without_asserts(argv):
 
 def test_library_errors_without_asserts():
     """Under python -O the word-fixture parser, the membership check, the
-    coset action, the Schreier substitution, the edge cycle and the
-    symplectic completion still raise their named errors."""
+    coset action, the edge cycle and the symplectic completion still
+    raise their named errors."""
     script = (
         "from origami_forge.freegroup import parse_word\n"
         "from origami_forge.homology import AlphaSpec, edge_cycle,"
@@ -919,8 +956,7 @@ def test_library_errors_without_asserts():
         " parse_word_fixture, symplectic_completion\n"
         "from origami_forge.hss import find_hss\n"
         "from origami_forge.origami import l_origami\n"
-        "from origami_forge.subgroup import CosetAction, schreier_system,"
-        " substitute\n"
+        "from origami_forge.subgroup import CosetAction\n"
         "o = l_origami(2, 2)\n"
         "model = h1_model(o)\n"
         "a0, *rest = [model.coords(edge_cycle(o, c.start, c.word))"
@@ -930,8 +966,6 @@ def test_library_errors_without_asserts():
         "    lambda: modg_alpha_check(AlphaSpec.standard(2),"
         " [parse_symplectic(t, 2) for t in ('a1', 'a2', 'b1')]),\n"
         "    lambda: CosetAction(o, base=0),\n"
-        "    lambda: substitute(schreier_system(CosetAction(o)),"
-        " parse_word('x y')),\n"
         "    lambda: edge_cycle(o, 0, parse_word('x')),\n"
         "    lambda: symplectic_completion(model,"
         " [[2 * x for x in a0], *rest]),\n"
@@ -952,7 +986,6 @@ def test_library_errors_without_asserts():
         "BadFormat line 1: expected '='",
         "UnknownGenerator 3 images for the 2g = 4 generators",
         "ValueError base square out of range",
-        "ValueError word rank must equal the generator count",
         "ValueError start square out of range",
         "NotPrimitive classes do not span a direct summand",
     ]

@@ -30,7 +30,6 @@ from origami_forge.freegroup import (
     parse_word,
     primitive_root,
     simultaneous_conjugacy,
-    word,
 )
 
 from oracles import (

@@ -172,7 +172,6 @@ def assert_tree_walk_matches_replay(o):
     for history, beta in zip(result.histories, result.betas):
         initial_of = {s: lid for lid in history.initial
                       for s in pool.lists[lid].sides}
-        assert history.home == initial_of, o
         root = history.initial[0]
         absorbed = {root}
         for ev in history.events:
@@ -187,9 +186,10 @@ def assert_tree_walk_matches_replay(o):
         assert absorbed == set(history.initial), o
         alpha, separating = find_separating_pair(
             pool_labels(pool, history.final))
-        assert separating == beta, o
-        for label in (alpha, beta):
-            assert backtrack(pool, history, label) == replay_backtrack(
+        assert separating == pool.label_at[beta], o
+        for label in (alpha, separating):
+            assert backtrack(pool, history, pool.label_ids[label],
+                             initial_of) == replay_backtrack(
                 pool, history, label), (o, label)
 
 
@@ -198,7 +198,7 @@ def next_chain(pool):
     final, history = merge_all(pool)
     alpha, _ = _separating_pair(pool.lists[final].labs, pool.square,
                                 pool.label_at)
-    return backtrack(pool, history, pool.label_at[alpha])
+    return backtrack(pool, history, alpha, pool.home)
 
 
 def assert_order_matches_sections(o):
@@ -228,7 +228,7 @@ class TestStep1:
         assert [z.base for z in cuts] == [1]
         # the other cylinder (index 1, base 5) received the bridge
         assert [z.base for z in graph.cyls] == [1, 5]
-        assert graph.bridges == [1]
+        assert cuts == [graph.cyls[0]]
 
     @pytest.mark.parametrize("order", [[0], [0, 0], [1, 2], [0, 1, 2]])
     def test_order_must_permute_cylinders(self, order):
@@ -259,21 +259,20 @@ class TestStep1:
 
     def test_one_graph_serves_every_order(self):
         """The bridging pass on one shared graph gives step1's cuts and
-        bridges for every order, and leaves the graph as it found it."""
+        graph for every order, and leaves the graph as it found it."""
         rng = random.Random(22)
         for _ in range(25):
             o = random_origami(rng, rng.randint(2, 14))
             graph = step1_graph(o)
             roots = list(graph.roots)
-            assert graph.bridges == []
             for _ in range(10):
                 order = list(range(len(graph.cyls)))
                 rng.shuffle(order)
-                cuts, bridged = step1_cuts(graph, order)
+                cuts = step1_cuts(graph, order)
                 want, want_graph = step1(o, order)
                 assert len(cuts) == len(want)
-                assert cuts == want and bridged == want_graph
-            assert graph.roots == roots and graph.bridges == []
+                assert cuts == want and graph == want_graph
+            assert graph.roots == roots
 
 
 class TestInitialLists:
@@ -411,7 +410,7 @@ class TestBacktrackAndEmission:
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
         alpha, _ = find_separating_pair(pool_labels(pool, final))
-        chain = backtrack(pool, history, alpha)
+        chain = backtrack(pool, history, pool.label_ids[alpha], pool.home)
         return pool, chain
 
     def test_four_cylinder_chain_and_curve(self):
@@ -440,17 +439,18 @@ class TestBacktrackAndEmission:
 class TestPairExponent:
     def test_pair_outside_its_tagged_cylinder_is_rejected(self):
         """Squares 8 and 10 lie in o14's 7-square cylinder (base 8), two
-        steps apart; a pair of them tagged with the 3-square cylinder
-        (base 5) is inconsistent."""
+        steps apart; a pair of them in a list stored under the 3-square
+        cylinder (base 5) is inconsistent."""
         o = o14()
         pool = init_lists(o, [z for z in cylinders(o) if z.length == 7])
         (lid,) = [lid for lid in pool.pool_order
                   if pool.lists[lid].kind == "u"]
         sides = pool.lists[lid].sides
         assert shown(pool, lid)[:3] == ["8", "9", "10"]
-        assert _exponent(pool, ChainPair(sides[0], sides[2], lid, "u", 8)) == 2
+        assert _exponent(pool, sides[0], sides[2], lid, "u") == 2
+        wrong = pool.new_list(sides, True, "u", 5)
         with pytest.raises(InconsistentChain, match="pair's cylinder"):
-            _exponent(pool, ChainPair(sides[0], sides[2], lid, "u", 5))
+            _exponent(pool, sides[0], sides[2], wrong, "u")
 
 
 class TestListSplitting:
@@ -460,7 +460,7 @@ class TestListSplitting:
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
         alpha, _ = find_separating_pair(pool_labels(pool, final))
-        chain = backtrack(pool, history, alpha)
+        chain = backtrack(pool, history, pool.label_ids[alpha], pool.home)
         step3_update(pool, chain)
         tables = [
             (pool.lists[lid].kind, pool.lists[lid].cyclic, shown(pool, lid))
@@ -481,7 +481,7 @@ class TestListSplitting:
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
         alpha, _ = find_separating_pair(pool_labels(pool, final))
-        chain = backtrack(pool, history, alpha)
+        chain = backtrack(pool, history, pool.label_ids[alpha], pool.home)
         step3_update(pool, chain)
         split = [
             shown(pool, lid)
@@ -565,7 +565,7 @@ class TestSideHalves:
 
     def test_pool_keeps_one_per_side_array(self):
         pool = find_hss_detailed(random_origami(random.Random(40), 40)).pool
-        assert len(vars(pool)) == 11
+        assert len(vars(pool)) == 10
         n = len(pool.lab)
         assert [k for k, v in vars(pool).items()
                 if isinstance(v, list) and len(v) == n] == ["lab"]
@@ -580,6 +580,44 @@ class TestSideHalves:
                 if lst.kind != "m":
                     assert [lst.half_of(s) for s in lst.sides] == [
                         side_half(result.pool, lid, s) for s in lst.sides], o
+
+
+class TestExponentOncePerPair:
+    """Backtracking computes each chain pair's exponent once and stores it
+    in the pair; emission and stage 3 read it there."""
+
+    @staticmethod
+    def assert_once_per_pair(monkeypatch, o):
+        from origami_forge import hss
+
+        calls, pairs = [], []
+        real_exponent, real_backtrack = hss._exponent, hss.backtrack
+
+        def exponent(pool, *pair):
+            e = real_exponent(pool, *pair)
+            calls.append((*pair, e))
+            return e
+
+        def backtrack(*args):
+            chain = real_backtrack(*args)
+            pairs.extend(chain)
+            return chain
+
+        with monkeypatch.context() as m:
+            m.setattr(hss, "_exponent", exponent)
+            m.setattr(hss, "backtrack", backtrack)
+            dual_curves(find_hss_detailed(o))
+        assert calls == [tuple(p) for p in pairs], o
+        return len(pairs)
+
+    def test_fixtures(self, monkeypatch, fixture_origamis):
+        assert sum(self.assert_once_per_pair(monkeypatch, o)
+                   for _, o in fixture_origamis)
+
+    def test_seeded_degrees(self, monkeypatch):
+        assert sum(self.assert_once_per_pair(
+            monkeypatch, random_origami(random.Random(d), d))
+            for d in range(2, 41))
 
 
 class TestStoredLists:
@@ -628,7 +666,7 @@ class TestBacktrackAgainstReplay:
         _, history = merge_all(pool)
         for label in (SLabel(2), SLabel(99), SLabel(1, (1,))):
             with pytest.raises(InconsistentChain, match="exactly twice"):
-                backtrack(pool, history, label)
+                backtrack(pool, history, pool.intern(label), pool.home)
 
 
 class TestAgainstRescanEngine:
@@ -715,10 +753,12 @@ class TestPoolOrderAgainstSections:
             width = rng.randint(k, len(sides))  # a short one sweeps forward
             start = rng.randint(0, len(sides) - width)
             at = sorted(rng.sample(range(start, start + width), k))
-            chain = [ChainPair(sides[i], sides[j], lid, half, lst.cyl)
-                     for i, j in zip(at[:len(at) // 2], reversed(at))]
             first = pool._next_list  # the first split makes L1, then L0
             try:
+                chain = [ChainPair(sides[i], sides[j], lid, half,
+                                   _exponent(pool, sides[i], sides[j], lid,
+                                             half))
+                         for i, j in zip(at[:len(at) // 2], reversed(at))]
                 step3_update(pool, chain)
             except InconsistentChain:
                 continue

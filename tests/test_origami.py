@@ -24,9 +24,9 @@ from origami_forge.origami import (
     NotBijective,
     NotTransitive,
     Origami,
+    OrigamiCurve,
     Permutation,
     act_word,
-    curve,
     cylinders,
     format_origami,
     genus,
@@ -221,11 +221,11 @@ class TestMonodromy:
 
     def test_trace_and_closure(self):
         o = wollmilchsau()
-        c = curve(1, "x y^-1 x y")
+        c = OrigamiCurve(1, parse_word("x y^-1 x y"))
         trace = trace_curve(o, c)
         assert trace[0] == trace[-1] == 1
         assert is_closed(o, c)
-        assert not is_closed(o, curve(1, "x"))
+        assert not is_closed(o, OrigamiCurve(1, parse_word("x")))
 
 
 class TestShear:
