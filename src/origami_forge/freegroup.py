@@ -34,7 +34,8 @@ class Word:
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: Iterable[Tuple[int, int]] = ()):
-        assert rank >= 1
+        if rank < 1:
+            raise RankMismatch(f"rank {rank} is below 1")
         self.rank = rank
         self.letters = _reduce(rank, letters)
 
@@ -49,9 +50,6 @@ class Word:
 
     def inv(self) -> "Word":
         return Word(self.rank, tuple((g, -e) for g, e in reversed(self.letters)))
-
-    def __invert__(self) -> "Word":
-        return self.inv()
 
     def __pow__(self, n: int) -> "Word":
         if n == 1:
@@ -218,10 +216,8 @@ def is_conjugate(u: Word, v: Word) -> Optional[Word]:
         return None
     for _, rot, prefix in _rotations(cu):
         if rot == cv:
-            # rot = prefix^-1 * cu * prefix
-            g = pv * prefix.inv() * pu.inv()
-            assert u.conj(g) == v
-            return g
+            # rot = prefix^-1 * cu * prefix, so g * u * g^-1 = v
+            return pv * prefix.inv() * pu.inv()
     return None
 
 
@@ -229,14 +225,14 @@ def primitive_root(u: Word) -> Word:
     """The generator of the centralizer of a non-trivial u."""
     core, p = cyclic_reduce(u)
     n = len(core.letters)
-    assert n > 0
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        r = Word(core.rank, core.letters[:d])
-        if r ** (n // d) == core:
-            return r.conj(p)
-    raise AssertionError("unreachable")
+    if n == 0:
+        raise AllTrivial("the trivial word has no primitive root")
+    for d in range(1, n):
+        if n % d == 0:
+            r = Word(core.rank, core.letters[:d])
+            if r ** (n // d) == core:
+                return r.conj(p)
+    return core.conj(p)
 
 
 def simultaneous_conjugacy(pairs: Sequence[Tuple[Word, Word]]) -> Optional[Word]:
@@ -361,8 +357,7 @@ def nielsen_factors(A: IntMatrix2) -> List[IntMatrix2]:
         q = a // c
         factors.append((1, q, 0, 1))
         a, b = a - q * c, b - q * d
-    # c == 0, so a, d in {1, -1}
-    assert a in (1, -1) and d in (1, -1)
+    # c == 0 and det = a d = +-1, so a, d in {1, -1}
     if a == -1:
         factors.append(NEG_X)
         b = -b
@@ -402,5 +397,6 @@ def lift_matrix(A: IntMatrix2) -> F2Endo:
     """A preimage of A under beta_hat: the composite of the Nielsen
     automorphisms lifting `nielsen_factors(A)`, as long as A's entries."""
     phi = F2Endo(*apply_factors(A, gen(2, 1), gen(2, 2)), True)
-    assert beta_hat(phi) == A
+    if beta_hat(phi) != A:
+        raise NotUnimodular(f"lift of {A} maps to {beta_hat(phi)}")
     return phi

@@ -57,6 +57,7 @@ from .origami import (
     OrigamiCurve,
     act_word,
     genus,
+    letter_edges,
 )
 from .subgroup import NotInSubgroup
 
@@ -130,22 +131,8 @@ def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
     if not 1 <= start <= d:
         raise ValueError("start square out of range")
     vec = [0] * (2 * d)
-    s = start
-    for g, e in w.letters:
-        if g == 1:
-            if e == 1:
-                vec[s - 1] += 1
-                s = o.p1(s)
-            else:
-                s = o.p1.inverse_of(s)
-                vec[s - 1] -= 1
-        else:
-            if e == 1:
-                vec[d + s - 1] += 1
-                s = o.p2(s)
-            else:
-                s = o.p2.inverse_of(s)
-                vec[d + s - 1] -= 1
+    for t, g, e in letter_edges(o, start, w):
+        vec[(g - 1) * d + t - 1] += e
     return vec
 
 

@@ -248,16 +248,12 @@ class LabeledList:
     ids, the same list for a 'u' / 'o' list, which holds no sentinel.
     """
 
-    lid: int
     sides: tuple[int, ...]
     cyclic: bool
     kind: str
     cyl: int
     labs: list[int]
     own: list[int]
-
-    def __len__(self) -> int:
-        return len(self.sides)
 
     def half_of(self, sid: int) -> Optional[str]:
         """The boundary half of side sid: the list's kind, or in an 'lz'
@@ -384,7 +380,7 @@ class Pool:
             own = labs
         else:
             own = list(compress(labs, map(self.square.__getitem__, labs)))
-        self.lists[lid] = LabeledList(lid, sides, cyclic, kind, cyl, labs, own)
+        self.lists[lid] = LabeledList(sides, cyclic, kind, cyl, labs, own)
         return lid
 
     def label_of(self, sid: int) -> Label:

@@ -4,6 +4,13 @@ An origami with d unit squares is encoded by two permutations on {1..d}:
 p1 sends a square to its right neighbor, p2 to its upper neighbor.  The
 group generated by (p1, p2) must act transitively (the surface is
 connected).  All arithmetic here is exact.
+
+The square graph joins each square s to p1(s) and p2(s); it is the
+Schreier graph of the stabilizer of a square in F_2 = <x, y>.  Two
+helpers walk it: `square_tree`, the breadth-first tree from a base
+square, and `letter_edges`, the edges a word runs along.  The
+connectedness check, the Schreier transversal, the covering test, edge
+chains and Reidemeister-Schreier rewriting all read them.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .freegroup import Word
 
@@ -44,6 +51,8 @@ __all__ = [
     "format_origami",
     "random_origami",
     "act_word",
+    "square_tree",
+    "letter_edges",
 ]
 
 
@@ -114,11 +123,13 @@ class Permutation:
         return Permutation._of(tuple(img))
 
     def __call__(self, s: int) -> int:
-        assert 1 <= s <= self.size, f"square {s} out of range"
+        if not 1 <= s <= self.size:
+            raise BadParameters(f"square {s} out of range")
         return self._img[s - 1]
 
     def inverse_of(self, s: int) -> int:
-        assert 1 <= s <= self.size, f"square {s} out of range"
+        if not 1 <= s <= self.size:
+            raise BadParameters(f"square {s} out of range")
         return self._pre[s]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -192,16 +203,9 @@ class Origami:
         if self.p1.size != self.d or self.p2.size != self.d:
             raise NotBijective("permutation size differs from square count")
         # connectedness: <p1, p2> transitive on {1..d}
-        p1, p2 = self.p1.images(), self.p2.images()
-        seen = {1}
-        stack = [1]
-        while stack:
-            s = stack.pop()
-            for t in (p1[s - 1], p2[s - 1]):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        if len(seen) != self.d:
+        tree = square_tree(self, 1)
+        if len(tree) != self.d - 1:
+            seen = {1, *(u for _, _, u in tree)}
             raise NotTransitive(
                 f"squares {sorted(set(range(1, self.d + 1)) - seen)} unreachable"
             )
@@ -240,9 +244,7 @@ class Origami:
     def surface_genus(self) -> int:
         """From the Euler characteristic: #vertices - d = 2 - 2g."""
         # d - #vertices is even: the corner permutation is a commutator
-        g = (self.d - len(self.corner_orbits)) // 2 + 1
-        assert g >= 1
-        return g
+        return (self.d - len(self.corner_orbits)) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -332,7 +334,8 @@ class OrigamiCurve:
     word: Word
 
     def __post_init__(self):
-        assert self.word.rank == 2, "curve words live in rank 2"
+        if self.word.rank != 2:
+            raise BadParameters("curve words live in rank 2")
 
 
 def act_letter(o: Origami, s: int, g: int, e: int) -> int:
@@ -343,6 +346,47 @@ def act_letter(o: Origami, s: int, g: int, e: int) -> int:
     if g == 2:
         return o.p2(s) if e == 1 else o.p2.inverse_of(s)
     raise AssertionError(f"bad generator {g}")
+
+
+def square_tree(o: Origami, base: int) -> list[tuple[int, int, int]]:
+    """The breadth-first tree of the square graph from base: one edge
+    (t, g, u) per square u reached, where u = p_g(t) is first reached
+    from t, in the order reached.  Each square tries its x-neighbour
+    before its y-neighbour.  d - 1 edges iff the origami is connected."""
+    p1, p2 = o.p1.images(), o.p2.images()
+    seen = [False] * (o.d + 1)
+    seen[base] = True
+    order = [base]
+    tree = []
+    for t in order:
+        u = p1[t - 1]
+        if not seen[u]:
+            seen[u] = True
+            order.append(u)
+            tree.append((t, 1, u))
+        u = p2[t - 1]
+        if not seen[u]:
+            seen[u] = True
+            order.append(u)
+            tree.append((t, 2, u))
+    return tree
+
+
+def letter_edges(o: Origami, s: int,
+                 w: Word) -> Iterator[tuple[int, int, int]]:
+    """The square-graph edges that the word's letters run along from
+    square s, as (t, g, e) per letter (g, e): the letter crosses the
+    g-side of square t, forward from t when e = 1 and back into t when
+    e = -1, so t is the square before the letter or after it."""
+    steps = (None, (o.p1._img, o.p1._pre), (o.p2._img, o.p2._pre))
+    for g, e in w.letters:
+        img, pre = steps[g]
+        if e == 1:
+            yield s, g, 1
+            s = img[s - 1]
+        else:
+            s = pre[s]
+            yield s, g, -1
 
 
 def act_word(o: Origami, s: int, w: Word) -> int:
@@ -387,7 +431,6 @@ class AffineChange:
 
     def inverse(self) -> "AffineChange":
         det = self.det()
-        assert det != 0
         return AffineChange(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def matmul(self, other: "AffineChange") -> "AffineChange":

@@ -4,7 +4,9 @@ F_2 = <x, y> acts on the squares through the monodromy (x by p1, y by p2,
 words applied left to right); H is the stabilizer of the base square.
 This module provides a Schreier generating system with
 Reidemeister-Schreier rewriting, and Veech-group membership by the
-covering test on the monodromy pair of a lifted matrix.
+covering test on the monodromy pair of a lifted matrix.  The transversal
+and the covering test both read the breadth-first tree
+`origami.square_tree`, and rewriting follows `origami.letter_edges`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .freegroup import (
     gen,
     mat_det,
 )
-from .origami import Origami, Permutation, act_word
+from .origami import Origami, Permutation, act_word, letter_edges, square_tree
 
 __all__ = [
     "NotInSubgroup",
@@ -83,26 +85,18 @@ class SchreierSystem:
 
 
 def schreier_system(cs: CosetAction) -> SchreierSystem:
-    """Breadth-first transversal from the base, x-edges before y-edges,
-    squares processed in discovery order (FIFO)."""
+    """The transversal along `square_tree` from the base (breadth-first,
+    x-edges before y-edges); generators in the order squares are reached,
+    the x-edge of each square before its y-edge."""
     o = cs.origami
+    tree = square_tree(o, cs.base)
     reps: dict[int, Word] = {cs.base: Word(2)}
-    tree_edges: set[tuple[int, int]] = set()
-    queue = [cs.base]
-    head = 0
-    order = [cs.base]
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        for g, p in ((1, o.p1), (2, o.p2)):
-            t = p(s)
-            if t not in reps:
-                reps[t] = reps[s] * gen(2, g)
-                tree_edges.add((s, g))
-                queue.append(t)
-                order.append(t)
+    for t, g, u in tree:
+        reps[u] = reps[t] * gen(2, g)
     if len(reps) != o.d:
         raise SchreierSystemError("action not transitive")
+    tree_edges = {(t, g) for t, g, _ in tree}
+    order = [cs.base, *(u for _, _, u in tree)]
     generators: list[Word] = []
     edge_gen: dict[tuple[int, int], Optional[int]] = {}
     for s in order:
@@ -129,44 +123,26 @@ def rewrite(ss: SchreierSystem, w: Word) -> Word:
     if act_word(o, cs.base, w) != cs.base:
         raise NotInSubgroup(f"{w} does not fix the base square")
     out = []
-    s = cs.base
-    for g, e in w.letters:
-        if e == 1:
-            idx = ss.edge_gen[(s, g)]
-            if idx is not None:
-                out.append((idx, 1))
-            s = o.p1(s) if g == 1 else o.p2(s)
-        else:
-            s = o.p1.inverse_of(s) if g == 1 else o.p2.inverse_of(s)
-            idx = ss.edge_gen[(s, g)]
-            if idx is not None:
-                out.append((idx, -1))
-    assert s == cs.base
+    for t, g, e in letter_edges(o, cs.base, w):
+        idx = ss.edge_gen[(t, g)]
+        if idx is not None:
+            out.append((idx, e))
     return Word(ss.rank, out)
 
 
 def _cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:
     """The first square s that H = Stab(base) fixes under (P, Q), or None:
     the first s such that base -> s extends to a map f of F_2-sets,
-    f(p1(t)) = P(f(t)) and f(p2(t)) = Q(f(t)).  One breadth-first spanning
-    tree is built from the base; for each s, f is filled along its d - 1
-    edges and then checked on all 2d edges: O(d) per s, O(d^2) in all."""
+    f(p1(t)) = P(f(t)) and f(p2(t)) = Q(f(t)).  For each s, f is filled
+    along the d - 1 edges of `square_tree` from the base and then checked
+    on all 2d edges: O(d) per s, O(d^2) in all."""
     o = cs.origami
     # Image tables with a leading 0, so that square t sits at index t and
     # the unused entry 0 of f maps to 0 under every table.
     p1, p2 = (0, *o.p1.images()), (0, *o.p2.images())
     P, Q = (0, *P.images()), (0, *Q.images())
-    tree = []  # (t, u, R): u is first reached from t, so f(u) = R[f(t)]
-    seen = [False] * (o.d + 1)
-    seen[cs.base] = True
-    order = [cs.base]
-    for t in order:
-        for p, R in ((p1, P), (p2, Q)):
-            u = p[t]
-            if not seen[u]:
-                seen[u] = True
-                order.append(u)
-                tree.append((t, u, R))
+    # (t, u, R): u is first reached from t, so f(u) = R[f(t)]
+    tree = [(t, u, P if g == 1 else Q) for t, g, u in square_tree(o, cs.base)]
     f = [0] * (o.d + 1)
     for s in range(1, o.d + 1):
         f[cs.base] = s

@@ -1,6 +1,7 @@
 """The command-line front end: JSON contracts, exit codes, fixture
 registry resolution, tracing, and output determinism."""
 
+import ast
 import cmath
 import contextlib
 import importlib
@@ -989,3 +990,17 @@ def test_library_errors_without_asserts():
         "ValueError start square out of range",
         "NotPrimitive classes do not span a direct summand",
     ]
+
+
+def test_library_has_no_assert_statements():
+    """python -O strips assert statements, so the library holds none: every
+    check that guards an input or decides an answer is a raise."""
+    package = pathlib.Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(package.glob("*.py"))) >= 9
+    assert found == []

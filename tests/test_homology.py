@@ -12,6 +12,7 @@ import pytest
 from origami_forge import homology, linalg
 from origami_forge.freegroup import (
     F2Endo,
+    Word,
     horizontal_twist_lift,
     identity,
     parse_word,
@@ -48,6 +49,7 @@ from origami_forge.origami import (
     Origami,
     OrigamiCurve,
     Permutation,
+    act_word,
     cylinders,
     genus,
     is_closed,
@@ -74,6 +76,7 @@ from oracles import (
     snf_symplectic_completion,
     spliced_order,
     transpose,
+    vertex_index,
 )
 
 FIXTURES = [
@@ -176,6 +179,22 @@ class TestCellComplex:
         o = wollmilchsau()
         z = edge_cycle(o, 1, parse_word("x y^-1 x y"))
         assert mat_vec(d1(o), z) == [0] * len(o.corner_orbits)
+        # random words, inverse letters included: the chain runs from the
+        # start's corner to the end's, and the inverse word runs it back
+        rng = random.Random(27)
+        for o in FIXTURES:
+            D, vertex_of = d1(o), vertex_index(o)
+            for _ in range(20):
+                w = Word(2, [(rng.randint(1, 2), rng.choice((1, -1)))
+                             for _ in range(rng.randint(1, 16))])
+                start = rng.randint(1, o.d)
+                end = act_word(o, start, w)
+                z = edge_cycle(o, start, w)
+                want = [0] * len(o.corner_orbits)
+                want[vertex_of[end]] += 1
+                want[vertex_of[start]] -= 1
+                assert mat_vec(D, z) == want, (o, start, w)
+                assert edge_cycle(o, end, w.inv()) == [-x for x in z]
 
 
 class TestH1Model:

@@ -37,6 +37,7 @@ from origami_forge.origami import (
     parse_origami,
     random_origami,
     shear,
+    square_tree,
     vertex_orbits,
     vertical_multiplier,
     wollmilchsau,
@@ -113,8 +114,33 @@ class TestPermutation:
 
 class TestGeometry:
     def test_transitivity_required(self):
-        with pytest.raises(NotTransitive):
+        with pytest.raises(NotTransitive, match=r"^squares \[2\] unreachable$"):
             Origami(2, Permutation([1, 2]), Permutation([1, 2]))
+        with pytest.raises(NotTransitive,
+                           match=r"^squares \[3, 4, 5\] unreachable$"):
+            Origami(5, Permutation([2, 1, 4, 5, 3]), Permutation([1, 2, 5, 3, 4]))
+
+    @pytest.mark.parametrize("o", [
+        wollmilchsau(), o14(), l_origami(3, 4), x_origami(3),
+        *(random_origami(random.Random(d), d) for d in (2, 5, 12, 31)),
+    ], ids=["wollmilchsau", "o14", "l34", "x3", "r2", "r5", "r12", "r31"])
+    def test_square_tree_is_breadth_first(self, o):
+        """From every base: d - 1 edges (t, g, u) with u = p_g(t), each
+        square's parent edge is its first in-edge in (reach order of t,
+        x before y), and squares are reached in the order of those edges."""
+        for base in range(1, o.d + 1):
+            tree = square_tree(o, base)
+            order = [base, *(u for _, _, u in tree)]
+            assert sorted(order) == list(range(1, o.d + 1))
+            pos = {s: i for i, s in enumerate(order)}
+            keys = [(pos[t], g) for t, g, _ in tree]
+            assert keys == sorted(keys)
+            for t, g, u in tree:
+                assert u == (o.p1 if g == 1 else o.p2)(t)
+                assert pos[t] < pos[u]
+                assert (pos[t], g) == min(
+                    (pos[s], h) for s in order for h, p in ((1, o.p1), (2, o.p2))
+                    if p(s) == u)
 
     @pytest.mark.parametrize("build", [
         lambda: Origami(0, Permutation([]), Permutation([])),
