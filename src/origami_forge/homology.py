@@ -128,8 +128,6 @@ def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
     """The 1-chain traced by the word from the start square; a cycle iff
     the word's monodromy fixes the start."""
     d = o.d
-    if not 1 <= start <= d:
-        raise ValueError("start square out of range")
     vec = [0] * (2 * d)
     for t, g, e in letter_edges(o, start, w):
         vec[(g - 1) * d + t - 1] += e

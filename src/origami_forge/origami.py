@@ -5,12 +5,16 @@ p1 sends a square to its right neighbor, p2 to its upper neighbor.  The
 group generated by (p1, p2) must act transitively (the surface is
 connected).  All arithmetic here is exact.
 
-The square graph joins each square s to p1(s) and p2(s); it is the
-Schreier graph of the stabilizer of a square in F_2 = <x, y>.  Two
-helpers walk it: `square_tree`, the breadth-first tree from a base
-square, and `letter_edges`, the edges a word runs along.  The
-connectedness check, the Schreier transversal, the covering test, edge
-chains and Reidemeister-Schreier rewriting all read them.
+A `Permutation` keeps its image and preimage tables indexed by square,
+with an unused entry 0 that maps to 0.  The square graph joins each
+square s to p1(s) and p2(s); it is the Schreier graph of the stabilizer
+of a square in F_2 = <x, y>.  Two helpers walk it, reading the tables
+directly: `square_tree`, the breadth-first tree from a base square, and
+`letter_edges`, the edges a word runs along.  `letter_edges` and
+`act_word` step a word through the tables one private helper hands them,
+which holds the one check that the word has rank 2 and starts on a
+square.  The connectedness check, the Schreier transversal, the covering
+test, edge chains and Reidemeister-Schreier rewriting all read them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .freegroup import Word
+from .freegroup import RankMismatch, Word
 
 __all__ = [
     "NotBijective",
@@ -78,9 +82,11 @@ class BadFormat(ValueError):
 
 class Permutation:
     """A permutation of {1..d}, stored as an image table and a preimage
-    table.  `Permutation(images)` checks that images is a permutation;
-    products, powers and inverses are permutations by construction and
-    skip that check (`_of`)."""
+    table, both indexed by square: entry s is the image (preimage) of
+    square s, and the unused entry 0 maps 0 to 0.  The square-graph walks
+    read the tables directly.  `Permutation(images)` checks that images
+    is a permutation; products, powers and inverses are permutations by
+    construction and skip that check (`_of`)."""
 
     __slots__ = ("size", "_img", "_pre")
 
@@ -88,20 +94,21 @@ class Permutation:
         img = tuple(images)
         if sorted(img) != list(range(1, len(img) + 1)):
             raise NotBijective(f"not a permutation of 1..{len(img)}: {img}")
-        self._fill(img)
+        self._fill((0, *img))
 
     @classmethod
     def _of(cls, img: tuple[int, ...]) -> "Permutation":
-        """The permutation with image tuple img, which must be one."""
+        """The permutation with image table img (indexed by square, entry
+        0 being 0), which must be one."""
         p = object.__new__(cls)
         p._fill(img)
         return p
 
     def _fill(self, img: tuple[int, ...]) -> None:
-        pre = [0] * (len(img) + 1)
-        for s, t in enumerate(img, start=1):
+        pre = [0] * len(img)
+        for s, t in enumerate(img):
             pre[t] = s
-        self.size = len(img)
+        self.size = len(img) - 1
         self._img = img
         self._pre = tuple(pre)
 
@@ -109,7 +116,7 @@ class Permutation:
     def from_cycles(d: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
         """Disjoint cycles in 1..d, checked entry by entry; the table they
         give is then a permutation without a further check."""
-        img = list(range(1, d + 1))
+        img = list(range(d + 1))
         seen = set()
         for cyc in cycles:
             for s in cyc:
@@ -119,13 +126,13 @@ class Permutation:
                     raise NotBijective(f"entry {s} repeated across cycles")
                 seen.add(s)
             for i, s in enumerate(cyc):
-                img[s - 1] = cyc[(i + 1) % len(cyc)]
+                img[s] = cyc[(i + 1) % len(cyc)]
         return Permutation._of(tuple(img))
 
     def __call__(self, s: int) -> int:
         if not 1 <= s <= self.size:
             raise BadParameters(f"square {s} out of range")
-        return self._img[s - 1]
+        return self._img[s]
 
     def inverse_of(self, s: int) -> int:
         if not 1 <= s <= self.size:
@@ -135,7 +142,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self, then other: squares act on the left, as words do."""
         img = other._img
-        return Permutation._of(tuple([img[t - 1] for t in self._img]))
+        return Permutation._of(tuple([img[t] for t in self._img]))
 
     def __pow__(self, k: int) -> "Permutation":
         """The k-th power: the operand itself for k = 1, the preimage
@@ -144,11 +151,11 @@ class Permutation:
         if k == 1:
             return self
         if k == -1:
-            return Permutation._of(self._pre[1:])
-        img = [0] * self.size
+            return Permutation._of(self._pre)
+        img = [0] * (self.size + 1)
         for orbit in self.orbits():
             for i, s in enumerate(orbit):
-                img[s - 1] = orbit[(i + k) % len(orbit)]
+                img[s] = orbit[(i + k) % len(orbit)]
         return Permutation._of(tuple(img))
 
     def orbits(self) -> list[list[int]]:
@@ -164,12 +171,12 @@ class Permutation:
             while not seen[t]:
                 seen[t] = True
                 orbit.append(t)
-                t = self._img[t - 1]
+                t = self._img[t]
             out.append(orbit)
         return out
 
     def images(self) -> tuple[int, ...]:
-        return self._img
+        return self._img[1:]
 
     def cycles(self) -> list[list[int]]:
         return [orb for orb in self.orbits() if len(orb) > 1]
@@ -178,10 +185,10 @@ class Permutation:
         return isinstance(other, Permutation) and self._img == other._img
 
     def __hash__(self) -> int:
-        return hash(self._img)
+        return hash(self.images())
 
     def __repr__(self) -> str:
-        return f"Permutation({list(self._img)})"
+        return f"Permutation({list(self.images())})"
 
 
 @dataclass(frozen=True)
@@ -338,38 +345,41 @@ class OrigamiCurve:
             raise BadParameters("curve words live in rank 2")
 
 
-def act_letter(o: Origami, s: int, g: int, e: int) -> int:
-    """Image of square s under one letter: generator g in {1: x, 2: y},
-    exponent e in {1, -1}."""
-    if g == 1:
-        return o.p1(s) if e == 1 else o.p1.inverse_of(s)
-    if g == 2:
-        return o.p2(s) if e == 1 else o.p2.inverse_of(s)
-    raise AssertionError(f"bad generator {g}")
-
-
 def square_tree(o: Origami, base: int) -> list[tuple[int, int, int]]:
     """The breadth-first tree of the square graph from base: one edge
     (t, g, u) per square u reached, where u = p_g(t) is first reached
     from t, in the order reached.  Each square tries its x-neighbour
     before its y-neighbour.  d - 1 edges iff the origami is connected."""
-    p1, p2 = o.p1.images(), o.p2.images()
+    p1, p2 = o.p1._img, o.p2._img
     seen = [False] * (o.d + 1)
     seen[base] = True
     order = [base]
     tree = []
     for t in order:
-        u = p1[t - 1]
+        u = p1[t]
         if not seen[u]:
             seen[u] = True
             order.append(u)
             tree.append((t, 1, u))
-        u = p2[t - 1]
+        u = p2[t]
         if not seen[u]:
             seen[u] = True
             order.append(u)
             tree.append((t, 2, u))
     return tree
+
+
+def _word_tables(o: Origami, s: int, w: Word) -> tuple:
+    """The tables a word steps through from square s: entry g is the
+    (image, preimage) pair of generator g's permutation, p1 for g = 1 and
+    p2 for g = 2.  The one check of a word's rank and start square on
+    the square graph: RankMismatch unless w has rank 2, ValueError unless
+    s is a square."""
+    if w.rank != 2:
+        raise RankMismatch(f"words on squares have rank 2, not {w.rank}")
+    if not 1 <= s <= o.d:
+        raise ValueError("start square out of range")
+    return (None, (o.p1._img, o.p1._pre), (o.p2._img, o.p2._pre))
 
 
 def letter_edges(o: Origami, s: int,
@@ -378,12 +388,12 @@ def letter_edges(o: Origami, s: int,
     square s, as (t, g, e) per letter (g, e): the letter crosses the
     g-side of square t, forward from t when e = 1 and back into t when
     e = -1, so t is the square before the letter or after it."""
-    steps = (None, (o.p1._img, o.p1._pre), (o.p2._img, o.p2._pre))
+    tables = _word_tables(o, s, w)
     for g, e in w.letters:
-        img, pre = steps[g]
+        img, pre = tables[g]
         if e == 1:
             yield s, g, 1
-            s = img[s - 1]
+            s = img[s]
         else:
             s = pre[s]
             yield s, g, -1
@@ -391,8 +401,10 @@ def letter_edges(o: Origami, s: int,
 
 def act_word(o: Origami, s: int, w: Word) -> int:
     """Image of square s under the word, letters applied left to right."""
+    tables = _word_tables(o, s, w)
     for g, e in w.letters:
-        s = act_letter(o, s, g, e)
+        img, pre = tables[g]
+        s = img[s] if e == 1 else pre[s]
     return s
 
 

@@ -6,7 +6,9 @@ This module provides a Schreier generating system with
 Reidemeister-Schreier rewriting, and Veech-group membership by the
 covering test on the monodromy pair of a lifted matrix.  The transversal
 and the covering test both read the breadth-first tree
-`origami.square_tree`, and rewriting follows `origami.letter_edges`.
+`origami.square_tree`, and rewriting follows `origami.letter_edges`.  The
+covering test reads the permutations' image tables directly: they are
+indexed by square, with an entry 0 that maps to 0.
 """
 
 from __future__ import annotations
@@ -137,10 +139,9 @@ def _cover(cs: CosetAction, P: Permutation, Q: Permutation) -> Optional[int]:
     along the d - 1 edges of `square_tree` from the base and then checked
     on all 2d edges: O(d) per s, O(d^2) in all."""
     o = cs.origami
-    # Image tables with a leading 0, so that square t sits at index t and
-    # the unused entry 0 of f maps to 0 under every table.
-    p1, p2 = (0, *o.p1.images()), (0, *o.p2.images())
-    P, Q = (0, *P.images()), (0, *Q.images())
+    # The image tables are indexed by square, and their unused entry 0
+    # maps the unused entry 0 of f to 0.
+    p1, p2, P, Q = o.p1._img, o.p2._img, P._img, Q._img
     # (t, u, R): u is first reached from t, so f(u) = R[f(t)]
     tree = [(t, u, P if g == 1 else Q) for t, g, u in square_tree(o, cs.base)]
     f = [0] * (o.d + 1)

@@ -38,8 +38,9 @@ Nielsen automorphism per factor.
 replaced: it expands a run x^e into |e| letters and pushes them one at a
 time.  ``power`` steps a square k times along a permutation, against
 which ``Permutation.__pow__`` is checked; ``trace_curve`` lists the
-squares a curve visits, and ``contains`` tests a word for membership in
-the stabilizer H of the base square.
+squares a curve visits, one ``Permutation`` call per letter, against which
+``act_word`` and ``letter_edges`` are checked; and ``contains`` tests a
+word for membership in the stabilizer H of the base square.
 
 ``induced_matrix`` computes the action of an automorphism of F_2 on H1
 from a Schreier system and a Smith form; the twist certificate is checked
@@ -94,7 +95,6 @@ from origami_forge.origami import (
     Origami,
     OrigamiCurve,
     Permutation,
-    act_letter,
     act_word,
     vertex_orbits,
     vertex_permutation,
@@ -153,10 +153,13 @@ def power(p: Permutation, s: int, k: int) -> int:
 
 
 def trace_curve(o: Origami, c: OrigamiCurve) -> list:
-    """Successive squares visited; first entry is the start square."""
+    """Successive squares visited; first entry is the start square.  Each
+    letter steps through `Permutation.__call__` or `inverse_of`, not
+    through the tables that `act_word` and `letter_edges` share."""
     out = [c.start]
     for g, e in c.word.letters:
-        out.append(act_letter(o, out[-1], g, e))
+        p = o.p1 if g == 1 else o.p2
+        out.append(p(out[-1]) if e == 1 else p.inverse_of(out[-1]))
     return out
 
 

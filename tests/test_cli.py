@@ -992,15 +992,25 @@ def test_library_errors_without_asserts():
     ]
 
 
+def _raises_bare_assertion_error(node) -> bool:
+    """node is `raise AssertionError` or `raise AssertionError(...)`."""
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_has_no_assert_statements():
     """python -O strips assert statements, so the library holds none: every
-    check that guards an input or decides an answer is a raise."""
+    check that guards an input or decides an answer is a raise.  Nor does
+    it raise a bare AssertionError: each check raises a named error, the
+    AssertionError subclasses such as `hss.Disconnected` included."""
     package = pathlib.Path(cli.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_bare_assertion_error(node)
     ]
     assert len(list(package.glob("*.py"))) >= 9
     assert found == []

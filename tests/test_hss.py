@@ -582,6 +582,34 @@ class TestSideHalves:
                         side_half(result.pool, lid, s) for s in lst.sides], o
 
 
+class TestEachLabelNamesTwoSides:
+    """In every pool that find_hss_detailed leaves, each label id names
+    exactly two sides."""
+
+    @staticmethod
+    def pools_checked(origamis):
+        n = 0
+        for o in origamis:
+            pool = find_hss_detailed(o).pool
+            if pool is not None:
+                assert Counter(pool.lab) == {
+                    lid: 2 for lid in range(len(pool.label_at))}, o
+                n += 1
+        return n
+
+    def test_fixtures(self, fixture_origamis):
+        assert self.pools_checked(o for _, o in fixture_origamis)
+
+    def test_seeded_degrees(self):
+        assert self.pools_checked(random_origami(random.Random(d), d)
+                                  for d in range(2, 65))
+
+    def test_random_forty_square_origamis(self):
+        rng = random.Random(40)
+        assert self.pools_checked(random_origami(rng, 40)
+                                  for _ in range(100)) == 100
+
+
 class TestExponentOncePerPair:
     """Backtracking computes each chain pair's exponent once and stores it
     in the pair; emission and stage 3 read it there."""

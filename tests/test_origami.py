@@ -7,13 +7,15 @@ import os
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import origami_forge
-from origami_forge.freegroup import parse_word
+from origami_forge.freegroup import RankMismatch, Word, parse_word
+from origami_forge.homology import class_of, edge_cycle, h1_model
 from origami_forge.origami import (
     AFFINE_ID,
     AffineChange,
@@ -33,6 +35,7 @@ from origami_forge.origami import (
     horizontal_multiplier,
     is_closed,
     l_origami,
+    letter_edges,
     o14,
     parse_origami,
     random_origami,
@@ -43,6 +46,7 @@ from origami_forge.origami import (
     wollmilchsau,
     x_origami,
 )
+from origami_forge.subgroup import CosetAction, rewrite, schreier_system
 
 from oracles import power, trace_curve
 
@@ -252,6 +256,69 @@ class TestMonodromy:
         assert trace[0] == trace[-1] == 1
         assert is_closed(o, c)
         assert not is_closed(o, OrigamiCurve(1, parse_word("x")))
+
+    def test_steppers_match_the_trace_oracle(self, fixture_origamis):
+        """act_word's end square and letter_edges' crossed edges agree with
+        the letter-by-letter `trace_curve`, for random reduced rank-2 words
+        of length 0..40 from every square of the fixtures and of seeded
+        origamis with d = 2..40."""
+        rng = random.Random(28)
+        origamis = [o for _, o in fixture_origamis]
+        origamis += [random_origami(random.Random(d), d) for d in range(2, 41)]
+        lengths = set()
+        for o in origamis:
+            for s in range(1, o.d + 1):
+                for _ in range(2):
+                    letters = []
+                    for _ in range(rng.randint(0, 40)):
+                        g, e = rng.randint(1, 2), rng.choice((1, -1))
+                        if letters and letters[-1] == (g, -e):
+                            e = -e
+                        letters.append((g, e))
+                    w = Word(2, letters)
+                    assert len(w) == len(letters)
+                    lengths.add(len(w))
+                    trace = trace_curve(o, OrigamiCurve(s, w))
+                    assert act_word(o, s, w) == trace[-1], (o, s, w)
+                    assert list(letter_edges(o, s, w)) == [
+                        (trace[i] if e == 1 else trace[i + 1], g, e)
+                        for i, (g, e) in enumerate(w.letters)], (o, s, w)
+        assert lengths == set(range(41))
+
+
+class TestWordChecks:
+    """One check of a word's rank and start square guards every public
+    entry that steps a word across the squares."""
+
+    ENTRIES = {
+        "act_word": act_word,
+        # OrigamiCurve itself refuses words of another rank
+        "is_closed": lambda o, s, w: is_closed(
+            o, SimpleNamespace(start=s, word=w)),
+        "edge_cycle": edge_cycle,
+        "class_of": lambda o, s, w: class_of(o, h1_model(o), w, base=s),
+        "rewrite": lambda o, s, w: rewrite(
+            schreier_system(CosetAction(o, s)), w),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_rank_other_than_two(self, entry):
+        o = wollmilchsau()
+        for w in (Word(3, [(3, 1)]), Word(1, [(1, 1)]), Word(3), Word(1)):
+            with pytest.raises(RankMismatch,
+                               match=f"^words on squares have rank 2, "
+                                     f"not {w.rank}$"):
+                self.ENTRIES[entry](o, 1, w)
+
+    @pytest.mark.parametrize(
+        "entry", ["act_word", "is_closed", "edge_cycle", "class_of"])
+    def test_start_off_the_squares(self, entry):
+        o = wollmilchsau()
+        for s in (0, -1, o.d + 1):
+            for w in (Word(2), parse_word("x")):
+                with pytest.raises(ValueError,
+                                   match="^start square out of range$"):
+                    self.ENTRIES[entry](o, s, w)
 
 
 class TestShear:
