@@ -79,15 +79,20 @@ def fixture_dir() -> str:
 
 
 def load_origami(ref: str) -> Origami:
-    """Resolve an origami argument: a file path, or a registry name
-    (looked up as <name>.ori in the fixture directory)."""
-    if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            return parse_origami(fh.read())
-    candidate = os.path.join(fixture_dir(), ref + ".ori")
-    if ref in FIXTURES and os.path.exists(candidate):
-        with open(candidate, "r", encoding="utf-8") as fh:
-            return parse_origami(fh.read())
+    """Resolve an origami argument: a file path, else a registry name,
+    read from <name>.ori in the fixture directory if that file exists and
+    built by its registry constructor if not.  Each file is opened without
+    a prior existence check; only a missing file (or a path through a
+    non-directory) moves on to the next choice."""
+    paths = [ref]
+    if ref in FIXTURES:
+        paths.append(os.path.join(fixture_dir(), ref + ".ori"))
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return parse_origami(fh.read())
+        except (FileNotFoundError, NotADirectoryError):
+            pass
     if ref in FIXTURES:
         return FIXTURES[ref]()
     raise BadFormat(f"no such origami file or fixture: {ref!r}")

@@ -47,21 +47,23 @@ the pairs from the first junction to the start of the accumulator's
 tail.  The wrap-around pair is checked last.  The events, their order
 and the list numbering are those of a full rescan after every removal.
 
-Each merge hangs the absorbed pool list below the pool list that holds
-the accumulator's glued side, so a round's merges form a tree on its
-pool lists, which ``merge_all`` records.  Backtracking walks this tree
-from the lists of alpha's two occurrences up to where they meet, in time
-linear in the chain, and never replays the event log.  It reads each
-side's pool list from a side -> pool list map: for the current round,
-the live ``Pool.home`` that stage 3 keeps; for an old round, which
-``dual_curves`` backtracks, a map rebuilt from that round's pool lists,
-which never change.  Backtracking computes each chain pair's
-x-exponent once, after fixing the chain's orientation, and stores it in
-the pair, where emission and the next round's split read it.  Stage 3
-finds sides by their index in their pool list, and rebuilds the pool
-order once per round: the pool is one list of lids,
-sorted by each list's section (its kind, 'u', 'o' or 'lz', then its
-cylinder), in which every split list is replaced by its successors.
+Beside each accumulator side, ``merge_all`` keeps the pool list it came
+from, moved with the side by every splice and cancellation.  Each merge
+hangs the absorbed pool list below the origin of the accumulator's glued
+side, so a round's merges form a tree on its pool lists, which
+``merge_all`` records with the origins of the final list P.
+Backtracking walks this tree from the origins of alpha's two occurrences
+up to where they meet, in time linear in the chain, and never replays
+the event log; an old round, which ``dual_curves`` backtracks, is walked
+the same way.  No side -> pool list map is kept.  Backtracking computes
+each chain pair's x-exponent once, after fixing the chain's orientation,
+and stores it in the pair, where emission and the next round's split
+read it.  Stage 3 starts from each pair's pool list and follows this
+round's splits to the list that now holds the pair; it finds sides by
+their index in that list, and rebuilds the pool order once per round:
+the pool is one list of lids, sorted by each list's section (its kind,
+'u', 'o' or 'lz', then its cylinder), in which every split list is
+replaced by its successors.
 """
 
 from __future__ import annotations
@@ -283,13 +285,15 @@ class MergeHistory:
     absorbed list hangs below the initial list that held the accumulator's
     glued side.  ``tree`` maps an absorbed list to (that parent, the glued
     side of the accumulator, the glued side of the list, the merge's
-    result), the last ordering the absorptions.
+    result), the last ordering the absorptions.  ``origin`` holds, for
+    each side of the final list, the initial list it came from.
     """
 
     initial: list[int]
     events: list[tuple] = field(default_factory=list)
     final: Optional[int] = None
     tree: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
+    origin: list[int] = field(default_factory=list)
 
 
 class ChainPair(NamedTuple):
@@ -315,8 +319,7 @@ class Pool:
     list that holds it.  Labels are interned: ``label_ids`` and
     ``label_at`` map a label to its id and back, and ``square`` /
     ``unprimed`` say per id whether it is a square label and whether it
-    carries no marks.  ``home`` maps every side of a current pool list to
-    that list's lid.  ``pool_order`` holds the lids of the current pool
+    carries no marks.  ``pool_order`` holds the lids of the current pool
     lists, sorted by `section`: the 'u' lists, then the 'o' lists, then
     the 'lz' lists, each by cylinder; lists of one section keep the order
     in which stage 3 placed them.
@@ -330,7 +333,6 @@ class Pool:
         self.square: list[bool] = []
         self.unprimed: list[bool] = []
         self.label_at: list[Label] = []
-        self.home: dict[int, int] = {}
         self._next_list = 0
         self.pool_order: list[int] = []
 
@@ -386,10 +388,6 @@ class Pool:
     def label_of(self, sid: int) -> Label:
         return self.label_at[self.lab[sid]]
 
-    def settle(self, lid: int) -> None:
-        """Record lid as the pool list holding each of its sides."""
-        self.home.update(dict.fromkeys(self.lists[lid].sides, lid))
-
     def section(self, lid: int) -> tuple[int, int]:
         """The place of list lid's part of the pool order: its kind's
         rank, then its cylinder."""
@@ -414,15 +412,12 @@ def init_lists(o: Origami, cuts: list[Cylinder]) -> Pool:
         u_sides = [new_side(SLabel(s)) for s in lower]
         o_sides = [new_side(SLabel(o.p2(s))) for s in reversed(lower)]
         if base in cut_bases:
-            lids = (new_list(u_sides, True, "u", base),
-                    new_list(o_sides, True, "o", base))
+            pool.pool_order += (new_list(u_sides, True, "u", base),
+                                new_list(o_sides, True, "o", base))
         else:
             a1, a2 = new_side(Sentinel(base)), new_side(Sentinel(base))
-            lids = (new_list([a1] + u_sides + [a2] + o_sides, True, "lz",
-                             base),)
-        for lid in lids:
-            pool.settle(lid)
-        pool.pool_order += lids
+            pool.pool_order.append(
+                new_list([a1] + u_sides + [a2] + o_sides, True, "lz", base))
     pool.pool_order.sort(key=pool.section)
     return pool
 
@@ -460,7 +455,6 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     remaining = pool.pool_order
     if not remaining:
         raise ValueError("empty pool")
-    home = pool.home
     history = MergeHistory(initial=list(remaining))
     events, tree = history.events, history.tree
     lists = pool.lists
@@ -477,6 +471,7 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     pos = 0
     acc = remaining[0]
     sides, labs = list(lists[acc].sides), list(lists[acc].labs)
+    origin = [acc] * len(sides)  # the initial list each side came from
     rid = pool._next_list
     for r in range(len(remaining)):
         if r:  # r = 0 only absorbs the first list, the accumulator
@@ -513,13 +508,14 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
             raise NoCommonLabel(
                 f"label {format_label(pool.label_at[at])} missing") from None
         gl, gm = sides[i], M[j]
-        tree[mid] = (home[gl], gl, gm, rid)
+        tree[mid] = (origin[i], gl, gm, rid)
         b = len(labs) - i - 1
         if len(M) == 2:  # the commonest list: the splice renames a side
-            sides[i], labs[i] = M[1 - j], lab_m[1 - j]
+            sides[i], labs[i], origin[i] = M[1 - j], lab_m[1 - j], mid
         else:
             sides[i:i + 1] = M[j + 1:] + M[:j]
             labs[i:i + 1] = lab_m[j + 1:] + lab_m[:j]
+            origin[i:i + 1] = [mid] * (len(M) - 1)
         count[at] -= 2
         events.append(("merge", rid, acc, mid, gl, gm))
         acc, rid = rid, rid + 1
@@ -538,13 +534,14 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
             if k < stop:
                 l = labs[k]
                 s1, s2 = sides[k], sides[k + 1]
-                del sides[k:k + 2], labs[k:k + 2]
+                del sides[k:k + 2], labs[k:k + 2], origin[k:k + 2]
                 clean_from = clean_from - 2 if clean_from - 2 > k else k
                 k = k - 1 if k else 0
             elif n >= 2 and labs[-1] == labs[0]:
                 l = labs[0]
                 s1, s2 = sides[-1], sides[0]
                 del sides[-1], sides[0], labs[-1], labs[0]
+                del origin[-1], origin[0]
                 k = n - 3 if n > 3 else 0
             else:
                 break
@@ -556,7 +553,7 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     pool._next_list = rid
     if events:
         pool.put_list(acc, sides, True, "m", 0)
-    history.final = acc
+    history.final, history.origin = acc, origin
     return acc, history
 
 
@@ -598,16 +595,16 @@ def _separating_pair(labs: Sequence[int], square: Sequence[bool],
 # ---------------------------------------------------------------------------
 
 
-def backtrack(pool: Pool, history: MergeHistory, alpha: int,
-              home: dict[int, int]) -> list[ChainPair]:
+def backtrack(pool: Pool, history: MergeHistory,
+              alpha: int) -> list[ChainPair]:
     """Trace the pair (alpha, alpha) of the final list, alpha a label id,
     back through the merge history to a chain of pairs, each inside one
-    initial list; home maps every side of the initial lists to its list.
+    initial list.
 
     A merge splits a pair that straddles it into (.., gl) in the
     accumulator and (gm, ..) in the absorbed list, so the chain follows the
-    merge tree's path from the list of alpha's first occurrence to that of
-    its second.  Each end climbs to its parent, the one absorbed later
+    merge tree's path from the origin of alpha's first occurrence to that
+    of its second.  Each end climbs to its parent, the one absorbed later
     first (a parent is absorbed before its children), until they meet; the
     pairs in each list run from entry to exit side.  Each pair's exponent
     is computed once the chain's orientation is fixed.
@@ -618,10 +615,11 @@ def backtrack(pool: Pool, history: MergeHistory, alpha: int,
         raise InconsistentChain("alpha must occur exactly twice")
     # x is the earlier occurrence in stored order
     i = labs.index(alpha)
-    x, y = sides[i], sides[labs.index(alpha, i + 1)]
+    j = labs.index(alpha, i + 1)
+    x, y = sides[i], sides[j]
     tree = history.tree
     root = (None, None, None, -1)  # the first list is never absorbed
-    a, b = home[x], home[y]
+    a, b = history.origin[i], history.origin[j]
     head: list[tuple[int, int, int]] = []  # pairs from x's end, in order
     tail: list[tuple[int, int, int]] = []  # pairs from y's end, reversed
     while a != b:
@@ -728,7 +726,9 @@ def emit_curve(pool: Pool, chain: list[ChainPair]) -> OrigamiCurve:
 
 
 def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
-    """Split, for every chain pair in order, the pool list holding it.
+    """Split, for every chain pair in order, the pool list holding it: the
+    pair's own list, or, once that was split, the L0 or L1 that holds the
+    pair's first side, followed down this round's splits.
 
     With roles ordered along the curve's sweep direction in stored order,
     the list [a.., r_s, b.., r_{s+1}, c..] becomes
@@ -742,17 +742,22 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
     by its successors, and then the joining lists and their successors are
     inserted in chain order.
     """
-    replaced: dict[int, tuple[int, ...]] = {}  # split list -> its successors
+    lists = pool.lists
+    split: dict[int, tuple[int, int]] = {}  # split list -> its L0 and L1
     joining: list[int] = []  # the L1 lists of uncut cylinders
-    home = pool.home
+    current = set(pool.pool_order)
     for pair in chain:
-        side_a, side_b, _, half, e = pair
-        lid = home.get(side_a)
-        if lid is None:
+        side_a, side_b, lid, half, e = pair
+        if lid not in current:
+            raise InconsistentChain(f"list {lid} is not a pool list")
+        while lid in split:
+            l0, l1 = split[lid]
+            lid = l0 if side_a in lists[l0].sides else l1
+        lst = lists[lid]
+        if side_a not in lst.sides:
             raise InconsistentChain(f"side {side_a} not in any pool list")
-        if home.get(side_b) != lid:
+        if side_b not in lst.sides:
             raise InconsistentChain("chain pair torn across lists")
-        lst = pool.lists[lid]
         lo, hi, cyclic = _half_bounds(pool, lid, half)
         forward = (e > 0) if half == "u" else (e < 0)
         role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
@@ -770,27 +775,26 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
         a_l0, b_l0, a_l1, b_l1 = pool.split_sides(role_a, role_b, *marks)
         l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half,
                            lst.cyl)
-        pool.settle(l1)
-        del home[role_a], home[role_b]  # replaced by primed copies
         if ia < ib:
             kept = sides[:ia] + (a_l0, b_l0) + sides[ib + 1:]
         else:
             kept = sides[:lo] + (b_l0,) + sides[ib + 1:ia] + (a_l0,) + sides[hi:]
-        l0 = pool.new_list(kept, lst.cyclic, lst.kind, lst.cyl)
-        pool.settle(l0)
+        split[lid] = pool.new_list(kept, lst.cyclic, lst.kind, lst.cyl), l1
         if lst.kind == "lz":
-            replaced[lid] = (l0,)
             joining.append(l1)
-        else:
-            replaced[lid] = (l0, l1)
 
     def successors(lid: int) -> list[int]:
-        nxt = replaced.get(lid)
-        return [lid] if nxt is None else [l for s in nxt for l in successors(s)]
+        """The current lists that replace lid in its place: an uncut
+        cylinder's list is replaced by its L0's alone."""
+        if lid not in split:
+            return [lid]
+        l0, l1 = split[lid]
+        if lists[lid].kind == "lz":
+            return successors(l0)
+        return successors(l0) + successors(l1)
 
     order = pool.pool_order = [
-        l for lid in pool.pool_order
-        for l in (successors(lid) if lid in replaced else (lid,))]
+        l for lid in pool.pool_order for l in successors(lid)]
     for l1 in joining:
         for l in successors(l1):
             bisect.insort(order, l, key=pool.section)
@@ -836,7 +840,7 @@ def find_hss_detailed(o: Origami) -> HssResult:
         alpha, beta = _separating_pair(pool.lists[final].labs, pool.square,
                                        pool.label_at)
         betas.append(beta)
-        chain = backtrack(pool, history, alpha, pool.home)
+        chain = backtrack(pool, history, alpha)
         curves.append(emit_curve(pool, chain))
     return HssResult(o, curves, cuts, graph, histories, pool, betas)
 
@@ -913,8 +917,5 @@ def dual_curves(result: HssResult) -> list[OrigamiCurve]:
     duals = [_transversal(result.o, z, cut) for z in result.cut_cylinders]
     pool = result.pool
     for history, beta in zip(result.histories, result.betas):
-        # the round's lists never change, so they give its side -> list map
-        home = {s: lid for lid in history.initial
-                for s in pool.lists[lid].sides}
-        duals.append(emit_curve(pool, backtrack(pool, history, beta, home)))
+        duals.append(emit_curve(pool, backtrack(pool, history, beta)))
     return duals

@@ -121,7 +121,7 @@ def classify(m: MoebiusMap) -> str:
         raise DegenerateInput("trace too large to square") from None
     if abs(tr2 - 4) <= TOL:
         return "parabolic"
-    if abs(tr2.imag) <= TOL and tr2.real < 4:
+    if abs(tr2.imag) <= TOL and -TOL <= tr2.real < 4:  # tr real in (-2, 2)
         return "elliptic"
     return "loxodromic"
 

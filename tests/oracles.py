@@ -10,7 +10,8 @@ check the indexed engine of ``origami_forge.hss`` from outside.
 ``pool_labels`` lists a pool list's labels, and ``find_separating_pair`` runs
 the separating-pair search on labels instead of label ids.
 ``SectionPool`` keeps the pool order as three sections, rebuilt once per
-round by ``resection``, as stage 3 did before it kept one list.
+round by ``resection``, as stage 3 did before it kept one list, and finds
+each chain pair's list through its own side -> list map.
 
 ``smith_normal_form`` keeps both unimodular transforms, so one
 factorisation answers any number of integer solves.  The H1 model, the
@@ -348,13 +349,17 @@ class SectionPool:
     of (cylinder, lid) sorted by cylinder.  `step3_update` splits the pool
     lists as ``hss.step3_update`` does and rebuilds each section once by
     `resection`.  The pool's ``pool_order`` is set to the sections' lids
-    after every update, so ``merge_all`` runs on this order."""
+    after every update, so ``merge_all`` runs on this order.  Sides are
+    found through ``home``, a map from every side of a pool list to that
+    list, which ``hss.Pool`` no longer keeps."""
 
     def __init__(self, pool):
         self.sections = {"u": [], "o": [], "lz": []}
-        for lid in sorted(set(pool.home.values())):
+        self.home = {}
+        for lid in sorted(pool.pool_order):
             lst = pool.lists[lid]
             self.sections[lst.kind].append((lst.cyl, lid))
+            self.settle(pool, lid)
         for section in self.sections.values():
             section.sort(key=lambda pair: pair[0])
         pool.pool_order = self.lids()
@@ -363,10 +368,14 @@ class SectionPool:
         return [lid for kind in ("u", "o", "lz")
                 for _, lid in self.sections[kind]]
 
+    def settle(self, pool, lid):
+        """Record lid as the pool list holding each of its sides."""
+        self.home.update(dict.fromkeys(pool.lists[lid].sides, lid))
+
     def step3_update(self, pool, chain):
         replaced = {}  # split list -> its successors
         joining = {"u": {}, "o": {}}
-        home = pool.home
+        home = self.home
         for pair in chain:
             side_a, side_b, _, half, e = pair
             lid = home.get(side_a)
@@ -391,7 +400,7 @@ class SectionPool:
             a_l0, b_l0, a_l1, b_l1 = pool.split_sides(role_a, role_b, *marks)
             cyl = lst.cyl
             l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half, cyl)
-            pool.settle(l1)
+            self.settle(pool, l1)
             del home[role_a], home[role_b]
             if ia < ib:
                 kept = sides[:ia] + (a_l0, b_l0) + sides[ib + 1:]
@@ -399,7 +408,7 @@ class SectionPool:
                 kept = (sides[:lo] + (b_l0,) + sides[ib + 1:ia] + (a_l0,)
                         + sides[hi:])
             l0 = pool.new_list(kept, lst.cyclic, lst.kind, lst.cyl)
-            pool.settle(l0)
+            self.settle(pool, l0)
             if lst.kind == "lz":
                 replaced[lid] = (l0,)
                 joining[half].setdefault(cyl, []).append(l1)

@@ -26,6 +26,7 @@ from origami_forge.origami import (
     parse_origami,
     random_origami,
     wollmilchsau,
+    x_origami,
 )
 
 
@@ -62,6 +63,44 @@ class TestAnalyze:
     def test_registry_name_resolution(self, capsys):
         data = run_json(capsys, "analyze", "o14")
         assert data["genus"] == 4
+
+    def test_resolution_order(self, capsys, tmp_path, monkeypatch):
+        """A path first, then the fixture file, then the registry
+        constructor: o14 has 14 squares, the wollmilchsau 8 and the
+        x-origami of order 3 fewer."""
+        fixtures, cwd = tmp_path / "fixtures", tmp_path / "cwd"
+        fixtures.mkdir()
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(fixtures))
+        # a fixture directory without the file: the constructor
+        assert run_json(capsys, "analyze", "o14")["d"] == 14
+        # the fixture file wins over the constructor
+        (fixtures / "o14.ori").write_text(format_origami(wollmilchsau()))
+        assert run_json(capsys, "analyze", "o14")["d"] == 8
+        # a file in the cwd named like a fixture wins over both
+        (cwd / "o14").write_text(format_origami(x_origami(3)))
+        assert run_json(capsys, "analyze", "o14")["d"] == x_origami(3).d < 8
+        # a fixture directory that does not exist: the constructor
+        (cwd / "o14").unlink()
+        monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(tmp_path / "none"))
+        assert run_json(capsys, "analyze", "o14")["d"] == 14
+
+    def test_directory_argument_is_an_os_error(self, capsys, tmp_path,
+                                               monkeypatch):
+        """A directory is a path that exists, also one named like a
+        fixture, so it is opened and fails rather than falling back."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o14").mkdir()
+        for ref in (str(tmp_path), "o14"):
+            code, out, err = run_cli(capsys, "analyze", ref)
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+
+    def test_path_through_a_file_is_no_such_file(self, capsys, ori_file):
+        code, out, err = run_cli(capsys, "analyze", ori_file + "/w.ori")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "BadFormat"
 
     def test_missing_file_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "/no/such/file.ori")
@@ -558,6 +597,17 @@ class TestMoebius:
     def test_elliptic(self, capsys):
         data = run_json(capsys, "moebius", "--", "0,0", "1,0", "-1,0", "0,0")
         assert data["classification"] == "elliptic"
+
+    @pytest.mark.parametrize("entries", [
+        ("0,1.5", "1,0", "-3.25,0", "0,1.5"),  # trace 3i
+        ("0,0.1", "1,0", "-1.01,0", "0,0.1"),  # trace 0.2i
+    ])
+    def test_imaginary_trace_is_loxodromic(self, capsys, entries):
+        """tr^2 is real and below 4 but negative: the trace is not real,
+        so the eigenvalues differ in modulus."""
+        data = run_json(capsys, "moebius", "--", *entries)
+        assert data["classification"] == "loxodromic"
+        assert data["roundtrip"] is True
 
     def test_overflowing_trace_is_degenerate_input(self, capsys):
         code, out, err = run_cli(

@@ -172,6 +172,8 @@ def assert_tree_walk_matches_replay(o):
     for history, beta in zip(result.histories, result.betas):
         initial_of = {s: lid for lid in history.initial
                       for s in pool.lists[lid].sides}
+        assert history.origin == [
+            initial_of[s] for s in pool.lists[history.final].sides], o
         root = history.initial[0]
         absorbed = {root}
         for ev in history.events:
@@ -188,8 +190,8 @@ def assert_tree_walk_matches_replay(o):
             pool_labels(pool, history.final))
         assert separating == pool.label_at[beta], o
         for label in (alpha, separating):
-            assert backtrack(pool, history, pool.label_ids[label],
-                             initial_of) == replay_backtrack(
+            assert backtrack(pool, history,
+                             pool.label_ids[label]) == replay_backtrack(
                 pool, history, label), (o, label)
 
 
@@ -198,7 +200,7 @@ def next_chain(pool):
     final, history = merge_all(pool)
     alpha, _ = _separating_pair(pool.lists[final].labs, pool.square,
                                 pool.label_at)
-    return backtrack(pool, history, alpha, pool.home)
+    return backtrack(pool, history, alpha)
 
 
 def assert_order_matches_sections(o):
@@ -351,9 +353,7 @@ class TestMerging:
             pool = Pool(wollmilchsau())
             for labels in lists:
                 sides = [pool.new_side(label) for label in labels]
-                lid = pool.new_list(sides, True, "u", 1)
-                pool.settle(lid)
-                pool.pool_order.append(lid)
+                pool.pool_order.append(pool.new_list(sides, True, "u", 1))
             return pool
 
         rng = random.Random(1515)
@@ -410,7 +410,7 @@ class TestBacktrackAndEmission:
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
         alpha, _ = find_separating_pair(pool_labels(pool, final))
-        chain = backtrack(pool, history, pool.label_ids[alpha], pool.home)
+        chain = backtrack(pool, history, pool.label_ids[alpha])
         return pool, chain
 
     def test_four_cylinder_chain_and_curve(self):
@@ -460,7 +460,7 @@ class TestListSplitting:
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
         alpha, _ = find_separating_pair(pool_labels(pool, final))
-        chain = backtrack(pool, history, pool.label_ids[alpha], pool.home)
+        chain = backtrack(pool, history, pool.label_ids[alpha])
         step3_update(pool, chain)
         tables = [
             (pool.lists[lid].kind, pool.lists[lid].cyclic, shown(pool, lid))
@@ -481,7 +481,7 @@ class TestListSplitting:
         pool = init_lists(o, cuts)
         final, history = merge_all(pool)
         alpha, _ = find_separating_pair(pool_labels(pool, final))
-        chain = backtrack(pool, history, pool.label_ids[alpha], pool.home)
+        chain = backtrack(pool, history, pool.label_ids[alpha])
         step3_update(pool, chain)
         split = [
             shown(pool, lid)
@@ -510,6 +510,37 @@ class TestListSplitting:
         pair = ChainPair(side_a, side_b, lower, "u", 1)
         with pytest.raises(InconsistentChain, match="torn"):
             step3_update(pool, [pair])
+
+    def test_pair_in_a_list_split_before_is_rejected(self):
+        """A chain pair names the pool list it lies in; a list that an
+        earlier round split is no longer a pool list, even where one of its
+        sides lives on in a successor."""
+        o = wollmilchsau()
+        cuts, _ = step1(o)
+        pool = init_lists(o, cuts)
+        chain = next_chain(pool)
+        step3_update(pool, chain)
+        stale = chain[0].lid
+        assert stale not in pool.pool_order
+        sides = pool.lists[stale].sides
+        assert {sides[2], sides[3]}.isdisjoint({chain[0].side_a,
+                                                chain[0].side_b})
+        pair = ChainPair(sides[2], sides[3], stale, chain[0].half, 1)
+        with pytest.raises(InconsistentChain, match="not a pool list"):
+            step3_update(pool, [pair])
+
+    def test_pair_of_a_spent_side_is_rejected(self):
+        """A side that a split replaced by primed copies lies in no pool
+        list, also when the chain names the split list's successor."""
+        o = wollmilchsau()
+        cuts, _ = step1(o)
+        pool = init_lists(o, cuts)
+        lower = pool.pool_order[0]  # [1,2,3,4]
+        a, b, c, _ = pool.lists[lower].sides
+        chain = [ChainPair(a, b, lower, "u", 1),
+                 ChainPair(a, c, lower, "u", 2)]
+        with pytest.raises(InconsistentChain, match="not in any pool list"):
+            step3_update(pool, chain)
 
 
 class TestDriver:
@@ -565,7 +596,7 @@ class TestSideHalves:
 
     def test_pool_keeps_one_per_side_array(self):
         pool = find_hss_detailed(random_origami(random.Random(40), 40)).pool
-        assert len(vars(pool)) == 10
+        assert len(vars(pool)) == 9
         n = len(pool.lab)
         assert [k for k, v in vars(pool).items()
                 if isinstance(v, list) and len(v) == n] == ["lab"]
@@ -694,7 +725,7 @@ class TestBacktrackAgainstReplay:
         _, history = merge_all(pool)
         for label in (SLabel(2), SLabel(99), SLabel(1, (1,))):
             with pytest.raises(InconsistentChain, match="exactly twice"):
-                backtrack(pool, history, pool.intern(label), pool.home)
+                backtrack(pool, history, pool.intern(label))
 
 
 class TestAgainstRescanEngine:
