@@ -298,27 +298,16 @@ def cmd_moebius(args) -> dict:
 
 def cmd_fixtures(args) -> dict:
     base = fixture_dir()
-    entries = []
-    for name in sorted(FIXTURES):
-        path = os.path.join(base, name + ".ori")
-        entries.append({
-            "name": name,
-            "path": path,
-            "present": os.path.exists(path),
-        })
-    words = []
-    for fname in WORD_FIXTURES:
+
+    def entry(name: str, fname: str) -> dict:
         path = os.path.join(base, fname)
-        words.append({
-            "name": fname,
-            "path": path,
-            "present": os.path.exists(path),
-        })
+        return {"name": name, "path": path, "present": os.path.exists(path)}
+
     return {
         "schema": SCHEMA,
         "directory": base,
-        "origamis": entries,
-        "word_fixtures": words,
+        "origamis": [entry(name, name + ".ori") for name in sorted(FIXTURES)],
+        "word_fixtures": [entry(fname, fname) for fname in WORD_FIXTURES],
     }
 
 

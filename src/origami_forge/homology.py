@@ -57,6 +57,7 @@ from .origami import (
     OrigamiCurve,
     act_word,
     genus,
+    horizontal_multiplier,
     letter_edges,
 )
 from .subgroup import NotInSubgroup
@@ -642,8 +643,6 @@ def twist_membership_certificate(
     homology by a unipotent block matrix fixing the cut-system classes.
     `model` defaults to `h1_model(o)`; a missing `curves` or `duals` comes
     from one `find_hss_detailed(o)` and `hss.dual_curves` of its result."""
-    from .origami import horizontal_multiplier
-
     m, mat = horizontal_multiplier(o)
     if model is None:
         model = h1_model(o)

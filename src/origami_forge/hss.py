@@ -30,22 +30,26 @@ ints.  A side's boundary half and cylinder are those of the pool list
 that holds it (in an uncut cylinder's list, the half is the side's place
 relative to the second a_Z), and the square under a side follows from its
 label and that half.  A pool list never changes once made, so it carries
-its label ids and its square-label ids, computed once; a side's index in
-a list is found by ``tuple.index``, since pool lists are short and each
-split replaces its list anyway.  ``merge_all`` is one loop over the
-round, with one mutable accumulator (its sides and their label ids): a
-splice or a cancellation edits it in place and logs an event under a
-fresh list id, and only the round's final list P is stored.  The next
-splice partner is found through an inverted index from label id to the
-remaining pool lists that hold it, a count of the label ids in the
-accumulator and a min-heap that holds each candidate pool position at
-most once; it is the smallest position that still shares a label, which
-is the list a front-to-back rescan would pick.  Cancellation resumes one
-position left of the last hit, because everything before it was already
-checked clean; as the accumulator is itself clean, a splice checks only
-the pairs from the first junction to the start of the accumulator's
-tail.  The wrap-around pair is checked last.  The events, their order
-and the list numbering are those of a full rescan after every removal.
+its label ids, computed once; a side's index in a list is found by
+``tuple.index``, since pool lists are short and each split replaces its
+list anyway.  The pool holds only pool lists: 'u', 'o' and 'lz' lists
+and the lists stage 3 splits them into.  ``merge_all`` is one loop over
+the round, with one mutable accumulator (its sides, their label ids and
+their origins, below): a splice or a cancellation edits it in place and
+logs an event under a fresh list id, and the accumulator's lists become
+the round's final list P in the ``MergeHistory`` it returns; no event's
+result is stored in the pool.  The next splice partner is found through
+an inverted index from label id to the remaining pool lists that hold
+it, built from each list's square-label ids once per round, a count of
+the label ids in the accumulator and a min-heap that holds each
+candidate pool position at most once; it is the smallest position that
+still shares a label, which is the list a front-to-back rescan would
+pick.  Cancellation resumes one position left of the last hit, because
+everything before it was already checked clean; as the accumulator is
+itself clean, a splice checks only the pairs from the first junction to
+the start of the accumulator's tail.  The wrap-around pair is checked
+last.  The events, their order and the list numbering are those of a
+full rescan after every removal.
 
 Beside each accumulator side, ``merge_all`` keeps the pool list it came
 from, moved with the side by every splice and cancellation.  Each merge
@@ -63,12 +67,12 @@ round's splits to the list that now holds the pair; it finds sides by
 their index in that list, and rebuilds the pool order once per round:
 the pool is one list of lids, sorted by each list's section (its kind,
 'u', 'o' or 'lz', then its cylinder), in which every split list is
-replaced by its successors.
+replaced by its successors; the lists split off uncut cylinders join it
+by one stable sort.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
@@ -241,13 +245,12 @@ def step1(
 
 @dataclass(slots=True)
 class LabeledList:
-    """A list of sides with a cyclic flag; a stored list never changes.
+    """A pool list: sides with a cyclic flag; a stored list never changes.
 
     kind: 'u' / 'o' for boundary lists, 'lz' for an uncut cylinder's
-    combined list [a_Z, lower..., a_Z, upper...], 'm' for a round's final
-    list P.  cyl: the base square of the cylinder whose boundary the list
-    runs along.  labs: the label id of each side; own: its square-label
-    ids, the same list for a 'u' / 'o' list, which holds no sentinel.
+    combined list [a_Z, lower..., a_Z, upper...], which keeps a_Z at
+    index 0.  cyl: the base square of the cylinder whose boundary the list
+    runs along.  labs: the label id of each side.
     """
 
     sides: tuple[int, ...]
@@ -255,7 +258,18 @@ class LabeledList:
     kind: str
     cyl: int
     labs: list[int]
-    own: list[int]
+
+    def span(self, half: str) -> tuple[int, int]:
+        """The span lo:hi of the sides on the given boundary half: the
+        whole list for a 'u' / 'o' list of that half, the part between the
+        two a_Z ('u') or after the second ('o') for an 'lz' list."""
+        if self.kind == "lz":
+            labs = self.labs
+            k = labs.index(labs[0], 1)
+            return (1, k) if half == "u" else (k + 1, len(labs))
+        if self.kind != half:
+            raise InconsistentChain(f"{half!r} pair in a {self.kind!r} list")
+        return 0, len(self.sides)
 
     def half_of(self, sid: int) -> Optional[str]:
         """The boundary half of side sid: the list's kind, or in an 'lz'
@@ -263,8 +277,7 @@ class LabeledList:
         if self.kind != "lz":
             return self.kind
         k = self.sides.index(sid)
-        labs = self.labs
-        second = labs.index(labs[0], 1)
+        _, second = self.span("u")
         if k == 0 or k == second:
             return None
         return "u" if k < second else "o"
@@ -272,27 +285,31 @@ class LabeledList:
 
 @dataclass
 class MergeHistory:
-    """Splice / cancellation log of one merge_all run.
+    """Splice / cancellation log of one merge_all run, and its final list P.
 
     Events:
       ('merge', result, left, right, glued_left_side, glued_right_side)
       ('cancel', result, parent, removed_side_a, removed_side_b)
 
-    The right operand of a merge is always one of the initial lists; the
-    results of the events are not stored, except the final one.
+    The right operand of a merge is always one of the initial lists.  No
+    event's result is a pool list: ``final`` is P's list id, the last
+    result (or the only initial list if there were no events), and P
+    itself is ``sides``, their label ids ``labs`` and, for each side, the
+    initial list it came from, ``origin``.
 
     The merges form a tree on the initial lists, rooted at the first: each
     absorbed list hangs below the initial list that held the accumulator's
     glued side.  ``tree`` maps an absorbed list to (that parent, the glued
     side of the accumulator, the glued side of the list, the merge's
-    result), the last ordering the absorptions.  ``origin`` holds, for
-    each side of the final list, the initial list it came from.
+    result), the last ordering the absorptions.
     """
 
     initial: list[int]
     events: list[tuple] = field(default_factory=list)
     final: Optional[int] = None
     tree: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
+    sides: list[int] = field(default_factory=list)
+    labs: list[int] = field(default_factory=list)
     origin: list[int] = field(default_factory=list)
 
 
@@ -312,7 +329,8 @@ _SECTION_RANK = {"u": 0, "o": 1, "lz": 2}
 
 class Pool:
     """Mutable state of one cut-system computation: the side registry,
-    the stored lists and the current pool order.
+    every pool list ever made ('u', 'o', 'lz' and their stage-3 splits)
+    and the current pool order.
 
     A side is an id whose only per-side datum is its label id,
     ``lab[sid]``; its boundary half and cylinder are those of the pool
@@ -371,18 +389,9 @@ class Pool:
     def new_list(self, sides, cyclic: bool, kind: str, cyl: int) -> int:
         lid = self._next_list
         self._next_list += 1
-        return self.put_list(lid, sides, cyclic, kind, cyl)
-
-    def put_list(self, lid: int, sides, cyclic: bool, kind: str,
-                 cyl: int) -> int:
-        """Store a list under a lid that no list has taken."""
         sides = tuple(sides)
-        labs = list(map(self.lab.__getitem__, sides))
-        if kind == "u" or kind == "o":  # no sentinel
-            own = labs
-        else:
-            own = list(compress(labs, map(self.square.__getitem__, labs)))
-        self.lists[lid] = LabeledList(sides, cyclic, kind, cyl, labs, own)
+        self.lists[lid] = LabeledList(
+            sides, cyclic, kind, cyl, list(map(self.lab.__getitem__, sides)))
         return lid
 
     def label_of(self, sid: int) -> Label:
@@ -427,8 +436,9 @@ def init_lists(o: Origami, cuts: list[Cylinder]) -> Pool:
 # ---------------------------------------------------------------------------
 
 
-def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
-    """Splice the whole pool into a single list P.
+def merge_all(pool: Pool) -> MergeHistory:
+    """Splice the whole pool into a single list P, which the returned
+    history holds; the pool's lists stay as they were.
 
     Policy: the accumulator starts as the first pool list; each round it
     is spliced with the first remaining list sharing a label, at the first
@@ -439,12 +449,14 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     neither exists.  The accumulator is edited in place, and each splice
     and each removal logs an event under a fresh lid.
 
-    The first sharing list is found through an index: `holders` maps a
-    label id to the pool positions holding it, `count` counts the label
-    ids in the accumulator, and `heap` holds every remaining position
-    that shares a label, each at most once: a position is pushed when the
-    accumulator gains one of its labels while it is `waiting`, and a
-    popped position that no longer shares one goes back to waiting.
+    The first sharing list is found through an index: `own` holds each
+    pool list's square-label ids (its label ids, less the sentinels of an
+    'lz' list), `holders` maps a label id to the pool positions holding
+    it, `count` counts the label ids in the accumulator, and `heap` holds
+    every remaining position that shares a label, each at most once: a
+    position is pushed when the accumulator gains one of its labels while
+    it is `waiting`, and a popped position that no longer shares one goes
+    back to waiting.
 
     Only the pairs (j, j+1) with k <= j < clean_from can be equal: the
     ones before k were checked, the ones from clean_from on lie in a clean
@@ -459,7 +471,9 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
     events, tree = history.events, history.tree
     lists = pool.lists
     square, unprimed = pool.square, pool.unprimed
-    own = [lists[lid].own for lid in remaining]
+    own = [lst.labs if lst.kind != "lz" else
+           list(compress(lst.labs, map(square.__getitem__, lst.labs)))
+           for lst in map(lists.__getitem__, remaining)]
     holders: dict[int, list[int]] = {}
     for pos in range(1, len(remaining)):
         for l in own[pos]:
@@ -551,10 +565,9 @@ def merge_all(pool: Pool) -> tuple[int, MergeHistory]:
             events.append(("cancel", rid, acc, s1, s2))
             acc, rid = rid, rid + 1
     pool._next_list = rid
-    if events:
-        pool.put_list(acc, sides, True, "m", 0)
-    history.final, history.origin = acc, origin
-    return acc, history
+    history.final = acc
+    history.sides, history.labs, history.origin = sides, labs, origin
+    return history
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +622,7 @@ def backtrack(pool: Pool, history: MergeHistory,
     pairs in each list run from entry to exit side.  Each pair's exponent
     is computed once the chain's orientation is fixed.
     """
-    final = pool.lists[history.final]
-    labs, sides = final.labs, final.sides
+    labs, sides = history.labs, history.sides
     if labs.count(alpha) != 2:
         raise InconsistentChain("alpha must occur exactly twice")
     # x is the earlier occurrence in stored order
@@ -653,35 +665,21 @@ def backtrack(pool: Pool, history: MergeHistory,
 # ---------------------------------------------------------------------------
 
 
-def _half_bounds(pool: Pool, lid: int, half: str) -> tuple[int, int, bool]:
-    """The span lo:hi of list lid's sides relevant to a pair, and whether
-    it is cyclic: the whole list for 'u'/'o' lists, the matching half
-    (always cyclic) for an uncut cylinder's combined list
-    [a_Z, lower..., a_Z, upper...], which always keeps a_Z at index 0."""
-    lst = pool.lists[lid]
-    if lst.kind == "lz":
-        labs = lst.labs
-        k = labs.index(labs[0], 1)
-        return (1, k, True) if half == "u" else (k + 1, len(labs), True)
-    if lst.kind != half:
-        raise InconsistentChain(f"{half!r} pair in a {lst.kind!r} list")
-    return 0, len(lst.sides), lst.cyclic
-
-
 def _exponent(pool: Pool, side_a: int, side_b: int, lid: int,
               half: str) -> int:
     """Signed x-exponent of the syllable of the pair (side_a, side_b) on
     the given half of list lid, whose cylinder it must lie in.
 
-    Cyclic lists: minimal |t| with p1^t carrying the first underlying
-    square to the second (ties at half the cylinder length resolve
-    positive).  Non-cyclic lists: the directed step count given by the
-    sides' order in the stored list (lower-boundary lists run with p1,
-    upper against it).  The square under a side is its label's square on
-    the lower boundary and that square's p2-preimage on the upper.
+    Cyclic lists ('lz' lists always are): minimal |t| with p1^t carrying
+    the first underlying square to the second (ties at half the cylinder
+    length resolve positive).  Non-cyclic lists: the directed step count
+    given by the sides' order in the stored list (lower-boundary lists
+    run with p1, upper against it).  The square under a side is its
+    label's square on the lower boundary and that square's p2-preimage on
+    the upper.
     """
-    _, _, cyclic = _half_bounds(pool, lid, half)
     lst = pool.lists[lid]
+    lst.span(half)  # the list has this half
     o, label_of = pool.o, pool.label_of
     a, b = label_of(side_a).square, label_of(side_b).square
     if half != "u":
@@ -695,7 +693,7 @@ def _exponent(pool: Pool, side_a: int, side_b: int, lid: int,
         raise InconsistentChain("squares not in the pair's cylinder")
     n = o.horizontal_cylinders[z].length
     t0 = (kb - ka) % n
-    if cyclic:
+    if lst.cyclic:
         if 2 * t0 < n or 2 * t0 == n:
             return t0
         return t0 - n
@@ -739,8 +737,10 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
     keeps L0 embedded, and its L1 joins the pool order after the lists of
     its section, those of its half and cylinder.  The order is rebuilt
     once, after the last split: each split list is replaced, recursively,
-    by its successors, and then the joining lists and their successors are
-    inserted in chain order.
+    by its successors, the joining lists and their successors are appended
+    in chain order, and one stable sort by `Pool.section` puts each
+    joining list after the lists of its section.  Every successor has its
+    list's section, so the rest of the order is already sorted and stays.
     """
     lists = pool.lists
     split: dict[int, tuple[int, int]] = {}  # split list -> its L0 and L1
@@ -758,14 +758,14 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
             raise InconsistentChain(f"side {side_a} not in any pool list")
         if side_b not in lst.sides:
             raise InconsistentChain("chain pair torn across lists")
-        lo, hi, cyclic = _half_bounds(pool, lid, half)
+        lo, hi = lst.span(half)
         forward = (e > 0) if half == "u" else (e < 0)
         role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
         sides = lst.sides
         ia, ib = sides.index(role_a), sides.index(role_b)
         if ia < ib:
             between = sides[ia + 1:ib]
-        elif cyclic:
+        elif lst.cyclic:
             between = sides[ia + 1:hi] + sides[lo:ib]
         else:
             raise InconsistentChain(
@@ -793,11 +793,10 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
             return successors(l0)
         return successors(l0) + successors(l1)
 
-    order = pool.pool_order = [
-        l for lid in pool.pool_order for l in successors(lid)]
+    order = [l for lid in pool.pool_order for l in successors(lid)]
     for l1 in joining:
-        for l in successors(l1):
-            bisect.insort(order, l, key=pool.section)
+        order += successors(l1)
+    pool.pool_order = sorted(order, key=pool.section)
 
 
 # ---------------------------------------------------------------------------
@@ -807,15 +806,18 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
 
 @dataclass
 class HssResult:
+    """A cut system and how it was found: the step-1 cuts and their graph,
+    one merge history and one separating partner beta (a label id) per
+    later round, and the pool, which holds the lists of every round;
+    dual_curves traces the betas back through them."""
+
     o: Origami
     curves: list[OrigamiCurve]
     cut_cylinders: list[Cylinder]
     graph: HalfCylinderGraph
-    histories: list[MergeHistory] = field(default_factory=list)
-    # the lists of every round and each round's separating partner beta,
-    # a label id; dual_curves traces the betas back through them
-    pool: Optional[Pool] = None
-    betas: list[int] = field(default_factory=list)
+    histories: list[MergeHistory]
+    pool: Pool
+    betas: list[int]
 
 
 def find_hss_detailed(o: Origami) -> HssResult:
@@ -826,8 +828,6 @@ def find_hss_detailed(o: Origami) -> HssResult:
     ]
     if len(curves) > g:
         raise InconsistentChain("more cylinder cuts than the genus allows")
-    if len(curves) == g:
-        return HssResult(o, curves, cuts, graph)
     pool = init_lists(o, cuts)
     chain: Optional[list[ChainPair]] = None
     histories: list[MergeHistory] = []
@@ -835,9 +835,9 @@ def find_hss_detailed(o: Origami) -> HssResult:
     while len(curves) < g:
         if chain is not None:
             step3_update(pool, chain)
-        final, history = merge_all(pool)
+        history = merge_all(pool)
         histories.append(history)
-        alpha, beta = _separating_pair(pool.lists[final].labs, pool.square,
+        alpha, beta = _separating_pair(history.labs, pool.square,
                                        pool.label_at)
         betas.append(beta)
         chain = backtrack(pool, history, alpha)

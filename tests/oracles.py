@@ -4,8 +4,9 @@
 labels by label equality, cancels by rescanning from the front after
 every removal, and stores every intermediate list in the pool.  ``replay``
 re-runs a merge history from its initial lists, and ``replay_backtrack``
-traces a pair back by replaying the history's events in reverse; it
-reads a side's half by ``side_half``, a scan of its list's labels.  They
+traces a pair back by replaying the history's events in reverse from
+the list P that ``replay`` rebuilds; it reads a side's half by
+``side_half``, a scan of its list's labels.  They
 check the indexed engine of ``origami_forge.hss`` from outside.
 ``pool_labels`` lists a pool list's labels, and ``find_separating_pair`` runs
 the separating-pair search on labels instead of label ids.
@@ -88,7 +89,6 @@ from origami_forge.hss import (
     Sentinel,
     SLabel,
     _exponent,
-    _half_bounds,
     _separating_pair,
     format_label,
 )
@@ -233,10 +233,11 @@ def replay_backtrack(pool, history, alpha):
     every pair whose two sides a merge brings from different operands into
     (side, glued side) and (glued side, side).  The right operand of a
     merge is an initial list, so a side -> initial-list map tells the
-    operands apart; split pairs are linked into chain order by `after`."""
-    final = pool.lists[history.final]
+    operands apart; split pairs are linked into chain order by `after`.
+    The final list P comes from `replay`, not from the history's record
+    of it."""
     aid = pool.label_ids.get(alpha)
-    occ = [s for s in final.sides if pool.lab[s] == aid]
+    occ = [s for s in replay(pool, history) if pool.lab[s] == aid]
     if len(occ) != 2:
         raise InconsistentChain("alpha must occur exactly twice")
     a1, a2 = occ
@@ -309,6 +310,16 @@ def side_half(pool, lid, sid):
         if s == sid:
             return None if sentinel else half
     raise InconsistentChain(f"side {sid} not in list {lid}")
+
+
+def half_span(pool, lid, half):
+    """The span lo:hi of pool list lid's sides on the given half, found by
+    `side_half`; a list without that half holds no pair of it."""
+    lst = pool.lists[lid]
+    on = [k for k, s in enumerate(lst.sides) if side_half(pool, lid, s) == half]
+    if not on:
+        raise InconsistentChain(f"{half!r} pair in a {lst.kind!r} list")
+    return on[0], on[-1] + 1
 
 
 def pool_labels(pool, lid):
@@ -384,14 +395,14 @@ class SectionPool:
             if home.get(side_b) != lid:
                 raise InconsistentChain("chain pair torn across lists")
             lst = pool.lists[lid]
-            lo, hi, cyclic = _half_bounds(pool, lid, half)
+            lo, hi = half_span(pool, lid, half)
             forward = (e > 0) if half == "u" else (e < 0)
             role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
             sides = lst.sides
             ia, ib = sides.index(role_a), sides.index(role_b)
             if ia < ib:
                 between = sides[ia + 1:ib]
-            elif cyclic:
+            elif lst.cyclic:
                 between = sides[ia + 1:hi] + sides[lo:ib]
             else:
                 raise InconsistentChain(

@@ -676,12 +676,12 @@ class TestTwistAction:
         assert charpoly_divides(cert["matrix"], cert["action_matrix"])
 
     def test_multiplier_must_be_a_period_of_p1(self, monkeypatch):
-        from origami_forge import origami
+        from origami_forge import homology
 
         # l22 has cylinders of lengths 2 and 1
         for m in (1, 3):
             monkeypatch.setattr(
-                origami, "horizontal_multiplier", lambda o: (m, (1, m, 0, 1))
+                homology, "horizontal_multiplier", lambda o: (m, (1, m, 0, 1))
             )
             with pytest.raises(CertificateError, match="does not stabilize"):
                 twist_membership_certificate(l_origami(2, 2))
@@ -848,11 +848,11 @@ class TestCertificateChecks:
             twist_membership_certificate(o, curves=curves)
 
     def test_non_stabilizing_lift_is_certificate_error(self, monkeypatch):
-        from origami_forge import origami
+        from origami_forge import homology
 
         # l22 needs the square of the twist; its first power is no member
         monkeypatch.setattr(
-            origami, "horizontal_multiplier", lambda o: (1, (1, 1, 0, 1))
+            homology, "horizontal_multiplier", lambda o: (1, (1, 1, 0, 1))
         )
         with pytest.raises(CertificateError, match="does not stabilize"):
             twist_membership_certificate(l_origami(2, 2))

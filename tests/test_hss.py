@@ -21,8 +21,8 @@ from origami_forge.hss import (
     Sentinel,
     SLabel,
     _exponent,
-    _half_bounds,
     _separating_pair,
+    _transversal,
     backtrack,
     dual_curves,
     emit_curve,
@@ -61,6 +61,11 @@ from oracles import (
 
 def shown(pool, lid):
     return [format_label(l) for l in pool_labels(pool, lid)]
+
+
+def p_labels(pool, history):
+    """The labels of the round's final list P, which its history holds."""
+    return [pool.label_at[l] for l in history.labs]
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +109,8 @@ def rescan_merge_all(pool):
         remaining.pop(idx)
         acc = concatenate(pool, acc, mid, at, history)
     history.final = acc
+    history.sides = list(pool.lists[acc].sides)
+    history.labs = list(pool.lists[acc].labs)
     return acc, history
 
 
@@ -161,6 +168,7 @@ def assert_same_as_rescan(o):
         assert new.initial == old.initial, o
         assert new.events == old.events, o
         assert new.final == old.final, o
+        assert new.sides == old.sides, o
 
 
 def assert_tree_walk_matches_replay(o):
@@ -172,8 +180,7 @@ def assert_tree_walk_matches_replay(o):
     for history, beta in zip(result.histories, result.betas):
         initial_of = {s: lid for lid in history.initial
                       for s in pool.lists[lid].sides}
-        assert history.origin == [
-            initial_of[s] for s in pool.lists[history.final].sides], o
+        assert history.origin == [initial_of[s] for s in history.sides], o
         root = history.initial[0]
         absorbed = {root}
         for ev in history.events:
@@ -186,8 +193,7 @@ def assert_tree_walk_matches_replay(o):
             absorbed.add(mid)
         assert set(history.tree) == absorbed - {root}, o
         assert absorbed == set(history.initial), o
-        alpha, separating = find_separating_pair(
-            pool_labels(pool, history.final))
+        alpha, separating = find_separating_pair(p_labels(pool, history))
         assert separating == pool.label_at[beta], o
         for label in (alpha, separating):
             assert backtrack(pool, history,
@@ -197,9 +203,8 @@ def assert_tree_walk_matches_replay(o):
 
 def next_chain(pool):
     """One cut-system round on the pool: merge, separating pair, chain."""
-    final, history = merge_all(pool)
-    alpha, _ = _separating_pair(pool.lists[final].labs, pool.square,
-                                pool.label_at)
+    history = merge_all(pool)
+    alpha, _ = _separating_pair(history.labs, pool.square, pool.label_at)
     return backtrack(pool, history, alpha)
 
 
@@ -222,6 +227,19 @@ def assert_order_matches_sections(o):
         if r < rounds:
             chain = next_chain(pool)
             assert next_chain(ref_pool) == chain, (o, r)
+
+
+def assert_pool_holds_pool_lists(result):
+    """The pool holds only 'u', 'o' and 'lz' lists and their splits, and
+    each round's list P lives in its history alone: no merge result is a
+    pool list, and P's label ids and origins run beside its sides."""
+    pool, o = result.pool, result.o
+    assert {lst.kind for lst in pool.lists.values()} <= {"u", "o", "lz"}, o
+    for history in result.histories:
+        if history.events:
+            assert history.final not in pool.lists, o
+        assert history.labs == [pool.lab[s] for s in history.sides], o
+        assert len(history.origin) == len(history.sides), o
 
 
 class TestStep1:
@@ -337,12 +355,12 @@ class TestMerging:
         o = wollmilchsau()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        final, history = merge_all(pool)
-        assert shown(pool, final) == [
+        history = merge_all(pool)
+        assert list(map(format_label, p_labels(pool, history))) == [
             "1", "3", "4", "1", "a5", "5", "6", "7",
             "5", "6", "7", "a5", "3", "4",
         ]
-        assert replay(pool, history) == pool.lists[final].sides
+        assert list(replay(pool, history)) == history.sides
 
     def test_unclean_lists_match_rescan(self):
         """Pools whose lists hold adjacent equal labels, also in the first
@@ -368,19 +386,20 @@ class TestMerging:
                     merge_all(pool_of(lists))
                 continue
             pool = pool_of(lists)
-            final, history = merge_all(pool)
-            assert (final, history.events) == (old_final, old.events), lists
-            assert replay(pool, history) == pool.lists[final].sides, lists
+            history = merge_all(pool)
+            assert (history.final, history.events) == (old_final,
+                                                       old.events), lists
+            assert list(replay(pool, history)) == history.sides, lists
 
     def test_fourteen_square_merge_result(self):
         o = o14()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        final, history = merge_all(pool)
-        assert shown(pool, final) == [
+        history = merge_all(pool)
+        assert list(map(format_label, p_labels(pool, history))) == [
             "8", "11", "14", "13", "10", "11", "10", "8", "13", "14",
         ]
-        assert replay(pool, history) == pool.lists[final].sides
+        assert list(replay(pool, history)) == history.sides
 
 
 class TestSeparatingPair:
@@ -408,8 +427,8 @@ class TestBacktrackAndEmission:
     def run_round(self, o):
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        final, history = merge_all(pool)
-        alpha, _ = find_separating_pair(pool_labels(pool, final))
+        history = merge_all(pool)
+        alpha, _ = find_separating_pair(p_labels(pool, history))
         chain = backtrack(pool, history, pool.label_ids[alpha])
         return pool, chain
 
@@ -458,8 +477,8 @@ class TestListSplitting:
         o = wollmilchsau()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        final, history = merge_all(pool)
-        alpha, _ = find_separating_pair(pool_labels(pool, final))
+        history = merge_all(pool)
+        alpha, _ = find_separating_pair(p_labels(pool, history))
         chain = backtrack(pool, history, pool.label_ids[alpha])
         step3_update(pool, chain)
         tables = [
@@ -479,8 +498,8 @@ class TestListSplitting:
         o = o14()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        final, history = merge_all(pool)
-        alpha, _ = find_separating_pair(pool_labels(pool, final))
+        history = merge_all(pool)
+        alpha, _ = find_separating_pair(p_labels(pool, history))
         chain = backtrack(pool, history, pool.label_ids[alpha])
         step3_update(pool, chain)
         split = [
@@ -602,15 +621,22 @@ class TestSideHalves:
                 if isinstance(v, list) and len(v) == n] == ["lab"]
 
     def test_half_of_matches_a_scan_of_the_labels(self, fixture_origamis):
+        """half_of, and span for each half, against side_half; a list
+        without a half refuses its span."""
         for _, o in fixture_origamis + [
                 ("d64", random_origami(random.Random(64), 64))]:
-            result = find_hss_detailed(o)
-            if result.pool is None:
-                continue
-            for lid, lst in result.pool.lists.items():
-                if lst.kind != "m":
-                    assert [lst.half_of(s) for s in lst.sides] == [
-                        side_half(result.pool, lid, s) for s in lst.sides], o
+            pool = find_hss_detailed(o).pool
+            for lid, lst in pool.lists.items():
+                halves = [side_half(pool, lid, s) for s in lst.sides]
+                assert [lst.half_of(s) for s in lst.sides] == halves, o
+                for half in "uo":
+                    on = [k for k, h in enumerate(halves) if h == half]
+                    if on:
+                        assert lst.span(half) == (on[0], on[-1] + 1), o
+                    else:
+                        with pytest.raises(InconsistentChain,
+                                           match="pair in a"):
+                            lst.span(half)
 
 
 class TestEachLabelNamesTwoSides:
@@ -622,10 +648,9 @@ class TestEachLabelNamesTwoSides:
         n = 0
         for o in origamis:
             pool = find_hss_detailed(o).pool
-            if pool is not None:
-                assert Counter(pool.lab) == {
-                    lid: 2 for lid in range(len(pool.label_at))}, o
-                n += 1
+            assert Counter(pool.lab) == {
+                lid: 2 for lid in range(len(pool.label_at))}, o
+            n += 1
         return n
 
     def test_fixtures(self, fixture_origamis):
@@ -639,6 +664,57 @@ class TestEachLabelNamesTwoSides:
         rng = random.Random(40)
         assert self.pools_checked(random_origami(rng, 40)
                                   for _ in range(100)) == 100
+
+
+class TestPoolHoldsOnlyPoolLists:
+    """merge_all returns P in its history; the pool keeps pool lists."""
+
+    def test_fixtures(self, fixture_origamis):
+        for _, o in fixture_origamis:
+            assert_pool_holds_pool_lists(find_hss_detailed(o))
+
+    def test_random_sample(self, random_sample):
+        for _, o in random_sample:
+            assert_pool_holds_pool_lists(find_hss_detailed(o))
+
+    def test_seeded_degrees(self):
+        for d in range(2, 65):
+            assert_pool_holds_pool_lists(
+                find_hss_detailed(random_origami(random.Random(d), d)))
+
+    def test_without_events_p_is_the_only_list(self):
+        """A pool of one list needs no splice and no cancellation: P is
+        that list, which stays in the pool under its own id."""
+        o = wollmilchsau()
+        pool = Pool(o)
+        sides = [pool.new_side(SLabel(s)) for s in (1, 2, 3)]
+        pool.pool_order.append(pool.new_list(sides, True, "u", 1))
+        history = merge_all(pool)
+        assert not history.events
+        assert history.final == pool.pool_order[0]
+        assert history.sides == sides
+        assert history.labs == [pool.lab[s] for s in sides]
+        assert history.origin == [history.final] * 3
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2)])
+    def test_stage_one_cuts_every_curve(self, m, n):
+        """Stage 1 alone gives the whole cut system: no round runs, the
+        result still has a pool of the cylinders' boundary lists, and the
+        duals are the cuts' transversals."""
+        o = l_origami(m, n)
+        g = genus(o)
+        result = find_hss_detailed(o)
+        assert len(result.cut_cylinders) == g
+        assert result.histories == [] and result.betas == []
+        pool = result.pool
+        assert isinstance(pool, Pool)
+        uncut = len(cylinders(o)) - g
+        assert [pool.lists[lid].kind for lid in pool.pool_order] == (
+            ["u"] * g + ["o"] * g + ["lz"] * uncut)
+        cut = {s for z in result.cut_cylinders for s in z.squares}
+        assert [(c.start, str(c.word)) for c in dual_curves(result)] == [
+            (c.start, str(c.word))
+            for c in (_transversal(o, z, cut) for z in result.cut_cylinders)]
 
 
 class TestExponentOncePerPair:
@@ -681,16 +757,16 @@ class TestExponentOncePerPair:
 
 class TestStoredLists:
     """merge_all edits one accumulator per round in place: of the merge
-    results, only each round's final list P is stored."""
+    results, only each round's final list P is stored, in the round's
+    history and not in the pool."""
 
     @pytest.fixture(scope="class")
     def result(self):
         return find_hss_detailed(random_origami(random.Random(64), 64))
 
     def test_only_final_lists_are_stored(self, result):
-        merged = {lid for lid, lst in result.pool.lists.items()
-                  if lst.kind == "m"}
-        assert merged == {h.final for h in result.histories if h.events}
+        assert_pool_holds_pool_lists(result)
+        assert all(h.events for h in result.histories)
 
     def test_dual_curves_match_golden(self, result):
         """The golden holds dual_curves of this result as computed by the
@@ -722,7 +798,7 @@ class TestBacktrackAgainstReplay:
         o = wollmilchsau()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        _, history = merge_all(pool)
+        history = merge_all(pool)
         for label in (SLabel(2), SLabel(99), SLabel(1, (1,))):
             with pytest.raises(InconsistentChain, match="exactly twice"):
                 backtrack(pool, history, pool.intern(label))
@@ -802,7 +878,7 @@ class TestPoolOrderAgainstSections:
             lid = rng.choice(pool.pool_order)
             lst = pool.lists[lid]
             half = rng.choice("uo") if lst.kind == "lz" else lst.kind
-            lo, hi, _ = _half_bounds(pool, lid, half)
+            lo, hi = lst.span(half)
             sides = lst.sides[lo:hi]
             if len(sides) < 4:
                 continue
