@@ -7,6 +7,12 @@ standard error and exit code 1; argument errors exit 2.  A failing
 ``sweep`` item's error also carries its seed, its index and its origami
 as .ori text.  Identical invocations (including seeds) produce
 byte-identical output.
+
+A process loads only what its command runs.  At module level this file
+imports argparse, json and the `origami` and `freegroup` modules, which
+every origami command needs; each ``cmd_*`` function imports its engine
+(`hss`, `homology`, `subgroup`, `moebius`) as a module and calls it
+through the module attribute, so that a replaced attribute is seen.
 """
 
 from __future__ import annotations
@@ -16,11 +22,9 @@ import cmath
 import functools
 import json
 import os
-import random
 import sys
 from typing import Optional
 
-from . import homology, hss, moebius
 from .freegroup import is_conjugate_horizontal
 from .origami import (
     Origami,
@@ -39,7 +43,6 @@ from .origami import (
     wollmilchsau,
     x_origami,
 )
-from .subgroup import CosetAction, veech_witness
 
 SCHEMA = 1
 # homology's intersection_matrix is written in the tree-cotree basis of
@@ -115,8 +118,9 @@ def curve_json(c) -> dict:
     return {"start": c.start, "word": str(c.word)}
 
 
-def dump_trace(result: hss.HssResult, stream) -> None:
-    """MergeHistory rounds as JSON lines, one event per line."""
+def dump_trace(result, stream) -> None:
+    """The MergeHistory rounds of an `hss.HssResult` as JSON lines, one
+    event per line."""
     for rnd, history in enumerate(result.histories):
         emit({"round": rnd, "event": "start", "lists": list(history.initial)},
              stream)
@@ -149,6 +153,8 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_hss(args) -> dict:
+    from . import hss
+
     o = load_origami(args.origami)
     result = hss.find_hss_detailed(o)
     if args.trace:
@@ -174,6 +180,8 @@ def hss_report(o: Origami, curves: list) -> dict:
 
 
 def cmd_verify_hss(args) -> dict:
+    from . import homology, hss
+
     o = load_origami(args.origami)
     curves = hss.find_hss(o)
     model = homology.h1_model(o)
@@ -217,9 +225,11 @@ def _digits(entry: str) -> str:
 
 
 def cmd_veech_check(args) -> dict:
+    from . import subgroup
+
     o = load_origami(args.origami)
     A = parse_matrix(args.matrix)
-    witness = veech_witness(CosetAction(o), A)
+    witness = subgroup.veech_witness(subgroup.CosetAction(o), A)
     return {
         "schema": SCHEMA,
         "matrix": list(A),
@@ -242,6 +252,8 @@ def cmd_shear(args) -> dict:
 
 
 def cmd_homology(args) -> dict:
+    from . import homology
+
     o = load_origami(args.origami)
     model = homology.h1_model(o)
     out = {
@@ -275,6 +287,8 @@ def _cplx(z: complex) -> Optional[list]:
 
 
 def cmd_moebius(args) -> dict:
+    from . import moebius
+
     entries = [parse_complex(t) for t in args.entries]
     m = moebius.MoebiusMap.from_entries(*entries)
     kind = moebius.classify(m)
@@ -327,6 +341,8 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
     """All randomized property suites on one seed-derived origami.  An
     exception leaves with a `reproduce` dict: the seed, the index and the
     origami as .ori text, which `run` adds to the error report."""
+    import random
+
     rng = random.Random(f"{seed}:{index}")
     d = rng.randint(2, max_d)
     o = random_origami(rng, d)
@@ -338,9 +354,11 @@ def sweep_one(seed: int, max_d: int, index: int) -> dict:
         raise
 
 
-def _sweep_checks(o: Origami, rng: random.Random, index: int) -> dict:
-    """The suites of `sweep_one`; rng has drawn the origami and draws the
-    bridging orders."""
+def _sweep_checks(o: Origami, rng, index: int) -> dict:
+    """The suites of `sweep_one`; rng, a `random.Random`, has drawn the
+    origami and draws the bridging orders."""
+    from . import homology, hss
+
     result = hss.find_hss_detailed(o)
     curves = result.curves
     model = homology.h1_model(o)

@@ -8,7 +8,7 @@ generators are written x and y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -156,8 +156,14 @@ def _token(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
+# The most letters `parse_word` reads: the sum of |e| over its tokens.
+MAX_WORD_LETTERS = 10 ** 6
+
+
 def parse_word(text: str, rank: int = 2, names: Optional[Sequence[str]] = None) -> Word:
-    """Parse the space separated token format, e.g. `x^-3 y^-1 x y`."""
+    """Parse the space separated token format, e.g. `x^-3 y^-1 x y`.
+    ValueError for a word of more than MAX_WORD_LETTERS letters, raised
+    before any letter is built."""
     if names is None:
         names = default_names(rank)
     index = {n: i + 1 for i, n in enumerate(names)}
@@ -165,6 +171,7 @@ def parse_word(text: str, rank: int = 2, names: Optional[Sequence[str]] = None) 
     text = text.strip()
     if text in ("", "1"):
         return Word(rank)
+    count = 0
     for tok in text.split():
         if "^" in tok:
             name, _, exp = tok.partition("^")
@@ -173,6 +180,10 @@ def parse_word(text: str, rank: int = 2, names: Optional[Sequence[str]] = None) 
             name, e = tok, 1
         if name not in index:
             raise ValueError(f"unknown generator token {name!r}")
+        count += abs(e)
+        if count > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"word has more than {MAX_WORD_LETTERS} letters")
         letters.append((index[name], e))
     return Word(rank, letters)
 
@@ -293,15 +304,18 @@ def is_conjugate_horizontal(w: Word) -> bool:
 # F_2 endomorphisms and beta_hat
 
 
-@dataclass(frozen=True)
-class F2Endo:
-    image_x: Word
-    image_y: Word
-    is_automorphism: bool = False
+class F2Endo(namedtuple("F2Endo", "image_x image_y is_automorphism",
+                         defaults=(False,))):
+    """The endomorphism x -> image_x, y -> image_y of F_2; both images are
+    rank-2 words."""
 
-    def __post_init__(self):
-        if self.image_x.rank != 2 or self.image_y.rank != 2:
+    __slots__ = ()
+
+    def __new__(cls, image_x: Word, image_y: Word,
+                is_automorphism: bool = False):
+        if image_x.rank != 2 or image_y.rank != 2:
             raise RankMismatch("images must be rank-2 words")
+        return super().__new__(cls, image_x, image_y, is_automorphism)
 
     def __call__(self, w: Word) -> Word:
         return apply_endo(self, w)

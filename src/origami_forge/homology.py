@@ -36,9 +36,9 @@ form: the classes span a direct summand iff every pivot is +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .freegroup import (
@@ -144,8 +144,7 @@ def edge_cycle(o: Origami, start: int, w: Word) -> List[int]:
 Sparse = List[Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class H1Model:
+class H1Model(NamedTuple):
     """H1 in the basis of the chords' cycles in T, stored sparse:
     `columns` and `gram_rows` hold only non-zero entries, so `coords` and
     `pair` cost the entries they touch.  `gram` is the dense form, which
@@ -544,19 +543,19 @@ def parse_symplectic(text: str, g: int) -> Word:
     return parse_word(text, rank=2 * g, names=symplectic_names(g))
 
 
-@dataclass(frozen=True)
-class AlphaSpec:
+class AlphaSpec(namedtuple("AlphaSpec", "g images")):
     """A homomorphism from the genus-g surface group (in a symplectic
     generating system a_1..a_g, b_1..b_g) onto the free group F_g, given
-    by the image of each of the 2g generators."""
+    by the image of each of the 2g generators: images is a tuple of 2g
+    words of rank g."""
 
-    g: int
-    images: tuple  # 2g Words of rank g
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_image_count(self.g, self.images)
-        if any(w.rank != self.g for w in self.images):
-            raise UnknownGenerator(f"an image is not a word over F_{self.g}")
+    def __new__(cls, g: int, images: tuple):
+        _check_image_count(g, images)
+        if any(w.rank != g for w in images):
+            raise UnknownGenerator(f"an image is not a word over F_{g}")
+        return super().__new__(cls, g, images)
 
     @staticmethod
     def standard(g: int) -> "AlphaSpec":
@@ -723,8 +722,7 @@ def twist_membership_certificate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WordFixture:
+class WordFixture(NamedTuple):
     """Parsed `gen name = <rank-2 word>` and `image <endo> <name> = <word
     over the gen alphabet>` lines."""
 

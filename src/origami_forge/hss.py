@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -158,8 +157,7 @@ def format_label(label: Label) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HalfCylinderGraph:
+class HalfCylinderGraph(NamedTuple):
     """Two nodes per cylinder i, the upper 2i and the lower 2i + 1, joined
     by the p2-gluing edges; `step1_cuts` bridges each cylinder's two
     nodes on a copy of ``roots``."""
@@ -243,7 +241,6 @@ def step1(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class LabeledList:
     """A pool list: sides with a cyclic flag; a stored list never changes.
 
@@ -251,13 +248,21 @@ class LabeledList:
     combined list [a_Z, lower..., a_Z, upper...], which keeps a_Z at
     index 0.  cyl: the base square of the cylinder whose boundary the list
     runs along.  labs: the label id of each side.
+
+    Slotted rather than a named tuple: the cut-system loops read its
+    fields, and on CPython 3.11 a slot reads about three times faster
+    than a named-tuple field.
     """
 
-    sides: tuple[int, ...]
-    cyclic: bool
-    kind: str
-    cyl: int
-    labs: list[int]
+    __slots__ = ("sides", "cyclic", "kind", "cyl", "labs")
+
+    def __init__(self, sides: tuple[int, ...], cyclic: bool, kind: str,
+                 cyl: int, labs: list[int]):
+        self.sides = sides
+        self.cyclic = cyclic
+        self.kind = kind
+        self.cyl = cyl
+        self.labs = labs
 
     def span(self, half: str) -> tuple[int, int]:
         """The span lo:hi of the sides on the given boundary half: the
@@ -283,7 +288,6 @@ class LabeledList:
         return "u" if k < second else "o"
 
 
-@dataclass
 class MergeHistory:
     """Splice / cancellation log of one merge_all run, and its final list P.
 
@@ -304,13 +308,17 @@ class MergeHistory:
     result), the last ordering the absorptions.
     """
 
-    initial: list[int]
-    events: list[tuple] = field(default_factory=list)
-    final: Optional[int] = None
-    tree: dict[int, tuple[int, int, int, int]] = field(default_factory=dict)
-    sides: list[int] = field(default_factory=list)
-    labs: list[int] = field(default_factory=list)
-    origin: list[int] = field(default_factory=list)
+    __slots__ = ("initial", "events", "final", "tree", "sides", "labs",
+                 "origin")
+
+    def __init__(self, initial: list[int]):
+        self.initial = initial
+        self.events: list[tuple] = []
+        self.final: Optional[int] = None
+        self.tree: dict[int, tuple[int, int, int, int]] = {}
+        self.sides: list[int] = []
+        self.labs: list[int] = []
+        self.origin: list[int] = []
 
 
 class ChainPair(NamedTuple):
@@ -804,20 +812,26 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HssResult:
     """A cut system and how it was found: the step-1 cuts and their graph,
     one merge history and one separating partner beta (a label id) per
     later round, and the pool, which holds the lists of every round;
     dual_curves traces the betas back through them."""
 
-    o: Origami
-    curves: list[OrigamiCurve]
-    cut_cylinders: list[Cylinder]
-    graph: HalfCylinderGraph
-    histories: list[MergeHistory]
-    pool: Pool
-    betas: list[int]
+    __slots__ = ("o", "curves", "cut_cylinders", "graph", "histories",
+                 "pool", "betas")
+
+    def __init__(self, o: Origami, curves: list[OrigamiCurve],
+                 cut_cylinders: list[Cylinder], graph: HalfCylinderGraph,
+                 histories: list[MergeHistory], pool: Pool,
+                 betas: list[int]):
+        self.o = o
+        self.curves = curves
+        self.cut_cylinders = cut_cylinders
+        self.graph = graph
+        self.histories = histories
+        self.pool = pool
+        self.betas = betas
 
 
 def find_hss_detailed(o: Origami) -> HssResult:

@@ -17,7 +17,7 @@ map with c = 0 takes the same path as any other.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TOL = 1e-9
 # A denominator c z + d smaller than this against |c z| + |d| is zero up to
@@ -33,8 +33,7 @@ class NotLoxodromic(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(NamedTuple):
     """z -> (a z + b) / (c z + d), normalized to a d - b c = 1.
 
     Maps are identified up to a global sign of the four entries.
@@ -94,8 +93,7 @@ class MoebiusMap:
 IDENTITY = MoebiusMap(1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(NamedTuple):
     z: complex       # attracting fixed point
     w: complex       # repelling fixed point
     multiplier: complex  # 0 < |multiplier| < 1

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .freegroup import RankMismatch, Word
 
@@ -191,33 +191,32 @@ class Permutation:
         return f"Permutation({list(self.images())})"
 
 
-@dataclass(frozen=True)
-class Origami:
-    """d unit squares glued by right-neighbor p1 and upper-neighbor p2.
+class Origami(namedtuple("Origami", "d p1 p2")):
+    """d unit squares glued by right-neighbor p1 and upper-neighbor p2,
+    checked on construction: d >= 1, both permutations of size d, and the
+    pair transitive.
 
-    Its cylinders, the cylinder and position of each square, its corner
+    The fields are immutable and decide equality and the hash.  Its
+    cylinders, the cylinder and position of each square, its corner
     permutation and orbits and its genus are cached properties, each
-    derived once."""
+    derived once and kept in the instance dict."""
 
-    d: int
-    p1: Permutation
-    p2: Permutation
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise BadParameters(
-                f"an origami needs at least one square, not {self.d}")
-        if self.p1.size != self.d or self.p2.size != self.d:
+    def __new__(cls, d: int, p1: Permutation, p2: Permutation):
+        if d < 1:
+            raise BadParameters(f"an origami needs at least one square, not {d}")
+        if p1.size != d or p2.size != d:
             raise NotBijective("permutation size differs from square count")
+        self = super().__new__(cls, d, p1, p2)
         # connectedness: <p1, p2> transitive on {1..d}
         tree = square_tree(self, 1)
-        if len(tree) != self.d - 1:
+        if len(tree) != d - 1:
             seen = {1, *(u for _, _, u in tree)}
             raise NotTransitive(
-                f"squares {sorted(set(range(1, self.d + 1)) - seen)} unreachable"
+                f"squares {sorted(set(range(1, d + 1)) - seen)} unreachable"
             )
+        return self
 
-    # Derived on first use rather than in __post_init__: `veech-check` and
+    # Derived on first use rather than on construction: `veech-check` and
     # the rejection loop of `random_origami` need none of these.
 
     @cached_property
@@ -254,8 +253,7 @@ class Origami:
         return (self.d - len(self.corner_orbits)) // 2 + 1
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """An orbit of p1: a maximal horizontal band of squares."""
 
     squares: tuple[int, ...]
@@ -332,17 +330,16 @@ def x_origami(n: int) -> Origami:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrigamiCurve:
+class OrigamiCurve(namedtuple("OrigamiCurve", "start word")):
     """A lattice path on the origami: start square plus a rank-2 word read
     left to right, x a unit step right and y a unit step up."""
 
-    start: int
-    word: Word
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.word.rank != 2:
+    def __new__(cls, start: int, word: Word):
+        if word.rank != 2:
             raise BadParameters("curve words live in rank 2")
+        return super().__new__(cls, start, word)
 
 
 def square_tree(o: Origami, base: int) -> list[tuple[int, int, int]]:
@@ -429,8 +426,7 @@ def vertical_multiplier(o: Origami) -> tuple[int, tuple[int, int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineChange:
+class AffineChange(NamedTuple):
     """Exact rational 2x2 coordinate change, row-major."""
 
     a: Fraction

@@ -13,8 +13,8 @@ indexed by square, with an entry 0 that maps to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 from .freegroup import (
     IntMatrix2,
@@ -46,21 +46,19 @@ class SchreierSystemError(ValueError):
     """A check that decides the Schreier system failed."""
 
 
-@dataclass(frozen=True)
-class CosetAction:
+class CosetAction(namedtuple("CosetAction", "origami base", defaults=(1,))):
     """The monodromy action of F_2 on squares, with a base square whose
     stabilizer is the subgroup H (index d)."""
 
-    origami: Origami
-    base: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.base <= self.origami.d:
+    def __new__(cls, origami: Origami, base: int = 1):
+        if not 1 <= base <= origami.d:
             raise ValueError("base square out of range")
+        return super().__new__(cls, origami, base)
 
 
-@dataclass(frozen=True)
-class SchreierSystem:
+class SchreierSystem(NamedTuple):
     """A Schreier transversal and free generating set for H.
 
     reps[s] is the coset representative word carrying the base to square s;

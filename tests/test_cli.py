@@ -948,17 +948,139 @@ def src_env():
     return env
 
 
-def test_cli_import_leaves_out_sympy():
-    env = src_env()
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, origami_forge.cli; print('sympy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+ENGINES = ("hss", "homology", "linalg", "subgroup", "moebius")
+SUBMODULES = ("cli", "freegroup", "homology", "hss", "linalg", "moebius",
+              "origami", "subgroup")
+
+
+def run_isolated(code: str) -> list:
+    """Run code in a fresh `python -S` interpreter, so that no .pth hook
+    of the environment imports anything, and read the JSON it prints."""
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_sympy():
+    """Importing the front end loads no engine, no dataclasses and no
+    sympy; each submodule is an attribute of the package, imported on
+    first access."""
+    loaded, resolved = run_isolated(
+        "import json, sys\n"
+        "import origami_forge, origami_forge.cli\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m in ('sympy', 'dataclasses')\n"
+        "                or m.startswith('origami_forge.'))\n"
+        f"names = {SUBMODULES!r}\n"
+        "resolved = [getattr(origami_forge, m)\n"
+        "            is sys.modules['origami_forge.' + m] for m in names]\n"
+        "print(json.dumps([loaded, resolved]))\n")
+    assert loaded == ["origami_forge.cli", "origami_forge.freegroup",
+                      "origami_forge.origami"]
+    assert resolved == [True] * len(SUBMODULES)
+
+
+def test_package_refuses_unknown_attributes():
+    import origami_forge
+
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        origami_forge.nosuch
+
+
+HOMOLOGY_ENGINES = ["homology", "hss", "linalg", "subgroup"]
+COMMAND_ENGINES = [
+    (["analyze", "o14"], []),
+    (["hss", "o14"], ["hss"]),
+    (["verify-hss", "l22"], HOMOLOGY_ENGINES),
+    (["veech-check", "l22", "--matrix", "1,2,0,1"], ["subgroup"]),
+    (["shear", "l22", "--p", "1", "--q", "2"], []),
+    (["homology", "l23", "--twist"], HOMOLOGY_ENGINES),
+    (["moebius", "2,0", "0,0", "0,0", "0.5,0"], ["moebius"]),
+    (["fixtures"], []),
+    (["sweep", "--count", "1", "--max-d", "6"], HOMOLOGY_ENGINES),
+]
+
+
+@pytest.mark.parametrize("argv,engines", COMMAND_ENGINES,
+                         ids=[argv[0] for argv, _ in COMMAND_ENGINES])
+def test_each_command_loads_only_its_engines(argv, engines):
+    """A command adds only the engine modules it runs to what importing
+    the front end loaded, and none loads dataclasses."""
+    code, added, dataclasses_loaded = run_isolated(
+        "import contextlib, io, json, sys\n"
+        "from origami_forge import cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.run({argv!r})\n"
+        "added = sorted(m.split('.')[1] for m in set(sys.modules) - before\n"
+        "               if m.startswith('origami_forge.'))\n"
+        "print(json.dumps([code, added, 'dataclasses' in sys.modules]))\n")
+    assert code == 0
+    assert added == engines
+    assert not dataclasses_loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "o14"],
+        ["hss", "o14", "--trace"],
+        ["verify-hss", "wollmilchsau"],
+        ["veech-check", "l22", "--matrix", "1001,500,2,1"],
+        ["shear", "l22", "--p", "1", "--q", "3"],
+        ["homology", "l23", "--twist"],
+        ["moebius", "2,0", "1,0", "1,0", "1,0"],
+        ["fixtures"],
+        ["sweep", "--count", "2", "--max-d", "10", "--seed", "3"],
+        ["veech-check", "l22", "--matrix", "1,2,3"],
+        ["veech-check", "l22"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]).replace(",", "_"),
+)
+def test_fresh_interpreter_gives_the_in_process_answer(capsys, argv):
+    """The engines a command imports inside its function are found in a
+    new interpreter, where nothing else loaded them: stdout, stderr and
+    the exit code equal the in-process answer, for an exit 0, an exit 1
+    (a malformed matrix) and an exit 2 (a missing option)."""
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "origami_forge.cli", *argv],
+        capture_output=True, text=True, env=src_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out, captured.err)
+
+
+def test_no_source_file_imports_dataclasses():
+    """The record classes are named tuples or slotted classes; building a
+    dataclass costs the import of dataclasses and inspect at start-up."""
+    src = pathlib.Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name
+
+
+def test_cli_imports_no_engine_at_module_level():
+    """Only origami and freegroup are imported by the front end's module
+    body; each engine is imported by the command that runs it."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    own = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            own.add(node.module or "")
+            own.update(a.name for a in node.names if not node.module)
+    assert own == {"origami", "freegroup"}
 
 
 @pytest.mark.parametrize(
@@ -1064,3 +1186,87 @@ def test_library_has_no_assert_statements():
     ]
     assert len(list(package.glob("*.py"))) >= 9
     assert found == []
+
+
+def _frozen_records():
+    """Zero-argument builders of each immutable record class; two calls
+    give equal, distinct instances."""
+    from origami_forge.freegroup import F2Endo, gen, parse_word
+    from origami_forge.homology import AlphaSpec, h1_model
+    from origami_forge.hss import step1_graph
+    from origami_forge.moebius import FixedPointData, MoebiusMap
+    from origami_forge.origami import (AffineChange, Cylinder, OrigamiCurve,
+                                       l_origami)
+    from origami_forge.subgroup import CosetAction, schreier_system
+
+    return {
+        "Origami": lambda: l_origami(2, 3),
+        "Cylinder": lambda: Cylinder((1, 2)),
+        "OrigamiCurve": lambda: OrigamiCurve(1, parse_word("x y")),
+        "AffineChange": lambda: AffineChange.from_ints(1, 2, 0, 1),
+        "F2Endo": lambda: F2Endo(gen(2, 1), gen(2, 2)),
+        "CosetAction": lambda: CosetAction(l_origami(2, 3)),
+        "SchreierSystem": lambda: schreier_system(
+            CosetAction(l_origami(2, 3))),
+        "HalfCylinderGraph": lambda: step1_graph(l_origami(2, 3)),
+        "H1Model": lambda: h1_model(l_origami(2, 3)),
+        "AlphaSpec": lambda: AlphaSpec.standard(2),
+        "MoebiusMap": lambda: MoebiusMap(1, 2, 0, 1),
+        "FixedPointData": lambda: FixedPointData(0j, 1 + 0j, 0.5),
+    }
+
+
+class TestRecordClasses:
+    @pytest.mark.parametrize("name", sorted(_frozen_records()))
+    def test_immutable_fields_and_value_equality(self, name):
+        build = _frozen_records()[name]
+        a, b = build(), build()
+        assert a == b and a is not b
+        for field in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, field, None)
+        try:
+            hash(a)
+        except TypeError:  # a list or dict field, as in a frozen dataclass
+            return
+        assert hash(a) == hash(b)
+
+    def test_defaults(self):
+        from origami_forge.freegroup import F2Endo, gen
+        from origami_forge.origami import l_origami
+        from origami_forge.subgroup import CosetAction
+
+        assert F2Endo(gen(2, 1), gen(2, 2)).is_automorphism is False
+        assert CosetAction(l_origami(2, 2)).base == 1
+
+    def test_validation_on_construction(self):
+        from origami_forge.freegroup import F2Endo, RankMismatch, gen
+        from origami_forge.homology import AlphaSpec, UnknownGenerator
+        from origami_forge.origami import (BadParameters, OrigamiCurve,
+                                           l_origami)
+        from origami_forge.subgroup import CosetAction
+
+        with pytest.raises(BadParameters):
+            OrigamiCurve(1, gen(3, 1))
+        with pytest.raises(RankMismatch):
+            F2Endo(gen(3, 1), gen(2, 2))
+        with pytest.raises(ValueError, match="base square"):
+            CosetAction(l_origami(2, 2), 4)
+        with pytest.raises(UnknownGenerator):
+            AlphaSpec(2, (gen(2, 1),) * 3)
+
+    def test_filled_in_records_are_slotted(self):
+        from origami_forge.hss import (LabeledList, MergeHistory,
+                                       find_hss_detailed)
+        from origami_forge.origami import o14
+
+        result = find_hss_detailed(o14())
+        records = [result, result.histories[0],
+                   next(iter(result.pool.lists.values()))]
+        assert [type(r) for r in records] == [
+            hss.HssResult, MergeHistory, LabeledList]
+        for record in records:
+            assert not hasattr(record, "__dict__")
+        a, b = MergeHistory([0]), MergeHistory([0])
+        a.events.append(("cancel", 1, 0, 2, 3))
+        assert b.events == [] and b.tree == {} and b.final is None

@@ -2,13 +2,16 @@
 
 import functools
 import math
+import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origami_forge.freegroup import (
+    MAX_WORD_LETTERS,
     AllTrivial,
     IndexOutOfRange,
     NotUnimodular,
@@ -121,6 +124,40 @@ class TestWordAlgebra:
 
     def test_exponent_sums(self):
         assert exponent_sums(parse_word("x^3 y^-1 x^-1 y^2")) == (2, 1)
+
+
+class TestParseWordBound:
+    @pytest.mark.parametrize("text", [
+        "x^1000000000000",
+        "y x^-1000000000000",
+        f"x^{MAX_WORD_LETTERS} y",
+        f"x^{MAX_WORD_LETTERS // 2 + 1} x^-{MAX_WORD_LETTERS // 2}",
+    ])
+    def test_long_word_is_refused_before_it_is_built(self, text):
+        """The letter count is the sum of |e| over the tokens as written,
+        checked token by token before any letter exists."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=f"more than {MAX_WORD_LETTERS} letters"):
+                parse_word(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_word_at_the_bound_parses(self):
+        w = parse_word(f"y x^{MAX_WORD_LETTERS - 1}")
+        assert len(w) == MAX_WORD_LETTERS
+
+    @pytest.mark.parametrize("name", ["l22.words", "flat64.words"])
+    def test_shipped_word_fixtures_parse(self, name):
+        from origami_forge.cli import fixture_dir
+        from origami_forge.homology import parse_word_fixture
+
+        with open(os.path.join(fixture_dir(), name), encoding="utf-8") as fh:
+            wf = parse_word_fixture(fh.read())
+        assert wf.names and wf.images
 
 
 class TestConjugacy:
