@@ -13,6 +13,12 @@ imports argparse, json and the `origami` and `freegroup` modules, which
 every origami command needs; each ``cmd_*`` function imports its engine
 (`hss`, `homology`, `subgroup`, `moebius`) as a module and calls it
 through the module attribute, so that a replaced attribute is seen.
+
+The work per call that is the same for every command is kept small: an
+argv that starts with a command name goes straight to that command's
+parser, an origami argument's paths are probed before one is opened and
+the file is read as bytes and decoded once, and every JSON line is
+written by one module-level encoder.
 """
 
 from __future__ import annotations
@@ -84,18 +90,25 @@ def fixture_dir() -> str:
 def load_origami(ref: str) -> Origami:
     """Resolve an origami argument: a file path, else a registry name,
     read from <name>.ori in the fixture directory if that file exists and
-    built by its registry constructor if not.  Each file is opened without
-    a prior existence check; only a missing file (or a path through a
-    non-directory) moves on to the next choice."""
+    built by its registry constructor if not.  A path that does not exist
+    (or runs through a non-directory) moves on to the next choice.  Each
+    path is probed before it is opened, so a fixture name raises no
+    exception; a file that goes missing between the probe and the open
+    moves on as well.  The file is read as bytes and decoded once; text
+    mode would only translate CR LF and CR to LF, and `parse_origami`'s
+    `splitlines` ends a line at each of them anyway."""
     paths = [ref]
     if ref in FIXTURES:
         paths.append(os.path.join(fixture_dir(), ref + ".ori"))
     for path in paths:
+        if not os.access(path, os.F_OK):
+            continue
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return parse_origami(fh.read())
+            with open(path, "rb") as fh:
+                data = fh.read()
         except (FileNotFoundError, NotADirectoryError):
-            pass
+            continue
+        return parse_origami(data.decode("utf-8"))
     if ref in FIXTURES:
         return FIXTURES[ref]()
     raise BadFormat(f"no such origami file or fixture: {ref!r}")
@@ -106,12 +119,16 @@ def load_origami(ref: str) -> Origami:
 # ---------------------------------------------------------------------------
 
 
+# json.dumps with these arguments builds an encoder per call; `emit`
+# writes through one
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+
+
 def emit(obj: dict, stream=None) -> None:
-    """One JSON line.  json.dumps encodes in C, where json.dump streams
-    through the pure-Python encoder; the text is the same."""
+    """One JSON line, encoded in C; the text is what json.dump with the
+    same arguments streams through the pure-Python encoder."""
     stream = stream or sys.stdout
-    stream.write(json.dumps(obj, sort_keys=True, separators=(", ", ": "))
-                 + "\n")
+    stream.write(_ENCODER.encode(obj) + "\n")
 
 
 def curve_json(c) -> dict:
@@ -430,8 +447,11 @@ def cmd_sweep(args) -> dict:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Each subcommand is
-    stored by name; `run` looks up its `cmd_*` function when it is called."""
+    """The argument parser, built once per process.  Its ``commands``
+    attribute is the name -> parser map of the subcommands (the
+    ``choices`` of the action `add_subparsers` returns), which
+    `parse_args` dispatches through; `run` looks up the `cmd_*` function
+    when it is called."""
     parser = argparse.ArgumentParser(
         prog="origami-forge",
         description="Exact invariants of square-tiled surfaces.",
@@ -479,11 +499,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"items to run, 0 to {MAX_SWEEP_COUNT}")
     p.add_argument("--seed", type=int, default=0)
 
+    parser.commands = sub.choices
     return parser
 
 
+def parse_args(argv: list) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, or the same exit.
+    When argv starts with a command name, the top-level parser would only
+    hand the rest to that command's parser, after classifying every
+    argument; here the command's parser gets it directly, and whatever it
+    leaves over is refused by the top-level parser, with its message."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def run(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         emit(command(args))

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
@@ -454,10 +453,18 @@ class AffineChange(NamedTuple):
 
     @staticmethod
     def from_ints(a, b, c, d) -> "AffineChange":
+        from fractions import Fraction
+
         return AffineChange(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
 
 
-AFFINE_ID = AffineChange.from_ints(1, 0, 0, 1)
+def __getattr__(name: str):
+    """``AFFINE_ID``, the identity change, built on each access: only
+    `shear` and `AffineChange.from_ints` import fractions (and with it
+    decimal and numbers), so that no other command loads them."""
+    if name == "AFFINE_ID":
+        return AffineChange.from_ints(1, 0, 0, 1)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The most squares `shear` builds: its output has d * |q| squares.
@@ -474,13 +481,15 @@ def shear(o: Origami, p: int, q: int) -> tuple[Origami, AffineChange]:
     q = 0 (the horizontal direction itself) the origami is returned
     unchanged with the identity change.
     """
+    from fractions import Fraction
+
     if math.gcd(p, q) != 1:
         raise BadDirection(f"gcd({p}, {q}) != 1")
     if o.d * abs(q) > MAX_SHEAR_SQUARES:
         raise BadParameters(f"shear would build {o.d} * {abs(q)} squares, "
                             f"more than {MAX_SHEAR_SQUARES}")
     if q == 0:
-        return o, AFFINE_ID
+        return o, AffineChange.from_ints(1, 0, 0, 1)
     if q < 0:
         p, q = -p, -q
 

@@ -1,6 +1,7 @@
 """The command-line front end: JSON contracts, exit codes, fixture
 registry resolution, tracing, and output determinism."""
 
+import argparse
 import ast
 import cmath
 import contextlib
@@ -96,6 +97,66 @@ class TestAnalyze:
             code, out, err = run_cli(capsys, "analyze", ref)
             assert code == 1 and out == ""
             assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+
+    def test_dangling_symlink_falls_back_to_the_fixture_file(
+            self, capsys, tmp_path, monkeypatch):
+        """A link in the cwd named like a fixture whose target is missing
+        is no file: the fixture file is read, as for a missing path."""
+        fixtures, cwd = tmp_path / "fixtures", tmp_path / "cwd"
+        fixtures.mkdir()
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(fixtures))
+        (fixtures / "o14.ori").write_text(format_origami(wollmilchsau()))
+        (cwd / "o14").symlink_to(tmp_path / "nowhere")
+        assert run_json(capsys, "analyze", "o14")["d"] == 8
+
+    @pytest.mark.parametrize("fixture_file", [True, False],
+                             ids=["fixture-file", "constructor"])
+    def test_fixture_name_raises_nothing(self, tmp_path, monkeypatch,
+                                         fixture_file):
+        """The paths are probed before they are opened: resolving a
+        fixture name raises no exception inside `load_origami`, whether
+        it reads the fixture file or falls back to the constructor."""
+        monkeypatch.chdir(tmp_path)
+        if not fixture_file:
+            monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(tmp_path))
+        raised = []
+
+        def local(frame, event, arg):
+            if event == "exception":
+                raised.append(arg[0].__name__)
+            return local
+
+        def probe(frame, event, arg):
+            return local if frame.f_code is cli.load_origami.__code__ else None
+
+        old = sys.gettrace()
+        sys.settrace(probe)
+        try:
+            o = cli.load_origami("o14")
+        finally:
+            sys.settrace(old)
+        assert o.d == 14
+        assert raised == []
+
+    def test_bytes_decode_as_text_mode_read(self, capsys, tmp_path):
+        """The file is read as bytes and decoded once: CR LF and CR end
+        lines as in text mode, and a byte that is no UTF-8 fails with the
+        error a text-mode read raises."""
+        text = format_origami(wollmilchsau())
+        path = tmp_path / "w.ori"
+        for newline in ("\r\n", "\r"):
+            path.write_bytes(("# crlf\n" + text).replace("\n", newline)
+                             .encode())
+            assert run_json(capsys, "analyze", str(path))["d"] == 8
+        path.write_bytes(b"# \xff\n" + text.encode())
+        with pytest.raises(UnicodeDecodeError) as exc:
+            path.read_text(encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "UnicodeDecodeError", "message": str(exc.value)}
 
     def test_path_through_a_file_is_no_such_file(self, capsys, ori_file):
         code, out, err = run_cli(capsys, "analyze", ori_file + "/w.ori")
@@ -904,6 +965,91 @@ class TestParser:
         monkeypatch.setattr(cli, "cmd_fixtures", lambda args: {"patched": 1})
         assert run_json(capsys, "fixtures") == {"patched": 1}
 
+    @pytest.mark.parametrize("argv", [
+        # every command with valid arguments
+        ["analyze", "o14"],
+        ["hss", "o14", "--trace"],
+        ["verify-hss", "l22"],
+        ["veech-check", "l22", "--matrix", "1,2,0,1"],
+        ["shear", "l22", "--p", "-1", "--q=2"],
+        ["homology", "l23", "--twist"],
+        ["moebius", "2,0", "0,0", "0,0", "0.5,0"],
+        ["fixtures"],
+        ["sweep", "--count", "1", "--max-d", "6", "--seed", "3"],
+        # help, for every command and at the top
+        ["analyze", "-h"],
+        ["hss", "--help"],
+        ["verify-hss", "-h"],
+        ["veech-check", "l22", "--matrix", "1,2,0,1", "-h"],
+        ["shear", "-h"],
+        ["homology", "--he"],
+        ["moebius", "-h"],
+        ["fixtures", "-h"],
+        ["sweep", "-h"],
+        ["-h"],
+        ["--help", "analyze"],
+        # option abbreviations
+        ["veech-check", "l22", "--mat", "1,2,0,1"],
+        ["hss", "o14", "--tr"],
+        ["homology", "l23", "--t"],
+        ["sweep", "--cou", "2", "--max", "4", "--se", "1"],
+        # missing, repeated and malformed options
+        ["veech-check", "l22"],
+        ["shear", "l22", "--p", "1"],
+        ["analyze"],
+        ["moebius", "1,0", "2,0"],
+        ["veech-check", "l22", "--matrix", "1,2,0,1", "--matrix", "1,0,0,1"],
+        ["sweep", "--seed", "1", "--seed", "2", "--count", "0"],
+        ["shear", "l22", "--p", "x", "--q", "1"],
+        ["sweep", "--count", "1.5"],
+        # extra positionals and unknown options
+        ["analyze", "o14", "l22"],
+        ["fixtures", "extra"],
+        ["moebius", "1,0", "0,0", "0,0", "1,0", "2,0"],
+        ["analyze", "o14", "--bogus"],
+        ["veech-check", "l22", "--matrix", "1,2,0,1", "--twist", "x"],
+        ["fixtures", "--x=1", "-z"],
+        # no command, an unknown one, and options before the command
+        [],
+        ["no-such-command"],
+        ["Analyze", "o14"],
+        ["-x", "analyze", "o14"],
+        ["--", "analyze", "o14"],
+        # "--" after the command, and negative matrix entries
+        ["analyze", "--", "o14"],
+        ["analyze", "--", "-o14"],
+        ["veech-check", "l22", "--", "--matrix", "1,2,0,1"],
+        ["veech-check", "l22", "--matrix=-1,0,0,-1"],
+        ["veech-check", "--matrix=-1,2,0,-1", "l22"],
+        ["veech-check", "l22", "--matrix", "-1,0,0,-1"],
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_dispatch_matches_the_full_parser(self, capsys, monkeypatch,
+                                              argv):
+        """`run` hands an argv that starts with a command name straight
+        to that command's parser.  The arguments each command is called
+        with are the full parser's Namespace; an exit has the full
+        parser's code, stdout and stderr."""
+        def outcome(call):
+            try:
+                result = call()
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return result, captured.out, captured.err
+
+        seen = []
+        for name in cli.build_parser().commands:
+            monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
+                                lambda args: seen.append(args) or {})
+        full = outcome(lambda: cli.build_parser().parse_args(list(argv)))
+        dispatched = outcome(lambda: cli.run(list(argv)))
+        if isinstance(full[0], argparse.Namespace):
+            assert dispatched == (0, "{}\n", "")
+            assert seen == [full[0]]
+        else:
+            assert dispatched == full
+            assert seen == []
+
 
 class TestEmit:
     """`emit` encodes with json.dumps; the text must be what the streaming
@@ -1006,8 +1152,9 @@ COMMAND_ENGINES = [
                          ids=[argv[0] for argv, _ in COMMAND_ENGINES])
 def test_each_command_loads_only_its_engines(argv, engines):
     """A command adds only the engine modules it runs to what importing
-    the front end loaded, and none loads dataclasses."""
-    code, added, dataclasses_loaded = run_isolated(
+    the front end loaded, and none loads dataclasses; only `shear` loads
+    fractions, and with it decimal."""
+    code, added, dataclasses_loaded, numeric = run_isolated(
         "import contextlib, io, json, sys\n"
         "from origami_forge import cli\n"
         "before = set(sys.modules)\n"
@@ -1015,10 +1162,13 @@ def test_each_command_loads_only_its_engines(argv, engines):
         f"    code = cli.run({argv!r})\n"
         "added = sorted(m.split('.')[1] for m in set(sys.modules) - before\n"
         "               if m.startswith('origami_forge.'))\n"
-        "print(json.dumps([code, added, 'dataclasses' in sys.modules]))\n")
+        "numeric = sorted({'fractions', 'decimal'} & set(sys.modules))\n"
+        "print(json.dumps([code, added, 'dataclasses' in sys.modules,\n"
+        "                  numeric]))\n")
     assert code == 0
     assert added == engines
     assert not dataclasses_loaded
+    assert numeric == (["decimal", "fractions"] if argv[0] == "shear" else [])
 
 
 @pytest.mark.parametrize(
@@ -1035,6 +1185,7 @@ def test_each_command_loads_only_its_engines(argv, engines):
         ["sweep", "--count", "2", "--max-d", "10", "--seed", "3"],
         ["veech-check", "l22", "--matrix", "1,2,3"],
         ["veech-check", "l22"],
+        ["hss", "x3", "--bogus"],
     ],
     ids=lambda argv: "-".join(argv[:2]).replace(",", "_"),
 )
@@ -1042,7 +1193,8 @@ def test_fresh_interpreter_gives_the_in_process_answer(capsys, argv):
     """The engines a command imports inside its function are found in a
     new interpreter, where nothing else loaded them: stdout, stderr and
     the exit code equal the in-process answer, for an exit 0, an exit 1
-    (a malformed matrix) and an exit 2 (a missing option)."""
+    (a malformed matrix) and an exit 2 (a missing option, and an unknown
+    one, which the top-level parser refuses)."""
     try:
         code = cli.run(argv)
     except SystemExit as exc:
