@@ -14,9 +14,14 @@ every origami command needs; each ``cmd_*`` function imports its engine
 (`hss`, `homology`, `subgroup`, `moebius`) as a module and calls it
 through the module attribute, so that a replaced attribute is seen.
 
+An origami argument has two sources: a path that exists is read and
+parsed, and otherwise a registry name is built by its constructor.  The
+shipped ``<name>.ori`` files hold the same origamis, but no command
+reads them.
+
 The work per call that is the same for every command is kept small: an
 argv that starts with a command name goes straight to that command's
-parser, an origami argument's paths are probed before one is opened and
+parser, an origami argument's path is probed before it is opened and
 the file is read as bytes and decoded once, and every JSON line is
 written by one module-level encoder.
 """
@@ -79,36 +84,25 @@ WORD_FIXTURES = ("l22.words", "flat64.words")
 
 
 def fixture_dir() -> str:
-    """Directory holding the .ori / .words data files; overridable via
-    the ORIGAMI_FORGE_FIXTURES environment variable."""
-    override = os.environ.get("ORIGAMI_FORGE_FIXTURES")
-    if override:
-        return override
+    """Directory holding the shipped .ori / .words data files, which
+    `fixtures` lists."""
     return os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def load_origami(ref: str) -> Origami:
-    """Resolve an origami argument: a file path, else a registry name,
-    read from <name>.ori in the fixture directory if that file exists and
-    built by its registry constructor if not.  A path that does not exist
-    (or runs through a non-directory) moves on to the next choice.  Each
-    path is probed before it is opened, so a fixture name raises no
-    exception; a file that goes missing between the probe and the open
-    moves on as well.  The file is read as bytes and decoded once; text
-    mode would only translate CR LF and CR to LF, and `parse_origami`'s
-    `splitlines` ends a line at each of them anyway."""
-    paths = [ref]
-    if ref in FIXTURES:
-        paths.append(os.path.join(fixture_dir(), ref + ".ori"))
-    for path in paths:
-        if not os.access(path, os.F_OK):
-            continue
+    """Resolve an origami argument: a path that exists is read and
+    parsed, else a registry name is built by its constructor.  The path
+    is probed before it is opened, so a registry name raises no exception
+    and opens no file; a file that goes missing between the probe and the
+    open falls back as well.  The file is read as bytes and decoded once;
+    text mode would only translate CR LF and CR to LF, and
+    `parse_origami`'s `splitlines` ends a line at each of them anyway."""
+    if os.access(ref, os.F_OK):
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            with open(ref, "rb") as fh:
+                return parse_origami(fh.read().decode("utf-8"))
         except (FileNotFoundError, NotADirectoryError):
-            continue
-        return parse_origami(data.decode("utf-8"))
+            pass
     if ref in FIXTURES:
         return FIXTURES[ref]()
     raise BadFormat(f"no such origami file or fixture: {ref!r}")
@@ -487,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moebius", help="classify a Moebius transformation")
     p.add_argument("entries", nargs=4, metavar="re,im",
-                   help="matrix entries a b c d as re,im pairs")
+                   help="matrix entries a b c d as re,im pairs; put -- "
+                   "before the entries when one starts with -")
 
     sub.add_parser("fixtures", help="list the fixture registry")
 

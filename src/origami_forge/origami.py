@@ -458,15 +458,6 @@ class AffineChange(NamedTuple):
         return AffineChange(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
 
 
-def __getattr__(name: str):
-    """``AFFINE_ID``, the identity change, built on each access: only
-    `shear` and `AffineChange.from_ints` import fractions (and with it
-    decimal and numbers), so that no other command loads them."""
-    if name == "AFFINE_ID":
-        return AffineChange.from_ints(1, 0, 0, 1)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # The most squares `shear` builds: its output has d * |q| squares.
 MAX_SHEAR_SQUARES = 10 ** 6
 

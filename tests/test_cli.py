@@ -66,26 +66,13 @@ class TestAnalyze:
         assert data["genus"] == 4
 
     def test_resolution_order(self, capsys, tmp_path, monkeypatch):
-        """A path first, then the fixture file, then the registry
-        constructor: o14 has 14 squares, the wollmilchsau 8 and the
-        x-origami of order 3 fewer."""
-        fixtures, cwd = tmp_path / "fixtures", tmp_path / "cwd"
-        fixtures.mkdir()
-        cwd.mkdir()
-        monkeypatch.chdir(cwd)
-        monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(fixtures))
-        # a fixture directory without the file: the constructor
+        """A path first, then the registry constructor: o14 has 14
+        squares and the x-origami of order 3 fewer."""
+        monkeypatch.chdir(tmp_path)
         assert run_json(capsys, "analyze", "o14")["d"] == 14
-        # the fixture file wins over the constructor
-        (fixtures / "o14.ori").write_text(format_origami(wollmilchsau()))
-        assert run_json(capsys, "analyze", "o14")["d"] == 8
-        # a file in the cwd named like a fixture wins over both
-        (cwd / "o14").write_text(format_origami(x_origami(3)))
-        assert run_json(capsys, "analyze", "o14")["d"] == x_origami(3).d < 8
-        # a fixture directory that does not exist: the constructor
-        (cwd / "o14").unlink()
-        monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(tmp_path / "none"))
-        assert run_json(capsys, "analyze", "o14")["d"] == 14
+        # a file in the cwd named like a fixture wins over the constructor
+        (tmp_path / "o14").write_text(format_origami(x_origami(3)))
+        assert run_json(capsys, "analyze", "o14")["d"] == x_origami(3).d < 14
 
     def test_directory_argument_is_an_os_error(self, capsys, tmp_path,
                                                monkeypatch):
@@ -98,29 +85,19 @@ class TestAnalyze:
             assert code == 1 and out == ""
             assert json.loads(err)["error"]["type"] == "IsADirectoryError"
 
-    def test_dangling_symlink_falls_back_to_the_fixture_file(
+    def test_dangling_symlink_falls_back_to_the_constructor(
             self, capsys, tmp_path, monkeypatch):
         """A link in the cwd named like a fixture whose target is missing
-        is no file: the fixture file is read, as for a missing path."""
-        fixtures, cwd = tmp_path / "fixtures", tmp_path / "cwd"
-        fixtures.mkdir()
-        cwd.mkdir()
-        monkeypatch.chdir(cwd)
-        monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(fixtures))
-        (fixtures / "o14.ori").write_text(format_origami(wollmilchsau()))
-        (cwd / "o14").symlink_to(tmp_path / "nowhere")
-        assert run_json(capsys, "analyze", "o14")["d"] == 8
-
-    @pytest.mark.parametrize("fixture_file", [True, False],
-                             ids=["fixture-file", "constructor"])
-    def test_fixture_name_raises_nothing(self, tmp_path, monkeypatch,
-                                         fixture_file):
-        """The paths are probed before they are opened: resolving a
-        fixture name raises no exception inside `load_origami`, whether
-        it reads the fixture file or falls back to the constructor."""
+        is no file: the constructor builds the origami, as for a missing
+        path."""
         monkeypatch.chdir(tmp_path)
-        if not fixture_file:
-            monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(tmp_path))
+        (tmp_path / "o14").symlink_to(tmp_path / "nowhere")
+        assert run_json(capsys, "analyze", "o14")["d"] == 14
+
+    def test_fixture_name_raises_nothing(self, tmp_path, monkeypatch):
+        """The path is probed before it is opened: resolving a fixture
+        name raises no exception inside `load_origami`."""
+        monkeypatch.chdir(tmp_path)
         raised = []
 
         def local(frame, event, arg):
@@ -139,6 +116,23 @@ class TestAnalyze:
             sys.settrace(old)
         assert o.d == 14
         assert raised == []
+
+    @pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+    def test_registry_name_opens_no_file(self, tmp_path, monkeypatch, name):
+        """A registry name is built by its constructor: in an empty cwd
+        `load_origami` opens no file, not even the shipped .ori one."""
+        monkeypatch.chdir(tmp_path)
+        opened = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        o = cli.load_origami(name)
+        assert opened == []
+        assert o == cli.FIXTURES[name]()
 
     def test_bytes_decode_as_text_mode_read(self, capsys, tmp_path):
         """The file is read as bytes and decoded once: CR LF and CR end
@@ -842,13 +836,21 @@ class TestFixtures:
         assert all(w["present"] for w in data["word_fixtures"])
 
     def test_environment_override(self, capsys, tmp_path, monkeypatch):
-        custom = tmp_path / "w2.ori"
-        custom.write_text(format_origami(wollmilchsau()))
+        """ORIGAMI_FORGE_FIXTURES no longer moves the listed directory:
+        `fixtures` lists the shipped files wherever the variable points."""
         monkeypatch.setenv("ORIGAMI_FORGE_FIXTURES", str(tmp_path))
         data = run_json(capsys, "fixtures")
-        assert data["directory"] == str(tmp_path)
-        present = [e for e in data["origamis"] if e["present"]]
-        assert present == []  # no registry files in the override dir
+        assert data["directory"] == cli.fixture_dir() != str(tmp_path)
+        assert all(e["present"] for e in data["origamis"])
+
+    @pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+    def test_shipped_file_is_the_constructor_origami(self, name):
+        """Each shipped <name>.ori holds the origami its registry
+        constructor builds.  No command reads these files, but clibench
+        derives its expected answers from them."""
+        path = os.path.join(cli.fixture_dir(), name + ".ori")
+        with open(path, encoding="utf-8") as fh:
+            assert parse_origami(fh.read()) == cli.FIXTURES[name]()
 
 
 class TestSweepAndDeterminism:

@@ -17,7 +17,6 @@ import origami_forge
 from origami_forge.freegroup import RankMismatch, Word, parse_word
 from origami_forge.homology import class_of, edge_cycle, h1_model
 from origami_forge.origami import (
-    AFFINE_ID,
     AffineChange,
     BadDirection,
     BadFormat,
@@ -336,7 +335,7 @@ class TestShear:
     def test_horizontal_direction_is_identity(self):
         o = wollmilchsau()
         sheared, change = shear(o, 1, 0)
-        assert sheared == o and change == AFFINE_ID
+        assert sheared == o and change == AffineChange.from_ints(1, 0, 0, 1)
 
     def test_square_count_scales_with_q(self):
         rng = random.Random(3)
