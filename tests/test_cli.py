@@ -94,10 +94,17 @@ class TestAnalyze:
         (tmp_path / "o14").symlink_to(tmp_path / "nowhere")
         assert run_json(capsys, "analyze", "o14")["d"] == 14
 
-    def test_fixture_name_raises_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fixture_file", [True, False],
+                             ids=["fixture-file", "constructor"])
+    def test_fixture_name_raises_nothing(self, tmp_path, monkeypatch,
+                                         fixture_file):
         """The path is probed before it is opened: resolving a fixture
-        name raises no exception inside `load_origami`."""
+        name raises no exception inside `load_origami`, whether a file of
+        that name in the cwd is read or the constructor builds it."""
         monkeypatch.chdir(tmp_path)
+        if fixture_file:
+            shipped = pathlib.Path(cli.fixture_dir(), "o14.ori")
+            (tmp_path / "o14").write_bytes(shipped.read_bytes())
         raised = []
 
         def local(frame, event, arg):
