@@ -113,8 +113,8 @@ def load_origami(ref: str) -> Origami:
 # ---------------------------------------------------------------------------
 
 
-# json.dumps with these arguments builds an encoder per call; `emit`
-# writes through one
+# The one encoder of every JSON text the commands write: `emit`'s lines
+# and the report of a failed `verify-hss`
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
 
 
@@ -207,7 +207,7 @@ def cmd_verify_hss(args) -> dict:
         and report["independent"]
     )
     if not ok:
-        raise VerificationFailed(json.dumps(report, sort_keys=True))
+        raise VerificationFailed(_ENCODER.encode(report))
     return {"schema": SCHEMA, "ok": True, **report}
 
 

@@ -116,10 +116,6 @@ def _reduce(rank: int, letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, i
     return tuple(out)
 
 
-def identity(rank: int) -> Word:
-    return Word(rank)
-
-
 def gen(rank: int, i: int, e: int = 1) -> Word:
     return Word(rank, [(i, e)])
 
@@ -134,9 +130,8 @@ def default_names(rank: int) -> List[str]:
     return [f"g{i}" for i in range(1, rank + 1)]
 
 
-def format_word(w: Word, names: Optional[Sequence[str]] = None) -> str:
-    if names is None:
-        names = default_names(w.rank)
+def format_word(w: Word) -> str:
+    names = default_names(w.rank)
     if not w.letters:
         return "1"
     parts = []
@@ -201,20 +196,13 @@ def exponent_sums(w: Word) -> Tuple[int, ...]:
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     """Return (core, conjugator) with w = conjugator * core * conjugator^-1
-    and core cyclically reduced."""
-    letters = list(w.letters)
-    pre: List[Tuple[int, int]] = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        pre.append(letters[0])
-        letters = letters[1:-1]
-    return Word(w.rank, letters), Word(w.rank, pre)
-
-
-def _rotations(core: Word):
-    n = len(core.letters)
-    for k in range(max(n, 1)):
-        prefix = Word(core.rank, core.letters[:k])
-        yield k, Word(core.rank, core.letters[k:] + core.letters[:k]), prefix
+    and core cyclically reduced: k end pairs cancel, and the conjugator is
+    the first k letters."""
+    letters = w.letters
+    k, j = 0, len(letters) - 1
+    while k < j and letters[k] == (letters[j][0], -letters[j][1]):
+        k, j = k + 1, j - 1
+    return Word(w.rank, letters[k:j + 1]), Word(w.rank, letters[:k])
 
 
 def is_conjugate(u: Word, v: Word) -> Optional[Word]:
@@ -223,26 +211,26 @@ def is_conjugate(u: Word, v: Word) -> Optional[Word]:
         raise RankMismatch("ranks differ")
     cu, pu = cyclic_reduce(u)
     cv, pv = cyclic_reduce(v)
-    if len(cu.letters) != len(cv.letters):
+    core, target = cu.letters, cv.letters
+    if len(core) != len(target):
         return None
-    for _, rot, prefix in _rotations(cu):
-        if rot == cv:
-            # rot = prefix^-1 * cu * prefix, so g * u * g^-1 = v
-            return pv * prefix.inv() * pu.inv()
+    for k in range(max(len(core), 1)):
+        if core[k:] + core[:k] == target:
+            # the rotation is prefix^-1 * cu * prefix, so g * u * g^-1 = v
+            return pv * Word(u.rank, core[:k]).inv() * pu.inv()
     return None
 
 
 def primitive_root(u: Word) -> Word:
     """The generator of the centralizer of a non-trivial u."""
     core, p = cyclic_reduce(u)
-    n = len(core.letters)
+    letters = core.letters
+    n = len(letters)
     if n == 0:
         raise AllTrivial("the trivial word has no primitive root")
-    for d in range(1, n):
-        if n % d == 0:
-            r = Word(core.rank, core.letters[:d])
-            if r ** (n // d) == core:
-                return r.conj(p)
+    for k in range(1, n):
+        if n % k == 0 and letters[:k] * (n // k) == letters:
+            return Word(core.rank, letters[:k]).conj(p)
     return core.conj(p)
 
 
@@ -318,16 +306,12 @@ class F2Endo(namedtuple("F2Endo", "image_x image_y is_automorphism",
         return super().__new__(cls, image_x, image_y, is_automorphism)
 
     def __call__(self, w: Word) -> Word:
-        return apply_endo(self, w)
+        if w.rank != 2:
+            raise RankMismatch("apply expects a rank-2 word")
+        return w.substitute((self.image_x, self.image_y), 2)
 
     def __repr__(self):
         return f"F2Endo(x -> {self.image_x}, y -> {self.image_y})"
-
-
-def apply_endo(phi: F2Endo, w: Word) -> Word:
-    if w.rank != 2:
-        raise RankMismatch("apply expects a rank-2 word")
-    return w.substitute((phi.image_x, phi.image_y), 2)
 
 
 IntMatrix2 = Tuple[int, int, int, int]  # (a, b, c, d) for ((a, b), (c, d))

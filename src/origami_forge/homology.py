@@ -46,7 +46,6 @@ from .freegroup import (
     default_names,
     exponent_sums,
     gen,
-    identity as word_identity,
     parse_word,
     simultaneous_conjugacy,
 )
@@ -559,13 +558,13 @@ class AlphaSpec(namedtuple("AlphaSpec", "g images")):
 
     @staticmethod
     def standard(g: int) -> "AlphaSpec":
-        ims = [word_identity(g)] * g + [gen(g, i) for i in range(1, g + 1)]
+        ims = [Word(g)] * g + [gen(g, i) for i in range(1, g + 1)]
         return AlphaSpec(g, tuple(ims))
 
     @staticmethod
     def from_pattern(g: int, pattern: Sequence[int]) -> "AlphaSpec":
         """pattern[i] = 0 for the trivial image, k for the generator γ_k."""
-        ims = [word_identity(g) if k == 0 else gen(g, k) for k in pattern]
+        ims = [Word(g) if k == 0 else gen(g, k) for k in pattern]
         return AlphaSpec(g, tuple(ims))
 
 

@@ -237,8 +237,7 @@ class Origami(namedtuple("Origami", "d p1 p2")):
     def corner(self) -> Permutation:
         """The corner permutation s -> p2(p1(p2^-1(p1^-1(s)))), which
         cycles the bottom-left corners around each vertex."""
-        return Permutation([vertex_permutation(self, s)
-                            for s in range(1, self.d + 1)])
+        return self.p1 ** -1 * self.p2 ** -1 * self.p1 * self.p2
 
     @cached_property
     def corner_orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -269,11 +268,6 @@ class Cylinder(NamedTuple):
 def cylinders(o: Origami) -> list[Cylinder]:
     """Horizontal cylinders, ordered by smallest square."""
     return list(o.horizontal_cylinders)
-
-
-def vertex_permutation(o: Origami, s: int) -> int:
-    """s -> p2(p1(p2^-1(p1^-1(s)))): cycles around the bottom-left corner."""
-    return o.p2(o.p1(o.p2.inverse_of(o.p1.inverse_of(s))))
 
 
 def vertex_orbits(o: Origami) -> list[list[int]]:

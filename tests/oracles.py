@@ -38,7 +38,13 @@ Nielsen automorphism per factor.
 
 ``letter_reduce`` is the free reduction that ``freegroup._reduce``
 replaced: it expands a run x^e into |e| letters and pushes them one at a
-time.  ``power`` steps a square k times along a permutation, against
+time.  ``word_cyclic_reduce``, ``rotations``, ``rotation_conjugator`` and
+``power_root`` are the cyclic-word algebra as ``freegroup`` ran it before
+it compared letter tuples: the core peeled off one end pair at a time,
+each rotation and prefix built as a Word, and each candidate root raised
+to a Word power.  ``corner_of`` composes the corner permutation square by
+square, as ``Origami.corner`` did before it took one product of
+permutations.  ``power`` steps a square k times along a permutation, against
 which ``Permutation.__pow__`` is checked; ``trace_curve`` lists the
 squares a curve visits, one ``Permutation`` call per letter, against which
 ``act_word`` and ``letter_edges`` are checked; and ``contains`` tests a
@@ -67,7 +73,6 @@ from origami_forge.freegroup import (
     IntMatrix2,
     RankMismatch,
     Word,
-    apply_endo,
     gen,
     horizontal_twist_lift,
     nielsen_factors,
@@ -98,7 +103,6 @@ from origami_forge.origami import (
     Permutation,
     act_word,
     vertex_orbits,
-    vertex_permutation,
 )
 from origami_forge.subgroup import CosetAction, _cover, schreier_system
 
@@ -106,8 +110,8 @@ from origami_forge.subgroup import CosetAction, _cover, schreier_system
 def compose(phi: F2Endo, psi: F2Endo) -> F2Endo:
     """phi after psi."""
     return F2Endo(
-        apply_endo(phi, psi.image_x),
-        apply_endo(phi, psi.image_y),
+        phi(psi.image_x),
+        phi(psi.image_y),
         phi.is_automorphism and psi.is_automorphism,
     )
 
@@ -143,6 +147,63 @@ def letter_reduce(rank, letters):
             else:
                 out.append((g, step))
     return tuple(out)
+
+
+def word_cyclic_reduce(w: Word) -> tuple:
+    """(core, conjugator) with w = conjugator * core * conjugator^-1,
+    peeling one cancelling end pair at a time off a list and re-slicing
+    it after each."""
+    letters = list(w.letters)
+    pre = []
+    while (len(letters) >= 2 and letters[0][0] == letters[-1][0]
+           and letters[0][1] == -letters[-1][1]):
+        pre.append(letters[0])
+        letters = letters[1:-1]
+    return Word(w.rank, letters), Word(w.rank, pre)
+
+
+def rotations(core: Word):
+    """(k, the rotation by k, the prefix of k letters) of the cyclic core,
+    each as a Word; k = 0 alone for the trivial word."""
+    n = len(core.letters)
+    for k in range(max(n, 1)):
+        prefix = Word(core.rank, core.letters[:k])
+        yield k, Word(core.rank, core.letters[k:] + core.letters[:k]), prefix
+
+
+def rotation_conjugator(u: Word, v: Word) -> Optional[Word]:
+    """g with v = g * u * g^-1 from the first rotation of u's core that
+    equals v's core, compared as Words, or None."""
+    if u.rank != v.rank:
+        raise RankMismatch("ranks differ")
+    cu, pu = word_cyclic_reduce(u)
+    cv, pv = word_cyclic_reduce(v)
+    if len(cu.letters) != len(cv.letters):
+        return None
+    for _, rot, prefix in rotations(cu):
+        if rot == cv:
+            return pv * prefix.inv() * pu.inv()
+    return None
+
+
+def power_root(u: Word) -> Word:
+    """The primitive root of a non-trivial u: the shortest prefix r of its
+    core, of length dividing the core's, whose power Word r^m is the core,
+    conjugated back."""
+    core, p = word_cyclic_reduce(u)
+    n = len(core.letters)
+    for d in range(1, n):
+        if n % d == 0:
+            r = Word(core.rank, core.letters[:d])
+            if r ** (n // d) == core:
+                return r.conj(p)
+    return core.conj(p)
+
+
+def corner_of(o: Origami, s: int) -> int:
+    """s -> p2(p1(p2^-1(p1^-1(s)))), one range-checked permutation call
+    per step: the corner permutation square by square."""
+    return o.p2(o.p1(o.p2.inverse_of(o.p1.inverse_of(s))))
 
 
 def power(p: Permutation, s: int, k: int) -> int:
@@ -747,7 +808,7 @@ def spliced_order(o, tree: Sequence[int]) -> list:
             left = o.p1.inverse_of(s)
             circle += [2 * (d + s - 1), 2 * (left - 1) + 1,
                        2 * (d + o.p1(o.p2.inverse_of(left)) - 1) + 1,
-                       2 * (vertex_permutation(o, s) - 1)]
+                       2 * (corner_of(o, s) - 1)]
         circles.append(circle)
     rep = list(range(len(circles)))
 

@@ -229,6 +229,22 @@ class TestHss:
             data = run_json(capsys, "verify-hss", name)
             assert data["ok"], name
 
+    def test_failed_verification_reports_the_sorted_report(self, capsys,
+                                                           monkeypatch):
+        """A failed check exits 1 with the report as the message, in the
+        text json.dumps(report, sort_keys=True) gives."""
+        data = run_json(capsys, "verify-hss", "wollmilchsau")
+        report = {k: v for k, v in data.items() if k not in ("schema", "ok")}
+        report["conjugate_horizontal"] = False
+        monkeypatch.setattr(cli, "is_conjugate_horizontal", lambda w: False)
+        code, out, err = run_cli(capsys, "verify-hss", "wollmilchsau")
+        message = json.dumps(report, sort_keys=True)
+        assert (code, out) == (1, "")
+        assert err == json.dumps(
+            {"schema": cli.SCHEMA,
+             "error": {"type": "VerificationFailed", "message": message}},
+            sort_keys=True) + "\n"
+
 
 class TestVeechCheck:
     def test_member(self, capsys):
@@ -558,22 +574,16 @@ class TestH1PathAndSchema:
     def test_each_origami_is_derived_once(self, capsys, argv, origamis):
         """Cylinders, the corner permutation, its orbits and the genus are
         derived once per origami and read from its cache after that; each
-        orbit derivation walks one permutation's orbits, and the corner
-        permutation takes one `vertex_permutation` call per square."""
+        orbit derivation walks one permutation's orbits."""
         names = ("horizontal_cylinders", "corner", "corner_orbits",
-                 "surface_genus", "orbits", "vertex_permutation")
+                 "surface_genus", "orbits")
         with counting_calls(*names) as calls:
-            out = run_json(capsys, *argv)
-        if argv[0] == "sweep":
-            squares = sum(r["d"] for r in out["results"])
-        else:
-            squares = cli.load_origami(argv[1]).d
+            run_json(capsys, *argv)
         assert calls == {"horizontal_cylinders": origamis,
                          "corner": origamis,
                          "corner_orbits": origamis,
                          "surface_genus": origamis,
-                         "orbits": 2 * origamis,
-                         "vertex_permutation": squares}
+                         "orbits": 2 * origamis}
 
     def test_no_module_carries_a_smith_form(self):
         import origami_forge
@@ -1347,6 +1357,50 @@ def test_library_has_no_assert_statements():
     ]
     assert len(list(package.glob("*.py"))) >= 9
     assert found == []
+
+
+def test_every_module_level_name_is_used():
+    """Each module-level function, class and constant of the package is
+    named somewhere in `src/` outside its own definition and `__all__`,
+    or imported by the acceptance gate.  Dunder names are exempt, and so
+    is each `cmd_*`, which `run` looks up in `globals()`."""
+    package = pathlib.Path(cli.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(package.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(a.name for a in node.names)
+    gate = ast.parse(
+        (pathlib.Path(__file__).parent / "test_acceptance.py").read_text(
+            encoding="utf-8"))
+    named.update(a.name for node in ast.walk(gate)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").startswith("origami_forge")
+                 for a in node.names)
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target.id]
+            else:
+                continue
+            defined += [(name, t) for t in targets]
+    assert len(defined) > 100
+    unused = [f"{name}:{t}" for name, t in defined
+              if t not in named and not t.startswith(("__", "cmd_"))]
+    assert unused == []
 
 
 def _frozen_records():

@@ -17,14 +17,12 @@ from origami_forge.freegroup import (
     NotUnimodular,
     Word,
     _reduce,
-    _rotations,
     beta_hat,
     cyclic_reduce,
     exponent_sums,
     format_word,
     gen,
     horizontal_twist_lift,
-    identity,
     is_conjugate,
     is_conjugate_horizontal,
     lift_matrix,
@@ -43,6 +41,10 @@ from oracles import (
     is_horizontal,
     letter_reduce,
     mat2_mul,
+    power_root,
+    rotation_conjugator,
+    rotations,
+    word_cyclic_reduce,
 )
 
 letters = st.lists(
@@ -92,7 +94,7 @@ class TestWordAlgebra:
 
     def test_power_and_inverse(self):
         w = parse_word("x y^-1")
-        assert w * w.inv() == identity(2)
+        assert w * w.inv() == Word(2)
         assert w ** 3 == w * w * w
         assert w ** -2 == (w.inv()) ** 2
 
@@ -120,7 +122,7 @@ class TestWordAlgebra:
         assert parse_word(format_word(w)) == w
 
     def test_parse_identity_token(self):
-        assert parse_word("1") == identity(2)
+        assert parse_word("1") == Word(2)
 
     def test_exponent_sums(self):
         assert exponent_sums(parse_word("x^3 y^-1 x^-1 y^2")) == (2, 1)
@@ -196,10 +198,52 @@ class TestConjugacy:
 
     def test_simultaneous_conjugacy_all_trivial(self):
         assert simultaneous_conjugacy(
-            [(identity(2), identity(2))]
-        ) == identity(2)
+            [(Word(2), Word(2))]
+        ) == Word(2)
         with pytest.raises(AllTrivial):
-            simultaneous_conjugacy([(identity(2), x)])
+            simultaneous_conjugacy([(Word(2), x)])
+
+
+class TestCyclicWordsMatchReferences:
+    """The letter-tuple cyclic-word algebra against the Word-building
+    references of `tests/oracles.py`: the same cores and conjugators, the
+    same witness g (not just some g), and the same primitive roots."""
+
+    @given(st.one_of(words, words3))
+    def test_cyclic_reduce(self, w):
+        assert cyclic_reduce(w) == word_cyclic_reduce(w)
+
+    @given(words, words)
+    def test_conjugate_witness(self, u, g):
+        v = u.conj(g)
+        assert is_conjugate(u, v) == rotation_conjugator(u, v)
+
+    @given(words, words)
+    def test_unrelated_pair(self, u, v):
+        assert is_conjugate(u, v) == rotation_conjugator(u, v)
+
+    @given(words, st.integers(1, 4), words)
+    def test_primitive_root(self, r, m, g):
+        w = (r ** m).conj(g)
+        if not w.is_identity():
+            assert primitive_root(w) == power_root(w)
+
+    def test_seeded_long_words(self):
+        """Long words and long powers, where end pairs, rotations and
+        roots of every length occur."""
+        rng = random.Random(3434)
+        for _ in range(1500):
+            rank = rng.randint(1, 3)
+            r, g = (Word(rank, [(rng.randint(1, rank), rng.choice((-1, 1)))
+                                for _ in range(rng.randint(0, n))])
+                    for n in (8, 12))
+            u = (r ** rng.randint(1, 6)).conj(g)
+            v = u.conj(Word(rank, [(rng.randint(1, rank), 1)]) * g)
+            assert cyclic_reduce(u) == word_cyclic_reduce(u)
+            assert is_conjugate(u, v) == rotation_conjugator(u, v)
+            assert is_conjugate(v, u) == rotation_conjugator(v, u)
+            if not u.is_identity():
+                assert primitive_root(u) == power_root(u)
 
 
 class TestHorizontality:
@@ -237,7 +281,7 @@ class TestHorizontality:
             w = Word(2, [(rng.randint(1, 2), rng.choice((-1, 1)))
                          for _ in range(rng.randint(0, 30))])
             if rng.random() < 0.5:
-                h = identity(2)
+                h = Word(2)
                 for _ in range(rng.randint(0, 4)):
                     e = rng.choice((-1, 1))
                     h = (h * x ** rng.randint(-3, 3) * gen(2, 2, e)
@@ -256,7 +300,7 @@ def rotation_scan(w):
     """Reference: is some rotation of the cyclic core horizontal?  The
     O(n^2) scan `is_conjugate_horizontal` was first written as."""
     core, _ = cyclic_reduce(w)
-    return any(is_horizontal(rot) for _, rot, _ in _rotations(core))
+    return any(is_horizontal(rot) for _, rot, _ in rotations(core))
 
 
 class TestExponentMap:

@@ -14,7 +14,6 @@ from origami_forge.freegroup import (
     F2Endo,
     Word,
     horizontal_twist_lift,
-    identity,
     parse_word,
 )
 from origami_forge.homology import (
@@ -991,9 +990,9 @@ class TestAlphaMembership:
 
     def test_bad_alpha_spec(self):
         with pytest.raises(UnknownGenerator, match="3 images"):
-            AlphaSpec(2, (identity(2),) * 3)
+            AlphaSpec(2, (Word(2),) * 3)
         with pytest.raises(UnknownGenerator, match="not a word over F_2"):
-            AlphaSpec(2, (identity(3),) * 4)
+            AlphaSpec(2, (Word(3),) * 4)
 
 
 class TestWordFixtures:

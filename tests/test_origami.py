@@ -47,7 +47,7 @@ from origami_forge.origami import (
 )
 from origami_forge.subgroup import CosetAction, rewrite, schreier_system
 
-from oracles import power, trace_curve
+from oracles import corner_of, power, trace_curve
 
 FIXTURE_DIR = os.path.join(os.path.dirname(origami_forge.__file__), "fixtures")
 
@@ -205,6 +205,14 @@ class TestGeometry:
         its number of cycles is even and the genus is an integer."""
         for _, o in fixture_origamis + random_sample:
             assert (o.d - len(o.corner_orbits)) % 2 == 0
+
+    def test_corner_matches_the_square_by_square_composition(
+            self, fixture_origamis, random_sample):
+        """The corner permutation, one product of permutations, sends each
+        square where the four steps p1^-1, p2^-1, p1, p2 take it."""
+        for _, o in fixture_origamis + random_sample:
+            assert o.corner.images() == tuple(
+                corner_of(o, s) for s in range(1, o.d + 1)), o
 
     def test_returned_lists_do_not_reach_the_cache(self):
         o = o14()
