@@ -14,8 +14,10 @@ basis of H1 is the chords' fundamental cycles in T, which are never
 built: peeling C from its leaves gives every edge's coordinates in that
 basis, and the Gram matrix is the chords' crossing matrix on the ribbon
 graph with T contracted.  Each square's boundary is read once, and every
-step reads that table.  The quotient is free by construction, so no
-diagonal form is needed.  All arithmetic is exact.
+step reads that table, the rotation system of the ribbon graph included:
+around a corner, the dart of the side that leaves it is followed by the
+dart of the side that arrives there.  The quotient is free by
+construction, so no diagonal form is needed.  All arithmetic is exact.
 
 Nothing is stored dense.  Each edge's coordinate column and each row of
 the Gram matrix is a list of (index, value) pairs: an edge's coordinates
@@ -274,7 +276,7 @@ def h1_model(o: Origami) -> H1Model:
                 for i, x in col[e2].items():
                     rest[i] = rest.get(i, 0) + sign2 * x
         col[e] = {i: -sign * x for i, x in rest.items() if x}
-    gram = intersection_form(o, tree, chords)
+    gram = intersection_form(_rotation(boundary), tree, chords)
     if any(
         gram[i][j] != -gram[j][i]
         for i in range(2 * g)
@@ -301,35 +303,27 @@ def f2_independent(classes: Sequence[Sequence[int]]) -> bool:
 # -- ribbon graph rotation system -------------------------------------------
 
 
-def _rotation(o: Origami) -> List[int]:
-    """The successor of each dart in the cyclic order around its vertex.
-    Dart 2e + end is edge e's tail (end 0) or head (end 1).  Around a
-    singularity the corner walk visits, for each square s of the orbit in
-    commutator order: v_s out, h_{p1^-1(s)} in, v_{p1 p2^-1 p1^-1(s)} in,
-    h_{c(s)} out, and then v_{c(s)} out, where c is the corner permutation."""
-    d = o.d
-    succ = [0] * (4 * d)
-    corner = o.corner.images()
-    for s in range(1, d + 1):
-        c = corner[s - 1]
-        left = o.p1.inverse_of(s)
-        darts = (2 * (d + s - 1), 2 * (left - 1) + 1,
-                 2 * (d + o.p1(o.p2.inverse_of(left)) - 1) + 1, 2 * (c - 1),
-                 2 * (d + c - 1))
-        for x, y in zip(darts, darts[1:]):
-            succ[x] = y
+def _rotation(boundary: Sequence[Sequence[Tuple[int, int]]]) -> List[int]:
+    """The successor of each dart in the cyclic order around its vertex,
+    read off `h1_model`'s boundary table.  Dart 2e + end is edge e's tail
+    (end 0) or head (end 1).  Walking a square's sides in order, each side
+    arrives at the corner that the next side leaves, and around that
+    corner's vertex the leaving dart is followed by the arriving one."""
+    succ = [0] * (4 * len(boundary))
+    for bd in boundary:
+        for (e, s), (f, t) in zip(bd, bd[1:] + bd[:1]):
+            succ[2 * f + (t < 0)] = 2 * e + (s > 0)
     return succ
 
 
-def _contracted_order(o: Origami, tree: Sequence[int]) -> List[int]:
+def _contracted_order(succ: Sequence[int], tree: Sequence[int]) -> List[int]:
     """The darts outside the spanning tree T in their cyclic order around
-    the one vertex left when T is contracted, found in one walk: the
-    successor of a dart is its successor around its own vertex, or, while
-    that is a dart of T, the successor of that dart's partner.  This is the
-    order that splicing the two circles at each edge of T gives.  If T does
-    not contract to one vertex, the walk returns to its start before it
-    has seen every dart outside T."""
-    succ = _rotation(o)
+    the one vertex left when T is contracted, found in one walk of the
+    rotation succ: the successor of a dart is its successor around its own
+    vertex, or, while that is a dart of T, the successor of that dart's
+    partner.  This is the order that splicing the two circles at each edge
+    of T gives.  If T does not contract to one vertex, the walk returns to
+    its start before it has seen every dart outside T."""
     in_tree = [False] * len(succ)
     for e in tree:
         in_tree[2 * e] = in_tree[2 * e + 1] = True
@@ -348,13 +342,14 @@ def _contracted_order(o: Origami, tree: Sequence[int]) -> List[int]:
 
 
 def intersection_form(
-    o: Origami, tree: Sequence[int], chords: Sequence[int]
+    succ: Sequence[int], tree: Sequence[int], chords: Sequence[int]
 ) -> linalg.Matrix:
     """Gram matrix of the algebraic intersection pairing on the cycles of
-    the chords in the spanning tree T.  Contracting T leaves a one-vertex
-    ribbon graph on which each such cycle is its chord alone, so the Gram
-    matrix is the crossing matrix of the chords."""
-    pos = {x: i for i, x in enumerate(_contracted_order(o, tree))}
+    the chords in the spanning tree T, given the rotation succ
+    (`_rotation`).  Contracting T leaves a one-vertex ribbon graph on which
+    each such cycle is its chord alone, so the Gram matrix is the crossing
+    matrix of the chords."""
+    pos = {x: i for i, x in enumerate(_contracted_order(succ, tree))}
     ends = [(pos[2 * e], pos[2 * e + 1]) for e in chords]
 
     def crossings(lo: int, hi: int) -> List[int]:

@@ -40,7 +40,7 @@ logs an event under a fresh list id, and the accumulator's lists become
 the round's final list P in the ``MergeHistory`` it returns; no event's
 result is stored in the pool.  The next splice partner is found through
 an inverted index from label id to the remaining pool lists that hold
-it, built from each list's square-label ids once per round, a count of
+it, built from each list's label ids once per round, a count of
 the label ids in the accumulator and a min-heap that holds each
 candidate pool position at most once; it is the smallest position that
 still shares a label, which is the list a front-to-back rescan would
@@ -458,13 +458,14 @@ def merge_all(pool: Pool) -> MergeHistory:
     and each removal logs an event under a fresh lid.
 
     The first sharing list is found through an index: `own` holds each
-    pool list's square-label ids (its label ids, less the sentinels of an
-    'lz' list), `holders` maps a label id to the pool positions holding
-    it, `count` counts the label ids in the accumulator, and `heap` holds
-    every remaining position that shares a label, each at most once: a
-    position is pushed when the accumulator gains one of its labels while
-    it is `waiting`, and a popped position that no longer shares one goes
-    back to waiting.
+    pool list's label ids, `holders` maps a label id to the pool positions
+    holding it, `count` counts the label ids in the accumulator, and
+    `heap` holds every remaining position that shares a label, each at
+    most once: a position is pushed when the accumulator gains one of its
+    labels while it is `waiting`, and a popped position that no longer
+    shares one goes back to waiting.  Sentinels need no filter: each
+    sentinel label lies in one pool list only, so no other list can share
+    it, and it enters `count` only with the list that holds it.
 
     Only the pairs (j, j+1) with k <= j < clean_from can be equal: the
     ones before k were checked, the ones from clean_from on lie in a clean
@@ -478,16 +479,14 @@ def merge_all(pool: Pool) -> MergeHistory:
     history = MergeHistory(initial=list(remaining))
     events, tree = history.events, history.tree
     lists = pool.lists
-    square, unprimed = pool.square, pool.unprimed
-    own = [lst.labs if lst.kind != "lz" else
-           list(compress(lst.labs, map(square.__getitem__, lst.labs)))
-           for lst in map(lists.__getitem__, remaining)]
+    unprimed = pool.unprimed
+    own = [lists[lid].labs for lid in remaining]
     holders: dict[int, list[int]] = {}
     for pos in range(1, len(remaining)):
         for l in own[pos]:
             holders.setdefault(l, []).append(pos)
     waiting = [True] * len(remaining)
-    count = [0] * len(square)
+    count = [0] * len(unprimed)
     heap: list[int] = []
     push, pop = heapq.heappush, heapq.heappop
     pos = 0
@@ -568,8 +567,7 @@ def merge_all(pool: Pool) -> MergeHistory:
             else:
                 break
             n -= 2
-            if square[l]:
-                count[l] -= 2
+            count[l] -= 2
             events.append(("cancel", rid, acc, s1, s2))
             acc, rid = rid, rid + 1
     pool._next_list = rid

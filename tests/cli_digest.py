@@ -1,0 +1,87 @@
+"""One hash over the output of a fixed set of CLI calls, to compare two
+checkouts byte for byte.
+
+    python tests/cli_digest.py [ROOT]
+
+ROOT is a checkout (default: the one holding this file); its ``src/`` is
+imported.  Each argv runs in-process through ``origami_forge.cli.run``,
+with stdout and stderr captured.  The script prints the number of calls
+and one sha256 over each call's exit code, stdout and stderr, in order.
+The random origamis are written as ``.ori`` files to a temporary
+directory, whose path is masked in the output before it is hashed.
+
+The calls: ``analyze``, ``hss --trace``, ``verify-hss``, ``homology
+--twist`` and ``veech-check --matrix 1,2,0,1`` on the seven registry
+names; ``hss --trace``, ``verify-hss`` and ``homology --twist`` on
+``random_origami(Random(4040 + i), d)``, d = 40 for i < 40 and d = 12
+for 40 <= i < 60; ``homology --twist`` and ``hss --trace`` on
+``random_origami(Random(d), d)`` for d = 64 and 96; and ``sweep --count
+200 --max-d 16 --seed 3``.  That is 220 calls.  The file is not named
+``test_*``, so pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+
+NAMES = ("wollmilchsau", "o14", "l22", "l23", "l32", "x3", "x4")
+
+
+def argvs(tmp, random_origami, format_origami):
+    """The fixed argv list; writes the random origamis' files under tmp."""
+
+    def ori(name, seed, d):
+        path = os.path.join(tmp, name + ".ori")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_origami(random_origami(random.Random(seed), d)))
+        return path
+
+    calls = []
+    for name in NAMES:
+        calls += [["analyze", name], ["hss", name, "--trace"],
+                  ["verify-hss", name], ["homology", name, "--twist"],
+                  ["veech-check", name, "--matrix", "1,2,0,1"]]
+    for i in range(60):
+        path = ori(f"r{i}", 4040 + i, 40 if i < 40 else 12)
+        calls += [["hss", path, "--trace"], ["verify-hss", path],
+                  ["homology", path, "--twist"]]
+    for d in (64, 96):
+        path = ori(f"d{d}", d, d)
+        calls += [["homology", path, "--twist"], ["hss", path, "--trace"]]
+    calls.append(["sweep", "--count", "200", "--max-d", "16", "--seed", "3"])
+    return calls
+
+
+def main(root):
+    src = os.path.join(os.path.abspath(root), "src")
+    sys.path.insert(0, src)
+    from origami_forge import cli
+    from origami_forge.origami import format_origami, random_origami
+
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        raise SystemExit(f"imported {cli.__file__}, not the package in {src}")
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = argvs(tmp, random_origami, format_origami)
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = cli.run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            record = [code] + [s.getvalue().replace(tmp, "<tmp>")
+                               for s in (out, err)]
+            digest.update((json.dumps(record) + "\n").encode("utf-8"))
+    print(len(calls), digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1] if len(sys.argv) > 1 else
+         os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

@@ -29,7 +29,10 @@ coordinates, pairings and Lagrangian rows by dense products through them.
 They take the origami, or the model's, and number its vertices by
 ``vertex_index``, in the order of ``o.corner_orbits``.
 ``spliced_order`` contracts the spanning tree by splicing vertex circles
-under a union-find, as ``homology`` did before it contracted in one walk.
+under a union-find, as ``homology`` did before it contracted in one walk,
+and ``rotation_of`` works the rotation system out from p1, p2 and the
+corner permutation, as ``homology`` did before it read it off the squares'
+boundary table.
 
 ``compose`` and ``identity_endo`` build F_2 endomorphisms, and
 ``composed_lift`` lifts a matrix as ``lift_matrix`` did before it folded
@@ -791,6 +794,28 @@ def coord_rows(model: H1Model) -> linalg.Matrix:
         for e, xe in zip(cotree, x):
             R[i][e] = xe
     return R
+
+
+def rotation_of(o) -> list:
+    """The successor of each dart in the cyclic order around its vertex,
+    worked out from p1, p2 and the corner permutation c, as
+    `homology._rotation` did before it read the boundary table.  Dart
+    2e + end is edge e's tail (end 0) or head (end 1).  Around a
+    singularity the corner walk visits, for each square s of the orbit in
+    commutator order: v_s out, h_{p1^-1(s)} in, v_{p1 p2^-1 p1^-1(s)} in,
+    h_{c(s)} out, and then v_{c(s)} out."""
+    d = o.d
+    succ = [0] * (4 * d)
+    corner = o.corner.images()
+    for s in range(1, d + 1):
+        c = corner[s - 1]
+        left = o.p1.inverse_of(s)
+        darts = (2 * (d + s - 1), 2 * (left - 1) + 1,
+                 2 * (d + o.p1(o.p2.inverse_of(left)) - 1) + 1, 2 * (c - 1),
+                 2 * (d + c - 1))
+        for x, y in zip(darts, darts[1:]):
+            succ[x] = y
+    return succ
 
 
 def spliced_order(o, tree: Sequence[int]) -> list:

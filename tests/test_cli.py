@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -1400,6 +1401,36 @@ def test_every_module_level_name_is_used():
     assert len(defined) > 100
     unused = [f"{name}:{t}" for name, t in defined
               if t not in named and not t.startswith(("__", "cmd_"))]
+    assert unused == []
+
+
+def _attributes(node) -> Counter:
+    """How often each name is read or written as an attribute in node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute))
+
+
+def test_every_method_is_used():
+    """Each function defined in a class body of the package, dunders
+    aside, is named as an attribute somewhere in `src/` outside its own
+    definition, or as an attribute in the acceptance gate."""
+    package = pathlib.Path(cli.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(package.glob("*.py"))}
+    named = sum(map(_attributes, trees.values()), Counter())
+    gate = _attributes(ast.parse(
+        (pathlib.Path(__file__).parent / "test_acceptance.py").read_text(
+            encoding="utf-8")))
+    methods = [(name, cls.name, node)
+               for name, tree in trees.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("__")]
+    assert len(methods) > 30
+    unused = [f"{name}:{cls}.{node.name}" for name, cls, node in methods
+              if named[node.name] <= _attributes(node)[node.name]
+              and not gate[node.name]]
     assert unused == []
 
 

@@ -71,6 +71,7 @@ from oracles import (
     induced_matrix,
     mat_mul,
     mat_vec,
+    rotation_of,
     smith_normal_form,
     snf_symplectic_completion,
     spliced_order,
@@ -134,6 +135,12 @@ def kernel_snf_model(o):
     return basis, coords, chord_support_gram(o, basis)
 
 
+def rotation(o):
+    """The rotation system that `h1_model` reads off o's boundary table."""
+    return homology._rotation(
+        [homology._boundary(o, s) for s in range(1, o.d + 1)])
+
+
 def chord_support_gram(o, basis):
     """Reference Gram matrix: Z X Z^T, with X the crossing matrix of every
     edge outside the spanning tree on the contracted ribbon graph, and the
@@ -141,7 +148,7 @@ def chord_support_gram(o, basis):
     tree = homology._spanning_tree(len(o.corner_orbits), h1_model(o).ends)
     in_tree = set(tree)
     outside = [e for e in range(2 * o.d) if e not in in_tree]
-    X = intersection_form(o, tree, outside)
+    X = intersection_form(rotation(o), tree, outside)
     Z = [[z[e] for e in outside] for z in basis]
     return mat_mul(mat_mul(Z, X), transpose(Z))
 
@@ -243,7 +250,7 @@ class TestH1Model:
     def test_non_skew_form_is_convention_violation(self, monkeypatch):
         monkeypatch.setattr(
             homology, "intersection_form",
-            lambda o, tree, chords: linalg.eye(len(chords))
+            lambda succ, tree, chords: linalg.eye(len(chords))
         )
         with pytest.raises(ConventionViolation, match="not skew"):
             h1_model(l_origami(2, 2))
@@ -375,7 +382,7 @@ def check_against_dense(o, rng):
 def assert_walk_matches_splice(o):
     model = h1_model(o)
     tree = homology._spanning_tree(len(o.corner_orbits), model.ends)
-    walk = homology._contracted_order(o, tree)
+    walk = homology._contracted_order(rotation(o), tree)
     spliced = spliced_order(o, tree)
     assert len(walk) == 2 * (len(model.ends) - len(tree))
     k = spliced.index(walk[0])
@@ -403,7 +410,28 @@ class TestContractionAgainstSplice:
         model = h1_model(o)
         assert len(model.tree) == 3
         with pytest.raises(ConventionViolation, match="more than one vertex"):
-            intersection_form(o, model.tree[:-1], model.chords)
+            intersection_form(rotation(o), model.tree[:-1], model.chords)
+
+
+class TestRotationAgainstCornerWalk:
+    """The rotation read off the boundary table against the corner walk
+    through p1, p2 and the corner permutation that it replaced: the same
+    successor for every dart."""
+
+    @pytest.mark.parametrize(
+        "o", coordinate_sample(), ids=lambda o: f"d{o.d}"
+    )
+    def test_coordinate_sample(self, o):
+        assert rotation(o) == rotation_of(o)
+
+    def test_random_sample(self, random_sample):
+        for _, o in random_sample:
+            assert rotation(o) == rotation_of(o)
+
+    @pytest.mark.parametrize("d", [64, 128, 192])
+    def test_large(self, d):
+        o = random_origami(random.Random(d), d)
+        assert rotation(o) == rotation_of(o)
 
 
 class TestSparseAgainstDense:

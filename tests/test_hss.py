@@ -666,6 +666,41 @@ class TestEachLabelNamesTwoSides:
                                   for _ in range(100)) == 100
 
 
+class TestSentinelInOneList:
+    """merge_all indexes every label id of the pool lists, sentinels
+    included, and counts them all; that is sound because in every round
+    each sentinel label id is held by exactly one pool list, so no other
+    list can share it."""
+
+    @staticmethod
+    def rounds_checked(origamis):
+        """(rounds, rounds with a sentinel) over the origamis."""
+        rounds = with_sentinel = 0
+        for o in origamis:
+            result = find_hss_detailed(o)
+            pool = result.pool
+            sentinels = {l: 1 for l in range(len(pool.label_at))
+                         if not pool.square[l]}
+            for history in result.histories:
+                held = Counter(l for lid in history.initial
+                               for l in set(pool.lists[lid].labs)
+                               if not pool.square[l])
+                assert held == sentinels, o
+                rounds += 1
+                with_sentinel += bool(sentinels)
+        return rounds, with_sentinel
+
+    def test_fixtures(self, fixture_origamis):
+        assert all(self.rounds_checked(o for _, o in fixture_origamis))
+
+    def test_random_sample(self, random_sample):
+        assert all(self.rounds_checked(o for _, o in random_sample))
+
+    def test_seeded_degrees(self):
+        assert all(self.rounds_checked(
+            random_origami(random.Random(d), d) for d in range(2, 65)))
+
+
 class TestPoolHoldsOnlyPoolLists:
     """merge_all returns P in its history; the pool keeps pool lists."""
 
