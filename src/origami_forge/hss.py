@@ -26,11 +26,16 @@ cancellation, tie-breaks) are fixed and deterministic.
 Stages 2 and 3 look things up by index instead of rescanning.  A side is
 nothing but its label id (``Pool.lab``), and every label is interned to a
 small int when its side is created, so all label equality tests compare
-ints.  A side's boundary half and cylinder are those of the pool list
-that holds it (in an uncut cylinder's list, the half is the side's place
-relative to the second a_Z), and the square under a side follows from its
-label and that half.  A pool list never changes once made, so it carries
-its label ids, computed once; a side's index in a list is found by
+ints.  Stages 2 and 3 rely on two facts of every round, which
+``tests/test_hss.py::TestRoundsAreWellFormed`` checks on real rounds:
+every label id lies on exactly two sides of the pool lists (a
+sentinel's two in one 'lz' list), and a round's chain is a path in its
+merge tree, so its pairs lie in distinct pool lists.  A side's boundary
+half and cylinder are those of the pool list that holds it (in an uncut
+cylinder's list, the half is the side's place relative to the second
+a_Z), and the square under a side follows from its label and that half.
+A pool list never changes once made, so it carries its label ids,
+computed once; a side's index in a list is found by
 ``tuple.index``, since pool lists are short and each split replaces its
 list anyway.  The pool holds only pool lists: 'u', 'o' and 'lz' lists
 and the lists stage 3 splits them into.  ``merge_all`` is one loop over
@@ -42,9 +47,11 @@ result is stored in the pool.  The next splice partner is found through
 an inverted index from label id to the remaining pool lists that hold
 it, built from each list's label ids once per round, a count of
 the label ids in the accumulator and a min-heap that holds each
-candidate pool position at most once; it is the smallest position that
-still shares a label, which is the list a front-to-back rescan would
-pick.  Cancellation resumes one position left of the last hit, because
+candidate pool position at most once.  A pushed list keeps the label it
+shares until it is absorbed, as that label's other side lies in the
+accumulator, so each merge pops the heap once and takes the smallest
+position, which is the list a front-to-back rescan would pick.
+Cancellation resumes one position left of the last hit, because
 everything before it was already checked clean; as the accumulator is
 itself clean, a splice checks only the pairs from the first junction to
 the start of the accumulator's tail.  The wrap-around pair is checked
@@ -62,13 +69,12 @@ the event log; an old round, which ``dual_curves`` backtracks, is walked
 the same way.  No side -> pool list map is kept.  Backtracking computes
 each chain pair's x-exponent once, after fixing the chain's orientation,
 and stores it in the pair, where emission and the next round's split
-read it.  Stage 3 starts from each pair's pool list and follows this
-round's splits to the list that now holds the pair; it finds sides by
-their index in that list, and rebuilds the pool order once per round:
+read it.  Stage 3 splits each chain pair's own pool list once, finds
+sides by their index in it, and rebuilds the pool order once per round:
 the pool is one list of lids, sorted by each list's section (its kind,
 'u', 'o' or 'lz', then its cylinder), in which every split list is
-replaced by its successors; the lists split off uncut cylinders join it
-by one stable sort.
+replaced by its L0 and L1; the L1 lists split off uncut cylinders join
+it by one stable sort.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .freegroup import Word
-from .origami import Cylinder, Origami, OrigamiCurve, act_word, cylinders, genus
+from .origami import Cylinder, Origami, OrigamiCurve, cylinders, genus
 
 __all__ = [
     "NoCommonLabel",
@@ -105,7 +111,6 @@ __all__ = [
     "find_hss_detailed",
     "HssResult",
     "dual_curves",
-    "format_label",
 ]
 
 
@@ -144,12 +149,6 @@ class Sentinel(NamedTuple):
 
 
 Label = Union[SLabel, Sentinel]
-
-
-def format_label(label: Label) -> str:
-    if isinstance(label, Sentinel):
-        return f"a{label.cyl}"
-    return str(label.square) + "".join("'" if m == 1 else '"' for m in label.marks)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +461,14 @@ def merge_all(pool: Pool) -> MergeHistory:
     holding it, `count` counts the label ids in the accumulator, and
     `heap` holds every remaining position that shares a label, each at
     most once: a position is pushed when the accumulator gains one of its
-    labels while it is `waiting`, and a popped position that no longer
-    shares one goes back to waiting.  Sentinels need no filter: each
-    sentinel label lies in one pool list only, so no other list can share
-    it, and it enters `count` only with the list that holds it.
+    labels while it is `waiting`.  As every label lies on exactly two
+    sides, a pushed list's shared label has its only other side in the
+    accumulator, where neither a splice at another label nor a
+    cancellation can remove it; so the popped position still shares a
+    label, and a pool with a label on more sides that breaks this is
+    refused with NoCommonLabel.  Sentinels need no filter: each sentinel
+    label lies in one pool list only, so no other list can share it, and
+    it enters `count` only with the list that holds it.
 
     Only the pairs (j, j+1) with k <= j < clean_from can be equal: the
     ones before k were checked, the ones from clean_from on lie in a clean
@@ -496,20 +499,20 @@ def merge_all(pool: Pool) -> MergeHistory:
     rid = pool._next_list
     for r in range(len(remaining)):
         if r:  # r = 0 only absorbs the first list, the accumulator
+            if not heap:
+                raise Disconnected("pool does not splice to a single list")
+            pos = pop(heap)
             at = None
-            while at is None:
-                if not heap:
-                    raise Disconnected("pool does not splice to a single list")
-                pos = pop(heap)
-                for l in own[pos]:
-                    if count[l]:
-                        if unprimed[l]:
-                            at = l
-                            break
-                        if at is None:
-                            at = l
-                if at is None:
-                    waiting[pos] = True
+            for l in own[pos]:
+                if count[l]:
+                    if unprimed[l]:
+                        at = l
+                        break
+                    if at is None:
+                        at = l
+            if at is None:
+                raise NoCommonLabel(
+                    f"list {remaining[pos]} lost its shared labels")
         # absorb the list at pos: push every waiting position that holds a
         # label the accumulator gains
         for l in own[pos]:
@@ -523,11 +526,7 @@ def merge_all(pool: Pool) -> MergeHistory:
             continue
         mid = remaining[pos]
         M, lab_m = lists[mid].sides, lists[mid].labs
-        try:
-            i, j = labs.index(at), lab_m.index(at)
-        except ValueError:
-            raise NoCommonLabel(
-                f"label {format_label(pool.label_at[at])} missing") from None
+        i, j = labs.index(at), lab_m.index(at)
         gl, gm = sides[i], M[j]
         tree[mid] = (origin[i], gl, gm, rid)
         b = len(labs) - i - 1
@@ -730,9 +729,9 @@ def emit_curve(pool: Pool, chain: list[ChainPair]) -> OrigamiCurve:
 
 
 def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
-    """Split, for every chain pair in order, the pool list holding it: the
-    pair's own list, or, once that was split, the L0 or L1 that holds the
-    pair's first side, followed down this round's splits.
+    """Split, for every chain pair in order, the pool list it names.  A
+    round's chain is a path in its merge tree, so its pairs lie in
+    distinct pool lists; a chain that names a list twice is refused.
 
     With roles ordered along the curve's sweep direction in stored order,
     the list [a.., r_s, b.., r_{s+1}, c..] becomes
@@ -742,32 +741,30 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
     parent's place in the pool order; an uncut cylinder's combined list
     keeps L0 embedded, and its L1 joins the pool order after the lists of
     its section, those of its half and cylinder.  The order is rebuilt
-    once, after the last split: each split list is replaced, recursively,
-    by its successors, the joining lists and their successors are appended
-    in chain order, and one stable sort by `Pool.section` puts each
-    joining list after the lists of its section.  Every successor has its
-    list's section, so the rest of the order is already sorted and stays.
+    once, after the last split, in one flat pass: each split list is
+    replaced by its L0 and L1 (by its L0 alone for an 'lz' list), the
+    joining lists are appended in chain order, and one stable sort by
+    `Pool.section` puts each joining list after the lists of its section.
+    L0 and L1 have their list's section, so the rest of the order is
+    already sorted and stays.
     """
     lists = pool.lists
-    split: dict[int, tuple[int, int]] = {}  # split list -> its L0 and L1
+    split: dict[int, tuple[int, ...]] = {}  # split list -> its place's lists
     joining: list[int] = []  # the L1 lists of uncut cylinders
     current = set(pool.pool_order)
-    for pair in chain:
-        side_a, side_b, lid, half, e = pair
+    for side_a, side_b, lid, half, e in chain:
         if lid not in current:
             raise InconsistentChain(f"list {lid} is not a pool list")
-        while lid in split:
-            l0, l1 = split[lid]
-            lid = l0 if side_a in lists[l0].sides else l1
+        current.remove(lid)
         lst = lists[lid]
-        if side_a not in lst.sides:
-            raise InconsistentChain(f"side {side_a} not in any pool list")
-        if side_b not in lst.sides:
+        sides = lst.sides
+        if side_a not in sides:
+            raise InconsistentChain(f"side {side_a} not in list {lid}")
+        if side_b not in sides:
             raise InconsistentChain("chain pair torn across lists")
         lo, hi = lst.span(half)
         forward = (e > 0) if half == "u" else (e < 0)
         role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
-        sides = lst.sides
         ia, ib = sides.index(role_a), sides.index(role_b)
         if ia < ib:
             between = sides[ia + 1:ib]
@@ -785,24 +782,15 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
             kept = sides[:ia] + (a_l0, b_l0) + sides[ib + 1:]
         else:
             kept = sides[:lo] + (b_l0,) + sides[ib + 1:ia] + (a_l0,) + sides[hi:]
-        split[lid] = pool.new_list(kept, lst.cyclic, lst.kind, lst.cyl), l1
+        l0 = pool.new_list(kept, lst.cyclic, lst.kind, lst.cyl)
         if lst.kind == "lz":
+            split[lid] = (l0,)
             joining.append(l1)
+        else:
+            split[lid] = l0, l1
 
-    def successors(lid: int) -> list[int]:
-        """The current lists that replace lid in its place: an uncut
-        cylinder's list is replaced by its L0's alone."""
-        if lid not in split:
-            return [lid]
-        l0, l1 = split[lid]
-        if lists[lid].kind == "lz":
-            return successors(l0)
-        return successors(l0) + successors(l1)
-
-    order = [l for lid in pool.pool_order for l in successors(lid)]
-    for l1 in joining:
-        order += successors(l1)
-    pool.pool_order = sorted(order, key=pool.section)
+    order = [l for lid in pool.pool_order for l in split.get(lid, (lid,))]
+    pool.pool_order = sorted(order + joining, key=pool.section)
 
 
 # ---------------------------------------------------------------------------
@@ -866,53 +854,53 @@ def find_hss(o: Origami) -> list[OrigamiCurve]:
 # dual curves
 # ---------------------------------------------------------------------------
 
-# Steps of the walk in the surface cut along the step-1 cores, from the
-# corner at the bottom left of square t: along the bottom of t; up through
-# t, crossing its core; down through the square below t, crossing that
-# square's core; or along the top of the square below t, written y^-1 x y,
-# whose two crossings of that square's core cancel.
-_ALONG_BOTTOM = (Word(2, [(1, 1)]), Word(2, [(1, -1)]))
-_UP, _DOWN = Word(2, [(2, 1)]), Word(2, [(2, -1)])
-_ALONG_TOP = (Word(2, [(2, -1), (1, 1), (2, 1)]),
-              Word(2, [(2, -1), (1, -1), (2, 1)]))
-
-
 def _transversal(o: Origami, z: Cylinder, cut: set[int]) -> OrigamiCurve:
     """A closed curve from the base s of the cut cylinder z that crosses
     z's core once upward and every other cut core net zero times: y from s,
-    the shortest walk (BFS, steps in the order above) from the corner p2(s)
-    back to a square of z whose steps cross no cut core net, then x-steps
-    along z to s."""
+    the shortest walk (BFS) from the corner p2(s) back to a square of z
+    whose steps cross no cut core net, then x-steps along z to s.
+
+    The steps from the corner at the bottom left of square t, in this
+    order: along the bottom of t, x and x^-1; up through t, y, crossing
+    its core; and either down through the square below t, y^-1, crossing
+    that square's core, or, when that core is cut, along the top of the
+    square below t, y^-1 x y and y^-1 x^-1 y, whose two crossings of that
+    core cancel."""
     s = z.base
     inside = set(z.squares)
-    start = o.p2(s)
-    prev: dict[int, Optional[tuple[int, Word]]] = {start: None}
+    img1, pre1, img2, pre2 = o.p1._img, o.p1._pre, o.p2._img, o.p2._pre
+    start = img2[s]
+    prev: dict[int, Optional[tuple[int, tuple]]] = {start: None}
     queue = [start]
     for t in queue:
         if t in inside:
             break
-        steps = list(_ALONG_BOTTOM)
+        steps = [(img1[t], ((1, 1),)), (pre1[t], ((1, -1),))]
         if t not in cut:
-            steps.append(_UP)
-        steps += _ALONG_TOP if o.p2.inverse_of(t) in cut else [_DOWN]
-        for w in steps:
-            u = act_word(o, t, w)
+            steps.append((img2[t], ((2, 1),)))
+        below = pre2[t]
+        if below in cut:
+            steps += [(img2[img1[below]], ((2, -1), (1, 1), (2, 1))),
+                      (img2[pre1[below]], ((2, -1), (1, -1), (2, 1)))]
+        else:
+            steps.append((below, ((2, -1),)))
+        for u, letters in steps:
             if u not in prev:
-                prev[u] = (t, w)
+                prev[u] = (t, letters)
                 queue.append(u)
     else:
         raise Disconnected("no walk back to the cut cylinder")
     walk = []
     u = t
     while prev[u] is not None:
-        u, w = prev[u]
-        walk.append(w)
+        u, letters = prev[u]
+        walk.append(letters)
     letters = [(2, 1)]
-    for w in reversed(walk):
-        letters += w.letters
+    for step in reversed(walk):
+        letters += step
     while t != s:
         letters.append((1, 1))
-        t = o.p1(t)
+        t = img1[t]
     return OrigamiCurve(s, Word(2, letters))
 
 

@@ -8,6 +8,9 @@ entries whose last digits are rounding noise, and an absolute test would
 reject it.  The pole test of `MoebiusMap.__call__` is relative, and a
 multiplier is rejected only when it is exactly zero: diag(1e5, 1e-5) has
 multiplier 1e-10, far below the tolerance, and is a valid loxodromic.
+`MoebiusMap.from_entries` takes a d - b c as it comes wherever it is
+finite; only where a product overflows does it first divide the four
+entries by a power of two, an exact scaling.
 
 A fixed point is a point [p : q] of the Riemann sphere, an eigenvector of
 the matrix.  q = 0 is the point at infinity, held as complex("inf"), so a
@@ -17,6 +20,7 @@ map with c = 0 takes the same path as any other.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
 TOL = 1e-9
@@ -47,10 +51,24 @@ class MoebiusMap(NamedTuple):
     @staticmethod
     def from_entries(a: complex, b: complex, c: complex, d: complex) -> "MoebiusMap":
         det = a * d - b * c
-        if not cmath.isfinite(det):
-            raise DegenerateInput("determinant is not finite")
-        if abs(det) < TOL * TOL:
-            raise DegenerateInput("determinant is zero")
+        if cmath.isfinite(det):
+            if abs(det) < TOL * TOL:
+                raise DegenerateInput("determinant is zero")
+        else:
+            # a product overflowed: dividing the entries by 2^k, the power
+            # of two just above their largest part, keeps the products in
+            # range and is exact but for parts below 2^-1022 of the largest.
+            # The true det is the scaled one times 4^k, k > 500, so it is
+            # below TOL^2 only where the scaled one is 0
+            k = math.frexp(max(abs(t) for x in (a, b, c, d)
+                               for t in (x.real, x.imag)))[1]
+            scale = 2.0 ** -k
+            a, b, c, d = a * scale, b * scale, c * scale, d * scale
+            det = a * d - b * c
+            if not cmath.isfinite(det):
+                raise DegenerateInput("determinant is not finite")
+            if det == 0:
+                raise DegenerateInput("determinant is zero")
         s = cmath.sqrt(det)
         return MoebiusMap(a / s, b / s, c / s, d / s)
 
@@ -116,7 +134,10 @@ def classify(m: MoebiusMap) -> str:
     try:
         tr2 = m.trace() ** 2
     except OverflowError:
-        raise DegenerateInput("trace too large to square") from None
+        # tr = lam + 1/lam with |lam| >= 1, so |tr|^2 > 1.7e308 puts the
+        # multiplier 1/lam^2 below 2.2e-308, the smallest normal float
+        raise DegenerateInput("multiplier 1/lambda^2 is below the smallest "
+                              "normal float") from None
     if abs(tr2 - 4) <= TOL:
         return "parabolic"
     if abs(tr2.imag) <= TOL and -TOL <= tr2.real < 4:  # tr real in (-2, 2)

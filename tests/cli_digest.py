@@ -15,9 +15,12 @@ The calls: ``analyze``, ``hss --trace``, ``verify-hss``, ``homology
 names; ``hss --trace``, ``verify-hss`` and ``homology --twist`` on
 ``random_origami(Random(4040 + i), d)``, d = 40 for i < 40 and d = 12
 for 40 <= i < 60; ``homology --twist`` and ``hss --trace`` on
-``random_origami(Random(d), d)`` for d = 64 and 96; and ``sweep --count
-200 --max-d 16 --seed 3``.  That is 220 calls.  The file is not named
-``test_*``, so pytest does not collect it.
+``random_origami(Random(d), d)`` for d = 64 and 96; ``sweep --count
+200 --max-d 16 --seed 3``; ``shear --p 1 --q 2`` on the seven names, and
+``shear`` on ``l22`` with (p, q) = (1, -3) and on ``o14`` with (-2, 3);
+and ``moebius`` on the six ordinary maps of ``MAPS``.  That is 235 calls,
+the first 220 of them the whole set until shear and moebius joined.  The
+file is not named ``test_*``, so pytest does not collect it.
 """
 
 import contextlib
@@ -30,6 +33,11 @@ import sys
 import tempfile
 
 NAMES = ("wollmilchsau", "o14", "l22", "l23", "l32", "x3", "x4")
+# loxodromic, elliptic, parabolic, identity and a non-real trace; entries
+# of ordinary size
+MAPS = (("2,0", "0,0", "0,0", "0.5,0"), ("3,1", "1,0", "2,0", "4,-1"),
+        ("0,0", "1,0", "-1,0", "0,0"), ("1,0", "1,0", "0,0", "1,0"),
+        ("-1,0", "0,0", "0,0", "-1,0"), ("0,1.5", "1,0", "-3.25,0", "0,1.5"))
 
 
 def argvs(tmp, random_origami, format_origami):
@@ -54,6 +62,10 @@ def argvs(tmp, random_origami, format_origami):
         path = ori(f"d{d}", d, d)
         calls += [["homology", path, "--twist"], ["hss", path, "--trace"]]
     calls.append(["sweep", "--count", "200", "--max-d", "16", "--seed", "3"])
+    calls += [["shear", name, "--p", "1", "--q", "2"] for name in NAMES]
+    calls += [["shear", "l22", "--p", "1", "--q", "-3"],
+              ["shear", "o14", "--p", "-2", "--q", "3"]]
+    calls += [["moebius", "--", *entries] for entries in MAPS]
     return calls
 
 

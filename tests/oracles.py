@@ -8,8 +8,10 @@ traces a pair back by replaying the history's events in reverse from
 the list P that ``replay`` rebuilds; it reads a side's half by
 ``side_half``, a scan of its list's labels.  They
 check the indexed engine of ``origami_forge.hss`` from outside.
-``pool_labels`` lists a pool list's labels, and ``find_separating_pair`` runs
-the separating-pair search on labels instead of label ids.
+``pool_labels`` lists a pool list's labels, ``format_label`` prints one
+(``hss`` prints none since its splice cannot miss its label), and
+``find_separating_pair`` runs the separating-pair search on labels
+instead of label ids.
 ``SectionPool`` keeps the pool order as three sections, rebuilt once per
 round by ``resection``, as stage 3 did before it kept one list, and finds
 each chain pair's list through its own side -> list map.
@@ -98,7 +100,6 @@ from origami_forge.hss import (
     SLabel,
     _exponent,
     _separating_pair,
-    format_label,
 )
 from origami_forge.origami import (
     Origami,
@@ -231,6 +232,14 @@ def trace_curve(o: Origami, c: OrigamiCurve) -> list:
 def contains(cs: CosetAction, w: Word) -> bool:
     """True iff w lies in H, i.e. its monodromy fixes the base square."""
     return act_word(cs.origami, cs.base, w) == cs.base
+
+
+def format_label(label) -> str:
+    """A label as printed: a_Z as ``a<cyl>``, a square label as its square
+    followed by its marks (' for 1, " for 2)."""
+    if isinstance(label, Sentinel):
+        return f"a{label.cyl}"
+    return str(label.square) + "".join("'" if m == 1 else '"' for m in label.marks)
 
 
 def concatenate(pool, lid, mid, at, history=None):

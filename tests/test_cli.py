@@ -179,6 +179,27 @@ class TestAnalyze:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "BadFormat"
 
+    @pytest.mark.parametrize("text, message", [
+        ("squares: 2\np1: (1 2)x\np2: id\n",
+         "p1: stray text 'x' outside cycles"),
+        ("squares: 2\np1: (1 2)\np2: (1 b)\n", "p2: non-integer cycle entry"),
+        ("squares 2\np1: (1 2)\np2: id\n", "line 1: expected 'key: value'"),
+        ("squares: 0\np1: id\np2: id\n", "squares: must be >= 1"),
+    ])
+    def test_bad_format_messages(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.ori"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {"type": "BadFormat",
+                                            "message": message}
+
+    def test_empty_cycle_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "empty.ori"
+        path.write_text("squares: 2\np1: (1 2)()\np2: id\n")
+        data = run_json(capsys, "analyze", str(path))
+        assert (data["d"], data["cylinders"]) == (2, [[1, 2]])
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.run(["no-such-command"])
@@ -317,6 +338,15 @@ class TestShearAndHomology:
         data = run_json(capsys, "shear", "l22", "--p", "1", "--q", "1")
         assert data["d"] == 3
         assert data["change"] == [["1", "1"], ["0", "1"]]
+
+    def test_negative_q_flips_both_signs(self, capsys):
+        """Direction (p, q) is direction (-p, -q): the same output."""
+        code, out, _ = run_cli(capsys, "shear", "l22", "--p", "1",
+                               "--q", "-3")
+        assert code == 0
+        assert out == run_cli(capsys, "shear", "l22", "--p", "-1",
+                              "--q", "3")[1]
+        assert json.loads(out)["change"] == [["1/3", "-1/3"], ["0", "1"]]
 
     def test_shear_q_bound(self, capsys):
         """d * q = 3 * 10^12 squares is refused before any is built."""
@@ -683,26 +713,45 @@ class TestMoebius:
         assert data["roundtrip"] is True
 
     def test_overflowing_trace_is_degenerate_input(self, capsys):
-        code, out, err = run_cli(
-            capsys, "moebius", "1e200,0", "0,0", "0,0", "1e-200,0"
-        )
-        assert code == 1 and out == ""
-        assert json.loads(err)["error"] == {
-            "type": "DegenerateInput",
-            "message": "trace too large to square",
-        }
+        """A trace whose square overflows puts the multiplier 1/lambda^2
+        below the smallest normal float, and the message says so."""
+        for b in ("0,0", "1,0"):
+            code, out, err = run_cli(
+                capsys, "moebius", "1e200,0", b, "0,0", "1e-200,0"
+            )
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == {
+                "type": "DegenerateInput",
+                "message": "multiplier 1/lambda^2 is below the smallest "
+                           "normal float",
+            }
 
-    @pytest.mark.parametrize("entries", [
-        ("1e200,0", "0,0", "0,0", "1e200,0"),
-        ("1e300,0", "1,0", "0,0", "1e10,0"),
-        ("1e308,0", "1e308,0", "1e308,0", "1e308,0"),
-    ])
-    def test_infinite_determinant_is_degenerate_input(self, capsys, entries):
-        code, out, err = run_cli(capsys, "moebius", *entries)
+    @pytest.mark.parametrize("entries, kind, matrix", [
+        (("1e200,0", "0,0", "0,0", "1e200,0"), "identity", (1, 0, 0, 1)),
+        (("1e300,0", "1,0", "0,0", "1e10,0"), "loxodromic",
+         (1e145, 1e-155, 0, 1e-145)),
+        (("1e154,0", "1e154,0", "1e154,0", "2e154,0"), "loxodromic",
+         (1, 1, 1, 2)),
+    ], ids=["1e200", "1e300", "1e154"])
+    def test_overflowing_determinant_is_rescaled(self, capsys, entries,
+                                                 kind, matrix):
+        """a d - b c overflows a float, but the map is fine: the entries
+        are divided by a power of two first, and the normalised matrix
+        comes out up to rounding."""
+        data = run_json(capsys, "moebius", "--", *entries)
+        assert data["classification"] == kind
+        for got, want in zip(data["matrix"], matrix):
+            assert cmath.isclose(complex(*got), want, rel_tol=1e-12), data
+        assert data.get("roundtrip", True) is True
+
+    def test_singular_overflowing_matrix_is_degenerate_input(self, capsys):
+        """Rescaled, a d - b c of four equal entries near the largest
+        float is exactly zero."""
+        code, out, err = run_cli(capsys, "moebius", *["1e308,0"] * 4)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == {
             "type": "DegenerateInput",
-            "message": "determinant is not finite",
+            "message": "determinant is zero",
         }
 
     def test_nan_entry_is_bad_format(self, capsys):

@@ -28,7 +28,6 @@ from origami_forge.hss import (
     emit_curve,
     find_hss,
     find_hss_detailed,
-    format_label,
     init_lists,
     merge_all,
     step1,
@@ -52,6 +51,7 @@ from oracles import (
     SectionPool,
     concatenate,
     find_separating_pair,
+    format_label,
     pool_labels,
     replay,
     replay_backtrack,
@@ -364,8 +364,11 @@ class TestMerging:
 
     def test_unclean_lists_match_rescan(self):
         """Pools whose lists hold adjacent equal labels, also in the first
-        list, and labels on more than two sides: the rescan engine decides
-        the events."""
+        list.  merge_all takes the events the rescan engine decides,
+        except that it refuses a list which has lost every label it shared
+        when its turn comes; only a label on more than two sides can take
+        one away, so where every label lies on two sides nothing is
+        refused."""
 
         def pool_of(lists):
             pool = Pool(wollmilchsau())
@@ -374,22 +377,47 @@ class TestMerging:
                 pool.pool_order.append(pool.new_list(sides, True, "u", 1))
             return pool
 
+        def two_sided(rng):
+            """Lists in which each label lies on exactly two sides."""
+            labels = rng.sample([SLabel(s, m) for s in range(1, 6)
+                                 for m in ((), (1,))], rng.randint(1, 6)) * 2
+            rng.shuffle(labels)
+            cut = sorted(rng.sample(range(1, len(labels)),
+                                    min(len(labels) - 1, rng.randint(0, 4))))
+            return [labels[i:j] for i, j in zip([0] + cut,
+                                                cut + [len(labels)]) if i < j]
+
         rng = random.Random(1515)
-        for _ in range(400):
-            lists = [[SLabel(rng.randint(1, 5), rng.choice(((), (), (1,))))
-                      for _ in range(rng.randint(1, 5))]
-                     for _ in range(rng.randint(1, 5))]
+        seen = Counter()
+        for trial in range(800):
+            if trial % 2:
+                lists = two_sided(rng)
+            else:
+                lists = [[SLabel(rng.randint(1, 5),
+                                 rng.choice(((), (), (1,))))
+                          for _ in range(rng.randint(1, 5))]
+                         for _ in range(rng.randint(1, 5))]
+            over_two = max(Counter(l for labels in lists
+                                   for l in labels).values()) > 2
             try:
                 old_final, old = rescan_merge_all(pool_of(lists))
             except Disconnected:
-                with pytest.raises(Disconnected):
+                with pytest.raises((Disconnected, NoCommonLabel)) as exc:
                     merge_all(pool_of(lists))
+                assert exc.type is Disconnected or over_two, lists
                 continue
             pool = pool_of(lists)
-            history = merge_all(pool)
+            try:
+                history = merge_all(pool)
+            except NoCommonLabel as exc:
+                assert over_two and "lost its shared labels" in str(exc), lists
+                seen["refused"] += 1
+                continue
             assert (history.final, history.events) == (old_final,
                                                        old.events), lists
             assert list(replay(pool, history)) == history.sides, lists
+            seen["over two" if over_two else "two"] += 1
+        assert seen["refused"] and seen["over two"] and seen["two"], seen
 
     def test_fourteen_square_merge_result(self):
         o = o14()
@@ -549,17 +577,48 @@ class TestListSplitting:
             step3_update(pool, [pair])
 
     def test_pair_of_a_spent_side_is_rejected(self):
-        """A side that a split replaced by primed copies lies in no pool
-        list, also when the chain names the split list's successor."""
+        """A chain names each pool list once, so a second pair in a list
+        the chain has split, here one of a side that split replaced by
+        primed copies, is refused; so is a pair whose first side lies in
+        another list than the one it names."""
         o = wollmilchsau()
         cuts, _ = step1(o)
         pool = init_lists(o, cuts)
-        lower = pool.pool_order[0]  # [1,2,3,4]
+        lower, upper = pool.pool_order[:2]  # [1,2,3,4] and [8,5,6,7]
         a, b, c, _ = pool.lists[lower].sides
         chain = [ChainPair(a, b, lower, "u", 1),
                  ChainPair(a, c, lower, "u", 2)]
-        with pytest.raises(InconsistentChain, match="not in any pool list"):
+        with pytest.raises(InconsistentChain,
+                           match=f"list {lower} is not a pool list"):
             step3_update(pool, chain)
+        pool = init_lists(o, cuts)
+        side = pool.lists[upper].sides[0]
+        with pytest.raises(InconsistentChain,
+                           match=f"side {side} not in list {lower}"):
+            step3_update(pool, [ChainPair(side, b, lower, "u", 1)])
+
+
+    @pytest.mark.parametrize("half", "uo")
+    def test_sweep_against_a_non_cyclic_list_is_rejected(self, half):
+        """After one real round, a pair in a non-cyclic L1 list whose
+        exponent runs against the stored order is refused, before any
+        list is made; with its own exponent the pair splits the list."""
+        o = wollmilchsau()
+        cuts, _ = step1(o)
+        pool = init_lists(o, cuts)
+        step3_update(pool, next_chain(pool))
+        (lid,) = [lid for lid in pool.pool_order
+                  if pool.lists[lid].kind == half
+                  and not pool.lists[lid].cyclic]
+        a, b = pool.lists[lid].sides
+        e = _exponent(pool, a, b, lid, half)
+        made = len(pool.lists)
+        with pytest.raises(InconsistentChain,
+                           match="sweep must run forward in a non-cyclic"):
+            step3_update(pool, [ChainPair(a, b, lid, half, -e)])
+        assert len(pool.lists) == made
+        step3_update(pool, [ChainPair(a, b, lid, half, e)])
+        assert lid not in pool.pool_order
 
 
 class TestDriver:
@@ -699,6 +758,46 @@ class TestSentinelInOneList:
     def test_seeded_degrees(self):
         assert all(self.rounds_checked(
             random_origami(random.Random(d), d) for d in range(2, 65)))
+
+
+def rounds_well_formed(o):
+    """Runs the rounds of find_hss_detailed on o and checks the two facts
+    stage 3 and merge_all rely on: at the start of each round every label
+    id lies on exactly two sides of the pool lists (a sentinel's two in
+    one 'lz' list), and no chain, of the round's alpha or its beta, names
+    a pool list twice.  Returns the number of rounds."""
+    cuts, _ = step1(o)
+    pool = init_lists(o, cuts)
+    rounds = genus(o) - len(cuts)
+    chain = None
+    for r in range(rounds):
+        if chain is not None:
+            step3_update(pool, chain)
+        held = Counter(l for lid in pool.pool_order
+                       for l in pool.lists[lid].labs)
+        assert set(held.values()) == {2}, (o, r)
+        history = merge_all(pool)
+        alpha, beta = _separating_pair(history.labs, pool.square,
+                                       pool.label_at)
+        for label in (beta, alpha):
+            chain = backtrack(pool, history, label)
+            lids = [pair.lid for pair in chain]
+            assert len(set(lids)) == len(lids), (o, r, label)
+    return rounds
+
+
+class TestRoundsAreWellFormed:
+    """The invariants of `rounds_well_formed` on real rounds."""
+
+    def test_fixtures(self, fixture_origamis):
+        assert sum(rounds_well_formed(o) for _, o in fixture_origamis)
+
+    def test_random_sample(self, random_sample):
+        assert sum(rounds_well_formed(o) for _, o in random_sample)
+
+    def test_seeded_degrees(self):
+        assert sum(rounds_well_formed(random_origami(random.Random(d), d))
+                   for d in [*range(2, 65), 96, 128])
 
 
 class TestPoolHoldsOnlyPoolLists:
@@ -894,12 +993,14 @@ class TestPoolOrderAgainstSections:
         assert_order_matches_sections(random_origami(random.Random(d), d))
 
     def test_lists_split_twice_in_one_chain(self, fixture_origamis):
-        """Chains of two or three pairs in one list, so that each later
-        pair splits the L0 or the L1 of the one before.  A cut-system round
-        never makes them, as its pairs lie in distinct lists of its merge
-        tree, but step3_update takes them."""
+        """Chains of one, two or three pairs in one list, nested so that
+        each later pair would split the L0 or the L1 of the one before.  A
+        cut-system round never makes more than one pair per list, as its
+        chain is a path in its merge tree, and step3_update refuses the
+        second pair: it names a list that is no longer a pool list.  A
+        chain of one pair splits the list as the sections do."""
         rng = random.Random(2222)
-        again = Counter()
+        seen = Counter()
         for trial in range(1500):
             _, o = fixture_origamis[trial % len(fixture_origamis)]
             cuts, _ = step1(o)
@@ -915,27 +1016,36 @@ class TestPoolOrderAgainstSections:
             half = rng.choice("uo") if lst.kind == "lz" else lst.kind
             lo, hi = lst.span(half)
             sides = lst.sides[lo:hi]
-            if len(sides) < 4:
+            if len(sides) < 2:
                 continue
             # nested pairs: each later one lies in the L0 or the L1 of the
             # one before
-            k = rng.choice((4, 6)) if len(sides) >= 6 else 4
+            k = rng.choice([n for n in (2, 4, 6) if n <= len(sides)])
             width = rng.randint(k, len(sides))  # a short one sweeps forward
             start = rng.randint(0, len(sides) - width)
             at = sorted(rng.sample(range(start, start + width), k))
-            first = pool._next_list  # the first split makes L1, then L0
             try:
                 chain = [ChainPair(sides[i], sides[j], lid, half,
                                    _exponent(pool, sides[i], sides[j], lid,
                                              half))
                          for i, j in zip(at[:len(at) // 2], reversed(at))]
-                step3_update(pool, chain)
             except InconsistentChain:
                 continue
-            ref.step3_update(ref_pool, chain)
-            assert pool.pool_order == ref_pool.pool_order, (o, chain)
-            for part, made in (("L1", first), ("L0", first + 1)):
-                if made not in pool.pool_order:
-                    again[lst.kind, part] += 1
-        assert all(again[kind, part] for kind in ("u", "o", "lz")
-                   for part in ("L0", "L1")), again
+            if len(chain) == 1:
+                try:
+                    step3_update(pool, chain)
+                except InconsistentChain:  # a sweep against the stored order
+                    with pytest.raises(InconsistentChain, match="sweep"):
+                        ref.step3_update(ref_pool, chain)
+                    continue
+                ref.step3_update(ref_pool, chain)
+                assert pool.pool_order == ref_pool.pool_order, (o, chain)
+                seen[lst.kind, "split"] += 1
+                continue
+            with pytest.raises(InconsistentChain) as exc:
+                step3_update(pool, chain)
+            if "sweep" not in str(exc.value):  # else the first pair's own
+                assert str(exc.value) == f"list {lid} is not a pool list"
+                seen[lst.kind, "refused"] += 1
+        assert all(seen[kind, what] for kind in ("u", "o", "lz")
+                   for what in ("split", "refused")), seen

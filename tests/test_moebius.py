@@ -78,6 +78,37 @@ class TestNormalization:
         assert not IDENTITY.approx_eq(MoebiusMap(1 + 2e-9, 0, 0, 1))
         assert IDENTITY.approx_eq(MoebiusMap(1 + 5e-10, 0, 5e-10, 1))
 
+    def test_finite_determinant_is_taken_unscaled(self):
+        """Where a d - b c is finite the entries are divided by its root
+        as they come, so no map that normalised before changes a bit."""
+        rng = random.Random(154)
+        checked = 0
+        for _ in range(3000):
+            entries = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                       * 10.0 ** rng.randint(-160, 160) for _ in range(4)]
+            det = entries[0] * entries[3] - entries[1] * entries[2]
+            if not cmath.isfinite(det) or abs(det) < TOL * TOL:
+                continue
+            s = cmath.sqrt(det)
+            assert MoebiusMap.from_entries(*entries) == tuple(
+                x / s for x in entries), entries
+            checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("big", [1e154, 1e200, 1e300, 1.7e308])
+    def test_overflowing_determinant_is_rescaled(self, big):
+        """Entries whose a d - b c overflows normalise to determinant 1,
+        in proportion to the entries given."""
+        entries = (big, big / 3, -big / 7, big / 2)
+        m = MoebiusMap.from_entries(*entries)
+        assert abs(m.a * m.d - m.b * m.c - 1) < TOL
+        for x, y in zip(m, entries):
+            assert cmath.isclose(x * entries[0], y * m.a, rel_tol=1e-12)
+
+    def test_infinite_entry_is_degenerate_input(self):
+        with pytest.raises(DegenerateInput, match="not finite"):
+            MoebiusMap.from_entries(complex("inf"), 0, 0, 1)
+
     def test_compose_inverse(self):
         m = MoebiusMap.from_entries(3, 1, 2, 4)
         assert m.compose(m.inverse()).approx_eq(IDENTITY)
