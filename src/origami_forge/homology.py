@@ -258,14 +258,14 @@ def h1_model(o: Origami) -> H1Model:
     chords = [e for e in range(n) if e not in in_tree and e not in in_cotree]
     if len(chords) != 2 * g:
         raise ConventionViolation("rank of H1 differs from 2g")
-    # col[e] holds the H1 coordinates of edge e, by index: a unit vector
-    # for a chord, 0 for an edge of T, and for the edge e of C into square
-    # f minus the rest of f's boundary, since that boundary is 0 in H1.
-    # Peeling C from its leaves reaches f after every other C edge of f,
-    # each of which leads into a child of f.
-    col: List[Dict[int, int]] = [{} for _ in range(n)]
+    # col[e] holds the H1 coordinates of edge e as (index, value) pairs: a
+    # unit vector for a chord, none for an edge of T, and for the edge e of
+    # C into square f minus the rest of f's boundary, since that boundary
+    # is 0 in H1.  Peeling C from its leaves reaches f after every other C
+    # edge of f, each of which leads into a child of f.
+    col: List[Sparse] = [[] for _ in range(n)]
     for i, e in enumerate(chords):
-        col[e] = {i: 1}
+        col[e] = [(i, 1)]
     for f in reversed(order[1:]):
         e = into[f]
         rest: Dict[int, int] = {}
@@ -273,9 +273,9 @@ def h1_model(o: Origami) -> H1Model:
             if e2 == e:
                 sign = sign2
             else:
-                for i, x in col[e2].items():
+                for i, x in col[e2]:
                     rest[i] = rest.get(i, 0) + sign2 * x
-        col[e] = {i: -sign * x for i, x in rest.items() if x}
+        col[e] = [(i, -sign * x) for i, x in rest.items() if x]
     gram = intersection_form(_rotation(boundary), tree, chords)
     if any(
         gram[i][j] != -gram[j][i]
@@ -286,8 +286,7 @@ def h1_model(o: Origami) -> H1Model:
     if abs(linalg.det_int(gram)) != 1:
         raise ConventionViolation("intersection form not unimodular")
     gram_rows = [[(j, x) for j, x in enumerate(row) if x] for row in gram]
-    return H1Model(o, g, ends, [list(c.items()) for c in col], gram,
-                   gram_rows, tree, chords)
+    return H1Model(o, g, ends, col, gram, gram_rows, tree, chords)
 
 
 def class_of(o: Origami, model: H1Model, w: Word, base: int = 1) -> List[int]:

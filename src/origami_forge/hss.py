@@ -21,7 +21,11 @@ beta traced back like alpha.  The k-th dual meets the k-th cut curve once
 and misses every earlier one, which is what the twist certificate reads.
 
 All policies (bridging order, splice partner and label selection,
-cancellation, tie-breaks) are fixed and deterministic.
+cancellation, tie-breaks) are fixed and deterministic.  Each function of
+stages 2 and 3 either returns its finished value or refuses its input and
+leaves the pool as it found it: ``merge_all`` writes the pool only at its
+end, ``step3_update`` checks the whole chain before its first split, and
+``backtrack`` and ``emit_curve`` only read it.
 
 Stages 2 and 3 look things up by index instead of rescanning.  A side is
 nothing but its label id (``Pool.lab``), and every label is interned to a
@@ -287,7 +291,7 @@ class LabeledList:
         return "u" if k < second else "o"
 
 
-class MergeHistory:
+class MergeHistory(NamedTuple):
     """Splice / cancellation log of one merge_all run, and its final list P.
 
     Events:
@@ -307,17 +311,13 @@ class MergeHistory:
     result), the last ordering the absorptions.
     """
 
-    __slots__ = ("initial", "events", "final", "tree", "sides", "labs",
-                 "origin")
-
-    def __init__(self, initial: list[int]):
-        self.initial = initial
-        self.events: list[tuple] = []
-        self.final: Optional[int] = None
-        self.tree: dict[int, tuple[int, int, int, int]] = {}
-        self.sides: list[int] = []
-        self.labs: list[int] = []
-        self.origin: list[int] = []
+    initial: list[int]
+    events: list[tuple]
+    final: int
+    tree: dict[int, tuple[int, int, int, int]]
+    sides: list[int]
+    labs: list[int]
+    origin: list[int]
 
 
 class ChainPair(NamedTuple):
@@ -474,13 +474,16 @@ def merge_all(pool: Pool) -> MergeHistory:
     ones before k were checked, the ones from clean_from on lie in a clean
     suffix.  After the first splice the accumulator is clean, so a splice
     checks from one left of the junction to the start of its tail b; after
-    removing (k, k+1) the scan resumes at k-1.
+    removing (k, k+1) the scan resumes at k-1.  The event log, the merge
+    tree and P are locals until the returned history is built at the end,
+    and the pool's list counter is the one thing of the pool written, also
+    at the end, so a refused pool is left as it was.
     """
     remaining = pool.pool_order
     if not remaining:
         raise ValueError("empty pool")
-    history = MergeHistory(initial=list(remaining))
-    events, tree = history.events, history.tree
+    events: list[tuple] = []
+    tree: dict[int, tuple[int, int, int, int]] = {}
     lists = pool.lists
     unprimed = pool.unprimed
     own = [lists[lid].labs for lid in remaining]
@@ -570,9 +573,8 @@ def merge_all(pool: Pool) -> MergeHistory:
             events.append(("cancel", rid, acc, s1, s2))
             acc, rid = rid, rid + 1
     pool._next_list = rid
-    history.final = acc
-    history.sides, history.labs, history.origin = sides, labs, origin
-    return history
+    return MergeHistory(list(remaining), events, acc, tree, sides, labs,
+                        origin)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +733,10 @@ def emit_curve(pool: Pool, chain: list[ChainPair]) -> OrigamiCurve:
 def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
     """Split, for every chain pair in order, the pool list it names.  A
     round's chain is a path in its merge tree, so its pairs lie in
-    distinct pool lists; a chain that names a list twice is refused.
+    distinct pool lists; a chain that names a list twice is refused, and
+    so is a pair whose two sides do not both lie on its half of the list.
+    Every pair is checked before the first split, so a refused chain
+    leaves the pool as it was.
 
     With roles ordered along the curve's sweep direction in stored order,
     the list [a.., r_s, b.., r_{s+1}, c..] becomes
@@ -749,9 +754,8 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
     already sorted and stays.
     """
     lists = pool.lists
-    split: dict[int, tuple[int, ...]] = {}  # split list -> its place's lists
-    joining: list[int] = []  # the L1 lists of uncut cylinders
     current = set(pool.pool_order)
+    checked = []  # per pair: lid, list, half, roles, their indices, span
     for side_a, side_b, lid, half, e in chain:
         if lid not in current:
             raise InconsistentChain(f"list {lid} is not a pool list")
@@ -766,22 +770,27 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
         forward = (e > 0) if half == "u" else (e < 0)
         role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
         ia, ib = sides.index(role_a), sides.index(role_b)
-        if ia < ib:
-            between = sides[ia + 1:ib]
-        elif lst.cyclic:
-            between = sides[ia + 1:hi] + sides[lo:ib]
-        else:
+        if ib <= ia and not lst.cyclic:
             raise InconsistentChain(
                 "sweep must run forward in a non-cyclic list")
+        if not (lo <= ia < hi and lo <= ib < hi):
+            raise InconsistentChain("pair straddles list halves")
+        checked.append((lid, lst, half, role_a, role_b, ia, ib, lo, hi))
 
+    split: dict[int, tuple[int, ...]] = {}  # split list -> its place's lists
+    joining: list[int] = []  # the L1 lists of uncut cylinders
+    for lid, lst, half, role_a, role_b, ia, ib, lo, hi in checked:
+        sides = lst.sides
         marks = (1, 2) if half == "u" else (2, 1)
         a_l0, b_l0, a_l1, b_l1 = pool.split_sides(role_a, role_b, *marks)
-        l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half,
-                           lst.cyl)
         if ia < ib:
+            between = sides[ia + 1:ib]
             kept = sides[:ia] + (a_l0, b_l0) + sides[ib + 1:]
         else:
+            between = sides[ia + 1:hi] + sides[lo:ib]
             kept = sides[:lo] + (b_l0,) + sides[ib + 1:ia] + (a_l0,) + sides[hi:]
+        l1 = pool.new_list((a_l1,) + between + (b_l1,), False, half,
+                           lst.cyl)
         l0 = pool.new_list(kept, lst.cyclic, lst.kind, lst.cyl)
         if lst.kind == "lz":
             split[lid] = (l0,)
@@ -798,26 +807,18 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
 # ---------------------------------------------------------------------------
 
 
-class HssResult:
+class HssResult(NamedTuple):
     """A cut system and how it was found: the step-1 cuts and their graph,
     one merge history and one separating partner beta (a label id) per
-    later round, and the pool, which holds the lists of every round;
-    dual_curves traces the betas back through them."""
+    later round, and the pool, which holds the origami and the lists of
+    every round; dual_curves traces the betas back through them."""
 
-    __slots__ = ("o", "curves", "cut_cylinders", "graph", "histories",
-                 "pool", "betas")
-
-    def __init__(self, o: Origami, curves: list[OrigamiCurve],
-                 cut_cylinders: list[Cylinder], graph: HalfCylinderGraph,
-                 histories: list[MergeHistory], pool: Pool,
-                 betas: list[int]):
-        self.o = o
-        self.curves = curves
-        self.cut_cylinders = cut_cylinders
-        self.graph = graph
-        self.histories = histories
-        self.pool = pool
-        self.betas = betas
+    curves: list[OrigamiCurve]
+    cut_cylinders: list[Cylinder]
+    graph: HalfCylinderGraph
+    histories: list[MergeHistory]
+    pool: Pool
+    betas: list[int]
 
 
 def find_hss_detailed(o: Origami) -> HssResult:
@@ -842,7 +843,7 @@ def find_hss_detailed(o: Origami) -> HssResult:
         betas.append(beta)
         chain = backtrack(pool, history, alpha)
         curves.append(emit_curve(pool, chain))
-    return HssResult(o, curves, cuts, graph, histories, pool, betas)
+    return HssResult(curves, cuts, graph, histories, pool, betas)
 
 
 def find_hss(o: Origami) -> list[OrigamiCurve]:
@@ -914,8 +915,8 @@ def dual_curves(result: HssResult) -> list[OrigamiCurve]:
     so it crosses alpha once.  So the k-th dual pairs to +-1 with the k-th
     cut curve and to 0 with every earlier one."""
     cut = {s for z in result.cut_cylinders for s in z.squares}
-    duals = [_transversal(result.o, z, cut) for z in result.cut_cylinders]
     pool = result.pool
+    duals = [_transversal(pool.o, z, cut) for z in result.cut_cylinders]
     for history, beta in zip(result.histories, result.betas):
         duals.append(emit_curve(pool, backtrack(pool, history, beta)))
     return duals

@@ -18,9 +18,15 @@ for 40 <= i < 60; ``homology --twist`` and ``hss --trace`` on
 ``random_origami(Random(d), d)`` for d = 64 and 96; ``sweep --count
 200 --max-d 16 --seed 3``; ``shear --p 1 --q 2`` on the seven names, and
 ``shear`` on ``l22`` with (p, q) = (1, -3) and on ``o14`` with (-2, 3);
-and ``moebius`` on the six ordinary maps of ``MAPS``.  That is 235 calls,
-the first 220 of them the whole set until shear and moebius joined.  The
-file is not named ``test_*``, so pytest does not collect it.
+and ``moebius`` on the six ordinary maps of ``MAPS``; then seven
+refusals that exit 1 with a JSON error on stderr: ``veech-check l22
+--matrix 1,2,3`` and ``--matrix 2,0,0,2``, ``analyze no-such-origami``,
+``sweep --max-d 1``, ``shear l22 --p 2 --q 4``, ``moebius`` on the zero
+matrix, and ``hss`` on a ``.ori`` file with stray text.  Usage errors,
+which exit 2, are left out, as argparse wraps their text to the terminal
+width.  That is 242 calls: the first 220 were the whole set until shear
+and moebius joined, and the first 235 until the refusals did.  The file
+is not named ``test_*``, so pytest does not collect it.
 """
 
 import contextlib
@@ -66,6 +72,16 @@ def argvs(tmp, random_origami, format_origami):
     calls += [["shear", "l22", "--p", "1", "--q", "-3"],
               ["shear", "o14", "--p", "-2", "--q", "3"]]
     calls += [["moebius", "--", *entries] for entries in MAPS]
+    stray = os.path.join(tmp, "stray.ori")
+    with open(stray, "w", encoding="utf-8") as fh:
+        fh.write("squares: 2\np1: (1 2)x\np2: id\n")
+    calls += [["veech-check", "l22", "--matrix", "1,2,3"],
+              ["veech-check", "l22", "--matrix", "2,0,0,2"],
+              ["analyze", "no-such-origami"],
+              ["sweep", "--max-d", "1"],
+              ["shear", "l22", "--p", "2", "--q", "4"],
+              ["moebius", "--", "0,0", "0,0", "0,0", "0,0"],
+              ["hss", stray]]
     return calls
 
 

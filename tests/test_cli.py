@@ -25,6 +25,7 @@ from origami_forge import cli, hss, moebius
 from origami_forge.origami import (
     cylinders,
     format_origami,
+    l_origami,
     parse_origami,
     random_origami,
     wollmilchsau,
@@ -94,6 +95,13 @@ class TestAnalyze:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "o14").symlink_to(tmp_path / "nowhere")
         assert run_json(capsys, "analyze", "o14")["d"] == 14
+
+    def test_path_gone_before_open_falls_back(self, tmp_path, monkeypatch):
+        """A path the probe finds but the open does not, as when the file
+        is removed in between, falls back to the registry constructor."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: True)
+        assert cli.load_origami("l22") == l_origami(2, 2)
 
     @pytest.mark.parametrize("fixture_file", [True, False],
                              ids=["fixture-file", "constructor"])
@@ -348,6 +356,16 @@ class TestShearAndHomology:
                               "--q", "3")[1]
         assert json.loads(out)["change"] == [["1/3", "-1/3"], ["0", "1"]]
 
+    def test_shear_of_the_one_square_torus(self, capsys, tmp_path):
+        """The torus's permutations are the identity, printed as `id`."""
+        path = tmp_path / "torus.ori"
+        path.write_text("squares: 1\np1: id\np2: id\n")
+        code, out, _ = run_cli(capsys, "shear", str(path), "--p", "1",
+                               "--q", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert data["origami"] == "squares: 1\np1: id\np2: id\n"
+
     def test_shear_q_bound(self, capsys):
         """d * q = 3 * 10^12 squares is refused before any is built."""
         start = time.perf_counter()
@@ -378,11 +396,9 @@ class TestShearAndHomology:
         real = homology.find_hss_detailed
 
         def vertical_cores(o):
-            result = real(o)
-            result.curves = [
+            return real(o)._replace(curves=[
                 OrigamiCurve(min(z), y ** len(z)) for z in o.p2.orbits()
-            ]
-            return result
+            ])
 
         monkeypatch.setattr(homology, "find_hss_detailed", vertical_cores)
         code, out, err = run_cli(capsys, "homology", "l22", "--twist")
@@ -1488,7 +1504,7 @@ def _frozen_records():
     give equal, distinct instances."""
     from origami_forge.freegroup import F2Endo, gen, parse_word
     from origami_forge.homology import AlphaSpec, h1_model
-    from origami_forge.hss import step1_graph
+    from origami_forge.hss import find_hss_detailed, step1_graph
     from origami_forge.moebius import FixedPointData, MoebiusMap
     from origami_forge.origami import (AffineChange, Cylinder, OrigamiCurve,
                                        l_origami)
@@ -1504,6 +1520,7 @@ def _frozen_records():
         "SchreierSystem": lambda: schreier_system(
             CosetAction(l_origami(2, 3))),
         "HalfCylinderGraph": lambda: step1_graph(l_origami(2, 3)),
+        "MergeHistory": lambda: find_hss_detailed(wollmilchsau()).histories[0],
         "H1Model": lambda: h1_model(l_origami(2, 3)),
         "AlphaSpec": lambda: AlphaSpec.standard(2),
         "MoebiusMap": lambda: MoebiusMap(1, 2, 0, 1),
@@ -1562,6 +1579,3 @@ class TestRecordClasses:
             hss.HssResult, MergeHistory, LabeledList]
         for record in records:
             assert not hasattr(record, "__dict__")
-        a, b = MergeHistory([0]), MergeHistory([0])
-        a.events.append(("cancel", 1, 0, 2, 3))
-        assert b.events == [] and b.tree == {} and b.final is None

@@ -774,9 +774,7 @@ def with_curves(make_curves):
     real = homology.find_hss_detailed
 
     def patched(o):
-        result = real(o)
-        result.curves = make_curves(o)
-        return result
+        return real(o)._replace(curves=make_curves(o))
 
     return patched
 

@@ -5,6 +5,7 @@ import json
 import os
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,7 +90,8 @@ def rescan_merge_all(pool):
     """Each round rebuilds the label list of every remaining pool list and
     takes the first one sharing a label with the accumulator."""
     remaining = list(pool.pool_order)
-    history = MergeHistory(initial=list(remaining))
+    initial = list(remaining)
+    log = SimpleNamespace(events=[])  # what `concatenate` appends to
     acc = remaining.pop(0)
     while remaining:
         acc_labels = {l for l in pool_labels(pool, acc)
@@ -107,11 +109,10 @@ def rescan_merge_all(pool):
             raise Disconnected("pool does not splice to a single list")
         idx, mid, at = chosen
         remaining.pop(idx)
-        acc = concatenate(pool, acc, mid, at, history)
-    history.final = acc
-    history.sides = list(pool.lists[acc].sides)
-    history.labs = list(pool.lists[acc].labs)
-    return acc, history
+        acc = concatenate(pool, acc, mid, at, log)
+    final = pool.lists[acc]
+    return acc, MergeHistory(initial, log.events, acc, {}, list(final.sides),
+                             list(final.labs), [])
 
 
 def rescan_find_separating_pair(labels):
@@ -233,7 +234,7 @@ def assert_pool_holds_pool_lists(result):
     """The pool holds only 'u', 'o' and 'lz' lists and their splits, and
     each round's list P lives in its history alone: no merge result is a
     pool list, and P's label ids and origins run beside its sides."""
-    pool, o = result.pool, result.o
+    pool, o = result.pool, result.pool.o
     assert {lst.kind for lst in pool.lists.values()} <= {"u", "o", "lz"}, o
     for history in result.histories:
         if history.events:
@@ -619,6 +620,96 @@ class TestListSplitting:
         assert len(pool.lists) == made
         step3_update(pool, [ChainPair(a, b, lid, half, e)])
         assert lid not in pool.pool_order
+
+
+def pool_state(pool):
+    """What a cut-system stage can mint in or change of a pool."""
+    return (len(pool.lists), len(pool.lab), len(pool.label_at),
+            list(pool.pool_order), pool._next_list)
+
+
+def assert_refused_unchanged(pool, stage, error, match):
+    """stage() refuses with error and leaves the pool as it was."""
+    before = pool_state(pool)
+    with pytest.raises(error, match=match):
+        stage()
+    assert pool_state(pool) == before
+
+
+class TestRefusedStagesLeaveThePool:
+    """Each stage checks its whole input before it changes the pool, so a
+    refused chain or pool mints no list, side or label and keeps the pool
+    order and the list counter."""
+
+    def test_chain_naming_a_list_twice(self):
+        o = wollmilchsau()
+        pool = init_lists(o, step1(o)[0])
+        lower = pool.pool_order[0]  # [1,2,3,4]
+        a, b, c, _ = pool.lists[lower].sides
+        chain = [ChainPair(a, b, lower, "u", 1),
+                 ChainPair(a, c, lower, "u", 2)]
+        assert_refused_unchanged(
+            pool, lambda: step3_update(pool, chain), InconsistentChain,
+            f"list {lower} is not a pool list")
+
+    def test_pair_on_a_spent_side(self):
+        """The first pair splits the lower list; the second names a side
+        of it, which that split replaced, in the upper list."""
+        o = wollmilchsau()
+        pool = init_lists(o, step1(o)[0])
+        lower, upper = pool.pool_order[:2]  # [1,2,3,4] and [8,5,6,7]
+        a, b, _, _ = pool.lists[lower].sides
+        x = pool.lists[upper].sides[0]
+        chain = [ChainPair(a, b, lower, "u", 1),
+                 ChainPair(a, x, upper, "o", 1)]
+        assert_refused_unchanged(
+            pool, lambda: step3_update(pool, chain), InconsistentChain,
+            f"side {a} not in list {upper}")
+
+    @pytest.mark.parametrize("half", "uo")
+    def test_backward_sweep_in_a_non_cyclic_list(self, half):
+        o = wollmilchsau()
+        pool = init_lists(o, step1(o)[0])
+        step3_update(pool, next_chain(pool))
+        (lid,) = [lid for lid in pool.pool_order
+                  if pool.lists[lid].kind == half
+                  and not pool.lists[lid].cyclic]
+        a, b = pool.lists[lid].sides
+        e = _exponent(pool, a, b, lid, half)
+        assert_refused_unchanged(
+            pool, lambda: step3_update(pool, [ChainPair(a, b, lid, half, -e)]),
+            InconsistentChain, "sweep must run forward in a non-cyclic")
+
+    @pytest.mark.parametrize("e", [1, -1])
+    def test_pair_straddling_the_halves_of_an_lz_list(self, e):
+        """A 'u' pair of an uncut cylinder's list [a_Z, 8, a_Z, 1] whose
+        second side lies on the upper half: splitting it would put a_Z
+        into L1 (e > 0), or a third a_Z and the replaced side into L0
+        (e < 0)."""
+        o = random_origami(random.Random(12), 8)
+        pool = init_lists(o, step1(o)[0])
+        lid = next(lid for lid in pool.pool_order
+                   if pool.lists[lid].kind == "lz")
+        lst = pool.lists[lid]
+        assert [pool.label_of(s) for s in lst.sides] == [
+            Sentinel(8), SLabel(8), Sentinel(8), SLabel(1)]
+        assert (lst.half_of(lst.sides[1]), lst.half_of(lst.sides[3])) == (
+            "u", "o")
+        pair = ChainPair(lst.sides[1], lst.sides[3], lid, "u", e)
+        assert_refused_unchanged(
+            pool, lambda: step3_update(pool, [pair]), InconsistentChain,
+            "pair straddles list halves")
+
+    @pytest.mark.parametrize("labels, error, match", [
+        ([[1, 2], [3]], Disconnected, "does not splice"),
+        ([[1], [1], [1]], NoCommonLabel, "list 2 lost its shared labels"),
+    ])
+    def test_pool_that_merge_all_cannot_splice(self, labels, error, match):
+        pool = Pool(wollmilchsau())
+        for squares in labels:
+            sides = [pool.new_side(SLabel(s)) for s in squares]
+            pool.pool_order.append(pool.new_list(sides, True, "u", 1))
+        assert_refused_unchanged(pool, lambda: merge_all(pool), error, match)
 
 
 class TestDriver:

@@ -117,6 +117,15 @@ class TestNormalization:
         m = MoebiusMap.from_entries(1, 1, 0, 1)
         assert abs(m(1 + 2j) - (2 + 2j)) < TOL
 
+    def test_pole_goes_to_infinity(self):
+        """z / (z + 1) sends its pole -1, and a point within rounding of
+        it relative to |c z| + |d|, to infinity; a point farther off goes
+        to a large finite value."""
+        m = MoebiusMap.from_entries(1, 0, 1, 1)
+        for z in (-1, -1 + 1e-17, -1 + 1e-17j, -1 + 1e-13):
+            assert m(z) == complex("inf"), z
+        assert cmath.isfinite(m(-1 + 1e-9)) and abs(m(-1 + 1e-9)) > 1e8
+
 
 class TestFixedData:
     def test_rejects_non_loxodromic(self):
@@ -258,3 +267,8 @@ class TestSmallMultiplier:
     def test_zero_multiplier_is_rejected(self):
         with pytest.raises(DegenerateInput, match="non-zero"):
             FixedPointData(0j, 1 + 0j, 0).validate()
+
+    def test_expanding_multiplier_is_rejected(self):
+        with pytest.raises(DegenerateInput,
+                           match=r"\|multiplier\| must be < 1"):
+            from_fixed_data(FixedPointData(0j, 1 + 0j, 2.0))
