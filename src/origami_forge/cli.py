@@ -521,7 +521,7 @@ def run(argv: Optional[list] = None) -> int:
     try:
         emit(command(args))
         return 0
-    except (ValueError, ArithmeticError, AssertionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         error.update(getattr(exc, "reproduce", {}))
         emit({"schema": SCHEMA, "error": error}, sys.stderr)

@@ -94,7 +94,7 @@ __all__ = [
 ]
 
 
-class ConventionViolation(AssertionError):
+class ConventionViolation(ValueError):
     pass
 
 

@@ -8,7 +8,10 @@ stages:
    per cylinder (its lower and upper boundary) joined by the vertical
    gluings; cylinders whose two nodes get bridged are not cut.  The graph
    does not depend on the bridging order: ``step1_graph`` builds it and
-   ``step1_cuts`` runs the bridging pass on it, returning only the cuts;
+   ``step1_cuts`` runs the bridging pass on it, returning only the cuts.
+   Both run on one parent array (``_root`` finds a node's root).  Each
+   bridge joins two components, so the surface is connected iff the
+   edges alone leave one more component than there are bridges;
 2. boundary labels of the cut surface are collected into lists, spliced
    into a single list P, and a separating pair of labels in P yields one
    further curve via backtracking through the splice history;
@@ -89,7 +92,7 @@ from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .freegroup import Word
-from .origami import Cylinder, Origami, OrigamiCurve, cylinders, genus
+from .origami import Cylinder, Origami, OrigamiCurve, genus
 
 __all__ = [
     "NoCommonLabel",
@@ -122,7 +125,7 @@ class NoCommonLabel(ValueError):
     pass
 
 
-class Disconnected(AssertionError):
+class Disconnected(ValueError):
     pass
 
 
@@ -130,7 +133,7 @@ class NoPairFound(ValueError):
     pass
 
 
-class InconsistentChain(AssertionError):
+class InconsistentChain(ValueError):
     pass
 
 
@@ -165,40 +168,32 @@ class HalfCylinderGraph(NamedTuple):
     by the p2-gluing edges; `step1_cuts` bridges each cylinder's two
     nodes on a copy of ``roots``."""
 
-    cyls: list[Cylinder]
+    cyls: tuple[Cylinder, ...]       # the origami's horizontal cylinders
     roots: list[int]                 # node -> its component's root under
                                      # the edges alone, before any bridge
 
 
-class _UnionFind:
-    def __init__(self, parent: list[int]):
-        self.parent = parent
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+def _root(parent: list[int], v: int) -> int:
+    """The root of node v in a parent array, halving the path on the way;
+    a union is ``parent[_root(parent, a)] = _root(parent, b)``."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 def step1_graph(o: Origami) -> HalfCylinderGraph:
     """The half of stage 1 that no bridging order changes: the cylinders,
     an edge z_i^o -- z_j^u whenever p2 carries a square of Z_i into Z_j,
     and the components those edges join."""
-    cyls = cylinders(o)
+    cyls = o.horizontal_cylinders
     at = o.cylinder_at
-    uf = _UnionFind(list(range(2 * len(cyls))))
+    parent = list(range(2 * len(cyls)))
     for i, z in enumerate(cyls):
         for s in z.squares:
-            uf.union(2 * i, 2 * at[o.p2(s)][0] + 1)
-    return HalfCylinderGraph(cyls, [uf.find(v) for v in range(2 * len(cyls))])
+            parent[_root(parent, 2 * i)] = _root(parent, 2 * at[o.p2(s)][0] + 1)
+    return HalfCylinderGraph(
+        cyls, [_root(parent, v) for v in range(2 * len(cyls))])
 
 
 def step1_cuts(
@@ -208,15 +203,23 @@ def step1_cuts(
     it leaves as it found it: scanning the cylinders in the given order
     (by default in descending index), it bridges z_i^o -- z_i^u whenever
     the two nodes are still in different components.  Returns the cut
-    cylinders, exactly the bridge-less ones."""
+    cylinders, exactly the bridge-less ones.  Each bridge joins two
+    components into one, so the surface is connected iff the edges alone
+    leave exactly one more component than there are bridges; otherwise
+    `Disconnected` is raised."""
     ncyl = len(graph.cyls)
     if order is None:
         order = range(ncyl - 1, -1, -1)
     elif sorted(order) != list(range(ncyl)):
         raise ValueError("order must permute cylinders")
-    uf = _UnionFind(list(graph.roots))
-    cut = [i for i in order if not uf.union(2 * i, 2 * i + 1)]
-    if len({uf.find(v) for v in range(2 * ncyl)}) != 1:
+    parent, cut = list(graph.roots), []
+    for i in order:
+        a, b = _root(parent, 2 * i), _root(parent, 2 * i + 1)
+        if a == b:
+            cut.append(i)
+        else:
+            parent[a] = b
+    if len(set(graph.roots)) != ncyl - len(cut) + 1:
         raise Disconnected("surface not connected after bridging")
     return [graph.cyls[i] for i in sorted(cut)]
 
@@ -701,9 +704,7 @@ def _exponent(pool: Pool, side_a: int, side_b: int, lid: int,
     n = o.horizontal_cylinders[z].length
     t0 = (kb - ka) % n
     if lst.cyclic:
-        if 2 * t0 < n or 2 * t0 == n:
-            return t0
-        return t0 - n
+        return t0 if 2 * t0 <= n else t0 - n
     sides = lst.sides
     if (half == "u") == (sides.index(side_a) < sides.index(side_b)):
         return t0
@@ -720,8 +721,7 @@ def emit_curve(pool: Pool, chain: list[ChainPair]) -> OrigamiCurve:
     start = alpha0 if first.half == "u" else pool.o.p2.inverse_of(alpha0)
     letters = []
     for pair in chain:
-        letters.append((1, pair.exponent))
-        letters.append((2, -1 if pair.half == "u" else 1))
+        letters += (1, pair.exponent), (2, -1 if pair.half == "u" else 1)
     return OrigamiCurve(start, Word(2, letters))
 
 
@@ -734,7 +734,8 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
     """Split, for every chain pair in order, the pool list it names.  A
     round's chain is a path in its merge tree, so its pairs lie in
     distinct pool lists; a chain that names a list twice is refused, and
-    so is a pair whose two sides do not both lie on its half of the list.
+    so is a pair whose two sides are one side or do not both lie on its
+    half of the list.
     Every pair is checked before the first split, so a refused chain
     leaves the pool as it was.
 
@@ -766,6 +767,8 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
             raise InconsistentChain(f"side {side_a} not in list {lid}")
         if side_b not in sides:
             raise InconsistentChain("chain pair torn across lists")
+        if side_a == side_b:
+            raise InconsistentChain("pair joins a side to itself")
         lo, hi = lst.span(half)
         forward = (e > 0) if half == "u" else (e < 0)
         role_a, role_b = (side_a, side_b) if forward else (side_b, side_a)
@@ -824,9 +827,7 @@ class HssResult(NamedTuple):
 def find_hss_detailed(o: Origami) -> HssResult:
     g = genus(o)
     cuts, graph = step1(o)
-    curves = [
-        OrigamiCurve(z.base, Word(2, [(1, z.length)])) for z in cuts
-    ]
+    curves = [OrigamiCurve(z.base, Word(2, [(1, z.length)])) for z in cuts]
     if len(curves) > g:
         raise InconsistentChain("more cylinder cuts than the genus allows")
     pool = init_lists(o, cuts)

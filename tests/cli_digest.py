@@ -22,11 +22,16 @@ and ``moebius`` on the six ordinary maps of ``MAPS``; then seven
 refusals that exit 1 with a JSON error on stderr: ``veech-check l22
 --matrix 1,2,3`` and ``--matrix 2,0,0,2``, ``analyze no-such-origami``,
 ``sweep --max-d 1``, ``shear l22 --p 2 --q 4``, ``moebius`` on the zero
-matrix, and ``hss`` on a ``.ori`` file with stray text.  Usage errors,
-which exit 2, are left out, as argparse wraps their text to the terminal
-width.  That is 242 calls: the first 220 were the whole set until shear
-and moebius joined, and the first 235 until the refusals did.  The file
-is not named ``test_*``, so pytest does not collect it.
+matrix, and ``hss`` on a ``.ori`` file with stray text; then
+``homology`` without ``--twist`` on the seven names, and three
+``veech-check`` calls with entries near 10^3: ``wollmilchsau`` and
+``l22`` with ``--matrix 1001,500,2,1``, which are members, and ``l22``
+with ``--matrix 1003,501,2,1``, which is not.  Usage errors, which exit
+2, are left out, as argparse wraps their text to the terminal width.
+That is 252 calls: the first 220 were the whole set until shear and
+moebius joined, the first 235 until the refusals did, and the first 242
+until the last ten did.  The file is not named ``test_*``, so pytest
+does not collect it.
 """
 
 import contextlib
@@ -82,6 +87,10 @@ def argvs(tmp, random_origami, format_origami):
               ["shear", "l22", "--p", "2", "--q", "4"],
               ["moebius", "--", "0,0", "0,0", "0,0", "0,0"],
               ["hss", stray]]
+    calls += [["homology", name] for name in NAMES]
+    calls += [["veech-check", "wollmilchsau", "--matrix", "1001,500,2,1"],
+              ["veech-check", "l22", "--matrix", "1001,500,2,1"],
+              ["veech-check", "l22", "--matrix", "1003,501,2,1"]]
     return calls
 
 

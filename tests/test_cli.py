@@ -1401,8 +1401,12 @@ def test_library_errors_without_asserts():
     ]
 
 
-def _raises_bare_assertion_error(node) -> bool:
-    """node is `raise AssertionError` or `raise AssertionError(...)`."""
+def _names_assertion_error(node) -> bool:
+    """node is `raise AssertionError`, `raise AssertionError(...)` or a
+    class whose bases name AssertionError."""
+    if isinstance(node, ast.ClassDef):
+        return any(isinstance(base, ast.Name) and base.id == "AssertionError"
+                   for base in node.bases)
     exc = node.exc if isinstance(node, ast.Raise) else None
     if isinstance(exc, ast.Call):
         exc = exc.func
@@ -1412,17 +1416,34 @@ def _raises_bare_assertion_error(node) -> bool:
 def test_library_has_no_assert_statements():
     """python -O strips assert statements, so the library holds none: every
     check that guards an input or decides an answer is a raise.  Nor does
-    it raise a bare AssertionError: each check raises a named error, the
-    AssertionError subclasses such as `hss.Disconnected` included."""
+    it raise a bare AssertionError or define a subclass of it: each check
+    raises a named error, which `run` catches as a ValueError."""
     package = pathlib.Path(cli.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert) or _raises_bare_assertion_error(node)
+        if isinstance(node, ast.Assert) or _names_assertion_error(node)
     ]
     assert len(list(package.glob("*.py"))) >= 9
     assert found == []
+
+
+def test_every_library_error_is_a_value_error():
+    """Every exception class the package defines is a ValueError, so a
+    library caller catches each refusal as one."""
+    import origami_forge
+
+    errors = [
+        cls
+        for info in pkgutil.iter_modules(origami_forge.__path__)
+        for cls in vars(importlib.import_module(
+            f"origami_forge.{info.name}")).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException)
+        and cls.__module__ == f"origami_forge.{info.name}"
+    ]
+    assert len(errors) >= 20
+    assert [cls for cls in errors if not issubclass(cls, ValueError)] == []
 
 
 def test_every_module_level_name_is_used():

@@ -15,6 +15,7 @@ from origami_forge.freegroup import (
     AllTrivial,
     IndexOutOfRange,
     NotUnimodular,
+    RankMismatch,
     Word,
     _reduce,
     beta_hat,
@@ -91,6 +92,12 @@ class TestWordAlgebra:
         for reduce in (_reduce, letter_reduce):
             with pytest.raises(IndexOutOfRange, match="out of range 1..4"):
                 reduce(4, letters)
+
+    def test_rank_below_one_and_mixed_ranks_raise(self):
+        with pytest.raises(RankMismatch, match="^rank 0 is below 1$"):
+            Word(0)
+        with pytest.raises(RankMismatch, match="^rank 2 vs 3$"):
+            Word(2) * Word(3)
 
     def test_power_and_inverse(self):
         w = parse_word("x y^-1")

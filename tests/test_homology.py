@@ -800,6 +800,13 @@ class TestBlockForm:
     def test_rejects_other_shapes(self):
         assert block_form_check([[1, 0], [1, 1]]) is None
         assert block_form_check([[2, 0], [0, 1]]) is None
+        assert block_form_check([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) is None
+        assert block_form_check([
+            [1, 0, 5, 6],
+            [0, 1, 7, 8],
+            [0, 0, 2, 0],
+            [0, 0, 0, 1],
+        ]) is None
 
 
 class TestCharPoly:

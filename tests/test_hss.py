@@ -14,6 +14,7 @@ from origami_forge.homology import edge_cycle, f2_independent, h1_model
 from origami_forge.hss import (
     ChainPair,
     Disconnected,
+    HalfCylinderGraph,
     InconsistentChain,
     MergeHistory,
     NoCommonLabel,
@@ -295,6 +296,41 @@ class TestStep1:
                 assert cuts == want and graph == want_graph
             assert graph.roots == roots
 
+    def test_connectivity_read_off_the_bridge_count(self):
+        """On hand-built graphs, with any edges between upper and lower
+        nodes, step1_cuts cuts exactly the cylinders whose two nodes are
+        joined when reached, and refuses exactly the graphs that edges and
+        bridges together leave in more than one component."""
+        rng = random.Random(38)
+        refused = 0
+        for _ in range(300):
+            ncyl = rng.randint(1, 5)
+            comp = list(range(2 * ncyl))  # node -> component, by relabeling
+
+            def join(u, v):
+                old, new = comp[u], comp[v]
+                comp[:] = [new if c == old else c for c in comp]
+
+            for _ in range(rng.randint(0, 2 * ncyl)):
+                join(2 * rng.randrange(ncyl), 2 * rng.randrange(ncyl) + 1)
+            roots = [comp.index(c) for c in comp]  # the least node of each
+            graph = HalfCylinderGraph(tuple(range(ncyl)), roots)
+            order = list(range(ncyl))
+            rng.shuffle(order)
+            want = []
+            for i in order:
+                if comp[2 * i] == comp[2 * i + 1]:
+                    want.append(i)
+                join(2 * i, 2 * i + 1)
+            if len(set(comp)) == 1:
+                assert step1_cuts(graph, order) == sorted(want)
+            else:
+                refused += 1
+                with pytest.raises(Disconnected, match="not connected"):
+                    step1_cuts(graph, order)
+            assert graph.roots == roots
+        assert 50 < refused < 250
+
 
 class TestInitialLists:
     def test_four_cylinder_lists(self):
@@ -483,6 +519,12 @@ class TestBacktrackAndEmission:
         c = emit_curve(pool, chain)
         assert (c.start, str(c.word)) == (8, "x^-3 y^-1 x y")
 
+    def test_empty_chain_is_refused(self):
+        o = wollmilchsau()
+        pool = init_lists(o, step1(o)[0])
+        with pytest.raises(InconsistentChain, match="^empty chain$"):
+            emit_curve(pool, [])
+
 
 class TestPairExponent:
     def test_pair_outside_its_tagged_cylinder_is_rejected(self):
@@ -666,6 +708,19 @@ class TestRefusedStagesLeaveThePool:
             pool, lambda: step3_update(pool, chain), InconsistentChain,
             f"side {a} not in list {upper}")
 
+    def test_pair_joining_a_side_to_itself(self):
+        """Split at one side, the lower list [1, 2, 3, 4] would become
+        L0 [1", 1'] and L1 [1", 2, 3, 4, 1'], as if a curve entered and
+        left it through that side."""
+        o = wollmilchsau()
+        pool = init_lists(o, step1(o)[0])
+        lower = pool.pool_order[0]  # [1,2,3,4]
+        a = pool.lists[lower].sides[0]
+        assert pool.label_of(a) == SLabel(1)
+        assert_refused_unchanged(
+            pool, lambda: step3_update(pool, [ChainPair(a, a, lower, "u", 1)]),
+            InconsistentChain, "pair joins a side to itself")
+
     @pytest.mark.parametrize("half", "uo")
     def test_backward_sweep_in_a_non_cyclic_list(self, half):
         o = wollmilchsau()
@@ -703,6 +758,7 @@ class TestRefusedStagesLeaveThePool:
     @pytest.mark.parametrize("labels, error, match", [
         ([[1, 2], [3]], Disconnected, "does not splice"),
         ([[1], [1], [1]], NoCommonLabel, "list 2 lost its shared labels"),
+        ([], ValueError, "empty pool"),
     ])
     def test_pool_that_merge_all_cannot_splice(self, labels, error, match):
         pool = Pool(wollmilchsau())

@@ -57,6 +57,13 @@ class TestPermutation:
         with pytest.raises(NotBijective):
             Permutation([1, 1, 3])
 
+    def test_call_and_inverse_refuse_squares_off_the_range(self):
+        p = Permutation([2, 1])
+        with pytest.raises(BadParameters, match="^square 3 out of range$"):
+            p(3)
+        with pytest.raises(BadParameters, match="^square 0 out of range$"):
+            p.inverse_of(0)
+
     def test_from_cycles_and_call(self):
         p = Permutation.from_cycles(4, [[1, 2, 3]])
         assert [p(s) for s in (1, 2, 3, 4)] == [2, 3, 1, 4]
@@ -154,6 +161,10 @@ class TestGeometry:
         with pytest.raises(BadParameters, match="at least one square"):
             build()
 
+    def test_permutation_sizes_must_match_the_squares(self):
+        with pytest.raises(NotBijective, match="size differs"):
+            Origami(2, Permutation([1]), Permutation([2, 1]))
+
     def test_four_cylinder_invariants(self):
         o = wollmilchsau()
         zs = cylinders(o)
@@ -191,6 +202,10 @@ class TestGeometry:
     def test_l_shape_parameter_validation(self):
         with pytest.raises(BadParameters):
             l_origami(1, 3)
+
+    def test_staircase_parameter_validation(self):
+        with pytest.raises(BadParameters, match="n >= 1"):
+            x_origami(0)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_staircase_family_genus(self, n):
