@@ -39,6 +39,17 @@ class Word:
         self.rank = rank
         self.letters = _reduce(rank, letters)
 
+    @classmethod
+    def _of(cls, rank: int, letters: Tuple[Tuple[int, int], ...]) -> "Word":
+        """The word of the given rank with these letters, a tuple of
+        letters (g, +-1) with 1 <= g <= rank that must be freely reduced:
+        inverses, end slices and curve words are so by construction and
+        skip `_reduce`."""
+        w = object.__new__(cls)
+        w.rank = rank
+        w.letters = letters
+        return w
+
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
@@ -49,7 +60,8 @@ class Word:
         return Word(self.rank, self.letters + other.letters)
 
     def inv(self) -> "Word":
-        return Word(self.rank, tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word._of(self.rank,
+                        tuple([(g, -e) for g, e in reversed(self.letters)]))
 
     def __pow__(self, n: int) -> "Word":
         if n == 1:
@@ -202,7 +214,7 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     k, j = 0, len(letters) - 1
     while k < j and letters[k] == (letters[j][0], -letters[j][1]):
         k, j = k + 1, j - 1
-    return Word(w.rank, letters[k:j + 1]), Word(w.rank, letters[:k])
+    return Word._of(w.rank, letters[k:j + 1]), Word._of(w.rank, letters[:k])
 
 
 def is_conjugate(u: Word, v: Word) -> Optional[Word]:
@@ -217,7 +229,7 @@ def is_conjugate(u: Word, v: Word) -> Optional[Word]:
     for k in range(max(len(core), 1)):
         if core[k:] + core[:k] == target:
             # the rotation is prefix^-1 * cu * prefix, so g * u * g^-1 = v
-            return pv * Word(u.rank, core[:k]).inv() * pu.inv()
+            return pv * Word._of(u.rank, core[:k]).inv() * pu.inv()
     return None
 
 
@@ -230,7 +242,7 @@ def primitive_root(u: Word) -> Word:
         raise AllTrivial("the trivial word has no primitive root")
     for k in range(1, n):
         if n % k == 0 and letters[:k] * (n // k) == letters:
-            return Word(core.rank, letters[:k]).conj(p)
+            return Word._of(core.rank, letters[:k]).conj(p)
     return core.conj(p)
 
 

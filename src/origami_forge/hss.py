@@ -76,17 +76,22 @@ the event log; an old round, which ``dual_curves`` backtracks, is walked
 the same way.  No side -> pool list map is kept.  Backtracking computes
 each chain pair's x-exponent once, after fixing the chain's orientation,
 and stores it in the pair, where emission and the next round's split
-read it.  Stage 3 splits each chain pair's own pool list once, finds
+read it; a non-'lz' list's half is its kind.  Emission builds the curve
+word letter by letter, already reduced, as its x-runs and y-letters
+alternate.  Stage 3 splits each chain pair's own pool list once, finds
 sides by their index in it, and rebuilds the pool order once per round:
 the pool is one list of lids, sorted by each list's section (its kind,
 'u', 'o' or 'lz', then its cylinder), in which every split list is
-replaced by its L0 and L1; the L1 lists split off uncut cylinders join
-it by one stable sort.
+replaced in place by its L0 and L1, of its own section, so the order
+stays sorted; each L1 list split off an uncut cylinder is inserted after
+the last list of its section, found by bisection.  The order is never
+re-sorted.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import Counter
 from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Union
@@ -397,15 +402,15 @@ class Pool:
         return range(n, n + 4)
 
     def new_list(self, sides, cyclic: bool, kind: str, cyl: int) -> int:
+        """The id of a new pool list of these sides; a tuple is kept as
+        it is, any other sequence copied into one."""
         lid = self._next_list
         self._next_list += 1
-        sides = tuple(sides)
+        if type(sides) is not tuple:
+            sides = tuple(sides)
         self.lists[lid] = LabeledList(
             sides, cyclic, kind, cyl, list(map(self.lab.__getitem__, sides)))
         return lid
-
-    def label_of(self, sid: int) -> Label:
-        return self.label_at[self.lab[sid]]
 
     def section(self, lid: int) -> tuple[int, int]:
         """The place of list lid's part of the pool order: its kind's
@@ -660,9 +665,11 @@ def backtrack(pool: Pool, history: MergeHistory,
     pairs = []
     for sa, sb, lid in head:
         lst = lists[lid]
-        h = lst.half_of(sa)
-        if h is None or h != lst.half_of(sb):
-            raise InconsistentChain("pair straddles list halves")
+        h = lst.kind
+        if h == "lz":
+            h = lst.half_of(sa)
+            if h is None or h != lst.half_of(sb):
+                raise InconsistentChain("pair straddles list halves")
         pairs.append((sa, sb, lid, h))
     # emission starts with a lower-boundary pair when possible
     if pairs[0][3] == "o" and pairs[-1][3] == "u":
@@ -690,10 +697,13 @@ def _exponent(pool: Pool, side_a: int, side_b: int, lid: int,
     """
     lst = pool.lists[lid]
     lst.span(half)  # the list has this half
-    o, label_of = pool.o, pool.label_of
-    a, b = label_of(side_a).square, label_of(side_b).square
+    o, square = pool.o, pool.square
+    la, lb = pool.lab[side_a], pool.lab[side_b]
+    if not (square[la] and square[lb]):
+        raise InconsistentChain("pair names an a_Z side")
+    a, b = pool.label_at[la][0], pool.label_at[lb][0]
     if half != "u":
-        a, b = o.p2.inverse_of(a), o.p2.inverse_of(b)
+        a, b = o.p2._pre[a], o.p2._pre[b]
     if a == b:
         raise InconsistentChain("pair joins a square to itself")
     # the forward steps 0 <= t0 < n with p1^t0(a) = b in the pair's cylinder
@@ -701,7 +711,7 @@ def _exponent(pool: Pool, side_a: int, side_b: int, lid: int,
     (z, ka), (zb, kb) = at[a], at[b]
     if z != at[lst.cyl][0] or zb != z:
         raise InconsistentChain("squares not in the pair's cylinder")
-    n = o.horizontal_cylinders[z].length
+    n = len(o.horizontal_cylinders[z].squares)
     t0 = (kb - ka) % n
     if lst.cyclic:
         return t0 if 2 * t0 <= n else t0 - n
@@ -711,18 +721,31 @@ def _exponent(pool: Pool, side_a: int, side_b: int, lid: int,
     return t0 - n
 
 
+_X, _X_INV, _Y, _Y_INV = (1, 1), (1, -1), (2, 1), (2, -1)
+
+
 def emit_curve(pool: Pool, chain: list[ChainPair]) -> OrigamiCurve:
     """Turn a pair chain into a closed horizontal curve: each lower-half
-    pair contributes x^t y^-1, each upper-half pair x^t y."""
+    pair contributes x^t y^-1, each upper-half pair x^t y.  Each t is
+    nonzero (`_exponent` never returns 0, and a pair of exponent 0 is
+    refused), so x-runs and y-letters alternate and nothing cancels: the
+    word is built already reduced."""
     if not chain:
         raise InconsistentChain("empty chain")
     first = chain[0]
-    alpha0 = pool.label_of(first.side_a).square
-    start = alpha0 if first.half == "u" else pool.o.p2.inverse_of(alpha0)
+    lab = pool.lab[first.side_a]
+    if not pool.square[lab]:
+        raise InconsistentChain("pair names an a_Z side")
+    square = pool.label_at[lab][0]
+    start = square if first.half == "u" else pool.o.p2.inverse_of(square)
     letters = []
     for pair in chain:
-        letters += (1, pair.exponent), (2, -1 if pair.half == "u" else 1)
-    return OrigamiCurve(start, Word(2, letters))
+        t = pair.exponent
+        if not t:
+            raise InconsistentChain("pair of exponent 0")
+        letters += [_X if t > 0 else _X_INV] * abs(t)
+        letters.append(_Y_INV if pair.half == "u" else _Y)
+    return OrigamiCurve(start, Word._of(2, tuple(letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -748,11 +771,11 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
     keeps L0 embedded, and its L1 joins the pool order after the lists of
     its section, those of its half and cylinder.  The order is rebuilt
     once, after the last split, in one flat pass: each split list is
-    replaced by its L0 and L1 (by its L0 alone for an 'lz' list), the
-    joining lists are appended in chain order, and one stable sort by
-    `Pool.section` puts each joining list after the lists of its section.
-    L0 and L1 have their list's section, so the rest of the order is
-    already sorted and stays.
+    replaced by its L0 and L1 (by its L0 alone for an 'lz' list), which
+    have its section, so the order stays sorted by `Pool.section`; then
+    each joining list, in chain order, is inserted after the last list of
+    its section, found by bisection on the sorted order.  Nothing is
+    re-sorted.
     """
     lists = pool.lists
     current = set(pool.pool_order)
@@ -802,7 +825,10 @@ def step3_update(pool: Pool, chain: list[ChainPair]) -> None:
             split[lid] = l0, l1
 
     order = [l for lid in pool.pool_order for l in split.get(lid, (lid,))]
-    pool.pool_order = sorted(order + joining, key=pool.section)
+    section = pool.section
+    for l1 in joining:
+        order.insert(bisect_right(order, section(l1), key=section), l1)
+    pool.pool_order = order
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,14 @@ matrix, and ``hss`` on a ``.ori`` file with stray text; then
 ``homology`` without ``--twist`` on the seven names, and three
 ``veech-check`` calls with entries near 10^3: ``wollmilchsau`` and
 ``l22`` with ``--matrix 1001,500,2,1``, which are members, and ``l22``
-with ``--matrix 1003,501,2,1``, which is not.  Usage errors, which exit
-2, are left out, as argparse wraps their text to the terminal width.
-That is 252 calls: the first 220 were the whole set until shear and
-moebius joined, the first 235 until the refusals did, and the first 242
-until the last ten did.  The file is not named ``test_*``, so pytest
-does not collect it.
+with ``--matrix 1003,501,2,1``, which is not; and last ``hss --trace`` on
+``random_origami(Random(128), 128)``, 59 rounds of up to 2,046 pool
+lists, the size where stage 3's pool order is longest.  Usage errors,
+which exit 2, are left out, as argparse wraps their text to the terminal
+width.  That is 253 calls: the first 220 were the whole set until shear
+and moebius joined, the first 235 until the refusals did, the first 242
+until the next ten did, and the first 252 until the d = 128 trace did.
+The file is not named ``test_*``, so pytest does not collect it.
 """
 
 import contextlib
@@ -91,6 +93,7 @@ def argvs(tmp, random_origami, format_origami):
     calls += [["veech-check", "wollmilchsau", "--matrix", "1001,500,2,1"],
               ["veech-check", "l22", "--matrix", "1001,500,2,1"],
               ["veech-check", "l22", "--matrix", "1003,501,2,1"]]
+    calls.append(["hss", ori("d128", 128, 128), "--trace"])
     return calls
 
 

@@ -7,8 +7,11 @@ re-runs a merge history from its initial lists, and ``replay_backtrack``
 traces a pair back by replaying the history's events in reverse from
 the list P that ``replay`` rebuilds; it reads a side's half by
 ``side_half``, a scan of its list's labels.  They
-check the indexed engine of ``origami_forge.hss`` from outside.
-``pool_labels`` lists a pool list's labels, ``format_label`` prints one
+check the indexed engine of ``origami_forge.hss`` from outside, as does
+``syllable_curve``, which builds a chain's curve from syllables reduced
+by ``Word``, as ``emit_curve`` did before it built the word reduced.
+``pool_labels`` lists a pool list's labels, ``label_of`` gives a side's
+label, ``format_label`` prints one
 (``hss`` prints none since its splice cannot miss its label), and
 ``find_separating_pair`` runs the separating-pair search on labels
 instead of label ids.
@@ -248,8 +251,8 @@ def concatenate(pool, lid, mid, at, history=None):
     adjacent equal labels (with wrap-around).  Returns the result's lid."""
     L, M = pool.lists[lid], pool.lists[mid]
     try:
-        i = next(k for k, s in enumerate(L.sides) if pool.label_of(s) == at)
-        j = next(k for k, s in enumerate(M.sides) if pool.label_of(s) == at)
+        i = next(k for k, s in enumerate(L.sides) if label_of(pool, s) == at)
+        j = next(k for k, s in enumerate(M.sides) if label_of(pool, s) == at)
     except StopIteration:
         raise NoCommonLabel(f"label {format_label(at)} missing") from None
     a, b = L.sides[:i], L.sides[i + 1:]
@@ -268,10 +271,10 @@ def cancel_all(pool, lid, history):
         n = len(sides)
         hit = None
         for k in range(n - 1):
-            if pool.label_of(sides[k]) == pool.label_of(sides[k + 1]):
+            if label_of(pool, sides[k]) == label_of(pool, sides[k + 1]):
                 hit = (k, k + 1)
                 break
-        if hit is None and n >= 2 and pool.label_of(sides[-1]) == pool.label_of(sides[0]):
+        if hit is None and n >= 2 and label_of(pool, sides[-1]) == label_of(pool, sides[0]):
             hit = (n - 1, 0)
         if hit is None:
             return lid
@@ -367,6 +370,26 @@ def replay_backtrack(pool, history, alpha):
     return [ChainPair(*p, _exponent(pool, *p)) for p in chain]
 
 
+def syllable_curve(pool, chain):
+    """The curve of a pair chain as ``hss.emit_curve`` built it before it
+    built the letters itself: one syllable x^t per pair, followed by y^-1
+    on the lower half and y on the upper, reduced by ``Word``; the start
+    is the square under the first side, through its label and
+    ``inverse_of``."""
+    first = chain[0]
+    square = label_of(pool, first.side_a).square
+    start = square if first.half == "u" else pool.o.p2.inverse_of(square)
+    letters = []
+    for pair in chain:
+        letters += (1, pair.exponent), (2, -1 if pair.half == "u" else 1)
+    return OrigamiCurve(start, Word(2, letters))
+
+
+def label_of(pool, sid):
+    """The label of side sid, which the pool stores as a label id."""
+    return pool.label_at[pool.lab[sid]]
+
+
 def side_half(pool, lid, sid):
     """The boundary half of side sid in pool list lid, by a scan of the
     list's labels: the kind of a 'u' or 'o' list; in an uncut cylinder's
@@ -377,7 +400,7 @@ def side_half(pool, lid, sid):
         return lst.kind
     half = None
     for s in lst.sides:
-        sentinel = isinstance(pool.label_of(s), Sentinel)
+        sentinel = isinstance(label_of(pool, s), Sentinel)
         if sentinel:
             half = "o" if half else "u"
         if s == sid:

@@ -211,6 +211,36 @@ class TestConjugacy:
             simultaneous_conjugacy([(Word(2), x)])
 
 
+class TestKnownReducedWords:
+    """`Word._of` skips the reduction for letters reduced by construction:
+    inverses, the end slices of `cyclic_reduce`, and the slices of a
+    cyclic core that `is_conjugate` and `primitive_root` build on.  Each
+    equals the word `Word(rank, letters)` reduces from the same letters,
+    letter tuple and all; `TestCyclicWordsMatchReferences` checks the
+    witnesses and roots built from the slices."""
+
+    def test_seeded_reduced_words(self):
+        rng = random.Random(3939)
+        for _ in range(2000):
+            rank = rng.randint(1, 3)
+            w = Word(rank, [(rng.randint(1, rank), rng.choice((-1, 1)))
+                            for _ in range(rng.randint(0, 40))])
+            letters = w.letters
+            assert Word._of(rank, letters) == Word(rank, letters)
+            assert w.inv() == Word(rank, [(g, -e) for g, e in
+                                          reversed(letters)])
+            core, conj = cyclic_reduce(w)
+            k = len(conj)
+            assert conj == Word(rank, letters[:k])
+            assert core == Word(rank, letters[k:len(letters) - k])
+            for part in (w.inv(), core, conj):
+                assert type(part.letters) is tuple
+                assert part.letters == _reduce(rank, part.letters)
+            for j in range(len(core)):
+                assert Word._of(rank, core.letters[:j]) == Word(
+                    rank, core.letters[:j])
+
+
 class TestCyclicWordsMatchReferences:
     """The letter-tuple cyclic-word algebra against the Word-building
     references of `tests/oracles.py`: the same cores and conjugators, the

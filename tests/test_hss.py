@@ -54,10 +54,12 @@ from oracles import (
     concatenate,
     find_separating_pair,
     format_label,
+    label_of,
     pool_labels,
     replay,
     replay_backtrack,
     side_half,
+    syllable_curve,
 )
 
 
@@ -500,8 +502,8 @@ class TestBacktrackAndEmission:
     def test_four_cylinder_chain_and_curve(self):
         pool, chain = self.run_round(wollmilchsau())
         pairs = [
-            (format_label(pool.label_of(p.side_a)),
-             format_label(pool.label_of(p.side_b)), p.half)
+            (format_label(label_of(pool, p.side_a)),
+             format_label(label_of(pool, p.side_b)), p.half)
             for p in chain
         ]
         assert pairs == [("1", "2", "u"), ("2", "1", "o")]
@@ -511,8 +513,8 @@ class TestBacktrackAndEmission:
     def test_fourteen_square_chain_and_curve(self):
         pool, chain = self.run_round(o14())
         pairs = [
-            (format_label(pool.label_of(p.side_a)),
-             format_label(pool.label_of(p.side_b)), p.half)
+            (format_label(label_of(pool, p.side_a)),
+             format_label(label_of(pool, p.side_b)), p.half)
             for p in chain
         ]
         assert pairs == [("8", "12", "u"), ("12", "8", "o")]
@@ -541,6 +543,36 @@ class TestPairExponent:
         wrong = pool.new_list(sides, True, "u", 5)
         with pytest.raises(InconsistentChain, match="pair's cylinder"):
             _exponent(pool, sides[0], sides[2], wrong, "u")
+
+    def test_pair_naming_an_a_z_side_is_refused(self):
+        """An uncut cylinder's list [a_Z, 8, a_Z, 1]: a pair that names
+        its a_Z side has no square under that side, so the exponent and
+        the curve refuse it."""
+        o = random_origami(random.Random(12), 8)
+        pool = init_lists(o, step1(o)[0])
+        lid = next(lid for lid in pool.pool_order
+                   if pool.lists[lid].kind == "lz")
+        a8, s8, _, _ = pool.lists[lid].sides
+        assert [label_of(pool, s) for s in (a8, s8)] == [Sentinel(8),
+                                                          SLabel(8)]
+        for pair in ((a8, s8), (s8, a8)):
+            with pytest.raises(InconsistentChain, match="^pair names an a_Z"):
+                _exponent(pool, *pair, lid, "u")
+        with pytest.raises(InconsistentChain, match="^pair names an a_Z"):
+            emit_curve(pool, [ChainPair(a8, s8, lid, "u", 1)])
+
+    def test_pair_of_exponent_zero_is_refused(self):
+        """A pair of exponent 0 joins a square to itself; its curve would
+        put y^-1 next to y, so it is refused rather than emitted."""
+        o = wollmilchsau()
+        pool = init_lists(o, step1(o)[0])
+        lower, upper = pool.pool_order[:2]  # [1,2,3,4] and [8,5,6,7]
+        a, b, _, _ = pool.lists[lower].sides
+        x, y, _, _ = pool.lists[upper].sides
+        chain = [ChainPair(a, b, lower, "u", 1),
+                 ChainPair(x, y, upper, "o", 0)]
+        with pytest.raises(InconsistentChain, match="^pair of exponent 0$"):
+            emit_curve(pool, chain)
 
 
 class TestListSplitting:
@@ -716,7 +748,7 @@ class TestRefusedStagesLeaveThePool:
         pool = init_lists(o, step1(o)[0])
         lower = pool.pool_order[0]  # [1,2,3,4]
         a = pool.lists[lower].sides[0]
-        assert pool.label_of(a) == SLabel(1)
+        assert label_of(pool, a) == SLabel(1)
         assert_refused_unchanged(
             pool, lambda: step3_update(pool, [ChainPair(a, a, lower, "u", 1)]),
             InconsistentChain, "pair joins a side to itself")
@@ -746,7 +778,7 @@ class TestRefusedStagesLeaveThePool:
         lid = next(lid for lid in pool.pool_order
                    if pool.lists[lid].kind == "lz")
         lst = pool.lists[lid]
-        assert [pool.label_of(s) for s in lst.sides] == [
+        assert [label_of(pool, s) for s in lst.sides] == [
             Sentinel(8), SLabel(8), Sentinel(8), SLabel(1)]
         assert (lst.half_of(lst.sides[1]), lst.half_of(lst.sides[3])) == (
             "u", "o")
@@ -1121,6 +1153,76 @@ class TestAgainstRescanEngine:
                     find_separating_pair(labels)
                 continue
             assert find_separating_pair(labels) == expected, labels
+
+
+def splits_keep_the_order_sorted(o):
+    """Runs every round of find_hss_detailed on o, and step3_update on the
+    last round's chain too, and checks after each split that the pool
+    order is sorted by section, which step3_update keeps without sorting.
+    Returns the number of L1 lists that joined the order: one per 'lz'
+    list a chain split."""
+    cuts, _ = step1(o)
+    pool = init_lists(o, cuts)
+    assert pool.pool_order == sorted(pool.pool_order, key=pool.section)
+    joined = 0
+    for r in range(genus(o) - len(cuts)):
+        chain = next_chain(pool)
+        joined += sum(pool.lists[pair.lid].kind == "lz" for pair in chain)
+        step3_update(pool, chain)
+        assert pool.pool_order == sorted(pool.pool_order,
+                                         key=pool.section), (o, r)
+    return joined
+
+
+class TestSplitsKeepTheOrderSorted:
+    """step3_update replaces each split list by its L0 and L1 in place
+    and places each joining L1 after the lists of its section, and so
+    leaves the pool order sorted by section with no sort."""
+
+    def test_fixtures(self, fixture_origamis):
+        joined = {name: splits_keep_the_order_sorted(o)
+                  for name, o in fixture_origamis}
+        assert joined["wollmilchsau"] and joined["o14"], joined
+
+    def test_random_sample(self, random_sample):
+        for _, o in random_sample:
+            splits_keep_the_order_sorted(o)
+
+    @pytest.mark.parametrize("d", [40, 64, 96])
+    def test_seeded_degree(self, d):
+        splits_keep_the_order_sorted(random_origami(random.Random(d), d))
+
+
+def assert_curves_match_syllables(o):
+    """Every round's curve, and the curve of its beta that dual_curves
+    emits, against `syllable_curve`: the same start and the same letters."""
+    result = find_hss_detailed(o)
+    pool = result.pool
+    rounds = result.curves[len(result.cut_cylinders):]
+    for history, curve, beta in zip(result.histories, rounds, result.betas):
+        alpha, _ = _separating_pair(history.labs, pool.square, pool.label_at)
+        for label, emitted in ((alpha, curve), (beta, None)):
+            chain = backtrack(pool, history, label)
+            if emitted is None:
+                emitted = emit_curve(pool, chain)
+            assert emitted == syllable_curve(pool, chain), (o, label)
+
+
+class TestEmissionAgainstSyllables:
+    """emit_curve builds each curve word reduced, letter by letter; the
+    word that Word reduces from the chain's syllables is the same."""
+
+    def test_fixtures(self, fixture_origamis):
+        for _, o in fixture_origamis:
+            assert_curves_match_syllables(o)
+
+    def test_random_sample(self, random_sample):
+        for _, o in random_sample:
+            assert_curves_match_syllables(o)
+
+    def test_seeded_degrees(self):
+        for d in range(40, 97):
+            assert_curves_match_syllables(random_origami(random.Random(d), d))
 
 
 class TestPoolOrderAgainstSections:
